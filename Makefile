@@ -41,10 +41,11 @@ test:
 # wall times, sim hot-loop ns/op and allocs/op (including the sharded
 # engine's epoch-barrier and cross-shard-send rows), run-cache statistics,
 # and the aggregate latency-histogram tails (simulated cycles,
-# machine-independent). scale/scaleseq are included explicitly — they are
-# not part of "all" because they measure the sharded engine itself.
+# machine-independent). The grids timed are the job registry's, the same
+# ones -json and xuiserve compute. scale is named explicitly: the registry
+# leaves it out of "all" because it measures the sharded engine itself.
 bench:
-	go run ./cmd/xuibench -exp all,scale,scaleseq -quick -j 1 -shards 1 -benchjson BENCH_sweep.json
+	go run ./cmd/xuibench -exp all,scale -quick -j 1 -shards 1 -benchjson BENCH_sweep.json
 
 # Measure the sharded Tier-2 engine with real parallelism: the scale
 # experiments at -shards $(nproc) (every other knob as in bench). Rows are
@@ -60,7 +61,7 @@ bench-scale:
 # than committed) and exits nonzero when total wall time or any aggregate
 # p99 regresses by more than 10%.
 bench-delta:
-	go run ./cmd/xuibench -exp all,scale,scaleseq -quick -j 1 -shards 1 -benchjson /tmp/xuibench_delta.json -benchbase BENCH_sweep.json -benchgate 10
+	go run ./cmd/xuibench -exp all,scale -quick -j 1 -shards 1 -benchjson /tmp/xuibench_delta.json -benchbase BENCH_sweep.json -benchgate 10
 
 # CI perf gate on the Tier-1-bound subset: the experiments dominated by
 # the cycle-stepped pipeline (the fast engine's beneficiaries), timed at

@@ -14,7 +14,6 @@ import (
 	"xui/internal/isa"
 	"xui/internal/mem"
 	"xui/internal/obs"
-	"xui/internal/report"
 	"xui/internal/shard"
 	"xui/internal/sim"
 	"xui/internal/trace"
@@ -104,12 +103,12 @@ func collectTails(reg *obs.Registry) []tailRow {
 
 // runBenchJSON runs the selected experiments (printing their normal output)
 // while timing each, benchmarks the sim hot loops, collects the aggregate
-// latency tails, and writes the record. Experiment payloads also feed the
-// unified report when one was requested. With basePath set it prints
-// per-experiment wall-time and tail-latency deltas against the committed
-// baseline record (the Makefile's bench-delta target), and with gatePct > 0
-// it errors when total wall time or any tail p99 regresses past the gate.
-func runBenchJSON(path, basePath string, gatePct float64, selected []string, runners map[string]func(bool) any, rep *report.Doc, reg *obs.Registry, quick bool, workers int) error {
+// latency tails, and writes the record. It returns the experiment payloads
+// for the unified report. With basePath set it prints per-experiment
+// wall-time and tail-latency deltas against the committed baseline record
+// (the Makefile's bench-delta target), and with gatePct > 0 it errors when
+// total wall time or any tail p99 regresses past the gate.
+func runBenchJSON(path, basePath string, gatePct float64, selected []string, reg *obs.Registry, quick bool, workers int) (map[string]any, error) {
 	rec := benchRecord{
 		Schema:     benchSchema,
 		Workers:    workers,
@@ -119,13 +118,15 @@ func runBenchJSON(path, basePath string, gatePct float64, selected []string, run
 		Quick:      quick,
 		CacheOn:    experiments.CachingEnabled(),
 	}
+	payloads := map[string]any{}
 	total := time.Now()
 	for _, n := range selected {
 		start := time.Now()
-		payload := runners[n](quick)
-		if rep != nil {
-			rep.AddResult(n, payload)
+		payload, err := experiments.RenderJob(os.Stdout, n, quick)
+		if err != nil {
+			return nil, err
 		}
+		payloads[n] = payload
 		rec.Experiments = append(rec.Experiments, expTiming{
 			Name:   n,
 			WallMs: float64(time.Since(start).Microseconds()) / 1000,
@@ -138,21 +139,21 @@ func runBenchJSON(path, basePath string, gatePct float64, selected []string, run
 
 	f, err := os.Create(path)
 	if err != nil {
-		return err
+		return payloads, err
 	}
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rec); err != nil {
 		f.Close()
-		return err
+		return payloads, err
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return payloads, err
 	}
 	if basePath != "" {
-		return printBenchDelta(rec, basePath, gatePct)
+		return payloads, printBenchDelta(rec, basePath, gatePct)
 	}
-	return nil
+	return payloads, nil
 }
 
 // printBenchDelta compares a fresh record against a committed baseline and

@@ -1,17 +1,23 @@
 // Command xuibench regenerates the paper's tables and figures from the
-// simulation models. Run with -exp all (default) or one of: table2, fig2,
-// fig4, fig5, fig6, fig7, fig8, fig9, worstcase, section2.
+// simulation models. -exp takes a comma-separated list of experiments:
+// table2, fig2, fig4, fig5, fig6, fig7, fig8, fig9, worstcase, section2,
+// section35, ablations, multiworker and duet (together "all", the
+// default), plus scale, which runs only when named.
 //
 // Output is the same rows/series the paper reports, with the paper's
-// measured values alongside where applicable.
+// measured values alongside where applicable. Every mode — text tables,
+// -json, -report, -benchjson and -plot — runs the grids of the job
+// registry in internal/experiments, the same payloads xuiserve serves.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,8 +27,6 @@ import (
 	"xui/internal/obs"
 	"xui/internal/plot"
 	"xui/internal/report"
-	"xui/internal/sim"
-	"xui/internal/stats"
 )
 
 func fatal(err error) {
@@ -31,10 +35,10 @@ func fatal(err error) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment(s) to run, comma-separated: all, table2, fig2, fig4, fig5, fig6, fig7, fig8, fig9, worstcase, section2, ablations, multiworker, duet, scale, scaleseq (e.g. -exp fig4,fig5,section2; scale/scaleseq are not part of all)")
+	exp := flag.String("exp", "all", "experiment(s) to run, comma-separated: "+expChoices()+" (e.g. -exp fig4,fig5,section2)")
 	quick := flag.Bool("quick", false, "smaller sweeps / shorter horizons")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
-	plotOut := flag.Bool("plot", false, "render ASCII charts of the curve figures (fig5, fig8, fig9)")
+	plotOut := flag.Bool("plot", false, "render ASCII charts of the curve figures (fig5 on matmul, fig8 at one NIC, fig9's 20 µs class) instead of the -exp tables")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the run to this file")
 	metricsPath := flag.String("metrics", "", "write a metrics-registry JSON snapshot of the run to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -138,74 +142,46 @@ func main() {
 		}
 	}
 
-	if *plotOut {
-		emitPlots(*quick)
-		finish()
-		return
+	names := parseExpList(*exp)
+	var payloads map[string]any
+	switch {
+	case *plotOut:
+		payloads, err = emitPlots(os.Stdout, *quick)
+	case *benchJSON != "":
+		payloads, err = runBenchJSON(*benchJSON, *benchBase, *benchGate, names, ctx.RegistryOrNil(), *quick, *workers)
+	default:
+		payloads, err = runExperiments(os.Stdout, names, *quick, *jsonOut)
 	}
-
-	runners := map[string]func(bool) any{
-		"table2":      runTable2,
-		"fig2":        runFig2,
-		"fig4":        runFig4,
-		"fig5":        runFig5,
-		"fig6":        runFig6,
-		"fig7":        runFig7,
-		"fig8":        runFig8,
-		"fig9":        runFig9,
-		"worstcase":   runWorstCase,
-		"section2":    runSection2,
-		"ablations":   runAblations,
-		"multiworker": runMultiWorker,
-		"section35":   runSection35,
-		"duet":        runDuet,
-		"scale":       runScale,
-		"scaleseq":    runScaleSeq,
-	}
-	// scale/scaleseq stay out of "all": they measure the sharded engine at
-	// cluster sizes and are requested explicitly (the Makefile bench target
-	// adds them so BENCH_sweep.json tracks the sharded/sequential pair).
-	order := []string{"table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "worstcase", "section2", "section35", "ablations", "multiworker", "duet"}
-
-	// runExp executes one experiment, feeding its row payload into the
-	// unified report when one was requested.
-	runExp := func(n string) {
-		payload := runners[n](*quick)
-		if rep != nil {
-			rep.AddResult(n, payload)
+	if rep != nil {
+		for n, p := range payloads {
+			rep.AddResult(n, p)
 		}
-	}
-
-	names := parseExpList(*exp, order, runners)
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *benchBase, *benchGate, names, runners, rep, ctx.RegistryOrNil(), *quick, *workers); err != nil {
-			finish()
-			fatal(err)
-		}
-		finish()
-		return
-	}
-	if *jsonOut {
-		out := emitJSON(names, *quick)
-		if rep != nil {
-			for n, d := range out {
-				rep.AddResult(n, d)
-			}
-		}
-		finish()
-		return
-	}
-	for _, n := range names {
-		runExp(n)
 	}
 	finish()
+	if err != nil {
+		fatal(err)
+	}
 }
 
-// parseExpList resolves a comma-separated -exp value against the known
-// runners, expanding "all" to the canonical order and preserving the
-// caller's order (deduplicated) otherwise. Unknown names exit with a
-// usage error.
-func parseExpList(exp string, order []string, runners map[string]func(bool) any) []string {
+// expChoices lists the -exp values, built from the job registry.
+func expChoices() string {
+	var byName []string
+	for _, n := range experiments.JobNames() {
+		if !slices.Contains(experiments.AllJobNames(), n) {
+			byName = append(byName, n)
+		}
+	}
+	s := strings.Join(experiments.JobNames(), ", ") + ", or all"
+	if len(byName) > 0 {
+		s += " (everything but " + strings.Join(byName, ", ") + ")"
+	}
+	return s
+}
+
+// parseExpList resolves a comma-separated -exp value against the job
+// registry, expanding "all" in place and otherwise keeping the caller's
+// order (deduplicated). Unknown names exit with a usage error.
+func parseExpList(exp string) []string {
 	var names []string
 	seen := map[string]bool{}
 	add := func(name string) {
@@ -216,387 +192,104 @@ func parseExpList(exp string, order []string, runners map[string]func(bool) any)
 	}
 	for _, raw := range strings.Split(strings.ToLower(exp), ",") {
 		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
-		if name == "all" {
-			// Expand in place so "all,scale,scaleseq" runs the canonical
-			// order plus the extras that deliberately sit outside it.
-			for _, n := range order {
+		switch {
+		case name == "":
+		case name == "all":
+			for _, n := range experiments.AllJobNames() {
 				add(n)
 			}
-			continue
-		}
-		if _, ok := runners[name]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from %s, scale, scaleseq or all\n", name, strings.Join(order, ", "))
+		case experiments.JobKnown(name):
+			add(name)
+		default:
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; choose from %s\n", name, expChoices())
 			os.Exit(2)
 		}
-		add(name)
 	}
 	if len(names) == 0 {
-		fmt.Fprintf(os.Stderr, "empty -exp; choose from %s or all\n", strings.Join(order, ", "))
+		fmt.Fprintf(os.Stderr, "empty -exp; choose from %s\n", expChoices())
 		os.Exit(2)
 	}
 	return names
 }
 
-// emitJSON prints the selected experiments' typed rows as one JSON object
-// keyed by experiment name, for downstream tooling and plotting scripts.
-// The same map is returned so a -report document can embed it. Payloads
-// come from the shared job registry (internal/experiments), the same
-// runners the xuiserve daemon executes.
-func emitJSON(names []string, quick bool) map[string]any {
+// runExperiments runs the named experiments through the job registry and
+// returns their payloads by name. Text mode writes each experiment's
+// tables to w as it finishes; JSON mode writes one object keyed by name,
+// for downstream tooling, once all have run.
+func runExperiments(w io.Writer, names []string, quick, jsonOut bool) (map[string]any, error) {
 	out := map[string]any{}
 	for _, n := range names {
-		payload, err := experiments.RunJob(n, quick)
-		if err != nil {
-			fatal(err)
-		}
-		out[n] = payload
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	return out
-}
-
-func header(s string) {
-	fmt.Printf("\n%s\n%s\n", s, strings.Repeat("=", len(s)))
-}
-
-func runTable2(bool) any {
-	header("Table 2 — Key performance metrics of UIPIs (cycles)")
-	got := experiments.Table2()
-	paper := experiments.PaperTable2()
-	fmt.Printf("%-16s %10s %10s\n", "metric", "simulated", "paper")
-	row := func(n string, g, p float64) { fmt.Printf("%-16s %10.0f %10.0f\n", n, g, p) }
-	row("end-to-end", got.EndToEnd, paper.EndToEnd)
-	row("receiver cost", got.ReceiverCost, paper.ReceiverCost)
-	row("senduipi", got.Senduipi, paper.Senduipi)
-	row("clui", got.Clui, paper.Clui)
-	row("stui", got.Stui, paper.Stui)
-	fmt.Printf("\ndelivery distributions (cycles, from the instrumented stock-UIPI run):\n")
-	dist := func(n string, s stats.Summary) {
-		fmt.Printf("%-16s p50=%-6d p99=%-6d p99.9=%-6d max=%d\n", n, s.P50, s.P99, s.P999, s.Max)
-	}
-	dist("arrive→delivery", got.Delivery.Delivery)
-	dist("handler", got.Delivery.Handler)
-	dist("arrive→commit", got.Delivery.NotifToCommit)
-	dist("arrive→uiret", got.Delivery.EndToEnd)
-	return map[string]any{"simulated": got, "paper": paper}
-}
-
-func runFig2(bool) any {
-	header("Figure 2 — UIPI latency timeline (cycles from senduipi start)")
-	got := experiments.Fig2()
-	paper := experiments.PaperFig2()
-	fmt.Printf("%-28s %10s %10s\n", "event", "simulated", "paper")
-	row := func(n string, g, p float64) { fmt.Printf("%-28s %10.0f %10.0f\n", n, g, p) }
-	row("interrupt arrives", got.Arrive, paper.Arrive)
-	row("first notification event", got.FirstNotif, paper.FirstNotif)
-	row("notification+delivery done", got.DeliveryDone, paper.DeliveryDone)
-	fmt.Printf("%-28s %10.0f %10s\n", "handler starts", got.HandlerStart, "-")
-	row("uiret", got.UiretCost, paper.UiretCost)
-	return map[string]any{"simulated": got, "paper": paper}
-}
-
-func runFig4(quick bool) any {
-	header("Figure 4 — Receiver overhead, periodic 5 µs interrupts")
-	uops := uint64(400000)
-	if quick {
-		uops = 150000
-	}
-	rows := experiments.Fig4(uops)
-	fmt.Printf("%-9s %-27s %12s %10s\n", "workload", "config", "cycles/event", "overhead")
-	for _, r := range rows {
-		fmt.Printf("%-9s %-27s %12.0f %9.2f%%\n", r.Workload, r.Config, r.PerEvent, r.OverheadPct)
-	}
-	avg := experiments.Fig4Summary(rows)
-	fmt.Printf("\naverages: UIPI=%.0f tracked=%.0f kb_timer=%.0f (paper: 645 / 231 / 105)\n",
-		avg["UIPI SW Timer"], avg["xUI (SW Timer + Tracking)"], avg["xUI (KB_Timer + Tracking)"])
-	return map[string]any{"rows": rows, "averages": avg}
-}
-
-func runFig5(quick bool) any {
-	header("Figure 5 — Preemption overhead vs. quantum (matmul, base64)")
-	quanta := []float64{2, 5, 10, 25, 50}
-	uops := uint64(200000)
-	if quick {
-		quanta = []float64{5, 25}
-		uops = 120000
-	}
-	rows := experiments.Fig5(quanta, uops)
-	fmt.Printf("%-9s %-14s %10s %10s\n", "workload", "method", "quantum", "overhead")
-	for _, r := range rows {
-		fmt.Printf("%-9s %-14s %8gµs %9.2f%%\n", r.Workload, r.Method, r.QuantumUs, r.OverheadPct)
-	}
-	fmt.Println("\npaper anchors at 5 µs: safepoints 1.2-1.5 %, polling 8.5-11 %, UIPI between")
-	return rows
-}
-
-func runFig6(quick bool) any {
-	header("Figure 6 — The cost of a timer core")
-	periods := []float64{5, 10, 20, 50, 100}
-	cores := []int{1, 2, 4, 8, 16, 22, 26}
-	horizon := 50 * sim.Millisecond
-	if quick {
-		periods = []float64{5, 50}
-		cores = []int{1, 8, 22}
-		horizon = 10 * sim.Millisecond
-	}
-	rows := experiments.Fig6(periods, cores, horizon)
-	fmt.Printf("%-12s %9s %6s %10s %6s\n", "method", "period", "cores", "timer-util", "late")
-	for _, r := range rows {
-		fmt.Printf("%-12s %7gµs %6d %9.1f%% %6d\n", r.Method, r.PeriodUs, r.AppCores, 100*r.TimerUtil, r.TicksLate)
-	}
-	fmt.Printf("\nrdtsc-spin capacity at 5 µs: %d app cores (paper: 22)\n", experiments.Fig6SpinCapacity(5))
-	return rows
-}
-
-func runFig7(quick bool) any {
-	header("Figure 7 — RocksDB on Aspen: tail latency vs. offered load")
-	loads := []float64{25_000, 50_000, 100_000, 150_000, 200_000, 215_000, 225_000, 235_000, 245_000}
-	horizon := 250 * sim.Millisecond
-	if quick {
-		loads = []float64{50_000, 150_000, 225_000}
-		horizon = 80 * sim.Millisecond
-	}
-	rows := experiments.Fig7(loads, horizon)
-	fmt.Printf("%-14s %10s %10s %10s %11s %10s %18s\n",
-		"config", "offered", "achieved", "GET p99", "GET p99.9", "SCAN p99", "deliv p50/p99/p99.9")
-	for _, r := range rows {
-		fmt.Printf("%-14s %10.0f %10.0f %8.1fµs %9.1fµs %8.0fµs %6d/%d/%dcy\n",
-			r.Config, r.OfferedRPS, r.AchievedRPS, r.GetP99Us, r.GetP999Us, r.ScanP99Us,
-			r.DelivP50Cy, r.DelivP99Cy, r.DelivP999Cy)
-	}
-	cap := experiments.Fig7Capacity(rows, 300)
-	fmt.Printf("\ncapacity at 300 µs GET-p99 SLO: uipi=%.0f xui=%.0f (+%.1f%%; paper: +10%%)\n",
-		cap["uipi-sw-timer"], cap["xui-kbtimer"],
-		100*(cap["xui-kbtimer"]/cap["uipi-sw-timer"]-1))
-	return map[string]any{"rows": rows, "capacity": cap}
-}
-
-func runFig8(quick bool) any {
-	header("Figure 8 — l3fwd efficiency: polling vs. xUI device interrupts")
-	nics := []int{1, 2, 4, 8}
-	loads := []float64{10, 20, 40, 60, 80}
-	horizon := 20 * sim.Millisecond
-	if quick {
-		nics = []int{1, 8}
-		loads = []float64{20, 40}
-		horizon = 10 * sim.Millisecond
-	}
-	rows := experiments.Fig8(nics, loads, horizon)
-	fmt.Printf("%-5s %5s %6s %7s %7s %7s %7s %12s %9s %6s %16s\n",
-		"mode", "nics", "load", "net", "poll", "notify", "free", "pps", "p95", "drops", "deliv p50/p99")
-	for _, r := range rows {
-		fmt.Printf("%-5s %5d %5.0f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %12.0f %7.2fµs %6d %10d/%dcy\n",
-			r.Mode, r.NICs, r.LoadPct, r.NetPct, r.PollPct, r.NotifyPct, r.FreePct,
-			r.ThroughputPPS, r.P95Us, r.Dropped, r.DelivP50Cy, r.DelivP99Cy)
-	}
-	fmt.Println("\npaper anchors: polling free=0 always; xUI ≈45% free at 40% load/1 queue; throughput parity")
-	return rows
-}
-
-func runFig9(quick bool) any {
-	header("Figure 9 — DSA response delivery: free cycles and latency")
-	noises := []float64{0, 10, 20, 30, 40, 50}
-	requests := 2000
-	if quick {
-		noises = []float64{0, 40}
-		requests = 400
-	}
-	rows := experiments.Fig9(noises, requests)
-	fmt.Printf("%-5s %-14s %6s %7s %10s %10s\n", "class", "method", "noise", "free", "notify", "request")
-	for _, r := range rows {
-		fmt.Printf("%-5s %-14s %5.0f%% %6.1f%% %8.3fµs %8.2fµs\n",
-			r.Class, r.Method, r.NoisePct, r.FreePct, r.NotifyUs, r.RequestUs)
-	}
-	fmt.Println("\npaper anchors: xUI within 0.2 µs of spinning; ≈75% free cycles for 2 µs class")
-	return rows
-}
-
-func runWorstCase(quick bool) any {
-	header("§6.1 — Maximum interrupt latency (SP-dependent load chain)")
-	chains := []int{5, 10, 20, 35, 50, 60}
-	if quick {
-		chains = []int{10, 50}
-	}
-	rows := experiments.WorstCase(chains)
-	fmt.Printf("%-10s %12s %12s %16s %14s\n", "chain", "tracked", "flush", "tracked p50/p99", "flush p50/p99")
-	for _, r := range rows {
-		fmt.Printf("%-10d %12d %12d %10d/%dcy %8d/%dcy\n",
-			r.ChainLen, r.TrackedCycles, r.FlushCycles,
-			r.TrackedDist.P50, r.TrackedDist.P99, r.FlushDist.P50, r.FlushDist.P99)
-	}
-	fmt.Println("\npaper: ≈7000 cycles worst case for tracking at 50+ loads, ≈10x the flush latency")
-	return rows
-}
-
-func runSection35(bool) any {
-	header("\u00a73.5 \u2014 Deconstructing the microarchitecture (strategy detectors)")
-	fmt.Println("pointer-chase detector: delivery latency vs. receiver working set")
-	fmt.Printf("%12s %12s %12s\n", "working set", "flush", "drain")
-	chase := experiments.S35PointerChase([]int{8, 64, 1024, 16384, 131072})
-	for _, r := range chase {
-		fmt.Printf("%10dKB %10.0fcy %10.0fcy\n", r.WorkingSetKB, r.FlushCycles, r.DrainCycles)
-	}
-	lin := experiments.S35Linearity([]int{5, 10, 20, 40})
-	fmt.Printf("\nflush-linearity detector: squashed uops vs. interrupt count\n")
-	for i, k := range lin.Interrupts {
-		fmt.Printf("  %3d interrupts -> %6d squashed uops\n", k, lin.Squashed[i])
-	}
-	fmt.Printf("  slope %.0f uops/interrupt, correlation r=%.4f\n", lin.PerIntr, lin.Correlation)
-	fmt.Println("\npaper: latency independent of in-flight work + exactly-linear flushed uops => flush strategy")
-	return map[string]any{"pointerChase": chase, "linearity": lin}
-}
-
-func runAblations(quick bool) any {
-	header("Ablations — design-choice studies beyond the paper's figures")
-	horizon := 150 * sim.Millisecond
-	if quick {
-		horizon = 50 * sim.Millisecond
-	}
-	out := experiments.FormatAblations(horizon)
-	fmt.Print(out)
-	return out
-}
-
-func runMultiWorker(quick bool) any {
-	header("Multi-worker scaling — Aspen work stealing under xUI preemption")
-	horizon := 150 * sim.Millisecond
-	if quick {
-		horizon = 50 * sim.Millisecond
-	}
-	out := experiments.FormatMultiWorker(horizon)
-	fmt.Print(out)
-	fmt.Println("\nall arrivals target worker 0; stealing spreads them across cores")
-	return out
-}
-
-func runDuet(quick bool) any {
-	header("Duet — lockstep two-core co-simulation cross-check (no Table 2 shortcuts)")
-	iters := 40
-	if quick {
-		iters = 15
-	}
-	r := experiments.Duet(iters)
-	fmt.Printf("sends=%d delivered=%d\n", r.Sends, r.Delivered)
-	fmt.Printf("mean arrival       %7.0f cycles (paper tight-loop: 380)\n", r.MeanArrival)
-	fmt.Printf("mean recv window   %7.0f cycles\n", r.MeanRecvWindow)
-	fmt.Printf("mean end-to-end    %7.0f cycles (paper tight-loop: ≈1100 incl. handler)\n", r.MeanEndToEnd)
-	fmt.Println("\npaced round trips run cheaper than the tight loop: the sender's window")
-	fmt.Println("drains between sends and the receiver's caches stay warm")
-	return r
-}
-
-func runScale(quick bool) any {
-	header("Scale — sharded Tier-2 engine: cluster and edge topologies")
-	rows := experiments.Scale(quick)
-	printScale(rows)
-	fmt.Println("\nrows are byte-identical at any -shards width; wall times land in -benchjson")
-	return rows
-}
-
-func runScaleSeq(quick bool) any {
-	header("Scale (sequential baseline) — identical topologies at width 1")
-	rows := experiments.ScaleSeq(quick)
-	printScale(rows)
-	return rows
-}
-
-func printScale(rows []experiments.ScaleRow) {
-	fmt.Printf("%-8s %7s %6s %5s %10s %10s %9s %9s %8s %7s %6s\n",
-		"mode", "groups", "c/grp", "cores", "spawned", "completed", "GET p99", "xmsgs", "epochs", "agg", "rebal")
-	for _, r := range rows {
-		fmt.Printf("%-8s %7d %6d %5d %10d %10d %7.1fµs %9d %8d %7d %6d\n",
-			r.Mode, r.Groups, r.CoresPerGroup, r.Cores, r.Spawned, r.Completed, r.GetP99Us,
-			r.CrossMsgs, r.Epochs, r.AggRecv, r.Rebalances)
-	}
-}
-
-func runSection2(bool) any {
-	header("§2 — Costs of existing user-level notification mechanisms")
-	r := experiments.Section2()
-	fmt.Printf("signal delivery:        %6.0f cycles (paper ≈4800 = 2.4 µs)\n", r.SignalCycles)
-	fmt.Printf("  of which kernel:      %6.0f cycles (paper ≈2800)\n", r.SignalKernelCycles)
-	fmt.Printf("UIPI receiver:          %6.0f cycles (paper 600-900)\n", r.UIPIReceiverCycles)
-	fmt.Printf("negative poll:          %6.2f cycles (≈free)\n", r.PollNegativeCycles)
-	fmt.Printf("positive poll:          %6.0f cycles (paper ≈100)\n", r.PollPositiveCycles)
-	fmt.Printf("tight-loop poll tax:    %6.1f %% (paper: up to ≈50%% on linpack2)\n", r.TightLoopPollPct)
-	fmt.Printf("loop-check geomean:     %6.1f %% (Go proposal measured ≈7%%)\n", r.LoopPollGeomeanPct)
-	return r
-}
-
-// emitPlots renders the shape of the curve figures as terminal charts.
-func emitPlots(quick bool) {
-	horizon := 20 * sim.Millisecond
-	uops := uint64(200000)
-	requests := 1500
-	if quick {
-		horizon = 8 * sim.Millisecond
-		uops = 100000
-		requests = 400
-	}
-
-	header("Figure 5 (shape) — preemption overhead vs. quantum, matmul")
-	quanta := []float64{2, 5, 10, 25, 50}
-	rows5 := experiments.Fig5(quanta, uops)
-	series5 := map[string]*plot.Series{}
-	for _, m := range experiments.Fig5Methods {
-		series5[m] = &plot.Series{Name: m}
-	}
-	for _, r := range rows5 {
-		if r.Workload != "matmul" {
-			continue
-		}
-		sr := series5[r.Method]
-		sr.X = append(sr.X, r.QuantumUs)
-		sr.Y = append(sr.Y, r.OverheadPct)
-	}
-	var list5 []plot.Series
-	for _, m := range experiments.Fig5Methods {
-		list5 = append(list5, *series5[m])
-	}
-	fmt.Print(plot.Chart("", "quantum µs", "overhead %", list5, 60, 14))
-
-	header("Figure 8 (shape) — free cycles vs. load, 1 NIC")
-	loads := []float64{10, 20, 40, 60, 80}
-	rows8 := experiments.Fig8([]int{1}, loads, horizon)
-	var pollS, xuiS plot.Series
-	pollS.Name, xuiS.Name = "poll", "xui"
-	for _, r := range rows8 {
-		if r.Mode == "poll" {
-			pollS.X = append(pollS.X, r.LoadPct)
-			pollS.Y = append(pollS.Y, r.FreePct)
+		var p any
+		var err error
+		if jsonOut {
+			p, err = experiments.RunJob(n, quick)
 		} else {
-			xuiS.X = append(xuiS.X, r.LoadPct)
-			xuiS.Y = append(xuiS.Y, r.FreePct)
+			p, err = experiments.RenderJob(w, n, quick)
 		}
+		if err != nil {
+			return nil, err
+		}
+		out[n] = p
 	}
-	fmt.Print(plot.Chart("", "offered load %", "free cycles %", []plot.Series{pollS, xuiS}, 60, 14))
+	if jsonOut {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return out, enc.Encode(out)
+	}
+	return out, nil
+}
 
-	header("Figure 9 (shape) — notify latency vs. noise, 20 µs offloads")
-	noises := []float64{0, 10, 20, 30, 40, 50}
-	rows9 := experiments.Fig9(noises, requests)
-	series9 := map[string]*plot.Series{}
-	for _, m := range experiments.Fig9Methods {
-		series9[m] = &plot.Series{Name: m}
+// emitPlots charts the shape of the curve figures from their registry
+// payloads — fig5 on matmul, fig8 at one NIC, fig9's 20 µs offload
+// class — and returns the payloads.
+func emitPlots(w io.Writer, quick bool) (map[string]any, error) {
+	out := map[string]any{}
+	var err error
+	if out["fig5"], err = chart(w, "fig5", quick, "Figure 5 (shape) — preemption overhead vs. quantum, matmul",
+		"quantum µs", "overhead %", experiments.Fig5Methods, func(r experiments.Fig5Row) (string, float64, float64, bool) {
+			return r.Method, r.QuantumUs, r.OverheadPct, r.Workload == "matmul"
+		}); err != nil {
+		return nil, err
 	}
-	for _, r := range rows9 {
-		if r.Class != "20us" {
-			continue
+	if out["fig8"], err = chart(w, "fig8", quick, "Figure 8 (shape) — free cycles vs. load, 1 NIC",
+		"offered load %", "free cycles %", []string{"poll", "xui"}, func(r experiments.Fig8Row) (string, float64, float64, bool) {
+			return r.Mode, r.LoadPct, r.FreePct, r.NICs == 1
+		}); err != nil {
+		return nil, err
+	}
+	if out["fig9"], err = chart(w, "fig9", quick, "Figure 9 (shape) — notify latency vs. noise, 20 µs offloads",
+		"noise %", "notify µs", experiments.Fig9Methods, func(r experiments.Fig9Row) (string, float64, float64, bool) {
+			return r.Method, r.NoisePct, r.NotifyUs, r.Class == "20us"
+		}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// chart runs the named experiment and charts its rows as one series per
+// entry of names, in that order, returning the payload. point maps a row
+// to its series and coordinates, or reports false to leave the row out.
+func chart[T any](w io.Writer, name string, quick bool, title, xLabel, yLabel string, names []string,
+	point func(T) (series string, x, y float64, keep bool)) (any, error) {
+	p, err := experiments.RunJob(name, quick)
+	if err != nil {
+		return nil, err
+	}
+	rows, ok := p.([]T)
+	if !ok {
+		return nil, fmt.Errorf("%s: payload is %T, not %T", name, p, rows)
+	}
+	series := make([]plot.Series, len(names))
+	for i, n := range names {
+		series[i].Name = n
+	}
+	for _, r := range rows {
+		n, x, y, keep := point(r)
+		if i := slices.Index(names, n); keep && i >= 0 {
+			series[i].X = append(series[i].X, x)
+			series[i].Y = append(series[i].Y, y)
 		}
-		sr := series9[r.Method]
-		sr.X = append(sr.X, r.NoisePct)
-		sr.Y = append(sr.Y, r.NotifyUs)
 	}
-	var list9 []plot.Series
-	for _, m := range experiments.Fig9Methods {
-		list9 = append(list9, *series9[m])
-	}
-	fmt.Print(plot.Chart("", "noise %", "notify µs", list9, 60, 14))
+	fmt.Fprint(w, "\n", plot.Chart(title, xLabel, yLabel, series, 60, 14))
+	return p, nil
 }

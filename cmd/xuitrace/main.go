@@ -127,18 +127,14 @@ func main() {
 	}
 
 	if *timeline {
-		r := experiments.Fig2()
-		p := experiments.PaperFig2()
+		payload, err := experiments.RenderJob(os.Stdout, "fig2", false)
+		if err != nil {
+			fatal(err)
+		}
 		if rep != nil {
 			rep.Experiment = "timeline"
-			rep.AddResult("fig2", map[string]any{"simulated": r, "paper": p})
+			rep.AddResult("fig2", payload)
 		}
-		fmt.Println("UIPI latency timeline (cycles from senduipi start):")
-		fmt.Printf("  arrive            %6.0f   (paper %4.0f)\n", r.Arrive, p.Arrive)
-		fmt.Printf("  first notif event %6.0f   (paper %4.0f)\n", r.FirstNotif, p.FirstNotif)
-		fmt.Printf("  delivery done     %6.0f   (paper %4.0f)\n", r.DeliveryDone, p.DeliveryDone)
-		fmt.Printf("  handler starts    %6.0f\n", r.HandlerStart)
-		fmt.Printf("  uiret             %6.0f   (paper %4.0f)\n", r.UiretCost, p.UiretCost)
 		finish()
 		return
 	}

@@ -152,22 +152,3 @@ func PollDensity(spacings []int, uops uint64) []PollDensityRow {
 		}
 	})
 }
-
-// FormatAblations renders the three ablations for cmd/xuibench.
-func FormatAblations(horizon sim.Time) string {
-	out := ""
-	cs := CluiStuiCriticalSection(5, horizon)
-	out += fmt.Sprintf("clui/stui critical sections (5 per GET, %g cy/pair):\n", cs.PairCost)
-	out += fmt.Sprintf("  analytic penalty %.1f%%, measured %.1f%% (paper: 7%% for malloc in RocksDB)\n",
-		cs.AnalyticPenalty, cs.MeasuredPenalty)
-	out += "\nsafepoint density (matmul, 5 µs quantum):\n"
-	for _, r := range SafepointDensity([]int{5, 25, 100, 400}, 150000) {
-		out += fmt.Sprintf("  every %4d ops: overhead %5.2f%%  delivery delay %6.0f cy\n",
-			r.Every, r.OverheadPct, r.MeanDelayCyc)
-	}
-	out += "\npolling-check density (matmul, no preemptions — pure tax):\n"
-	for _, r := range PollDensity([]int{4, 10, 25, 50, 100}, 150000) {
-		out += fmt.Sprintf("  every %4d ops: overhead %5.2f%%\n", r.Every, r.OverheadPct)
-	}
-	return out
-}

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"xui/internal/core"
 	"xui/internal/kernel"
 	"xui/internal/kvstore"
@@ -105,19 +103,4 @@ func multiWorkerPoint(workers int, steal bool, rps float64, horizon sim.Time) Mu
 		row.Imbalance = 0 // some worker never ran at all
 	}
 	return row
-}
-
-// FormatMultiWorker renders the study for cmd/xuibench.
-func FormatMultiWorker(horizon sim.Time) string {
-	out := fmt.Sprintf("%7s %6s %10s %10s %9s %10s\n",
-		"workers", "steal", "offered", "achieved", "GET p99", "imbalance")
-	for _, r := range MultiWorker([]int{1, 2, 4}, 400_000, horizon) {
-		imb := "-"
-		if r.Imbalance > 0 {
-			imb = fmt.Sprintf("%.2f", r.Imbalance)
-		}
-		out += fmt.Sprintf("%7d %6v %10.0f %10.0f %7.1fµs %10s\n",
-			r.Workers, r.Steal, r.OfferedRPS, r.AchievedRPS, r.GetP99Us, imb)
-	}
-	return out
 }

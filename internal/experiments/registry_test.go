@@ -13,7 +13,7 @@ import (
 func TestJobRegistryNames(t *testing.T) {
 	want := []string{"table2", "fig2", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
 		"worstcase", "section2", "section35", "ablations", "multiworker", "duet",
-		"scale", "scaleseq"}
+		"scale"}
 	if got := JobNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("JobNames() = %v, want %v", got, want)
 	}

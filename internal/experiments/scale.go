@@ -83,11 +83,18 @@ type ScaleRow struct {
 }
 
 // Scale runs the family at the configured engine width (SetShards).
-func Scale(quick bool) []ScaleRow { return scaleRun(quick, EngineWidth()) }
-
-// ScaleSeq runs the identical family single-threaded — the sequential
-// baseline -benchjson compares the sharded wall times against.
-func ScaleSeq(quick bool) []ScaleRow { return scaleRun(quick, 1) }
+func Scale(quick bool) []ScaleRow {
+	cfgs := ScaleConfigs(quick)
+	rows := make([]ScaleRow, len(cfgs))
+	width := EngineWidth()
+	// Serial loop, not runGrid: the parallelism under measurement is the
+	// engine's own worker pool, and stacking the sweep pool on top would
+	// only let runs contend for the same host cores.
+	for i, c := range cfgs {
+		rows[i] = ScalePoint(c, width)
+	}
+	return rows
+}
 
 // EngineWidth resolves the effective sharded-engine worker width: the
 // configured -shards value, or one per host core when unset.
@@ -96,18 +103,6 @@ func EngineWidth() int {
 		return n
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-func scaleRun(quick bool, width int) []ScaleRow {
-	cfgs := ScaleConfigs(quick)
-	rows := make([]ScaleRow, len(cfgs))
-	// Serial loop, not runGrid: the parallelism under measurement is the
-	// engine's own worker pool, and stacking the sweep pool on top would
-	// only let runs contend for the same host cores.
-	for i, c := range cfgs {
-		rows[i] = ScalePoint(c, width)
-	}
-	return rows
 }
 
 // ScalePoint runs one configuration on a sharded engine with the given

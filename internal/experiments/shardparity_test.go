@@ -56,22 +56,3 @@ func TestShardParity(t *testing.T) {
 		}
 	}
 }
-
-// TestScaleSeqMatchesScale pins the scale/scaleseq pair to the same rows:
-// the -benchjson speedup comparison is only honest if the two runners do
-// identical simulated work.
-func TestScaleSeqMatchesScale(t *testing.T) {
-	defer SetShards(0)
-	SetShards(4)
-	a, err := json.Marshal(Scale(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := json.Marshal(ScaleSeq(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("scale and scaleseq rows differ:\n scale:    %s\n scaleseq: %s", a, b)
-	}
-}

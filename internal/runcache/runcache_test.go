@@ -77,8 +77,10 @@ func TestSingleFlight(t *testing.T) {
 	if s.Misses != 1 {
 		t.Errorf("misses = %d, want 1", s.Misses)
 	}
-	if s.Hits+s.DedupWaits != workers-1 {
-		t.Errorf("hits(%d) + dedupWaits(%d) = %d, want %d", s.Hits, s.DedupWaits, s.Hits+s.DedupWaits, workers-1)
+	// Every non-owner is a hit; those that arrived while the computation
+	// was in flight also count a dedup wait.
+	if s.Hits != workers-1 || s.DedupWaits > s.Hits {
+		t.Errorf("hits = %d, dedupWaits = %d; want %d hits, at most that many waits", s.Hits, s.DedupWaits, workers-1)
 	}
 }
 

@@ -92,6 +92,7 @@ type job struct {
 	tracePath string    // set before the job is published; immutable after
 	traceDone bool      //xui:guardedby mu
 	queuedAt  time.Time // set before the job is published; immutable after
+	startedAt time.Time //xui:guardedby mu
 	doneAt    time.Time //xui:guardedby mu
 }
 
@@ -106,8 +107,8 @@ type view struct {
 	Error      string   `json:"error,omitempty"`
 	Progress   progress `json:"progress"`
 	Trace      bool     `json:"trace"`
-	WaitMs     float64  `json:"waitMs"`          // submit → start of run (or now)
-	RunMs      float64  `json:"runMs,omitempty"` // total run wall time once done
+	WaitMs     float64  `json:"waitMs"`          // submit → start of run (or now while queued)
+	RunMs      float64  `json:"runMs,omitempty"` // start of run → done, once done
 }
 
 func (j *job) view() view {
@@ -125,19 +126,29 @@ func (j *job) view() view {
 		Trace:      j.tracePath != "",
 	}
 	if !j.queuedAt.IsZero() {
-		end := time.Now()
-		if !j.doneAt.IsZero() {
-			end = j.doneAt
-			v.RunMs = float64(j.doneAt.Sub(j.queuedAt).Microseconds()) / 1000
+		// The queue phase ends when the executor starts the job, or at
+		// completion for a job answered from the cache at submission.
+		waitEnd := j.startedAt
+		if waitEnd.IsZero() {
+			waitEnd = j.doneAt
 		}
-		v.WaitMs = float64(end.Sub(j.queuedAt).Microseconds()) / 1000
+		if waitEnd.IsZero() {
+			waitEnd = time.Now()
+		}
+		v.WaitMs = millis(waitEnd.Sub(j.queuedAt))
+		if !j.startedAt.IsZero() && !j.doneAt.IsZero() {
+			v.RunMs = millis(j.doneAt.Sub(j.startedAt))
+		}
 	}
 	return v
 }
 
+func millis(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+
 func (j *job) setRunning() {
 	j.mu.Lock()
 	j.status = statusRunning
+	j.startedAt = time.Now()
 	j.mu.Unlock()
 }
 

@@ -282,6 +282,65 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
+// TestQueueRunSplit: a job stuck behind a busy one reports the time it
+// spent queued as waitMs and only its own run as runMs.
+func TestQueueRunSplit(t *testing.T) {
+	// Restore the seam only after the server cleanup has stopped the
+	// executor (see TestAdmissionControl).
+	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	const hold, runFor = 300 * time.Millisecond, 50 * time.Millisecond
+	release := make(chan struct{})
+	var unblock sync.Once
+	runExperiment = func(name string, quick bool) (any, error) {
+		if name == "fig2" {
+			<-release // the busy job
+		} else {
+			time.Sleep(runFor)
+		}
+		return map[string]any{"ok": true}, nil
+	}
+
+	_, ts := newTestServer(t, Config{Version: "test-g"})
+	t.Cleanup(func() { unblock.Do(func() { close(release) }) })
+
+	_, busy, _ := submit(t, ts, Spec{Experiment: "fig2", Quick: true})
+	status := func(id string) view {
+		resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v view
+		json.NewDecoder(resp.Body).Decode(&v)
+		return v
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for status(busy.ID).Status != statusRunning {
+		if time.Now().After(deadline) {
+			t.Fatal("busy job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	_, queued, _ := submit(t, ts, Spec{Experiment: "table2", Quick: true})
+	time.Sleep(hold)
+	if v := status(queued.ID); v.Status != statusQueued || v.RunMs != 0 || v.WaitMs < float64(hold.Milliseconds()) {
+		t.Fatalf("view while queued = %+v, want queued with waitMs >= %v and no runMs", v, hold)
+	}
+	unblock.Do(func() { close(release) })
+
+	v := waitDone(t, ts, queued.ID)
+	if v.Status != statusDone {
+		t.Fatalf("final view = %+v, want done", v)
+	}
+	if v.WaitMs < float64(hold.Milliseconds()) {
+		t.Errorf("waitMs = %v, want >= %v: the queue phase behind the busy job", v.WaitMs, hold)
+	}
+	if v.RunMs < float64(runFor.Milliseconds()) || v.RunMs >= float64(hold.Milliseconds()) {
+		t.Errorf("runMs = %v, want the %v run alone, not the %v queue phase", v.RunMs, runFor, hold)
+	}
+}
+
 // TestJobPanicFailsJobOnly: a panicking run marks the job failed (500
 // on result), caches nothing, and a resubmission retries and succeeds.
 func TestJobPanicFailsJobOnly(t *testing.T) {
