@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-fast test bench bench-scale bench-delta bench-gate-tier1 microbench race run-all sweep-profile examples check fuzz fix-annotations serve serve-loadtest
+.PHONY: all build vet vet-fast test microbench race run-all sweep-profile examples check fuzz fix-annotations serve serve-loadtest
 
 all: build vet test
 
@@ -32,46 +32,10 @@ fix-annotations:
 test:
 	go test ./...
 
-# Regenerate the committed perf baseline. The sweep engine is parallel
-# (-j N fans grid points across workers), but the baseline is deliberately
-# pinned to -j 1 and -shards 1: wall times at one worker are comparable
-# across machines with different core counts, and a committed baseline
-# taken at -j $(nproc) on one contributor's box would make every other
-# box's bench-delta read as a phantom regression. Records per-experiment
-# wall times, sim hot-loop ns/op and allocs/op (including the sharded
-# engine's epoch-barrier and cross-shard-send rows), run-cache statistics,
-# and the aggregate latency-histogram tails (simulated cycles,
-# machine-independent). The grids timed are the job registry's, the same
-# ones -json and xuiserve compute. scale is named explicitly: the registry
-# leaves it out of "all" because it measures the sharded engine itself.
-bench:
-	go run ./cmd/xuibench -exp all,scale -quick -j 1 -shards 1 -benchjson BENCH_sweep.json
-
-# Measure the sharded Tier-2 engine with real parallelism: the scale
-# experiments at -shards $(nproc) (every other knob as in bench). Rows are
-# byte-identical to the -shards 1 baseline (TestShardParity); only the
-# wall times in the JSON move. Writes a side file, never the committed
-# baseline — engine-width wall times are machine-specific by nature.
-bench-scale:
-	go run ./cmd/xuibench -exp scale -quick -j 1 -shards $$(nproc) -benchjson /tmp/xuibench_scale.json
-	@echo "wrote /tmp/xuibench_scale.json; compare wallMs against BENCH_sweep.json's scale rows"
-
-# Time the current tree against the committed baseline without touching it:
-# prints per-experiment wall-time and tail-latency deltas (negative = better
-# than committed) and exits nonzero when total wall time or any aggregate
-# p99 regresses by more than 10%.
-bench-delta:
-	go run ./cmd/xuibench -exp all,scale -quick -j 1 -shards 1 -benchjson /tmp/xuibench_delta.json -benchbase BENCH_sweep.json -benchgate 10
-
-# CI perf gate on the Tier-1-bound subset: the experiments dominated by
-# the cycle-stepped pipeline (the fast engine's beneficiaries), timed at
-# one worker against the committed baseline. The gate compares matched
-# sums — only the experiments this run executed — so the subset gates
-# like-for-like against the full-sweep baseline, and fails the build on
-# a >10% matched wall-time or tail-p99 regression.
-bench-gate-tier1:
-	go run ./cmd/xuibench -exp fig4,fig5,section2,section35,ablations,worstcase -quick -j 1 -benchjson /tmp/xuibench_tier1.json -benchbase BENCH_sweep.json -benchgate 10
-
+# Hot-loop microbenchmarks with allocs/op: the sim event kernel, the
+# sharded engine's epoch barrier and cross-shard send, and the cpu
+# pipeline's decode, block step and checkpoint restore. End-to-end and
+# per-layer timing is bench/run.sh (BENCHMARK.json).
 microbench:
 	go test -run '^$$' -bench=. -benchmem ./...
 

@@ -6,8 +6,8 @@
 //
 // Output is the same rows/series the paper reports, with the paper's
 // measured values alongside where applicable. Every mode — text tables,
-// -json, -report, -benchjson and -plot — runs the grids of the job
-// registry in internal/experiments, the same payloads xuiserve serves.
+// -json, -report and -plot — runs the grids of the job registry in
+// internal/experiments, the same payloads xuiserve serves.
 package main
 
 import (
@@ -45,9 +45,6 @@ func main() {
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the grid-experiment sweeps; results are identical at any value")
 	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines driving the sharded Tier-2 engine (scale experiments); results are identical at any value")
-	benchJSON := flag.String("benchjson", "", "time each experiment and the sim hot loops, writing a machine-readable perf record to this file")
-	benchBase := flag.String("benchbase", "", "with -benchjson: committed baseline record to print per-experiment wall-time deltas against")
-	benchGate := flag.Float64("benchgate", 0, "with -benchjson and -benchbase: exit nonzero when total wall time or any latency-histogram p99 regresses by more than this percentage")
 	reportPath := flag.String("report", "", "write a unified schema-versioned run report (experiment rows, latency histograms, cache/check/sweep stats) to this file")
 	nocache := flag.Bool("nocache", false, "disable the Tier-1 run cache, recorded instruction tapes and core pooling; every run is computed fresh (rows are identical either way)")
 	fastforward := flag.Bool("fastforward", true, "run Tier-1 cores on the decoded fast-forward engine; -fastforward=false forces the interpreted reference engine (rows are identical either way)")
@@ -69,7 +66,7 @@ func main() {
 		fatal(err)
 	}
 	var ctx *obs.Context
-	if *tracePath != "" || *metricsPath != "" {
+	if *tracePath != "" || *metricsPath != "" || *reportPath != "" {
 		ctx = &obs.Context{}
 		if *tracePath != "" {
 			// Traces stream to disk incrementally: bounded memory, valid
@@ -80,24 +77,13 @@ func main() {
 			}
 			ctx.Trace = tr
 		}
-		if *metricsPath != "" {
+		// Reports read the aggregate latency histograms out of the
+		// registry, so -report installs one too.
+		if *metricsPath != "" || *reportPath != "" {
 			ctx.Metrics = obs.NewRegistry()
 		}
-	}
-	if *reportPath != "" || *benchJSON != "" {
-		// Reports and bench records read the aggregate latency histograms
-		// out of the registry, so make sure one is installed.
-		if ctx == nil {
-			ctx = &obs.Context{}
-		}
-		if ctx.Metrics == nil {
-			ctx.Metrics = obs.NewRegistry()
-		}
-	}
-	if ctx != nil {
 		experiments.SetObservability(ctx)
 	}
-
 	var rep *report.Doc
 	if *reportPath != "" {
 		rep = report.New("xuibench")
@@ -144,12 +130,9 @@ func main() {
 
 	names := parseExpList(*exp)
 	var payloads map[string]any
-	switch {
-	case *plotOut:
+	if *plotOut {
 		payloads, err = emitPlots(os.Stdout, *quick)
-	case *benchJSON != "":
-		payloads, err = runBenchJSON(*benchJSON, *benchBase, *benchGate, names, ctx.RegistryOrNil(), *quick, *workers)
-	default:
+	} else {
 		payloads, err = runExperiments(os.Stdout, names, *quick, *jsonOut)
 	}
 	if rep != nil {

@@ -303,19 +303,31 @@ const IcrOffset sim.Time = 367
 // NewMachine builds an n-core machine delivering user IPIs with ipiMech
 // (UIPI or TrackedIPI).
 func NewMachine(s *sim.Simulator, n int, ipiMech Mechanism) (*Machine, error) {
-	if ipiMech != UIPI && ipiMech != TrackedIPI {
-		return nil, fmt.Errorf("core: IPI mechanism must be UIPI or TrackedIPI, got %v", ipiMech)
-	}
 	m := &Machine{
 		Sim:   s,
 		Bus:   apic.NewBus(s),
 		Costs: DefaultCosts(),
 	}
 	m.IOAPIC = apic.NewIOAPIC(m.Bus)
-	for i := 0; i < n; i++ {
+	if err := m.addCores(ipiMech, n, []*sim.Simulator{s}, []*apic.Bus{m.Bus}); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// addCores checks ipiMech, then builds perGroup cores for each group g
+// (kernel kernels[g], interrupt bus buses[g]) with global, contiguous IDs:
+// every core gets a local APIC on its group's bus and a KB_Timer on its
+// group's kernel.
+func (m *Machine) addCores(ipiMech Mechanism, perGroup int, kernels []*sim.Simulator, buses []*apic.Bus) error {
+	if ipiMech != UIPI && ipiMech != TrackedIPI {
+		return fmt.Errorf("core: IPI mechanism must be UIPI or TrackedIPI, got %v", ipiMech)
+	}
+	for id := 0; id < len(buses)*perGroup; id++ {
+		g := id / perGroup
 		v := &VCore{
-			ID:        i,
-			Sim:       s,
+			ID:        id,
+			Sim:       kernels[g],
 			Costs:     m.Costs,
 			IPIMech:   ipiMech,
 			UIF:       true,
@@ -323,16 +335,16 @@ func NewMachine(s *sim.Simulator, n int, ipiMech Mechanism) (*Machine, error) {
 			Delivered: make(map[Mechanism]uint64),
 			DelivLat:  stats.NewHistogram(),
 		}
-		l, err := m.Bus.NewLocalAPIC(uint32(i), v)
+		l, err := buses[g].NewLocalAPIC(uint32(id), v)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		v.APIC = l
-		v.KBT = NewKBTimer(s)
+		v.KBT = NewKBTimer(kernels[g])
 		v.KBT.Fire = v.kbFire
 		m.Cores = append(m.Cores, v)
 	}
-	return m, nil
+	return nil
 }
 
 // SendUIPI models a senduipi executed on the sending core against a UITT

@@ -7,7 +7,6 @@ import (
 	"xui/internal/obs"
 	"xui/internal/shard"
 	"xui/internal/sim"
-	"xui/internal/stats"
 	"xui/internal/uintr"
 )
 
@@ -29,9 +28,6 @@ import (
 // message); the engine's lookahead must not exceed BusLatency +
 // crossLatency or conservative synchronization would be violated.
 func NewSharded(eng *shard.Engine, coresPerGroup int, ipiMech Mechanism, crossLatency sim.Time) (*Machine, error) {
-	if ipiMech != UIPI && ipiMech != TrackedIPI {
-		return nil, fmt.Errorf("core: IPI mechanism must be UIPI or TrackedIPI, got %v", ipiMech)
-	}
 	if coresPerGroup < 1 {
 		return nil, fmt.Errorf("core: need at least one core per group")
 	}
@@ -50,33 +46,17 @@ func NewSharded(eng *shard.Engine, coresPerGroup int, ipiMech Mechanism, crossLa
 		Buses:        make([]*apic.Bus, groups),
 		IOAPICs:      make([]*apic.IOAPIC, groups),
 	}
-	for g := 0; g < groups; g++ {
-		b := apic.NewBus(eng.Shard(g))
+	kernels := make([]*sim.Simulator, groups)
+	for g := range kernels {
+		kernels[g] = eng.Shard(g)
+		b := apic.NewBus(kernels[g])
 		b.SetRouter(&busRouter{m: m, src: g})
 		m.Buses[g] = b
 		m.IOAPICs[g] = apic.NewIOAPIC(b)
 	}
 	m.Bus, m.IOAPIC = m.Buses[0], m.IOAPICs[0]
-	for id := 0; id < groups*coresPerGroup; id++ {
-		g := id / coresPerGroup
-		v := &VCore{
-			ID:        id,
-			Sim:       eng.Shard(g),
-			Costs:     m.Costs,
-			IPIMech:   ipiMech,
-			UIF:       true,
-			Account:   stats.NewCycleAccount(),
-			Delivered: make(map[Mechanism]uint64),
-			DelivLat:  stats.NewHistogram(),
-		}
-		l, err := m.Buses[g].NewLocalAPIC(uint32(id), v)
-		if err != nil {
-			return nil, err
-		}
-		v.APIC = l
-		v.KBT = NewKBTimer(eng.Shard(g))
-		v.KBT.Fire = v.kbFire
-		m.Cores = append(m.Cores, v)
+	if err := m.addCores(ipiMech, coresPerGroup, kernels, m.Buses); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"xui/internal/isa"
+	"xui/internal/mem"
+	"xui/internal/trace"
 )
 
 // ilpBlock is a mildly parallel program block used by the benchmarks.
@@ -16,6 +18,17 @@ func ilpBlock() []isa.MicroOp {
 		{Class: isa.IntAlu, Dep1: 1, BoundaryStart: true},
 		{Class: isa.Store, Addr: 0x2000, Dep1: 1, BoundaryStart: true},
 	}
+}
+
+// matmulOps collects n micro-ops of the matmul generator: a private tape,
+// independent of the process-wide recording registry.
+func matmulOps(n int) []isa.MicroOp {
+	src := trace.ByName("matmul", 1)
+	ops := make([]isa.MicroOp, n)
+	for i := range ops {
+		ops[i], _ = src.Next()
+	}
+	return ops
 }
 
 // BenchmarkCoreProgramRun measures the steady-state pipeline loop on a plain
@@ -33,9 +46,6 @@ func BenchmarkCoreProgramRun(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreInterruptDelivery measures periodic Tracked deliveries into a
-// running program — the per-interrupt path (accept, sequence build, inject,
-// retire) reusing the core-owned delivery state.
 // BenchmarkCoreBlockStep measures the decoded-tape fast path per
 // committed program micro-op — the Tier-1 steady state (block-granular
 // fetch, wakeup issue, timing-wheel writeback) that the sweep
@@ -53,6 +63,9 @@ func BenchmarkCoreBlockStep(b *testing.B) {
 	core.Run(uint64(b.N), uint64(b.N)*400)
 }
 
+// BenchmarkCoreInterruptDelivery measures periodic Tracked deliveries into a
+// running program — the per-interrupt path (accept, sequence build, inject,
+// retire) reusing the core-owned delivery state.
 func BenchmarkCoreInterruptDelivery(b *testing.B) {
 	block := ilpBlock()
 	handler := smallHandler()
@@ -66,5 +79,44 @@ func BenchmarkCoreInterruptDelivery(b *testing.B) {
 		})
 		b.StartTimer()
 		core.Run(24000, 4_000_000)
+	}
+}
+
+// decodeSink keeps BenchmarkDecode's results live.
+var decodeSink isa.UOp
+
+// BenchmarkDecode measures lowering one matmul micro-op into its decoded
+// execution form, the cost a tape pays once per op when it is first built.
+func BenchmarkDecode(b *testing.B) {
+	ops := matmulOps(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		decodeSink = isa.Decode(ops[i&4095])
+	}
+}
+
+// BenchmarkCheckpointRestore measures one full warm-state restore —
+// pipeline checkpoint plus cache-hierarchy snapshot — the per-grid-point
+// cost the experiments layer pays instead of re-simulating the warmup.
+func BenchmarkCheckpointRestore(b *testing.B) {
+	tape := isa.NewTape("bench", matmulOps(60000))
+	hier := mem.NewHierarchy(mem.Config{})
+	port := &PrivatePort{H: hier, SharedCost: mem.LatCrossCore}
+	c := New(DefaultConfig(), tape.Stream(), port)
+	if !c.RunUntil(10000, 50000) {
+		b.Fatal("warmup did not reach the checkpoint cycle")
+	}
+	ck := c.TakeCheckpoint()
+	if ck == nil {
+		b.Fatal("checkpoint declined")
+	}
+	ms := hier.Snapshot()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !c.RestoreCheckpoint(ck) || !hier.RestoreSnapshot(ms) {
+			b.Fatal("restore failed")
+		}
 	}
 }

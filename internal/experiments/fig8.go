@@ -46,12 +46,16 @@ func Fig8(nicCounts []int, loadsPct []float64, horizon sim.Time) []Fig8Row {
 			jobs = append(jobs, job{netsim.PollMode, nq, load}, job{netsim.InterruptMode, nq, load})
 		}
 	}
+	// One routing table serves every point, as in scaleEdge: it is
+	// read-only during a run. A fresh 48 MiB DIR-24-8 table per point
+	// made the heap's peak depend on where the collector's cycles fell.
+	table := lpm.GenerateTable(16000, 7)
 	return runGrid("fig8", jobs, func(_ int, j job) Fig8Row {
-		return fig8Point(j.mode, j.nq, j.load, horizon)
+		return fig8Point(table, j.mode, j.nq, j.load, horizon)
 	})
 }
 
-func fig8Point(mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8Row {
+func fig8Point(table *lpm.Table, mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8Row {
 	s := sim.New(2024)
 	m, err := core.NewMachine(s, 1, core.TrackedIPI)
 	if err != nil {
@@ -59,7 +63,6 @@ func fig8Point(mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8
 	}
 	maybeObserve(m)
 	v := m.Cores[0]
-	table := lpm.GenerateTable(16000, 7)
 
 	// Offered load: loadPct of the core's forwarding capacity, split
 	// evenly across queues.

@@ -10,8 +10,8 @@ import (
 // The job registry names every experiment, defines its parameter grid,
 // and binds it to a runner producing the machine-readable payload plus a
 // text renderer for that payload. It is the only place a grid is
-// defined: xuibench's text tables, -json, -report, -benchjson and -plot,
-// the xuiserve daemon and the benchmark harness all resolve names here,
+// defined: xuibench's text tables, -json, -report and -plot, the
+// xuiserve daemon and the benchmark harness all resolve names here,
 // which is what makes a daemon-cached result byte-identical to a local
 // run and keeps the front ends from drifting.
 

@@ -264,7 +264,7 @@ func workloadBaseline(workload string, seed, uops, maxCycles uint64) cpu.Result 
 		uops, maxCycles)
 }
 
-// CacheStatsSnapshot is the -benchjson view of the redundancy-
+// CacheStatsSnapshot is the run-report view of the redundancy-
 // elimination layer: per-cache hit/miss/dedup counters plus tape
 // residency.
 type CacheStatsSnapshot struct {

@@ -65,8 +65,8 @@ func ScaleConfigs(quick bool) []ScaleConfig {
 
 // ScaleRow is one configuration's deterministic results. Wall time is
 // deliberately absent: rows are compared byte-for-byte across engine
-// widths, so only simulated quantities belong here (-benchjson carries the
-// wall times).
+// widths, so only simulated quantities belong here (a -report document's
+// wallMs carries the wall time).
 type ScaleRow struct {
 	Mode          string
 	Groups        int

@@ -121,20 +121,6 @@ func (r *Registry) MergeHistogram(name string, h *stats.Histogram) {
 	r.mu.Unlock()
 }
 
-// HistogramSummary returns the digest of histogram name, a zero Summary if
-// it does not exist.
-func (r *Registry) HistogramSummary(name string) stats.Summary {
-	if r == nil {
-		return stats.Summary{}
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hists[name] == nil {
-		return stats.Summary{}
-	}
-	return r.hists[name].Summarize()
-}
-
 // AddCycleAccount copies every category of a CycleAccount into counters
 // under prefix — the bridge that unifies the Tier-2 per-core cycle
 // accounting with the metrics registry. prefix should end with "/".

@@ -231,89 +231,64 @@ func (t *Tracer) NameThread(pid, tid uint32, name string) {
 	t.add(event{name: "thread_name", ph: 'M', pid: pid, tid: tid, args: map[string]any{"name": name}})
 }
 
-// jsonEvent is the serialised Chrome trace-event shape.
-type jsonEvent struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   float64        `json:"dur,omitempty"`
-	Pid   uint32         `json:"pid"`
-	Tid   uint32         `json:"tid"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
-}
-
 func cyclesToUs(cy uint64) float64 { return float64(cy) / CyclesPerMicrosecond }
 
+// lossEvents returns the metadata events that close a trace which lost
+// events: "trace_dropped" and "trace_overwritten", each carrying its count.
+func lossEvents(dropped, overwritten uint64) []event {
+	var out []event
+	if dropped > 0 {
+		out = append(out, event{name: "trace_dropped", ph: 'M', args: map[string]any{"count": dropped}})
+	}
+	if overwritten > 0 {
+		out = append(out, event{name: "trace_overwritten", ph: 'M', args: map[string]any{"count": overwritten}})
+	}
+	return out
+}
+
 // Export writes the buffered events as a Chrome trace-event JSON object
-// ({"traceEvents": [...]}), loadable by Perfetto and chrome://tracing. A
-// nil tracer exports an empty (still valid) trace. Dropped or overwritten
-// events are never silent: the export ends with a "trace_dropped" /
-// "trace_overwritten" metadata event carrying the count, in addition to
-// the otherData fields. Streaming tracers are exported by Close, not
-// Export (the events already went to their writer).
+// ({"traceEvents": [...]}), loadable by Perfetto and chrome://tracing,
+// through the streaming encoder: a buffered trace parses to the same
+// events as a streamed one. A nil tracer exports an empty (still valid)
+// trace. Dropped or overwritten events are never silent: the export ends
+// with a "trace_dropped" / "trace_overwritten" metadata event carrying the
+// count, in addition to the otherData fields. Streaming tracers are
+// exported by Close, not Export (the events already went to their writer).
 func (t *Tracer) Export(w io.Writer) error {
-	out := struct {
-		TraceEvents     []jsonEvent    `json:"traceEvents"`
-		DisplayTimeUnit string         `json:"displayTimeUnit"`
-		OtherData       map[string]any `json:"otherData,omitempty"`
-	}{TraceEvents: []jsonEvent{}, DisplayTimeUnit: "ns"}
+	b := []byte(streamPrologue)
+	var other struct {
+		Dropped     uint64 `json:"droppedEvents,omitempty"`
+		Overwritten uint64 `json:"overwrittenEvents,omitempty"`
+	}
 	if t != nil {
 		t.mu.Lock()
 		defer t.mu.Unlock()
 		if t.stream != nil {
 			return fmt.Errorf("obs: Export on a streaming tracer; use Close to finalise the stream")
 		}
-		emit := func(e event) {
-			je := jsonEvent{
-				Name: e.name,
-				Cat:  e.cat,
-				Ph:   string(e.ph),
-				Ts:   cyclesToUs(e.startCy),
-				Pid:  e.pid,
-				Tid:  e.tid,
-				Args: e.args,
-			}
-			switch e.ph {
-			case 'X':
-				je.Dur = cyclesToUs(e.endCy - e.startCy)
-			case 'i':
-				je.Scope = "t"
-			case 'M':
-				je.Ts = 0
-			}
-			out.TraceEvents = append(out.TraceEvents, je)
-		}
-		out.TraceEvents = make([]jsonEvent, 0, len(t.events)+2)
-		if t.ring && t.wrapped > 0 {
-			// Unroll the ring into chronological order: the oldest
-			// retained event sits at the next overwrite position.
-			for _, e := range t.events[t.ringAt:] {
-				emit(e)
-			}
-			for _, e := range t.events[:t.ringAt] {
-				emit(e)
-			}
-		} else {
-			for _, e := range t.events {
-				emit(e)
+		// Unroll the ring into chronological order: the oldest retained
+		// event sits at the next overwrite position (zero unless a flight
+		// recorder wrapped).
+		n := 0
+		for _, part := range [][]event{t.events[t.ringAt:], t.events[:t.ringAt], lossEvents(t.dropped, t.wrapped)} {
+			for _, e := range part {
+				b = appendElem(b, e, n == 0)
+				n++
 			}
 		}
-		if t.dropped > 0 || t.wrapped > 0 {
-			out.OtherData = map[string]any{}
-		}
-		if t.dropped > 0 {
-			out.OtherData["droppedEvents"] = t.dropped
-			emit(event{name: "trace_dropped", ph: 'M', args: map[string]any{"count": t.dropped}})
-		}
-		if t.wrapped > 0 {
-			out.OtherData["overwrittenEvents"] = t.wrapped
-			emit(event{name: "trace_overwritten", ph: 'M', args: map[string]any{"count": t.wrapped}})
-		}
+		other.Dropped, other.Overwritten = t.dropped, t.wrapped
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	b = append(b, "\n]"...)
+	if other.Dropped > 0 || other.Overwritten > 0 {
+		raw, err := json.Marshal(other)
+		if err != nil {
+			return err
+		}
+		b = append(b, `,"otherData":`...)
+		b = append(b, raw...)
+	}
+	_, err := w.Write(append(b, "}\n"...))
+	return err
 }
 
 // ExportFile writes the trace to path.

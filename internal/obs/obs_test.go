@@ -124,7 +124,7 @@ func TestRegistryBasics(t *testing.T) {
 	if r.Gauge("vcore0/util") != 0.5 {
 		t.Errorf("gauge = %g", r.Gauge("vcore0/util"))
 	}
-	if s := r.HistogramSummary("cpu0/e2e_latency"); s.Count != 2 || s.Mean != 200 {
+	if s := r.Snapshot().Histograms["cpu0/e2e_latency"]; s.Count != 2 || s.Mean != 200 {
 		t.Errorf("histogram summary = %+v", s)
 	}
 	names := r.Names()
@@ -215,7 +215,7 @@ func TestPipelineFlushSpanOrder(t *testing.T) {
 	if reg.Counter("cpu0/delivered") != 1 || reg.Counter("cpu0/squashed_at_arrival") != 200 {
 		t.Errorf("pipeline metrics: %v", reg.Snapshot().Counters)
 	}
-	if s := reg.HistogramSummary("cpu0/e2e_latency"); s.Count != 1 || s.Mean != 660 {
+	if s := reg.Snapshot().Histograms["cpu0/e2e_latency"]; s.Count != 1 || s.Mean != 660 {
 		t.Errorf("e2e histogram: %+v", s)
 	}
 }

@@ -48,8 +48,8 @@ const catIntr = "interrupt"
 // the per-core "cpu<tid>/" namespace (whose tids are assigned in worker
 // completion order and therefore vary across -j N), these keys are fixed,
 // and histogram merge order-independence makes their contents byte-identical
-// across worker counts — they are the tail-latency columns consumed by
-// xuibench -benchjson and run reports.
+// across worker counts — they are the tail-latency columns of run
+// reports' metrics snapshots.
 const (
 	AggDeliveryLatency   = "cpu/delivery_latency"
 	AggHandlerOccupancy  = "cpu/handler_occupancy"

@@ -138,13 +138,8 @@ func (t *Tracer) Close() error {
 	if t.stream == nil || t.closed {
 		return nil
 	}
-	if t.dropped > 0 {
-		// Surface loss in-band before sealing the event array.
-		t.events = append(t.events, event{
-			name: "trace_dropped", ph: 'M',
-			args: map[string]any{"count": t.dropped},
-		})
-	}
+	// Surface loss in-band before sealing the event array.
+	t.events = append(t.events, lossEvents(t.dropped, t.wrapped)...)
 	t.flushLocked()
 	s := t.stream
 	if s.err == nil && !s.started {
@@ -191,17 +186,23 @@ func (t *Tracer) flushLocked() {
 	}
 	s.buf = s.buf[:0]
 	for _, e := range t.events { //xui:lockok caller holds t.mu
-		if s.written > 0 {
-			s.buf = append(s.buf, ',')
-		}
-		s.buf = append(s.buf, '\n')
-		s.buf = appendEvent(s.buf, e)
+		s.buf = appendElem(s.buf, e, s.written == 0)
 		s.written++
 	}
 	if s.err == nil {
 		_, s.err = s.w.Write(s.buf)
 	}
 	t.events = t.events[:0] //xui:lockok caller holds t.mu
+}
+
+// appendElem appends e as the next element of the traceEvents array, one
+// event per line; first marks the array's first element.
+func appendElem(b []byte, e event, first bool) []byte {
+	if !first {
+		b = append(b, ',')
+	}
+	b = append(b, '\n')
+	return appendEvent(b, e)
 }
 
 // appendEvent serialises one event as a Chrome trace-event JSON object.

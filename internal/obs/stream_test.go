@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -222,6 +223,81 @@ func TestStreamEscapedNames(t *testing.T) {
 	events := decodeTrace(t, buf.Bytes())
 	if len(events) != 1 || events[0]["name"] != `quote"back\slash` || events[0]["cat"] != "π-cat" {
 		t.Errorf("escaped round-trip failed: %+v", events)
+	}
+}
+
+// recordSample records one event of every phase, with args and with names
+// that need escaping.
+func recordSample(tr *Tracer) {
+	tr.NameProcess(1, "tier1")
+	tr.NameThread(1, 0, "core0")
+	tr.Span(1, 0, "delivery", "interrupt", 2000, 2400, map[string]any{"k": 1, "s": "v"})
+	tr.Span(2, 3, "widened", "", 500, 500, nil)
+	tr.Instant(1, 0, `quote"back\slash`, "π-cat", 3000, nil)
+	tr.Counter(2, "pending", 4001, 3.5)
+}
+
+// exportDoc exports a buffered tracer and parses the document.
+func exportDoc(t *testing.T, tr *Tracer) (events []map[string]any, other map[string]uint64) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []map[string]any  `json:"traceEvents"`
+		OtherData   map[string]uint64 `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.Bytes())
+	}
+	return doc.TraceEvents, doc.OtherData
+}
+
+// TestExportMatchesStream: buffered export, an unwrapped flight recorder
+// and a streaming tracer serialise the same recorded events through one
+// encoder, so their traceEvents arrays parse equal; lossy exports stay
+// valid JSON and carry their counts.
+func TestExportMatchesStream(t *testing.T) {
+	var buf bytes.Buffer
+	streamed := NewStreamTracerChunk(&buf, 2)
+	recordSample(streamed)
+	if err := streamed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := decodeTrace(t, buf.Bytes())
+	if len(want) != 6 {
+		t.Fatalf("streamed %d events, want 6", len(want))
+	}
+
+	buffered := NewTracer()
+	recordSample(buffered)
+	ring := NewTracer()
+	ring.SetFlightRecorder(16)
+	recordSample(ring)
+	for name, tr := range map[string]*Tracer{"buffered": buffered, "flight recorder": ring} {
+		got, other := exportDoc(t, tr)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s export differs from the stream:\n%v\nvs\n%v", name, got, want)
+		}
+		if other != nil {
+			t.Errorf("%s export reports loss %v", name, other)
+		}
+	}
+
+	dropped := &Tracer{MaxEvents: 4}
+	recordSample(dropped)
+	got, other := exportDoc(t, dropped)
+	if !reflect.DeepEqual(got[:4], want[:4]) || got[4]["name"] != "trace_dropped" || other["droppedEvents"] != 2 {
+		t.Errorf("dropped export: %v otherData=%v", got, other)
+	}
+
+	wrapped := NewTracer()
+	wrapped.SetFlightRecorder(4)
+	recordSample(wrapped)
+	got, other = exportDoc(t, wrapped)
+	if !reflect.DeepEqual(got[:4], want[2:]) || got[4]["name"] != "trace_overwritten" || other["overwrittenEvents"] != 2 {
+		t.Errorf("wrapped export: %v otherData=%v", got, other)
 	}
 }
 

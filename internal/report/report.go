@@ -3,8 +3,7 @@
 // results (rows with latency-percentile columns), the metrics-registry
 // snapshot (including the aggregate latency histograms), run-cache and
 // tape statistics, invariant-check counters, and sweep wall-time/progress
-// timings. xuibench -benchjson and make bench-delta consume it for the
-// perf trajectory's tail-latency columns.
+// timings.
 //
 // Determinism contract: Fingerprint() covers exactly the fields that are
 // functions of the simulated runs alone — the schema header and the

@@ -40,7 +40,7 @@
 //
 // Hits, misses, dedup-waits and the disk tier's hit/store/error
 // counters are exported through internal/obs under the cache/
-// namespace (PublishTo), and surfaced by `xuibench -benchjson` and
+// namespace (PublishTo), and surfaced by `xuibench -report` and
 // xuiserve's /api/v1/stats.
 package runcache
 

@@ -9,8 +9,7 @@ import (
 // BenchmarkEpochBarrier measures one full epoch cycle — window
 // computation, per-shard RunBefore, mailbox drain, barrier — on a 4-shard
 // engine with one resident event per shard and no cross traffic. This is
-// the fixed overhead every epoch pays; it is the sim/epoch-barrier row in
-// the hotLoops suite.
+// the fixed overhead every epoch pays.
 func BenchmarkEpochBarrier(b *testing.B) {
 	const n = 4
 	e := New(1, n, 100, 1)
@@ -31,8 +30,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 }
 
 // BenchmarkCrossShardSend measures the mailbox push + barrier merge +
-// destination-schedule path for one cross-shard message per epoch: the
-// sim/cross-shard-send row in the hotLoops suite.
+// destination-schedule path for one cross-shard message per epoch.
 func BenchmarkCrossShardSend(b *testing.B) {
 	e := New(1, 2, 100, 1)
 	hops := uint64(0)

@@ -64,7 +64,7 @@ var tapeReg struct {
 	replays    atomic.Uint64 // streams served from an existing tape
 }
 
-// TapeStats summarizes the registry for -benchjson and the obs
+// TapeStats summarizes the registry for run reports and the obs
 // cache/ namespace.
 type TapeStats struct {
 	Tapes      int    `json:"tapes"`      // distinct (workload, seed) tapes resident
