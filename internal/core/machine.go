@@ -86,9 +86,9 @@ type VCore struct {
 	postedAt [64]sim.Time
 
 	// Obs, when non-nil, receives trace spans and live metrics for this
-	// core (set by Machine.Observe); obsNS is the "vcore<ID>/" prefix.
-	Obs   *obs.Context
-	obsNS string
+	// core (set by Machine.Observe, which also resolves met).
+	Obs *obs.Context
+	met vcoreMetrics
 
 	// Check, when non-nil, receives protocol events for invariant checking
 	// (set by Machine.SetCheck).
@@ -104,7 +104,7 @@ func (v *VCore) RaiseInterrupt(now sim.Time, vector uint8) {
 		pir := v.UPID.Acknowledge()
 		if v.Obs != nil {
 			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "upid.ack", "notify", uint64(now), nil)
-			v.Obs.Metrics.Inc(v.obsNS + "upid_acks")
+			v.met.upidAcks.Add(1)
 		}
 		if v.Check != nil {
 			v.Check.NotifyAck(now, v.ID, pir)
@@ -131,9 +131,11 @@ func (v *VCore) RaiseInterrupt(now sim.Time, vector uint8) {
 // (§4.5 — the UPID is never touched, no kernel involvement).
 func (v *VCore) RaiseForwarded(now sim.Time, vector uint8) {
 	if v.Obs != nil {
-		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.fast", "forward", uint64(now),
-			map[string]any{"vector": vector})
-		v.Obs.Metrics.Inc(v.obsNS + "forwarded_fast")
+		if v.Obs.Trace.Enabled() {
+			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.fast", "forward", uint64(now),
+				map[string]any{"vector": vector})
+		}
+		v.met.forwardedFast.Add(1)
 	}
 	v.post(now, uintr.Vector(vector&63), ForwardedIntr)
 }
@@ -142,9 +144,11 @@ func (v *VCore) RaiseForwarded(now sim.Time, vector uint8) {
 // the kernel captures the vector into the DUPID.
 func (v *VCore) RaiseForwardedSlow(now sim.Time, vector uint8) {
 	if v.Obs != nil {
-		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.slow", "forward", uint64(now),
-			map[string]any{"vector": vector})
-		v.Obs.Metrics.Inc(v.obsNS + "forwarded_slow")
+		if v.Obs.Trace.Enabled() {
+			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.slow", "forward", uint64(now),
+				map[string]any{"vector": vector})
+		}
+		v.met.forwardedSlow.Add(1)
 	}
 	if v.Check != nil {
 		v.Check.KernelIntr(now, v.ID, vector)
@@ -161,7 +165,7 @@ func (v *VCore) kbFire(now sim.Time, vector uintr.Vector) {
 	if v.UPID == nil {
 		if v.Obs != nil {
 			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "kb_timer.trap", "kbtimer", uint64(now), nil)
-			v.Obs.Metrics.Inc(v.obsNS + "kbtimer_traps")
+			v.met.kbtimerTraps.Add(1)
 		}
 		if v.Check != nil {
 			v.Check.KernelIntr(now, v.ID, uint8(vector))
@@ -173,7 +177,7 @@ func (v *VCore) kbFire(now sim.Time, vector uintr.Vector) {
 	}
 	if v.Obs != nil {
 		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "kb_timer.fire", "kbtimer", uint64(now), nil)
-		v.Obs.Metrics.Inc(v.obsNS + "kbtimer_fires")
+		v.met.kbtimerFires.Add(1)
 	}
 	v.post(now, vector, KBTimerIntr)
 }
@@ -206,10 +210,12 @@ func (v *VCore) tryDeliver(now sim.Time) {
 	v.Delivered[mech]++
 	v.DelivLat.Record(uint64(now + cost - v.postedAt[vec]))
 	if v.Obs != nil {
-		v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery",
-			uint64(now), uint64(now+cost), map[string]any{"vector": uint8(vec)})
-		v.Obs.Metrics.Inc(v.obsNS + "delivered/" + mech.String())
-		v.Obs.Metrics.Observe(v.obsNS+"delivery_cost", uint64(cost))
+		if v.Obs.Trace.Enabled() {
+			v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery",
+				uint64(now), uint64(now+cost), map[string]any{"vector": uint8(vec)})
+		}
+		v.met.delivered[mech].Add(1)
+		v.met.deliveryCost.Record(uint64(cost))
 	}
 	if v.Check != nil {
 		v.Check.DeliverStart(now, v.ID, vec, mech, cost)
@@ -234,9 +240,7 @@ func (v *VCore) tryDeliver(now sim.Time) {
 func (v *VCore) Clui() {
 	v.Account.Charge(CatWork, CluiCost)
 	v.UIF = false
-	if v.Obs != nil {
-		v.Obs.Metrics.Inc(v.obsNS + "clui")
-	}
+	v.met.clui.Add(1)
 }
 
 // Stui executes the stui instruction: set UIF and deliver anything held in
@@ -244,9 +248,7 @@ func (v *VCore) Clui() {
 func (v *VCore) Stui(now sim.Time) {
 	v.Account.Charge(CatWork, StuiCost)
 	v.UIF = true
-	if v.Obs != nil {
-		v.Obs.Metrics.Inc(v.obsNS + "stui")
-	}
+	v.met.stui.Add(1)
 	v.tryDeliver(now)
 }
 
@@ -358,7 +360,7 @@ func (m *Machine) SendUIPI(sender int, uitt *uintr.UITT, idx int) error {
 	src.Account.Charge(CatSend, uint64(m.Costs.Sender(UIPI)))
 	if src.Obs != nil {
 		src.Obs.Trace.Instant(obs.Tier2Pid, uint32(src.ID), "senduipi", "send", uint64(src.Sim.Now()), nil)
-		src.Obs.Metrics.Inc(src.obsNS + "senduipi")
+		src.met.senduipi.Add(1)
 	}
 	if m.Eng != nil {
 		entry, err := uitt.Lookup(idx)
@@ -422,9 +424,7 @@ func (m *Machine) Observe(ctx *obs.Context) {
 		if m.Eng != nil {
 			m.detachSharded()
 		}
-		for _, v := range m.Cores {
-			v.Obs, v.obsNS = nil, ""
-		}
+		m.attachCores(nil, nil)
 		m.Sim.SetProbe(nil)
 		return
 	}
@@ -434,13 +434,60 @@ func (m *Machine) Observe(ctx *obs.Context) {
 		m.observeSharded(ctx)
 		return
 	}
-	ctx.Trace.NameProcess(obs.Tier2Pid, "tier2-machine")
+	m.attachCores(ctx, nil)
+	m.Sim.SetProbe(obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid))
+}
+
+// attachCores points every core at ctx, or at its shard's lane context
+// when lanes is non-nil, and resolves the core's metric handles against
+// ctx's registry once, so no event builds a metric name. Trace threads
+// are named on ctx's tracer. A nil ctx detaches every core, handles
+// included.
+func (m *Machine) attachCores(ctx *obs.Context, lanes []*obs.Context) {
+	tr := ctx.TracerOrNil()
+	tr.NameProcess(obs.Tier2Pid, "tier2-machine")
 	for _, v := range m.Cores {
 		v.Obs = ctx
-		v.obsNS = fmt.Sprintf("vcore%d/", v.ID)
-		ctx.Trace.NameThread(obs.Tier2Pid, uint32(v.ID), fmt.Sprintf("vcore%d", v.ID))
+		if lanes != nil {
+			v.Obs = lanes[m.ShardOf(v.ID)]
+		}
+		v.met = resolveVCoreMetrics(ctx.RegistryOrNil(), v.ID)
+		if tr.Enabled() {
+			tr.NameThread(obs.Tier2Pid, uint32(v.ID), fmt.Sprintf("vcore%d", v.ID))
+		}
 	}
-	m.Sim.SetProbe(obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid))
+}
+
+// vcoreMetrics holds one core's "vcore<ID>/" metric handles. The zero
+// value (every handle nil) records nothing.
+type vcoreMetrics struct {
+	upidAcks, forwardedFast, forwardedSlow *obs.Counter
+	kbtimerTraps, kbtimerFires             *obs.Counter
+	clui, stui, senduipi                   *obs.Counter
+	delivered                              [ForwardedIntr + 1]*obs.Counter // by Mechanism
+	deliveryCost                           *obs.Histogram
+}
+
+func resolveVCoreMetrics(reg *obs.Registry, id int) vcoreMetrics {
+	if reg == nil {
+		return vcoreMetrics{}
+	}
+	ns := fmt.Sprintf("vcore%d/", id)
+	vm := vcoreMetrics{
+		upidAcks:      reg.CounterHandle(ns + "upid_acks"),
+		forwardedFast: reg.CounterHandle(ns + "forwarded_fast"),
+		forwardedSlow: reg.CounterHandle(ns + "forwarded_slow"),
+		kbtimerTraps:  reg.CounterHandle(ns + "kbtimer_traps"),
+		kbtimerFires:  reg.CounterHandle(ns + "kbtimer_fires"),
+		clui:          reg.CounterHandle(ns + "clui"),
+		stui:          reg.CounterHandle(ns + "stui"),
+		senduipi:      reg.CounterHandle(ns + "senduipi"),
+		deliveryCost:  reg.HistogramHandle(ns + "delivery_cost"),
+	}
+	for mech := range vm.delivered {
+		vm.delivered[mech] = reg.CounterHandle(ns + "delivered/" + Mechanism(mech).String())
+	}
+	return vm
 }
 
 // SnapshotMetrics writes each core's end-of-run accounting into reg:

@@ -189,12 +189,9 @@ func (m *Machine) observeSharded(ctx *obs.Context) {
 		m.lanes[g] = ctx.Trace.NewLane()
 		laneCtx[g] = &obs.Context{Trace: m.lanes[g], Metrics: ctx.Metrics}
 	}
-	ctx.Trace.NameProcess(obs.Tier2Pid, "tier2-machine")
-	for _, v := range m.Cores {
-		v.Obs = laneCtx[m.ShardOf(v.ID)]
-		v.obsNS = fmt.Sprintf("vcore%d/", v.ID)
-		ctx.Trace.NameThread(obs.Tier2Pid, uint32(v.ID), fmt.Sprintf("vcore%d", v.ID))
-	}
+	// Shard workers add to the same handle atomics, so metrics need no
+	// per-shard lane.
+	m.attachCores(ctx, laneCtx)
 	for g := 0; g < m.Eng.Shards(); g++ {
 		m.Eng.Shard(g).SetProbe(obs.NewSimProbe(m.lanes[g], ctx.Metrics, obs.Tier2Pid))
 	}

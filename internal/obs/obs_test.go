@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"testing"
 
 	"xui/internal/stats"
@@ -145,6 +146,80 @@ func TestRegistryBasics(t *testing.T) {
 	}
 }
 
+// TestRegistryHandles pins the handle contract: resolving a name does not
+// create it, Add(name, 0) does, handle and name-keyed writes share one
+// value, and concurrent handle adds are exact.
+func TestRegistryHandles(t *testing.T) {
+	r := NewRegistry()
+	c := r.CounterHandle("vcore0/delivered/busy-poll")
+	h := r.HistogramHandle("vcore0/delivery_cost")
+	if c == nil || h == nil {
+		t.Fatal("live registry handed out nil handles")
+	}
+	if names := r.Names(); len(names) != 0 {
+		t.Errorf("resolved-but-unwritten handles appear in Names(): %v", names)
+	}
+	snap := r.Snapshot()
+	if len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Errorf("resolved-but-unwritten handles appear in Snapshot(): %+v", snap)
+	}
+
+	r.Add("zero", 0)
+	if v, ok := r.Snapshot().Counters["zero"]; !ok || v != 0 {
+		t.Errorf("Add(name, 0) did not create the name: %v", r.Snapshot().Counters)
+	}
+	c.Add(0)
+	if _, ok := r.Snapshot().Counters["vcore0/delivered/busy-poll"]; !ok {
+		t.Error("handle Add(0) did not create the name")
+	}
+
+	c.Add(3)
+	r.Add("vcore0/delivered/busy-poll", 4)
+	r.Inc("vcore0/delivered/busy-poll")
+	if got := r.Counter("vcore0/delivered/busy-poll"); got != 8 || c.Value() != 8 {
+		t.Errorf("handle + name-keyed writes = %d (handle reads %d), want 8", got, c.Value())
+	}
+	h.Record(10)
+	r.Observe("vcore0/delivery_cost", 30)
+	if s := r.Snapshot().Histograms["vcore0/delivery_cost"]; s.Count != 2 || s.Mean != 20 {
+		t.Errorf("handle + name-keyed observations = %+v", s)
+	}
+
+	const workers, adds = 8, 10_000
+	hot := r.CounterHandle("hot")
+	hist := r.HistogramHandle("hot_hist")
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < adds; i++ {
+				hot.Add(1)
+				hist.Record(uint64(i))
+			}
+		}()
+	}
+	wg.Wait()
+	if got := r.Counter("hot"); got != workers*adds {
+		t.Errorf("concurrent handle adds = %d, want %d", got, workers*adds)
+	}
+	if s := r.Snapshot().Histograms["hot_hist"]; s.Count != workers*adds {
+		t.Errorf("concurrent handle records = %d, want %d", s.Count, workers*adds)
+	}
+
+	var nilReg *Registry
+	if nilReg.CounterHandle("a") != nil || nilReg.HistogramHandle("a") != nil {
+		t.Error("nil registry handed out live handles")
+	}
+	var nc *Counter
+	var nh *Histogram
+	nc.Add(1)
+	nh.Record(1)
+	if nc.Value() != 0 {
+		t.Error("nil counter handle should read 0")
+	}
+}
+
 func TestRegistryNilSafe(t *testing.T) {
 	var r *Registry
 	r.Inc("a")
@@ -215,8 +290,21 @@ func TestPipelineFlushSpanOrder(t *testing.T) {
 	if reg.Counter("cpu0/delivered") != 1 || reg.Counter("cpu0/squashed_at_arrival") != 200 {
 		t.Errorf("pipeline metrics: %v", reg.Snapshot().Counters)
 	}
+	// The pipeline records through handles resolved at construction; the
+	// same handles, resolved again by name, read the same values.
+	if reg.CounterHandle("cpu0/delivered").Value() != 1 || p.m.delivered != reg.CounterHandle("cpu0/delivered") {
+		t.Errorf("pipeline handle not shared with the registry name")
+	}
 	if s := reg.Snapshot().Histograms["cpu0/e2e_latency"]; s.Count != 1 || s.Mean != 660 {
 		t.Errorf("e2e histogram: %+v", s)
+	}
+	// Resolved-but-unwritten instruments (no drain, reinjection or loss
+	// on this lifecycle) stay out of the snapshot.
+	for _, name := range reg.Names() {
+		switch name {
+		case "cpu0/drain_cycles", "cpu0/reinjections", "cpu0/lost", "cpu0/deferred":
+			t.Errorf("unwritten handle %q appears in Names()", name)
+		}
 	}
 }
 
@@ -234,6 +322,14 @@ func TestSimProbeSampling(t *testing.T) {
 		reg.Counter("sim/events_cancelled") != 1 {
 		t.Errorf("probe counters: %v", reg.Snapshot().Counters)
 	}
+	if reg.CounterHandle("sim/events_fired").Value() != 10 || p.evFired != reg.CounterHandle("sim/events_fired") {
+		t.Errorf("probe handle not shared with the registry name")
+	}
+	// A probe with no registry holds nil handles and records nothing.
+	bare := NewSimProbe(nil, nil, 2)
+	bare.EventScheduled(0, 1)
+	bare.EventFired(1, 0)
+	bare.EventCancelled(1)
 	if tr.Len() != 5 {
 		t.Errorf("expected 5 sampled counter events, got %d", tr.Len())
 	}

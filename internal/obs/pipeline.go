@@ -16,13 +16,12 @@ import "fmt"
 // plus reinject/lost instants when the tracked state machine re-arms or the
 // ablation drops an interrupt.
 type Pipeline struct {
-	Trace   *Tracer
-	Metrics *Registry
-	Pid     uint32
-	Tid     uint32
+	Trace *Tracer
+	Pid   uint32
+	Tid   uint32
 
-	ns       string // metric prefix, "cpu<tid>/"
 	strategy string
+	m        pipelineMetrics
 
 	// In-flight interrupt state (one delivery at a time per core, matching
 	// the UIF semantics of the pipeline model).
@@ -34,9 +33,40 @@ type Pipeline struct {
 	phaseEnd    uint64 // end of the last emitted span
 }
 
-// NewPipeline builds an observer for one Tier-1 core.
+// pipelineMetrics holds one core's metric handles, resolved once by
+// NewPipeline: the per-core "cpu<tid>/" instruments and the shared
+// aggregate histograms. All nil without a registry.
+type pipelineMetrics struct {
+	arrived, deferred, squashed, reinjections, delivered, lost *Counter
+
+	drainCycles, injectLatency, firstCommit, deliveryLatency, e2eLatency *Histogram
+	aggNotifToCommit, aggDelivery, aggHandler, aggE2E                    *Histogram
+}
+
+// NewPipeline builds an observer for one Tier-1 core, counting into reg
+// (nil discards the metrics).
 func NewPipeline(tr *Tracer, reg *Registry, pid, tid uint32) *Pipeline {
-	p := &Pipeline{Trace: tr, Metrics: reg, Pid: pid, Tid: tid, ns: fmt.Sprintf("cpu%d/", tid)}
+	p := &Pipeline{Trace: tr, Pid: pid, Tid: tid}
+	if reg != nil {
+		ns := fmt.Sprintf("cpu%d/", tid)
+		p.m = pipelineMetrics{
+			arrived:          reg.CounterHandle(ns + "arrived"),
+			deferred:         reg.CounterHandle(ns + "deferred"),
+			squashed:         reg.CounterHandle(ns + "squashed_at_arrival"),
+			reinjections:     reg.CounterHandle(ns + "reinjections"),
+			delivered:        reg.CounterHandle(ns + "delivered"),
+			lost:             reg.CounterHandle(ns + "lost"),
+			drainCycles:      reg.HistogramHandle(ns + "drain_cycles"),
+			injectLatency:    reg.HistogramHandle(ns + "inject_latency"),
+			firstCommit:      reg.HistogramHandle(ns + "first_commit_latency"),
+			deliveryLatency:  reg.HistogramHandle(ns + "delivery_latency"),
+			e2eLatency:       reg.HistogramHandle(ns + "e2e_latency"),
+			aggNotifToCommit: reg.HistogramHandle(AggNotifToCommit),
+			aggDelivery:      reg.HistogramHandle(AggDeliveryLatency),
+			aggHandler:       reg.HistogramHandle(AggHandlerOccupancy),
+			aggE2E:           reg.HistogramHandle(AggEndToEndLatency),
+		}
+	}
 	tr.NameProcess(pid, "tier1-pipeline")
 	tr.NameThread(pid, tid, fmt.Sprintf("core%d", tid))
 	return p
@@ -62,24 +92,28 @@ const (
 func (p *Pipeline) IntrArrive(cycle uint64, tag string, vector uint8, strategy string) {
 	p.arrive, p.tag, p.strategy = cycle, tag, strategy
 	p.injectStart, p.notifEnd, p.handlerHi, p.phaseEnd = 0, 0, 0, cycle
-	p.Trace.Instant(p.Pid, p.Tid, "arrive", catIntr, cycle, map[string]any{
-		"tag": tag, "vector": vector, "strategy": strategy,
-	})
-	p.Metrics.Inc(p.ns + "arrived")
+	if p.Trace.Enabled() {
+		p.Trace.Instant(p.Pid, p.Tid, "arrive", catIntr, cycle, map[string]any{
+			"tag": tag, "vector": vector, "strategy": strategy,
+		})
+	}
+	p.m.arrived.Add(1)
 }
 
 // IntrDeferred implements cpu.IntrObserver: the interrupt was posted while
 // another delivery was in progress (or UIF was clear).
 func (p *Pipeline) IntrDeferred(cycle uint64) {
 	p.Trace.Instant(p.Pid, p.Tid, "deferred", catIntr, cycle, nil)
-	p.Metrics.Inc(p.ns + "deferred")
+	p.m.deferred.Add(1)
 }
 
 // IntrSquash implements cpu.IntrObserver: the Flush strategy squashed n
 // in-flight micro-ops on arrival.
 func (p *Pipeline) IntrSquash(startCy, endCy uint64, squashed int) {
-	p.Trace.Span(p.Pid, p.Tid, "flush", catIntr, startCy, endCy, map[string]any{"squashedUops": squashed})
-	p.Metrics.Add(p.ns+"squashed_at_arrival", uint64(squashed))
+	if p.Trace.Enabled() {
+		p.Trace.Span(p.Pid, p.Tid, "flush", catIntr, startCy, endCy, map[string]any{"squashedUops": squashed})
+	}
+	p.m.squashed.Add(uint64(squashed))
 	p.phaseEnd = endCy
 }
 
@@ -87,7 +121,7 @@ func (p *Pipeline) IntrSquash(startCy, endCy uint64, squashed int) {
 // waited for the window to empty.
 func (p *Pipeline) IntrDrain(startCy, endCy uint64) {
 	p.Trace.Span(p.Pid, p.Tid, "drain", catIntr, startCy, endCy, nil)
-	p.Metrics.Observe(p.ns+"drain_cycles", endCy-startCy)
+	p.m.drainCycles.Record(endCy - startCy)
 	p.phaseEnd = endCy
 }
 
@@ -106,18 +140,18 @@ func (p *Pipeline) IntrInject(cycle uint64, reinjection bool) {
 		p.Trace.Span(p.Pid, p.Tid, "await-boundary", catIntr, p.phaseEnd, cycle, nil)
 	}
 	p.injectStart = cycle
-	p.Metrics.Observe(p.ns+"inject_latency", cycle-p.arrive)
+	p.m.injectLatency.Record(cycle - p.arrive)
 	if reinjection {
 		p.Trace.Instant(p.Pid, p.Tid, "reinject", catIntr, cycle, nil)
-		p.Metrics.Inc(p.ns + "reinjections")
+		p.m.reinjections.Add(1)
 	}
 }
 
 // IntrFirstCommit implements cpu.IntrObserver.
 func (p *Pipeline) IntrFirstCommit(cycle uint64) {
 	p.Trace.Instant(p.Pid, p.Tid, "first-ucode-commit", catIntr, cycle, nil)
-	p.Metrics.Observe(p.ns+"first_commit_latency", cycle-p.arrive)
-	p.Metrics.Observe(AggNotifToCommit, cycle-p.arrive)
+	p.m.firstCommit.Record(cycle - p.arrive)
+	p.m.aggNotifToCommit.Record(cycle - p.arrive)
 }
 
 // IntrNotifDone implements cpu.IntrObserver: the notification-processing
@@ -135,8 +169,8 @@ func (p *Pipeline) IntrDeliveryDone(cycle uint64) {
 		start = p.notifEnd
 	}
 	p.Trace.Span(p.Pid, p.Tid, "delivery", catIntr, start, cycle, nil)
-	p.Metrics.Observe(p.ns+"delivery_latency", cycle-p.arrive)
-	p.Metrics.Observe(AggDeliveryLatency, cycle-p.arrive)
+	p.m.deliveryLatency.Record(cycle - p.arrive)
+	p.m.aggDelivery.Record(cycle - p.arrive)
 }
 
 // IntrHandlerStart implements cpu.IntrObserver.
@@ -145,7 +179,7 @@ func (p *Pipeline) IntrHandlerStart(cycle uint64) { p.handlerHi = cycle }
 // IntrHandlerDone implements cpu.IntrObserver.
 func (p *Pipeline) IntrHandlerDone(cycle uint64) {
 	p.Trace.Span(p.Pid, p.Tid, "handler", catIntr, p.handlerHi, cycle, nil)
-	p.Metrics.Observe(AggHandlerOccupancy, cycle-p.handlerHi)
+	p.m.aggHandler.Record(cycle - p.handlerHi)
 	p.handlerHi = cycle
 }
 
@@ -156,14 +190,14 @@ func (p *Pipeline) IntrUiret(cycle uint64) {
 		start = p.injectStart
 	}
 	p.Trace.Span(p.Pid, p.Tid, "uiret", catIntr, start, cycle, nil)
-	p.Metrics.Inc(p.ns + "delivered")
-	p.Metrics.Observe(p.ns+"e2e_latency", cycle-p.arrive)
-	p.Metrics.Observe(AggEndToEndLatency, cycle-p.arrive)
+	p.m.delivered.Add(1)
+	p.m.e2eLatency.Record(cycle - p.arrive)
+	p.m.aggE2E.Record(cycle - p.arrive)
 }
 
 // IntrLost implements cpu.IntrObserver: the TrackedReinject ablation
 // dropped an interrupt squashed before its first commit.
 func (p *Pipeline) IntrLost(cycle uint64) {
 	p.Trace.Instant(p.Pid, p.Tid, "lost", catIntr, cycle, nil)
-	p.Metrics.Inc(p.ns + "lost")
+	p.m.lost.Add(1)
 }

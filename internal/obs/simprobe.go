@@ -7,41 +7,56 @@ package obs
 // horizon fires millions of events and per-event trace records would
 // swamp the buffer.
 type SimProbe struct {
-	Trace   *Tracer
-	Metrics *Registry
-	Pid     uint32
+	Trace *Tracer
+	Pid   uint32
 
 	// SampleEvery controls how often (in dispatched events) the pending
 	// counter track is sampled; zero means every 1024 dispatches.
 	SampleEvery uint64
 
 	fired uint64
+
+	// Counter handles resolved once by NewSimProbe.
+	evScheduled, evFired, evCancelled *Counter
 }
 
-// NewSimProbe builds a probe that attributes its trace samples to pid.
+// NewSimProbe builds a probe that attributes its trace samples to pid and
+// counts into reg (nil discards the counts).
 func NewSimProbe(tr *Tracer, reg *Registry, pid uint32) *SimProbe {
-	return &SimProbe{Trace: tr, Metrics: reg, Pid: pid}
+	return &SimProbe{
+		Trace:       tr,
+		Pid:         pid,
+		evScheduled: reg.CounterHandle("sim/events_scheduled"),
+		evFired:     reg.CounterHandle("sim/events_fired"),
+		evCancelled: reg.CounterHandle("sim/events_cancelled"),
+	}
 }
 
 // EventScheduled implements sim.Probe.
+//
+//xui:noalloc
 func (p *SimProbe) EventScheduled(now, when uint64) {
-	p.Metrics.Inc("sim/events_scheduled")
+	p.evScheduled.Add(1)
 }
 
 // EventFired implements sim.Probe.
+//
+//xui:noalloc
 func (p *SimProbe) EventFired(when uint64, pending int) {
-	p.Metrics.Inc("sim/events_fired")
+	p.evFired.Add(1)
 	p.fired++
 	every := p.SampleEvery
 	if every == 0 {
 		every = 1024
 	}
-	if p.fired%every == 0 {
-		p.Trace.Counter(p.Pid, "sim.pendingEvents", when, float64(pending))
+	if p.fired%every == 0 && p.Trace.Enabled() {
+		p.Trace.Counter(p.Pid, "sim.pendingEvents", when, float64(pending)) //xui:alloc sampled trace record, only with a tracer attached
 	}
 }
 
 // EventCancelled implements sim.Probe.
+//
+//xui:noalloc
 func (p *SimProbe) EventCancelled(now uint64) {
-	p.Metrics.Inc("sim/events_cancelled")
+	p.evCancelled.Add(1)
 }
