@@ -12,19 +12,15 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"strings"
-	"time"
 
-	"xui/internal/check"
-	"xui/internal/cpu"
 	"xui/internal/experiments"
-	"xui/internal/obs"
 	"xui/internal/plot"
 	"xui/internal/report"
 )
@@ -39,109 +35,21 @@ func main() {
 	quick := flag.Bool("quick", false, "smaller sweeps / shorter horizons")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of tables")
 	plotOut := flag.Bool("plot", false, "render ASCII charts of the curve figures (fig5 on matmul, fig8 at one NIC, fig9's 20 µs class) instead of the -exp tables")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the run to this file")
-	metricsPath := flag.String("metrics", "", "write a metrics-registry JSON snapshot of the run to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for the grid-experiment sweeps; results are identical at any value")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines driving the sharded Tier-2 engine (scale experiments); results are identical at any value")
-	reportPath := flag.String("report", "", "write a unified schema-versioned run report (experiment rows, latency histograms, cache/check/sweep stats) to this file")
-	nocache := flag.Bool("nocache", false, "disable the Tier-1 run cache, recorded instruction tapes and core pooling; every run is computed fresh (rows are identical either way)")
-	fastforward := flag.Bool("fastforward", true, "run Tier-1 cores on the decoded fast-forward engine; -fastforward=false forces the interpreted reference engine (rows are identical either way)")
-	checkOn := flag.Bool("check", false, "run with invariant checking: assert the protocol conservation laws on every delivery, print the check report, exit nonzero on violations")
+	sess := report.Flags(flag.CommandLine, "xuibench")
 	flag.Parse()
-	experiments.SetWorkers(*workers)
-	experiments.SetShards(*shards)
-	experiments.SetCaching(!*nocache)
-	cpu.SetFastForward(*fastforward)
-
-	var checkCol *check.Collector
-	if *checkOn {
-		checkCol = check.NewCollector()
-		experiments.SetChecking(checkCol)
-	}
-
-	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	names := parseExpList(*exp)
+	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
-	var ctx *obs.Context
-	if *tracePath != "" || *metricsPath != "" || *reportPath != "" {
-		ctx = &obs.Context{}
-		if *tracePath != "" {
-			// Traces stream to disk incrementally: bounded memory, valid
-			// JSON even if the run is cut short.
-			tr, err := obs.StreamFile(*tracePath)
-			if err != nil {
-				fatal(err)
-			}
-			ctx.Trace = tr
-		}
-		// Reports read the aggregate latency histograms out of the
-		// registry, so -report installs one too.
-		if *metricsPath != "" || *reportPath != "" {
-			ctx.Metrics = obs.NewRegistry()
-		}
-		experiments.SetObservability(ctx)
-	}
-	var rep *report.Doc
-	if *reportPath != "" {
-		rep = report.New("xuibench")
-		rep.Experiment = strings.ToLower(*exp)
-		rep.Quick = *quick
-		rep.Workers = *workers
-		rep.CacheOn = !*nocache
-	}
-	start := time.Now()
-	finish := func() {
-		if ctx != nil && ctx.Metrics != nil {
-			experiments.PublishCacheStats(ctx.Metrics)
-			if checkCol != nil {
-				checkCol.Report().PublishTo(ctx.Metrics)
-			}
-		}
-		if rep != nil {
-			if checkCol != nil {
-				cr := checkCol.Report()
-				rep.Checks = &cr
-			}
-			cs := experiments.CacheStats()
-			rep.Cache = &cs
-			rep.AttachContext(ctx, *tracePath)
-			rep.WallMs = float64(time.Since(start).Microseconds()) / 1000
-			if err := rep.WriteFile(*reportPath); err != nil {
-				fatal(err)
-			}
-		}
-		if err := ctx.ExportFiles(*tracePath, *metricsPath); err != nil {
-			fatal(err)
-		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-		if checkCol != nil {
-			cr := checkCol.Report()
-			fmt.Fprintln(os.Stderr, cr)
-			if !cr.OK() {
-				os.Exit(1)
-			}
-		}
-	}
 
-	names := parseExpList(*exp)
 	var payloads map[string]any
+	var err error
 	if *plotOut {
 		payloads, err = emitPlots(os.Stdout, *quick)
 	} else {
 		payloads, err = runExperiments(os.Stdout, names, *quick, *jsonOut)
 	}
-	if rep != nil {
-		for n, p := range payloads {
-			rep.AddResult(n, p)
-		}
-	}
-	finish()
-	if err != nil {
+	if err = errors.Join(err, sess.Finish(strings.ToLower(*exp), *quick, payloads)); err != nil {
 		fatal(err)
 	}
 }

@@ -13,12 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
-	"xui/internal/check"
 	"xui/internal/experiments"
-	"xui/internal/obs"
 	"xui/internal/report"
 	"xui/internal/sim"
 )
@@ -36,53 +32,12 @@ func main() {
 	noise := flag.Float64("noise", 20, "dsa: noise magnitude in % of base latency")
 	cores := flag.Int("cores", 8, "timer: application cores to preempt; scale: cores per group")
 	groups := flag.Int("groups", 16, "scale: shard-local core groups (one event kernel each)")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines driving the sharded Tier-2 engine (scale scenario); results are identical at any value")
 	period := flag.Float64("period", 5, "timer: preemption period in µs")
-	tracePath := flag.String("trace", "", "write a Chrome trace-event / Perfetto JSON trace of the run to this file")
-	metricsPath := flag.String("metrics", "", "write a metrics-registry JSON snapshot of the run to this file")
-	reportPath := flag.String("report", "", "write a unified schema-versioned run report (scenario rows, latency histograms, cache/check/sweep stats) to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	nocache := flag.Bool("nocache", false, "disable the Tier-1 run cache, recorded instruction tapes and core pooling (affects the Tier-1 calibrations Tier-2 scenarios draw on)")
-	checkOn := flag.Bool("check", false, "run with invariant checking: assert the protocol conservation laws on every delivery, print the check report, exit nonzero on violations")
+	sess := report.Flags(flag.CommandLine, "xuisim")
 	flag.Parse()
-	experiments.SetCaching(!*nocache)
-	experiments.SetShards(*shards)
-
-	var checkCol *check.Collector
-	if *checkOn {
-		checkCol = check.NewCollector()
-		experiments.SetChecking(checkCol)
-	}
-
-	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
-	var ctx *obs.Context
-	if *tracePath != "" || *metricsPath != "" || *reportPath != "" {
-		ctx = &obs.Context{}
-		if *tracePath != "" {
-			// Traces stream to disk incrementally: bounded memory, valid
-			// JSON even if the run is cut short.
-			tr, err := obs.StreamFile(*tracePath)
-			if err != nil {
-				fatal(err)
-			}
-			ctx.Trace = tr
-		}
-		if *metricsPath != "" || *reportPath != "" {
-			ctx.Metrics = obs.NewRegistry()
-		}
-		experiments.SetObservability(ctx)
-	}
-	var rep *report.Doc
-	if *reportPath != "" {
-		rep = report.New("xuisim")
-		rep.Experiment = *scenario
-		rep.CacheOn = !*nocache
-	}
-	start := time.Now()
 
 	horizon := sim.Time(*ms) * sim.Millisecond
 	var payload any
@@ -133,34 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
 		os.Exit(2)
 	}
-	if checkCol != nil && ctx != nil && ctx.Metrics != nil {
-		checkCol.Report().PublishTo(ctx.Metrics)
-	}
-	if rep != nil {
-		rep.AddResult(*scenario, payload)
-		if checkCol != nil {
-			cr := checkCol.Report()
-			rep.Checks = &cr
-		}
-		cs := experiments.CacheStats()
-		rep.Cache = &cs
-		rep.AttachContext(ctx, *tracePath)
-		rep.WallMs = float64(time.Since(start).Microseconds()) / 1000
-		if err := rep.WriteFile(*reportPath); err != nil {
-			fatal(err)
-		}
-	}
-	if err := ctx.ExportFiles(*tracePath, *metricsPath); err != nil {
+	if err := sess.Finish(*scenario, false, map[string]any{*scenario: payload}); err != nil {
 		fatal(err)
-	}
-	if err := stopProf(); err != nil {
-		fatal(err)
-	}
-	if checkCol != nil {
-		rep := checkCol.Report()
-		fmt.Fprintln(os.Stderr, rep)
-		if !rep.OK() {
-			os.Exit(1)
-		}
 	}
 }

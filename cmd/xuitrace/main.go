@@ -8,21 +8,18 @@
 //	xuitrace -workload linpack -uops 200000
 //	xuitrace -workload fib -strategy tracked -period 10000
 //	xuitrace -timeline
-//	xuitrace -chrome out.json          # Fig. 2 scenario, Perfetto trace
+//	xuitrace -trace out.json           # Fig. 2 scenario, Perfetto trace
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"time"
 
 	"xui/internal/check"
 	"xui/internal/cpu"
 	"xui/internal/experiments"
 	"xui/internal/isa"
-	"xui/internal/obs"
 	"xui/internal/report"
 	"xui/internal/trace"
 )
@@ -41,88 +38,23 @@ func main() {
 	safepoints := flag.Int("safepoints", 0, "annotate a safepoint every N ops and gate delivery on them")
 	timeline := flag.Bool("timeline", false, "print the Figure 2 UIPI timeline and exit")
 	seed := flag.Uint64("seed", 1, "workload seed")
-	chrome := flag.String("chrome", "", "write a Chrome trace-event / Perfetto JSON trace to this file (with -period 0, traces the Fig. 2 scenario)")
-	metricsPath := flag.String("metrics", "", "write a metrics-registry JSON snapshot to this file")
-	reportPath := flag.String("report", "", "write a unified schema-versioned run report (run stats, latency digests, cache/check counters) to this file")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile to this file")
-	workers := flag.Int("j", runtime.GOMAXPROCS(0), "worker goroutines for any grid sweeps experiments run; results are identical at any value")
-	shards := flag.Int("shards", runtime.GOMAXPROCS(0), "worker goroutines for any sharded Tier-2 engines experiments build; results are identical at any value")
-	nocache := flag.Bool("nocache", false, "disable the Tier-1 run cache, recorded instruction tapes and core pooling; every run is computed fresh (rows are identical either way)")
-	fastforward := flag.Bool("fastforward", true, "run Tier-1 cores on the decoded fast-forward engine; -fastforward=false forces the interpreted reference engine (rows are identical either way)")
-	checkOn := flag.Bool("check", false, "run with invariant checking: assert the pipeline/protocol invariants on every delivery, print the check report, exit nonzero on violations")
+	sess := report.Flags(flag.CommandLine, "xuitrace")
 	flag.Parse()
-	experiments.SetWorkers(*workers)
-	experiments.SetShards(*shards)
-	experiments.SetCaching(!*nocache)
-	cpu.SetFastForward(*fastforward)
-
-	var checkCol *check.Collector
-	if *checkOn {
-		checkCol = check.NewCollector()
-		experiments.SetChecking(checkCol)
-	}
-
-	stopProf, err := obs.StartProfiles(*cpuprofile, *memprofile)
-	if err != nil {
+	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
-	var ctx *obs.Context
-	if *chrome != "" || *metricsPath != "" || *reportPath != "" {
-		ctx = obs.NewContext()
-		experiments.SetObservability(ctx)
-	}
-	var rep *report.Doc
-	if *reportPath != "" {
-		rep = report.New("xuitrace")
-		rep.Workers = *workers
-		rep.CacheOn = !*nocache
-	}
-	start := time.Now()
-	finish := func() {
-		if checkCol != nil && ctx != nil && ctx.Metrics != nil {
-			checkCol.Report().PublishTo(ctx.Metrics)
-		}
-		if rep != nil {
-			if checkCol != nil {
-				cr := checkCol.Report()
-				rep.Checks = &cr
-			}
-			cs := experiments.CacheStats()
-			rep.Cache = &cs
-			rep.AttachContext(ctx, *chrome)
-			rep.WallMs = float64(time.Since(start).Microseconds()) / 1000
-			if err := rep.WriteFile(*reportPath); err != nil {
-				fatal(err)
-			}
-		}
-		if err := ctx.ExportFiles(*chrome, *metricsPath); err != nil {
-			fatal(err)
-		}
-		if err := stopProf(); err != nil {
-			fatal(err)
-		}
-		if checkCol != nil {
-			rep := checkCol.Report()
-			fmt.Fprintln(os.Stderr, rep)
-			if !rep.OK() {
-				os.Exit(1)
-			}
-		}
-	}
 
-	if *chrome != "" && *period == 0 && !*timeline {
+	if tracePath := flag.Lookup("trace").Value.String(); tracePath != "" && *period == 0 && !*timeline {
 		// No custom interrupt run configured: trace the paper's Figure 2
 		// scenario (senduipi loop sender offset + flush-strategy receiver
 		// on the rdtsc measurement loop).
+		ctx := experiments.Observability()
 		r := experiments.TracedFig2(ctx)
-		if rep != nil {
-			rep.Experiment = "fig2-trace"
-			rep.AddResult("fig2", r)
+		if err := sess.Finish("fig2-trace", false, map[string]any{"fig2": r}); err != nil {
+			fatal(err)
 		}
-		finish()
 		fmt.Printf("traced the Fig. 2 scenario to %s (%d events; arrive=%.0f deliveryDone=%.0f)\n",
-			*chrome, ctx.Trace.Len(), r.Arrive, r.DeliveryDone)
+			tracePath, uint64(ctx.Trace.Len())+ctx.Trace.Streamed(), r.Arrive, r.DeliveryDone)
 		return
 	}
 
@@ -131,11 +63,9 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if rep != nil {
-			rep.Experiment = "timeline"
-			rep.AddResult("fig2", payload)
+		if err := sess.Finish("timeline", false, map[string]any{"fig2": payload}); err != nil {
+			fatal(err)
 		}
-		finish()
 		return
 	}
 
@@ -173,15 +103,7 @@ func main() {
 	cfg.Strategy = strat
 	cfg.SafepointMode = *safepoints > 0
 	cfg.Ucode = experiments.Ucode()
-	c, port := experiments.NewReceiver(strat, prog)
-	_ = port
-	if *safepoints > 0 {
-		// Rebuild with safepoint mode enabled.
-		c = cpu.New(cfg, prog, port)
-		if ctx != nil {
-			c.SetObserver(obs.NewPipeline(ctx.Trace, ctx.Metrics, obs.Tier1Pid, 0))
-		}
-	}
+	c, port := experiments.NewReceiverConfig(cfg, prog)
 	if *period > 0 {
 		c.PeriodicInterrupts(*period, *period, func() cpu.Interrupt {
 			if !*skipNotif {
@@ -191,8 +113,8 @@ func main() {
 		})
 	}
 	var cc *check.CoreChecker
-	if checkCol != nil {
-		cc = check.WrapCore(checkCol, c, "tier1")
+	if col := experiments.Checking(); col != nil {
+		cc = check.WrapCore(col, c, "tier1")
 	}
 	res := c.Run(*uops, *uops*500)
 	if cc != nil {
@@ -216,19 +138,18 @@ func main() {
 		fmt.Printf("interrupts: %d delivered of %d; mean delivery latency %.0f cycles; %.2f reinjections/intr\n",
 			delivered, len(res.Interrupts), lat/float64(delivered), reinj/float64(delivered))
 	}
-	if rep != nil {
-		rep.Experiment = "run"
-		rep.AddResult("run", map[string]any{
-			"workload":        prog.Name(),
-			"strategy":        strat.String(),
-			"cycles":          res.Cycles,
-			"ipc":             res.IPC,
-			"committed":       res.CommittedProgram,
-			"squashedProgram": res.SquashedProgram,
-			"squashedOther":   res.SquashedOther,
-			"interrupts":      len(res.Interrupts),
-			"latency":         res.LatencyDigest(),
-		})
+	run := map[string]any{
+		"workload":        prog.Name(),
+		"strategy":        strat.String(),
+		"cycles":          res.Cycles,
+		"ipc":             res.IPC,
+		"committed":       res.CommittedProgram,
+		"squashedProgram": res.SquashedProgram,
+		"squashedOther":   res.SquashedOther,
+		"interrupts":      len(res.Interrupts),
+		"latency":         res.LatencyDigest(),
 	}
-	finish()
+	if err := sess.Finish("run", false, map[string]any{"run": run}); err != nil {
+		fatal(err)
+	}
 }

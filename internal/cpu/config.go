@@ -26,7 +26,7 @@ const (
 	EngineAuto Engine = iota
 	// EngineInterpreted forces the original per-cycle issue-queue scan
 	// and per-op stream interpretation. Kept as the reference
-	// implementation and -fastforward=false escape hatch.
+	// implementation that the parity tests compare against.
 	EngineInterpreted
 	// EngineFast forces the decoded-tape engine: dataflow wakeup
 	// scheduling instead of the scan, direct indexing into decoded tapes,
@@ -35,10 +35,12 @@ const (
 )
 
 // fastForward is the package-level default for Engine == EngineAuto,
-// set by the -fastforward flag on the CLIs. Like every configuration
-// knob in this package it must be set from the coordinating goroutine
-// before cores run (flag parsing, test setup); sweep workers only read
-// it, through New/Reset, after the goroutine-spawn happens-before.
+// cleared by the parity tests (TestFastForwardParity,
+// TestCheckpointParity) to select the reference engine. Like every
+// configuration knob in this package it must be set from the
+// coordinating goroutine before cores run (test setup); sweep workers
+// only read it, through New/Reset, after the goroutine-spawn
+// happens-before.
 var fastForward = true
 
 // SetFastForward toggles the decoded fast-forward engine for cores

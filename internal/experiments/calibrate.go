@@ -37,6 +37,12 @@ func NewReceiver(strategy cpu.Strategy, prog isa.Stream) (*cpu.Core, *cpu.Privat
 	cfg := cpu.DefaultConfig()
 	cfg.Strategy = strategy
 	cfg.Ucode = Ucode()
+	return NewReceiverConfig(cfg, prog)
+}
+
+// NewReceiverConfig is NewReceiver with an explicit core configuration,
+// for drivers that change more than the strategy (e.g. safepoint mode).
+func NewReceiverConfig(cfg cpu.Config, prog isa.Stream) (*cpu.Core, *cpu.PrivatePort) {
 	port := &cpu.PrivatePort{H: mem.NewHierarchy(mem.Config{}), SharedCost: mem.LatCrossCore}
 	c := cpu.New(cfg, prog, port)
 	observeCore(c)

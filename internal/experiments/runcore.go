@@ -25,9 +25,10 @@ import (
 //     port + hierarchy) from a sync.Pool and resets it instead of
 //     reallocating the ROB and ~35 K cache-set slices.
 //
-// All three honour one switch (SetCaching; the cmd binaries' -nocache
-// flag) and one contract: experiment rows are byte-identical with the
-// machinery on or off, at any worker count (TestRunCacheParity).
+// All three honour one switch (SetCaching, a test hook that selects the
+// uncached reference path) and one contract: experiment rows are
+// byte-identical with the machinery on or off, at any worker count
+// (TestRunCacheParity).
 
 // cachingOn gates the run cache, tapes and core pooling together.
 var cachingOn atomic.Bool

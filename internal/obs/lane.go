@@ -23,13 +23,13 @@ func (t *Tracer) NewLane() *Tracer {
 // child's recording order, and resets the child for the next epoch. The
 // caller must guarantee the child is quiescent (no goroutine is recording
 // into it) — the epoch barrier provides exactly that. Child tracers must
-// be buffered; absorbing a streaming or flight-recorder child panics.
+// be buffered; absorbing a streaming child panics.
 func (t *Tracer) AbsorbFrom(child *Tracer) {
 	if t == nil || child == nil || t == child {
 		return
 	}
 	child.mu.Lock()
-	if child.stream != nil || child.ring {
+	if child.stream != nil {
 		child.mu.Unlock()
 		panic("obs: AbsorbFrom child must be a plain buffered tracer")
 	}

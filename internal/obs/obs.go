@@ -62,9 +62,6 @@ const (
 //   - Streaming (StreamTo/StreamFile): there is no cap. MaxEvents is
 //     ignored; resident memory is bounded by the chunk size and every
 //     event reaches the stream (the mode long captures should use).
-//   - Flight recorder (SetFlightRecorder): the buffer is a ring of the
-//     last MaxEvents events; older events are overwritten, counted in
-//     Overwritten() and surfaced as otherData.overwrittenEvents.
 //
 // Raise Tracer.MaxEvents for deep buffered captures, or stream instead.
 const DefaultMaxEvents = 1 << 21
@@ -88,25 +85,21 @@ type event struct {
 // (internal/sweep) fans independent runs across worker goroutines that all
 // record into the one tracer the CLI installed.
 //
-// A tracer operates in one of three modes (see DefaultMaxEvents for the
-// overflow semantics of each): buffered (record then Export), streaming
+// A tracer operates in one of two modes (see DefaultMaxEvents for the
+// overflow semantics of each): buffered (record then Export) or streaming
 // (StreamTo/StreamFile: events flow to an io.Writer in bounded-memory
-// chunks as they are recorded), or flight recorder (SetFlightRecorder:
-// a ring retaining the last N events around a point of interest).
+// chunks as they are recorded).
 type Tracer struct {
 	// MaxEvents caps the buffer; zero means DefaultMaxEvents. Ignored in
-	// streaming mode. In flight-recorder mode it is the ring size.
+	// streaming mode.
 	MaxEvents int
 
 	mu      sync.Mutex
 	events  []event //xui:guardedby mu
 	dropped uint64  //xui:guardedby mu
 
-	stream  *streamState // non-nil: streaming mode
-	ring    bool         // flight-recorder mode
-	ringAt  int          //xui:guardedby mu
-	wrapped uint64       //xui:guardedby mu
-	closed  bool         //xui:guardedby mu
+	stream *streamState // non-nil: streaming mode
+	closed bool         //xui:guardedby mu
 }
 
 // NewTracer returns an empty buffered tracer with the default event cap.
@@ -136,17 +129,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Overwritten returns the number of flight-recorder events overwritten by
-// newer ones (zero outside ring mode).
-func (t *Tracer) Overwritten() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.wrapped
-}
-
 //xui:noalloc
 func (t *Tracer) add(e event) {
 	limit := t.MaxEvents
@@ -164,19 +146,6 @@ func (t *Tracer) add(e event) {
 		if len(t.events) >= t.stream.chunk {
 			t.flushLocked() // cold path: serialisation lives off the recording path
 		}
-		return
-	}
-	if t.ring {
-		if len(t.events) < limit {
-			t.events = append(t.events, e)
-			return
-		}
-		t.events[t.ringAt] = e
-		t.ringAt++
-		if t.ringAt == limit {
-			t.ringAt = 0
-		}
-		t.wrapped++
 		return
 	}
 	if len(t.events) >= limit {
@@ -233,32 +202,27 @@ func (t *Tracer) NameThread(pid, tid uint32, name string) {
 
 func cyclesToUs(cy uint64) float64 { return float64(cy) / CyclesPerMicrosecond }
 
-// lossEvents returns the metadata events that close a trace which lost
-// events: "trace_dropped" and "trace_overwritten", each carrying its count.
-func lossEvents(dropped, overwritten uint64) []event {
-	var out []event
-	if dropped > 0 {
-		out = append(out, event{name: "trace_dropped", ph: 'M', args: map[string]any{"count": dropped}})
+// lossEvents returns the metadata event that closes a trace which dropped
+// events: "trace_dropped", carrying the count.
+func lossEvents(dropped uint64) []event {
+	if dropped == 0 {
+		return nil
 	}
-	if overwritten > 0 {
-		out = append(out, event{name: "trace_overwritten", ph: 'M', args: map[string]any{"count": overwritten}})
-	}
-	return out
+	return []event{{name: "trace_dropped", ph: 'M', args: map[string]any{"count": dropped}}}
 }
 
 // Export writes the buffered events as a Chrome trace-event JSON object
 // ({"traceEvents": [...]}), loadable by Perfetto and chrome://tracing,
 // through the streaming encoder: a buffered trace parses to the same
 // events as a streamed one. A nil tracer exports an empty (still valid)
-// trace. Dropped or overwritten events are never silent: the export ends
-// with a "trace_dropped" / "trace_overwritten" metadata event carrying the
-// count, in addition to the otherData fields. Streaming tracers are
+// trace. Dropped events are never silent: the export ends with a
+// "trace_dropped" metadata event carrying the count, in addition to
+// otherData.droppedEvents. Streaming tracers are
 // exported by Close, not Export (the events already went to their writer).
 func (t *Tracer) Export(w io.Writer) error {
 	b := []byte(streamPrologue)
 	var other struct {
-		Dropped     uint64 `json:"droppedEvents,omitempty"`
-		Overwritten uint64 `json:"overwrittenEvents,omitempty"`
+		Dropped uint64 `json:"droppedEvents,omitempty"`
 	}
 	if t != nil {
 		t.mu.Lock()
@@ -266,20 +230,14 @@ func (t *Tracer) Export(w io.Writer) error {
 		if t.stream != nil {
 			return fmt.Errorf("obs: Export on a streaming tracer; use Close to finalise the stream")
 		}
-		// Unroll the ring into chronological order: the oldest retained
-		// event sits at the next overwrite position (zero unless a flight
-		// recorder wrapped).
-		n := 0
-		for _, part := range [][]event{t.events[t.ringAt:], t.events[:t.ringAt], lossEvents(t.dropped, t.wrapped)} {
-			for _, e := range part {
-				b = appendElem(b, e, n == 0)
-				n++
-			}
+		// The clipped capacity keeps append off the buffer's spare room.
+		for i, e := range append(t.events[:len(t.events):len(t.events)], lossEvents(t.dropped)...) {
+			b = appendElem(b, e, i == 0)
 		}
-		other.Dropped, other.Overwritten = t.dropped, t.wrapped
+		other.Dropped = t.dropped
 	}
 	b = append(b, "\n]"...)
-	if other.Dropped > 0 || other.Overwritten > 0 {
+	if other.Dropped > 0 {
 		raw, err := json.Marshal(other)
 		if err != nil {
 			return err
@@ -336,17 +294,14 @@ func (c *Context) RegistryOrNil() *Registry {
 // ExportFiles writes the context's trace and metrics snapshot to the given
 // paths; an empty path skips that export. A streaming tracer is finalised
 // with Close instead (its events already went to the stream), and any
-// event loss is published as the "obs/dropped" / "obs/overwritten"
-// counters before the metrics snapshot is taken. A nil context is a no-op.
+// event loss is published as the "obs/dropped" counter before the metrics
+// snapshot is taken. A nil context is a no-op.
 func (c *Context) ExportFiles(tracePath, metricsPath string) error {
 	if c == nil {
 		return nil
 	}
 	if d := c.Trace.Dropped(); d > 0 {
 		c.Metrics.Add("obs/dropped", d)
-	}
-	if ov := c.Trace.Overwritten(); ov > 0 {
-		c.Metrics.Add("obs/overwritten", ov)
 	}
 	if c.Trace.Streaming() {
 		if err := c.Trace.Close(); err != nil {

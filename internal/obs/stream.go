@@ -82,32 +82,6 @@ func (t *Tracer) Streamed() uint64 {
 	return t.stream.written
 }
 
-// SetFlightRecorder switches the tracer to flight-recorder mode: a ring
-// retaining the last n events (n <= 0 means DefaultMaxEvents). Instead of
-// dropping new events once full — the old buffered-mode overflow behavior
-// — the ring overwrites the oldest, so the capture always holds the
-// window leading up to a point of interest (a lost interrupt, a
-// re-injection storm). Call before recording; panics on a streaming
-// tracer or after events were recorded.
-func (t *Tracer) SetFlightRecorder(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stream != nil {
-		panic("obs: SetFlightRecorder on a streaming tracer")
-	}
-	if len(t.events) > 0 {
-		panic("obs: SetFlightRecorder after events were recorded")
-	}
-	if n <= 0 {
-		n = DefaultMaxEvents
-	}
-	t.ring = true
-	t.MaxEvents = n
-}
-
 // Flush serialises any buffered events to the stream. It is a no-op on
 // nil, non-streaming or already-closed tracers.
 func (t *Tracer) Flush() error {
@@ -139,7 +113,7 @@ func (t *Tracer) Close() error {
 		return nil
 	}
 	// Surface loss in-band before sealing the event array.
-	t.events = append(t.events, lossEvents(t.dropped, t.wrapped)...)
+	t.events = append(t.events, lossEvents(t.dropped)...)
 	t.flushLocked()
 	s := t.stream
 	if s.err == nil && !s.started {

@@ -170,47 +170,6 @@ func TestStreamNoLossAtScale(t *testing.T) {
 	}
 }
 
-// TestFlightRecorder asserts ring mode retains exactly the last MaxEvents
-// events in chronological order and surfaces the overwrite count in the
-// export instead of silently losing history.
-func TestFlightRecorder(t *testing.T) {
-	tr := &Tracer{MaxEvents: 4}
-	tr.SetFlightRecorder(4)
-	for i := 0; i < 10; i++ {
-		tr.Instant(1, 0, "e", "", uint64(i)*2000, nil)
-	}
-	if tr.Len() != 4 || tr.Overwritten() != 6 || tr.Dropped() != 0 {
-		t.Fatalf("ring: len=%d overwritten=%d dropped=%d", tr.Len(), tr.Overwritten(), tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeTrace(t, buf.Bytes())
-	// Last 4 events (cycles 12000..18000 → µs 6..9) plus the
-	// trace_overwritten metadata record.
-	if len(events) != 5 {
-		t.Fatalf("exported %d events, want 5", len(events))
-	}
-	var lastTs float64 = -1
-	for _, e := range events[:4] {
-		ts := e["ts"].(float64)
-		if ts <= lastTs {
-			t.Errorf("ring export out of order: ts %v after %v", ts, lastTs)
-		}
-		lastTs = ts
-	}
-	if events[0]["ts"].(float64) != 6 {
-		t.Errorf("oldest retained event ts = %v, want 6", events[0]["ts"])
-	}
-	if events[4]["name"] != "trace_overwritten" {
-		t.Errorf("missing trace_overwritten metadata, got %v", events[4]["name"])
-	}
-	if !strings.Contains(buf.String(), "overwrittenEvents") {
-		t.Error("overwritten count not surfaced in otherData")
-	}
-}
-
 // TestStreamEscapedNames exercises the encoder's json.Marshal fallback for
 // names that need escaping.
 func TestStreamEscapedNames(t *testing.T) {
@@ -254,10 +213,10 @@ func exportDoc(t *testing.T, tr *Tracer) (events []map[string]any, other map[str
 	return doc.TraceEvents, doc.OtherData
 }
 
-// TestExportMatchesStream: buffered export, an unwrapped flight recorder
-// and a streaming tracer serialise the same recorded events through one
-// encoder, so their traceEvents arrays parse equal; lossy exports stay
-// valid JSON and carry their counts.
+// TestExportMatchesStream: buffered export and a streaming tracer
+// serialise the same recorded events through one encoder, so their
+// traceEvents arrays parse equal; a lossy export stays valid JSON and
+// carries its count.
 func TestExportMatchesStream(t *testing.T) {
 	var buf bytes.Buffer
 	streamed := NewStreamTracerChunk(&buf, 2)
@@ -272,32 +231,19 @@ func TestExportMatchesStream(t *testing.T) {
 
 	buffered := NewTracer()
 	recordSample(buffered)
-	ring := NewTracer()
-	ring.SetFlightRecorder(16)
-	recordSample(ring)
-	for name, tr := range map[string]*Tracer{"buffered": buffered, "flight recorder": ring} {
-		got, other := exportDoc(t, tr)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s export differs from the stream:\n%v\nvs\n%v", name, got, want)
-		}
-		if other != nil {
-			t.Errorf("%s export reports loss %v", name, other)
-		}
+	got, other := exportDoc(t, buffered)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("buffered export differs from the stream:\n%v\nvs\n%v", got, want)
+	}
+	if other != nil {
+		t.Errorf("buffered export reports loss %v", other)
 	}
 
 	dropped := &Tracer{MaxEvents: 4}
 	recordSample(dropped)
-	got, other := exportDoc(t, dropped)
+	got, other = exportDoc(t, dropped)
 	if !reflect.DeepEqual(got[:4], want[:4]) || got[4]["name"] != "trace_dropped" || other["droppedEvents"] != 2 {
 		t.Errorf("dropped export: %v otherData=%v", got, other)
-	}
-
-	wrapped := NewTracer()
-	wrapped.SetFlightRecorder(4)
-	recordSample(wrapped)
-	got, other = exportDoc(t, wrapped)
-	if !reflect.DeepEqual(got[:4], want[2:]) || got[4]["name"] != "trace_overwritten" || other["overwrittenEvents"] != 2 {
-		t.Errorf("wrapped export: %v otherData=%v", got, other)
 	}
 }
 

@@ -3,7 +3,8 @@
 // results (rows with latency-percentile columns), the metrics-registry
 // snapshot (including the aggregate latency histograms), run-cache and
 // tape statistics, invariant-check counters, and sweep wall-time/progress
-// timings.
+// timings. Session is the run lifecycle the command-line front ends share
+// to produce it, together with the run's trace, metrics and profiles.
 //
 // Determinism contract: Fingerprint() covers exactly the fields that are
 // functions of the simulated runs alone — the schema header and the
@@ -58,10 +59,9 @@ type TraceInfo struct {
 	Streaming bool `json:"streaming"`
 	// Events is the number of events exported or streamed.
 	Events uint64 `json:"events"`
-	// Dropped and Overwritten surface buffered-mode and flight-recorder
-	// event loss (always zero for streaming traces).
-	Dropped     uint64 `json:"dropped"`
-	Overwritten uint64 `json:"overwritten"`
+	// Dropped surfaces buffered-mode event loss (always zero for
+	// streaming traces).
+	Dropped uint64 `json:"dropped"`
 }
 
 // Doc is the unified run report.
@@ -120,11 +120,10 @@ func (d *Doc) AttachContext(ctx *obs.Context, tracePath string) {
 	}
 	if ctx.Trace.Enabled() {
 		d.Trace = &TraceInfo{
-			Path:        tracePath,
-			Streaming:   ctx.Trace.Streaming(),
-			Events:      uint64(ctx.Trace.Len()) + ctx.Trace.Streamed(),
-			Dropped:     ctx.Trace.Dropped(),
-			Overwritten: ctx.Trace.Overwritten(),
+			Path:      tracePath,
+			Streaming: ctx.Trace.Streaming(),
+			Events:    uint64(ctx.Trace.Len()) + ctx.Trace.Streamed(),
+			Dropped:   ctx.Trace.Dropped(),
 		}
 	}
 }

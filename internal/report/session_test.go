@@ -1,0 +1,138 @@
+package report
+
+import (
+	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"xui/internal/experiments"
+)
+
+// TestSession drives the shared front-end lifecycle the way each cmd
+// does — flags parsed from a FlagSet, Start, the cmd's run body, Finish —
+// for one run body per front end: xuibench's registry job, xuisim's dsa
+// scenario and xuitrace's traced Fig. 2. Every front end's -metrics
+// snapshot carries the cache/ keys, its -report records the -j it ran
+// with and the cache section, and its -trace is a streamed Chrome trace.
+func TestSession(t *testing.T) {
+	runs := map[string]func() any{
+		"xuibench": func() any {
+			p, err := experiments.RunJob("table2", true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		},
+		"xuisim":   func() any { return experiments.Fig9([]float64{20}, 200) },
+		"xuitrace": func() any { return experiments.TracedFig2(experiments.Observability()) },
+	}
+	for cmd, run := range runs {
+		t.Run(cmd, func(t *testing.T) {
+			dir := t.TempDir()
+			tracePath := filepath.Join(dir, "trace.json")
+			metricsPath := filepath.Join(dir, "metrics.json")
+			reportPath := filepath.Join(dir, "report.json")
+			fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
+			sess := Flags(fs, cmd)
+			if err := fs.Parse([]string{"-trace", tracePath, "-metrics", metricsPath, "-report", reportPath, "-j", "3", "-shards", "2", "-check"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := sess.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer experiments.SetWorkers(0)
+			defer experiments.SetShards(0)
+			if got := experiments.Workers(); got != 3 {
+				t.Errorf("Start set %d sweep workers, want 3", got)
+			}
+			if experiments.Observability() == nil || experiments.Checking() == nil {
+				t.Fatal("Start did not install the observability context and check collector")
+			}
+			if err := sess.Finish(cmd, true, map[string]any{cmd: run()}); err != nil {
+				t.Fatalf("Finish on a clean checked run: %v", err)
+			}
+			if experiments.Observability() != nil || experiments.Checking() != nil {
+				t.Error("Finish left the process-wide sinks installed")
+			}
+
+			var snap struct {
+				Counters map[string]uint64 `json:"counters"`
+			}
+			readJSON(t, metricsPath, &snap)
+			for _, k := range []string{"cache/tapes/recordings", "cache/tapes/replays", "check/checks"} {
+				if _, ok := snap.Counters[k]; !ok {
+					t.Errorf("-metrics snapshot lacks %s", k)
+				}
+			}
+
+			var doc struct {
+				Cmd     string          `json:"cmd"`
+				Workers int             `json:"workers"`
+				CacheOn bool            `json:"cacheOn"`
+				Cache   json.RawMessage `json:"cache"`
+				Results map[string]any  `json:"results"`
+				Checks  *struct{}       `json:"checks"`
+				Trace   *TraceInfo      `json:"trace"`
+			}
+			readJSON(t, reportPath, &doc)
+			if doc.Cmd != cmd || doc.Workers != 3 || !doc.CacheOn || len(doc.Cache) == 0 || doc.Results[cmd] == nil || doc.Checks == nil {
+				t.Errorf("report: cmd=%q workers=%d cacheOn=%v cache=%v results=%d checks=%v",
+					doc.Cmd, doc.Workers, doc.CacheOn, len(doc.Cache) > 0, len(doc.Results), doc.Checks != nil)
+			}
+			if doc.Trace == nil || !doc.Trace.Streaming || doc.Trace.Path != tracePath {
+				t.Errorf("report trace section: %+v", doc.Trace)
+			}
+
+			var tr struct {
+				TraceEvents []map[string]any `json:"traceEvents"`
+			}
+			readJSON(t, tracePath, &tr)
+			if cmd == "xuitrace" && len(tr.TraceEvents) == 0 {
+				t.Error("traced Fig. 2 streamed no events")
+			}
+		})
+	}
+}
+
+// TestSessionCheckFailure: a violated invariant makes Finish return an
+// error after the run's files are written, instead of exiting.
+func TestSessionCheckFailure(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+	fs := flag.NewFlagSet("xuibench", flag.ContinueOnError)
+	sess := Flags(fs, "xuibench")
+	if err := fs.Parse([]string{"-metrics", metricsPath, "-check"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer experiments.SetWorkers(0)
+	defer experiments.SetShards(0)
+	experiments.Checking().Violate("injected", 0, "test", "deliberate violation")
+	err := sess.Finish("none", false, nil)
+	if err == nil || !strings.Contains(err.Error(), "1 invariant violations") {
+		t.Fatalf("Finish = %v, want a check failure", err)
+	}
+	var snap struct {
+		Counters map[string]uint64 `json:"counters"`
+	}
+	readJSON(t, metricsPath, &snap)
+	if snap.Counters["check/violations"] != 1 {
+		t.Errorf("check/violations = %d, want 1", snap.Counters["check/violations"])
+	}
+}
+
+// readJSON decodes the JSON file at path into v.
+func readJSON(t *testing.T, path string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+}

@@ -52,9 +52,9 @@ import (
 	"xui/internal/obs"
 )
 
-// enabled is the package-wide switch; the cmd binaries' -nocache flag
-// clears it, turning every Get into a plain call of its compute
-// function (the determinism A/B check).
+// enabled is the package-wide switch; the parity tests clear it (via
+// experiments.SetCaching), turning every Get into a plain call of its
+// compute function (the determinism A/B check).
 var enabled atomic.Bool
 
 func init() { enabled.Store(true) }

@@ -19,9 +19,8 @@ import (
 // seed, so the grown tape has every shorter one as an exact prefix and
 // live replayers over the old array never observe a change).
 
-// tapesOn is the process-wide switch; the cmd binaries' -nocache flag
-// clears it (via experiments.SetCaching) and Recorded falls back to
-// live generators.
+// tapesOn is the process-wide switch; the parity tests clear it (via
+// experiments.SetCaching) and Recorded falls back to live generators.
 var tapesOn atomic.Bool
 
 func init() { tapesOn.Store(true) }

@@ -114,7 +114,7 @@ func TestDerivedTapesMatchGenerators(t *testing.T) {
 	}
 }
 
-// TestRecordedDisabled checks the -nocache path returns live
+// TestRecordedDisabled checks the tapes-off path returns live
 // generators and records nothing.
 func TestRecordedDisabled(t *testing.T) {
 	defer SetTapes(true)
