@@ -1,10 +1,5 @@
 package isa
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Tape is an immutable recorded micro-op sequence. Workload generators
 // (internal/trace) are deterministic but pay per-op RNG and weight
 // arithmetic on every Next; recording a generator's output once into a
@@ -12,131 +7,60 @@ import (
 // and lets concurrent sweep workers share one backing array, since
 // nothing ever writes it after construction.
 //
-// Immutability is the sharing contract: NewTape takes ownership of ops
-// and neither the Tape nor any TapeStream over it may mutate the
-// slice. Wrapper streams (PollInstrumented, SafepointAnnotated)
-// compose over a TapeStream by value-copying each MicroOp out of Next,
-// so their per-op edits never touch the tape.
+// A tape stores only its decoded form: the 24-byte UOp array the fast
+// pipeline indexes, plus its basic-block partition. Per-op consumers
+// (the interpreted pipeline, wrapper streams such as PollInstrumented
+// and SafepointAnnotated) read it through TapeStream.Next, which lifts
+// each UOp back into a MicroOp by value, so their per-op edits never
+// touch the tape and re-decoding what they read yields the same UOps.
 type Tape struct {
-	name string
-	ops  []MicroOp
-
-	// opsFn, when non-nil, materializes ops on first demand. Derived
-	// tapes (trace.RecordedPoll and friends) are consumed almost
-	// exclusively through their decoded form — the fast pipeline never
-	// reads a MicroOp — so building the 48-byte-per-op array eagerly
-	// is pure waste in the common case. Interpreted runs and the
-	// differential tests force it through Ops.
-	opsOnce sync.Once
-	opsFn   func() []MicroOp
-
-	// dec caches the tape's decoded form. Built lazily on first use and
-	// shared by every core running the tape; sync.Once because sweep
-	// workers race to the first decode. Tape growth (trace's registry)
-	// builds a whole new Tape, so a DecodedTape never changes underneath
-	// a stream holding it.
-	decOnce  sync.Once
-	decBuilt atomic.Bool // true once dec is published (set inside decOnce)
-	dec      *DecodedTape
+	dec DecodedTape
 }
 
-// NewTape wraps ops as a tape named name, taking ownership of the
-// slice. Callers must not retain or mutate ops afterwards.
+// NewTape records ops as a tape named name, decoding them eagerly. The
+// tape keeps no reference to ops.
 func NewTape(name string, ops []MicroOp) *Tape {
-	return &Tape{name: name, ops: ops}
+	u := make([]UOp, len(ops))
+	for i, m := range ops {
+		u[i] = Decode(m)
+	}
+	return NewDecodedTape(name, u)
 }
 
-// NewTapePreDecoded wraps ops together with an already-decoded UOp
-// array, for derivations that compute both forms by array transform
-// from an existing tape instead of re-lowering every MicroOp. uops
-// must be element-wise equal to decoding ops (the derived-tape tests
-// pin this); the block partition is rebuilt here — a two-instruction
-// scan per op, noise next to a full decode. Takes ownership of both
-// slices.
-func NewTapePreDecoded(name string, ops []MicroOp, uops []UOp) *Tape {
-	t := &Tape{name: name, ops: ops}
-	t.dec = &DecodedTape{Name: name, Ops: uops, Blocks: buildBlocks(uops)}
-	t.decOnce.Do(func() {}) // mark built so Decoded never re-lowers
-	t.decBuilt.Store(true)
-	return t
-}
-
-// NewTapeLazyOps builds a tape whose execution-ready decoded form is
-// supplied up front and whose MicroOp array is materialized only on
-// first demand (Ops, or a TapeStream cursor actually reading). opsFn
-// must produce exactly the sequence uops decodes from — the derived-
-// tape differential tests force the lazy side and pin the equivalence.
-func NewTapeLazyOps(name string, uops []UOp, opsFn func() []MicroOp) *Tape {
-	t := &Tape{name: name, opsFn: opsFn}
-	t.dec = &DecodedTape{Name: name, Ops: uops, Blocks: buildBlocks(uops)}
-	t.decOnce.Do(func() {}) // mark built so Decoded never re-lowers
-	t.decBuilt.Store(true)
-	return t
+// NewDecodedTape wraps an already-decoded op array as a tape named
+// name, taking ownership of the slice; callers must not retain or
+// mutate it afterwards. Every element must be Decode of some MicroOp.
+func NewDecodedTape(name string, ops []UOp) *Tape {
+	return &Tape{dec: DecodedTape{Name: name, Ops: ops, Blocks: buildBlocks(ops)}}
 }
 
 // Name identifies the recorded workload.
-func (t *Tape) Name() string { return t.name }
+func (t *Tape) Name() string { return t.dec.Name }
 
-// Len returns the number of recorded micro-ops. It never triggers a
-// lazy materialization: decode is element-wise, so the decoded length
-// is the answer.
-func (t *Tape) Len() int {
-	if t.opsFn != nil {
-		return len(t.dec.Ops)
-	}
-	return len(t.ops)
-}
+// Len returns the number of recorded micro-ops.
+func (t *Tape) Len() int { return len(t.dec.Ops) }
 
-// Ops exposes the recorded sequence for inspection (tests compare
-// tapes against live generators), materializing it first for lazy
-// tapes. The returned slice is the tape's backing array: read-only by
-// contract.
-func (t *Tape) Ops() []MicroOp {
-	if t.opsFn != nil {
-		t.opsOnce.Do(func() { t.ops = t.opsFn() })
-	}
-	return t.ops
-}
-
-// Decoded returns the tape's decoded, execution-ready form, building it
-// on first call. Safe for concurrent use.
-func (t *Tape) Decoded() *DecodedTape {
-	t.decOnce.Do(func() {
-		t.dec = decodeTape(t.name, t.ops)
-		t.decBuilt.Store(true)
-	})
-	return t.dec
-}
-
-// DecodedIfBuilt returns the decoded form only if some caller already
-// paid for it, nil otherwise — it never triggers the decode. Tape
-// growth uses this to reuse the old tape's decode as the prefix of the
-// grown one instead of re-lowering ops it already lowered.
-func (t *Tape) DecodedIfBuilt() *DecodedTape {
-	if t.decBuilt.Load() {
-		return t.dec
-	}
-	return nil
-}
+// Decoded returns the tape's execution-ready form, shared by every
+// core running the tape. Read-only by contract.
+func (t *Tape) Decoded() *DecodedTape { return &t.dec }
 
 // Stream returns a fresh replayer positioned at the start of the tape.
 // Streams are independent cursors; any number may be live at once.
 func (t *Tape) Stream() *TapeStream {
-	return &TapeStream{name: t.name, ops: t.ops, tape: t}
+	return &TapeStream{ops: t.dec.Ops, tape: t}
 }
 
 // TapeStream replays a Tape through the Stream interface. Next is a
-// bounds check, a copy and an increment — zero allocations in steady
+// bounds check, a lift and an increment — zero allocations in steady
 // state, which BenchmarkTapeStream pins.
 type TapeStream struct {
-	name string
-	ops  []MicroOp
+	ops  []UOp
 	pos  int
 	tape *Tape
 }
 
 // Name implements Stream.
-func (s *TapeStream) Name() string { return s.name }
+func (s *TapeStream) Name() string { return s.tape.Name() }
 
 // Tape returns the backing tape, letting a pipeline swap the per-op
 // cursor for the tape's decoded random-access form.
@@ -145,33 +69,18 @@ func (s *TapeStream) Tape() *Tape { return s.tape }
 // Pos returns the cursor position (ops already consumed).
 func (s *TapeStream) Pos() int { return s.pos }
 
-// Next implements Stream. It returns ok=false past the end of the
-// tape; callers size tapes so a budgeted pipeline run never gets
-// there (see trace.Recorded's slack).
+// Next implements Stream, returning Lift of the next recorded op. It
+// returns ok=false past the end of the tape; callers size tapes so a
+// budgeted pipeline run never gets there (see trace.Recorded's slack).
 //
 //xui:noalloc
 func (s *TapeStream) Next() (MicroOp, bool) {
 	if s.pos >= len(s.ops) {
-		if !s.materialize() {
-			return MicroOp{}, false
-		}
+		return MicroOp{}, false
 	}
-	op := s.ops[s.pos]
+	u := s.ops[s.pos]
 	s.pos++
-	return op, true
-}
-
-// materialize pulls the backing array from a lazily-materialized tape
-// the first time a per-op cursor actually reads it. Cold path of Next:
-// a stream over an eager tape (s.ops already set) never gets here with
-// anything to do, and pipelines running the decoded form never call
-// Next at all.
-func (s *TapeStream) materialize() bool {
-	if s.ops != nil || s.tape == nil {
-		return false
-	}
-	s.ops = s.tape.Ops()
-	return s.pos < len(s.ops)
+	return Lift(u), true
 }
 
 // Reset rewinds the stream to the start of the tape.

@@ -6,8 +6,9 @@ package isa
 // opposite: a dense format whose latency is already resolved and whose
 // attributes are one flag word, so the per-instruction decode switch
 // disappears from the hot loop. UOp is that format (24 bytes), and
-// DecodedTape is an isa.Tape decoded once into a random-access UOp
-// array with basic-block metadata, shared by every run over the tape.
+// DecodedTape is a random-access UOp array with basic-block metadata —
+// the only form a Tape stores, shared by every run over the tape. Lift
+// turns a UOp back into a MicroOp for per-op Stream consumers.
 
 // UFlags packs a MicroOp's boolean attributes and its Source into one
 // word. Bits 0-7 are attribute flags; bits 8-9 carry the Source.
@@ -130,13 +131,29 @@ func Decode(m MicroOp) UOp {
 	return u
 }
 
-// DecodeSlice appends the decoded form of each op in src to dst and
-// returns the extended slice.
-func DecodeSlice(dst []UOp, src []MicroOp) []UOp {
-	for _, m := range src {
-		dst = append(dst, Decode(m))
+// Lift inverts Decode up to latency resolution: the MicroOp it returns
+// carries u's resolved latency as an explicit Lat, so Decode(Lift(u))
+// == u for every u Decode produces, and Lift(Decode(m)) is m with a
+// zero Lat replaced by the class default.
+//
+//xui:noalloc
+func Lift(u UOp) MicroOp {
+	return MicroOp{
+		Class:         u.Class,
+		Lat:           u.Lat,
+		Dep1:          u.Dep1,
+		Dep2:          u.Dep2,
+		Addr:          u.Addr,
+		Shared:        u.Flags&FShared != 0,
+		Taken:         u.Flags&FTaken != 0,
+		Mispredict:    u.Flags&FMispredict != 0,
+		BoundaryStart: u.Flags&FBoundary != 0,
+		Safepoint:     u.Flags&FSafepoint != 0,
+		FetchBarrier:  u.Flags&FFetchBarrier != 0,
+		WritesSP:      u.Flags&FWritesSP != 0,
+		ReadsSP:       u.Flags&FReadsSP != 0,
+		Source:        u.Src(),
 	}
-	return dst
 }
 
 // Block is one basic block of a decoded tape: ops [Start, End). Clean
@@ -149,10 +166,11 @@ type Block struct {
 	Clean      bool
 }
 
-// DecodedTape is a Tape decoded once: a random-access UOp array (the
-// pipeline's replay window becomes an index) plus its basic-block
-// partition. Immutable after construction, shared by every stream over
-// the tape — growth builds a new DecodedTape, it never mutates one.
+// DecodedTape is a tape's execution-ready form: a random-access UOp
+// array (the pipeline's replay window becomes an index) plus its
+// basic-block partition. Immutable after construction, shared by every
+// stream over the tape — growth builds a new DecodedTape, it never
+// mutates one.
 type DecodedTape struct {
 	Name   string
 	Ops    []UOp
@@ -166,8 +184,16 @@ func clean(u UOp) bool {
 
 // buildBlocks computes the basic-block partition of a decoded op
 // array: maximal clean runs, with each special op a singleton block.
+// A first pass counts block starts to size the result exactly, so a
+// resident tape holds no append slack.
 func buildBlocks(ops []UOp) []Block {
-	var blocks []Block
+	n := 0
+	for i, u := range ops {
+		if !clean(u) || i == 0 || !clean(ops[i-1]) {
+			n++
+		}
+	}
+	blocks := make([]Block, 0, n)
 	start := 0
 	for i, u := range ops {
 		if clean(u) {
@@ -183,10 +209,4 @@ func buildBlocks(ops []UOp) []Block {
 		blocks = append(blocks, Block{Start: uint32(start), End: uint32(len(ops)), Clean: true})
 	}
 	return blocks
-}
-
-// decodeTape builds the DecodedTape for ops.
-func decodeTape(name string, ops []MicroOp) *DecodedTape {
-	u := DecodeSlice(make([]UOp, 0, len(ops)), ops)
-	return &DecodedTape{Name: name, Ops: u, Blocks: buildBlocks(u)}
 }

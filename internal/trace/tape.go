@@ -13,11 +13,13 @@ import (
 // generated once per process into an immutable isa.Tape and replayed by
 // cursor everywhere else, so the per-op RNG draws and weight
 // comparisons in synth.Next are paid once instead of once per run.
-// Growth keeps the live generator: when a longer recording is needed,
-// only the new suffix is generated and the existing prefix is copied
-// into a fresh backing array (generators are deterministic in their
-// seed, so the grown tape has every shorter one as an exact prefix and
-// live replayers over the old array never observe a change).
+// A tape stores only decoded ops (isa.UOp): recording decodes each
+// generated chunk straight into the tape's array. Growth keeps the live
+// generator: when a longer recording is needed, only the new suffix is
+// generated and decoded, and the existing decoded prefix is copied into
+// a fresh backing array (generators are deterministic in their seed, so
+// the grown tape has every shorter one as an exact prefix and live
+// replayers over the old array never observe a change).
 
 // tapesOn is the process-wide switch; the parity tests clear it (via
 // experiments.SetCaching) and Recorded falls back to live generators.
@@ -45,14 +47,13 @@ type tapeKey struct {
 
 // tapeEntry serializes recording per (name, seed) while letting
 // distinct workloads record concurrently. The generator is retained so
-// growth generates only the missing suffix; ops is the recording buffer
-// the current tape views a prefix of (never mutated once published —
-// growth copies into a fresh array).
+// growth generates only the missing suffix. tape is written only with
+// mu held but published atomically, so Tapes can read it without
+// waiting on a recording in progress.
 type tapeEntry struct {
 	mu   sync.Mutex
-	tape *isa.Tape
+	tape atomic.Pointer[isa.Tape]
 	gen  isa.Stream
-	ops  []isa.MicroOp
 }
 
 var tapeReg struct {
@@ -68,28 +69,34 @@ var tapeReg struct {
 type TapeStats struct {
 	Tapes      int    `json:"tapes"`      // distinct (workload, seed) tapes resident
 	Ops        uint64 `json:"ops"`        // micro-ops currently recorded
-	Bytes      uint64 `json:"bytes"`      // memory held by tape backing arrays
+	Bytes      uint64 `json:"bytes"`      // memory held by tape op and block arrays
 	Recordings uint64 `json:"recordings"` // generator passes paid
 	Replays    uint64 `json:"replays"`    // streams served by cursor replay
 }
 
-// Tapes snapshots the registry.
+// Tapes snapshots the registry. It never waits on a recording: it
+// reads each entry's published tape, so a tape being recorded or grown
+// counts at its previous length.
 func Tapes() TapeStats {
 	tapeReg.mu.Lock()
+	entries := make([]*tapeEntry, 0, len(tapeReg.m))
+	for _, e := range tapeReg.m {
+		entries = append(entries, e)
+	}
+	tapeReg.mu.Unlock()
 	s := TapeStats{
-		Tapes:      len(tapeReg.m),
+		Tapes:      len(entries),
 		Recordings: tapeReg.recordings.Load(),
 		Replays:    tapeReg.replays.Load(),
 	}
-	for _, e := range tapeReg.m {
-		e.mu.Lock()
-		if e.tape != nil {
-			s.Ops += uint64(e.tape.Len())
+	for _, e := range entries {
+		if t := e.tape.Load(); t != nil {
+			d := t.Decoded()
+			s.Ops += uint64(len(d.Ops))
+			s.Bytes += uint64(len(d.Ops))*uint64(unsafe.Sizeof(isa.UOp{})) +
+				uint64(len(d.Blocks))*uint64(unsafe.Sizeof(isa.Block{}))
 		}
-		e.mu.Unlock()
 	}
-	tapeReg.mu.Unlock()
-	s.Bytes = s.Ops * uint64(unsafe.Sizeof(isa.MicroOp{}))
 	return s
 }
 
@@ -148,52 +155,32 @@ func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uin
 	if baseT == nil {
 		return nil
 	}
-	base, baseU := baseT.Ops(), baseT.Decoded().Ops
-	checkLoad := isa.MicroOp{Class: isa.Load, Addr: flagAddr, Shared: true, BoundaryStart: true}
-	checkBr := isa.MicroOp{Class: isa.Branch, Dep1: 1, BoundaryStart: true}
-	checkLoadU, checkBrU := isa.Decode(checkLoad), isa.Decode(checkBr)
+	base := baseT.Decoded().Ops
+	checkLoad := isa.Decode(isa.MicroOp{Class: isa.Load, Addr: flagAddr, Shared: true, BoundaryStart: true})
+	checkBr := isa.Decode(isa.MicroOp{Class: isa.Branch, Dep1: 1, BoundaryStart: true})
 	return derivedStream(tapeKey{fmt.Sprintf("%s+poll%d", name, every), seed}, need,
-		func(n int) ([]isa.UOp, func() []isa.MicroOp) {
-			uout := make([]isa.UOp, 0, n)
+		func(n int) []isa.UOp {
+			out := make([]isa.UOp, 0, n)
 			since, i := 0, 0
-			for len(uout) < n {
+			for len(out) < n {
 				// Mirrors PollInstrumented.Next exactly: after every inner
 				// ops, a shared-flag load then a dependent branch.
 				if since >= every {
 					since = 0
-					uout = append(uout, checkLoadU)
-					if len(uout) < n {
-						uout = append(uout, checkBrU)
+					out = append(out, checkLoad)
+					if len(out) < n {
+						out = append(out, checkBr)
 					}
 					continue
 				}
 				if i >= len(base) {
 					panic("trace: derived poll tape exhausted its base recording")
 				}
-				uout = append(uout, baseU[i])
+				out = append(out, base[i])
 				i++
 				since++
 			}
-			return uout, func() []isa.MicroOp {
-				// Same interleave over the MicroOp side; the eager pass
-				// above already proved base covers n, so indexing is safe.
-				out := make([]isa.MicroOp, 0, n)
-				since, i := 0, 0
-				for len(out) < n {
-					if since >= every {
-						since = 0
-						out = append(out, checkLoad)
-						if len(out) < n {
-							out = append(out, checkBr)
-						}
-						continue
-					}
-					out = append(out, base[i])
-					i++
-					since++
-				}
-				return out
-			}
+			return out
 		})
 }
 
@@ -215,20 +202,14 @@ func RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
 	if baseT == nil {
 		return nil
 	}
-	base, baseU := baseT.Ops(), baseT.Decoded().Ops
+	base := baseT.Decoded().Ops
 	return derivedStream(tapeKey{fmt.Sprintf("%s+sp%d", name, every), seed}, need,
-		func(n int) ([]isa.UOp, func() []isa.MicroOp) {
-			uout := append([]isa.UOp(nil), baseU[:n]...)
+		func(n int) []isa.UOp {
+			out := append([]isa.UOp(nil), base[:n]...)
 			for i := every - 1; i < n; i += every {
-				uout[i].Flags |= isa.FSafepoint
+				out[i].Flags |= isa.FSafepoint
 			}
-			return uout, func() []isa.MicroOp {
-				out := append([]isa.MicroOp(nil), base[:n]...)
-				for i := every - 1; i < n; i += every {
-					out[i].Safepoint = true
-				}
-				return out
-			}
+			return out
 		})
 }
 
@@ -245,19 +226,23 @@ func RecordedStream(key string, budget uint64, mk func() isa.Stream) isa.Stream 
 
 // batchFiller is an optional Stream extension: fill dst completely, in
 // exactly the order the same number of Next calls would produce. It lets
-// recording write micro-ops straight into the tape's backing array
-// instead of round-tripping each 48-byte op through an interface call.
+// recording generate a chunk of micro-ops into a reusable buffer with
+// one interface call, then decode the chunk into the tape's array.
 type batchFiller interface {
 	Fill(dst []isa.MicroOp)
 }
+
+// fillChunk is the size, in micro-ops, of the reusable buffer a
+// batchFiller generates into during recording (192 KiB of MicroOps).
+const fillChunk = 4096
 
 // tapeQuantum rounds recording sizes up so repeated requests for
 // slightly different lengths — a density sweep's varying combined
 // budgets, the shared base under different derivations — hit one
 // recording instead of growing over and over. Growth is not just the
-// suffix generation: it publishes a fresh Tape whose micro-op decode
-// is recomputed from scratch, which dwarfs the cost of recording a
-// few thousand ops nobody replays.
+// suffix generation: it copies the whole decoded prefix into a fresh
+// array and repartitions it into blocks, which dwarfs the cost of
+// recording a few thousand ops nobody replays.
 const tapeQuantum = 16384
 
 func quantizeTapeLen(need int) int {
@@ -281,9 +266,9 @@ func tapeEntryFor(key tapeKey) *tapeEntry {
 
 // growLocked records or grows the entry (e.mu held) so it holds at least
 // need ops, returning false when mkGen produces no generator. The
-// already-recorded prefix is copied into a fresh array (the old tape and
+// already-decoded prefix is copied into a fresh array (the old tape and
 // any live replayers keep the old one) and only the suffix is generated
-// from the retained generator.
+// from the retained generator, decoding as it goes.
 func (e *tapeEntry) growLocked(key tapeKey, need int, mkGen func() isa.Stream) bool {
 	if e.gen == nil {
 		e.gen = mkGen()
@@ -291,32 +276,27 @@ func (e *tapeEntry) growLocked(key tapeKey, need int, mkGen func() isa.Stream) b
 			return false
 		}
 	}
-	n0 := len(e.ops)
-	grown := make([]isa.MicroOp, need)
-	copy(grown, e.ops)
-	old := e.tape
-	e.ops = grown
+	grown := make([]isa.UOp, need)
+	n0 := 0
+	if old := e.tape.Load(); old != nil {
+		n0 = copy(grown, old.Decoded().Ops)
+	}
 	if bf, ok := e.gen.(batchFiller); ok {
-		bf.Fill(e.ops[n0:])
+		chunk := make([]isa.MicroOp, min(fillChunk, need-n0))
+		for i := n0; i < need; i += len(chunk) {
+			chunk = chunk[:min(len(chunk), need-i)]
+			bf.Fill(chunk)
+			for j, m := range chunk {
+				grown[i+j] = isa.Decode(m)
+			}
+		}
 	} else {
 		for i := n0; i < need; i++ {
-			e.ops[i], _ = e.gen.Next()
+			m, _ := e.gen.Next()
+			grown[i] = isa.Decode(m)
 		}
 	}
-	// If someone already paid for the old tape's decode, grow it too:
-	// copy the prefix lowering and decode only the new suffix, instead
-	// of letting the fresh tape re-lower everything on first use.
-	if old != nil {
-		if dec := old.DecodedIfBuilt(); dec != nil {
-			uops := make([]isa.UOp, 0, need)
-			uops = append(uops, dec.Ops...)
-			uops = isa.DecodeSlice(uops, e.ops[n0:])
-			e.tape = isa.NewTapePreDecoded(key.name, e.ops, uops)
-			tapeReg.recordings.Add(1)
-			return true
-		}
-	}
-	e.tape = isa.NewTape(key.name, e.ops)
+	e.tape.Store(isa.NewDecodedTape(key.name, grown))
 	tapeReg.recordings.Add(1)
 	return true
 }
@@ -329,56 +309,48 @@ func recordedStream(key tapeKey, need int, mkGen func() isa.Stream) isa.Stream {
 	e := tapeEntryFor(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tape == nil || e.tape.Len() < need {
+	if t := e.tape.Load(); t == nil || t.Len() < need {
 		if !e.growLocked(key, need, mkGen) {
 			return nil
 		}
 	} else {
 		tapeReg.replays.Add(1)
 	}
-	return e.tape.Stream()
+	return e.tape.Load().Stream()
 }
 
 // recordedTape ensures the registry entry for key holds at least need
 // recorded ops and returns its tape (immutable once returned: growth
-// publishes a fresh Tape). Derivations read its ops and decode
-// directly, so the base decode is shared with every plain run.
+// publishes a fresh Tape). Derivations read its decoded ops directly,
+// so the base decode is shared with every plain run.
 func recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *isa.Tape {
 	need = quantizeTapeLen(need)
 	e := tapeEntryFor(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tape == nil || e.tape.Len() < need {
+	if t := e.tape.Load(); t == nil || t.Len() < need {
 		if !e.growLocked(key, need, mkGen) {
 			return nil
 		}
 	}
-	return e.tape
+	return e.tape.Load()
 }
 
-// derivedStream returns a replayer over a tape computed by build —
-// a pure function of already-recorded ops returning the micro-op array
-// and its element-wise decode (build(n) must be a prefix of build(m)
-// for n < m, which any deterministic derivation satisfies). Growth
-// rebuilds from scratch: derivation runs at memcpy speed, so retaining
-// generator state buys nothing.
-func derivedStream(key tapeKey, need int, build func(n int) ([]isa.UOp, func() []isa.MicroOp)) isa.Stream {
+// derivedStream returns a replayer over a tape computed by build — a
+// pure function of already-recorded decoded ops (build(n) must be a
+// prefix of build(m) for n < m, which any deterministic derivation
+// satisfies). Derived entries keep no generator: growth rebuilds from
+// scratch, since derivation runs at memcpy speed.
+func derivedStream(key tapeKey, need int, build func(n int) []isa.UOp) isa.Stream {
 	need = quantizeTapeLen(need)
 	e := tapeEntryFor(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.tape == nil || e.tape.Len() < need {
-		// Only the decoded form is built eagerly: the fast pipeline
-		// reads nothing else. The MicroOp array comes from opsFn the
-		// first time an interpreted run or a test asks. e.ops stays nil
-		// — derived entries have no generator, so the growth path never
-		// applies; a larger need rebuilds through build instead.
-		uops, opsFn := build(need)
-		e.ops = nil
-		e.tape = isa.NewTapeLazyOps(key.name, uops, opsFn)
+	if t := e.tape.Load(); t == nil || t.Len() < need {
+		e.tape.Store(isa.NewDecodedTape(key.name, build(need)))
 		tapeReg.recordings.Add(1)
 	} else {
 		tapeReg.replays.Add(1)
 	}
-	return e.tape.Stream()
+	return e.tape.Load().Stream()
 }

@@ -1,10 +1,43 @@
 package trace
 
 import (
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+	"unsafe"
 
 	"xui/internal/isa"
 )
+
+// matchLive checks the tape behind stream against a live generator for
+// n ops: the tape's decoded op i must equal Decode of the generator's
+// op i, and the stream's Next must return Lift of that decoded op.
+func matchLive(t *testing.T, label string, stream, live isa.Stream, n int) {
+	t.Helper()
+	ts, ok := stream.(*isa.TapeStream)
+	if !ok {
+		t.Fatalf("%s: got %T, want a tape stream", label, stream)
+	}
+	dec := ts.Tape().Decoded().Ops
+	if len(dec) < n {
+		t.Fatalf("%s: tape holds %d ops, want at least %d", label, len(dec), n)
+	}
+	for i := 0; i < n; i++ {
+		m, okL := live.Next()
+		got, okT := ts.Next()
+		if !okT || !okL {
+			t.Fatalf("%s: stream ended at op %d (tape ok=%v, live ok=%v)", label, i, okT, okL)
+		}
+		if want := isa.Decode(m); dec[i] != want {
+			t.Fatalf("%s: op %d differs: tape %+v, live %+v", label, i, dec[i], want)
+		}
+		if want := isa.Lift(dec[i]); got != want {
+			t.Fatalf("%s: Next at op %d = %+v, want Lift %+v", label, i, got, want)
+		}
+	}
+}
 
 // TestTapeMatchesGenerator checks a recorded tape replays exactly the
 // ops the live generator produces — the property that lets every
@@ -14,18 +47,7 @@ func TestTapeMatchesGenerator(t *testing.T) {
 	for _, name := range []string{"fib", "linpack", "memops", "matmul", "base64"} {
 		ResetTapes()
 		const budget = 5000
-		tape := Recorded(name, 1, budget)
-		live := ByName(name, 1)
-		for i := 0; i < budget+TapeSlack; i++ {
-			got, okT := tape.Next()
-			want, okL := live.Next()
-			if !okT || !okL {
-				t.Fatalf("%s: stream ended at op %d (tape ok=%v, live ok=%v)", name, i, okT, okL)
-			}
-			if got != want {
-				t.Fatalf("%s: op %d differs: tape %+v, live %+v", name, i, got, want)
-			}
-		}
+		matchLive(t, name, Recorded(name, 1, budget), ByName(name, 1), budget+TapeSlack)
 	}
 }
 
@@ -43,13 +65,10 @@ func TestRecordedGrowth(t *testing.T) {
 	if got := Tapes(); got.Recordings != 2 {
 		t.Fatalf("after growth: %d recordings, want 2", got.Recordings)
 	}
-	for i := 0; i < 1000+TapeSlack; i++ {
-		a, _ := short.Next()
-		b, _ := long.Next()
-		if a != b {
-			t.Fatalf("op %d changed across growth: %+v vs %+v", i, a, b)
-		}
-	}
+	// The grown tape must replay the live generator across the old end,
+	// and the old tape must be unchanged by the growth.
+	matchLive(t, "grown", long, ByName("fib", 1), 20000+TapeSlack)
+	matchLive(t, "short", short, ByName("fib", 1), 1000+TapeSlack)
 	Recorded("fib", 1, 15000) // fits: replay, no re-record
 	s := Tapes()
 	if s.Recordings != 2 || s.Replays != 1 {
@@ -70,48 +89,127 @@ func TestDerivedTapesMatchGenerators(t *testing.T) {
 	for _, every := range []int{1, 2, 7, 25, 100} {
 		ResetTapes()
 		const inner = 3000
-		tape := RecordedPoll("matmul", 3, inner, every, 0xF0)
-		live := NewPollInstrumented(ByName("matmul", 3), every, 0xF0)
-		n := inner + inner/every*2 + TapeSlack
-		for i := 0; i < n; i++ {
-			got, _ := tape.Next()
-			want, _ := live.Next()
-			if got != want {
-				t.Fatalf("poll every=%d: op %d differs: tape %+v, live %+v", every, i, got, want)
-			}
-		}
+		label := fmt.Sprintf("poll every=%d", every)
+		matchLive(t, label, RecordedPoll("matmul", 3, inner, every, 0xF0),
+			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), inner+inner/every*2+TapeSlack)
 		// Growth must keep the shorter derivation as an exact prefix.
-		grownTape := RecordedPoll("matmul", 3, 2*inner, every, 0xF0)
-		liveG := NewPollInstrumented(ByName("matmul", 3), every, 0xF0)
-		for i := 0; i < 2*inner; i++ {
-			got, _ := grownTape.Next()
-			want, _ := liveG.Next()
-			if got != want {
-				t.Fatalf("poll every=%d grown: op %d differs: tape %+v, live %+v", every, i, got, want)
-			}
-		}
+		matchLive(t, label+" grown", RecordedPoll("matmul", 3, 2*inner, every, 0xF0),
+			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), 2*inner)
 
-		spTape := RecordedSafepoint("fib", 5, inner, every)
-		spLive := NewSafepointAnnotated(ByName("fib", 5), every)
-		for i := 0; i < inner+TapeSlack; i++ {
-			got, _ := spTape.Next()
-			want, _ := spLive.Next()
-			if got != want {
-				t.Fatalf("safepoint every=%d: op %d differs: tape %+v, live %+v", every, i, got, want)
-			}
-		}
-
-		// The pre-seeded decode must equal lowering each micro-op.
-		for _, s := range []isa.Stream{tape, spTape} {
-			dt := s.(*isa.TapeStream).Tape()
-			dec := dt.Decoded()
-			for i, m := range dt.Ops() {
-				if dec.Ops[i] != isa.Decode(m) {
-					t.Fatalf("%s every=%d: decoded op %d is %+v, want %+v", dt.Name(), every, i, dec.Ops[i], isa.Decode(m))
-				}
-			}
-		}
+		matchLive(t, fmt.Sprintf("safepoint every=%d", every), RecordedSafepoint("fib", 5, inner, every),
+			NewSafepointAnnotated(ByName("fib", 5), every), inner+TapeSlack)
 	}
+}
+
+// TestTapeStatsBytes checks TapeStats.Bytes against known recordings:
+// each resident tape is charged 24 bytes per decoded op plus 12 per
+// basic block, and nothing else — derived tapes included.
+func TestTapeStatsBytes(t *testing.T) {
+	defer ResetTapes()
+	ResetTapes()
+	const uopBytes, blockBytes = 24, 12
+	if unsafe.Sizeof(isa.UOp{}) != uopBytes || unsafe.Sizeof(isa.Block{}) != blockBytes {
+		t.Fatalf("sizeof(UOp, Block) = %d, %d; want %d, %d",
+			unsafe.Sizeof(isa.UOp{}), unsafe.Sizeof(isa.Block{}), uopBytes, blockBytes)
+	}
+	var wantOps, wantBytes uint64
+	for _, s := range []isa.Stream{
+		Recorded("fib", 1, 1000),
+		RecordedSafepoint("fib", 1, 1000, 4),
+		RecordedPoll("linpack", 2, 1000, 10, 0xF0),
+	} {
+		d := s.(*isa.TapeStream).Tape().Decoded()
+		if cap(d.Ops) != len(d.Ops) || cap(d.Blocks) != len(d.Blocks) {
+			t.Fatalf("%s: arrays carry slack: ops %d/%d, blocks %d/%d",
+				d.Name, len(d.Ops), cap(d.Ops), len(d.Blocks), cap(d.Blocks))
+		}
+		wantOps += uint64(len(d.Ops))
+		wantBytes += uint64(len(d.Ops))*uopBytes + uint64(len(d.Blocks))*blockBytes
+	}
+	// RecordedPoll also recorded linpack's base tape.
+	base := Recorded("linpack", 2, 0).(*isa.TapeStream).Tape().Decoded()
+	wantOps += uint64(len(base.Ops))
+	wantBytes += uint64(len(base.Ops))*uopBytes + uint64(len(base.Blocks))*blockBytes
+
+	got := Tapes()
+	if got.Tapes != 4 || got.Ops != wantOps || got.Bytes != wantBytes {
+		t.Fatalf("stats = %+v, want 4 tapes, %d ops, %d bytes", got, wantOps, wantBytes)
+	}
+}
+
+// TestTapeRetainedBytesPerOp pins what a recorded tape keeps alive: its
+// decoded ops (24 bytes each) and block partition, and no second copy
+// of the ops in MicroOp form. fib is the block-densest workload (about
+// one block per four ops, ~3 bytes per op).
+func TestTapeRetainedBytesPerOp(t *testing.T) {
+	defer ResetTapes()
+	ResetTapes()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s := Recorded("fib", 1, 1<<20).(*isa.TapeStream)
+	n := s.Tape().Decoded() // the engine's view of the tape
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(n)
+	const slack = 4 // bytes per op: blocks, registry and generator state
+	perOp := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(n.Ops))
+	if max := float64(unsafe.Sizeof(isa.UOp{}) + slack); perOp > max {
+		t.Fatalf("a %d-op tape retains %.1f bytes per op, want at most %.0f", len(n.Ops), perOp, max)
+	}
+}
+
+// TestTapesDoesNotWaitOnRecording checks a recording in progress blocks
+// neither the stats snapshot nor recordings of other keys: Tapes and
+// Recorded on another key must return while a generator is stuck
+// mid-Fill.
+func TestTapesDoesNotWaitOnRecording(t *testing.T) {
+	defer ResetTapes()
+	ResetTapes()
+	g := &stuckGen{entered: make(chan struct{}), release: make(chan struct{})}
+	recorded := make(chan struct{})
+	go func() {
+		RecordedStream("stuck", 100, func() isa.Stream { return g })
+		close(recorded)
+	}()
+	<-g.entered
+	done := make(chan TapeStats)
+	go func() {
+		s := Tapes()
+		Recorded("fib", 1, 100)
+		done <- s
+	}()
+	select {
+	case s := <-done:
+		if s.Tapes != 1 || s.Ops != 0 {
+			t.Errorf("stats during recording = %+v, want 1 entry and no published ops", s)
+		}
+	case <-time.After(10 * time.Second):
+		close(g.release) // unwind, so the deferred ResetTapes can lock
+		t.Fatal("Tapes or Recorded blocked behind another key's recording")
+	}
+	close(g.release)
+	<-recorded
+	if s := Tapes(); s.Tapes != 2 || s.Recordings != 2 {
+		t.Errorf("stats after recording = %+v, want 2 tapes / 2 recordings", s)
+	}
+}
+
+// stuckGen is a batch-filling generator whose first Fill blocks until
+// released.
+type stuckGen struct {
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+func (g *stuckGen) Name() string              { return "stuck" }
+func (g *stuckGen) Next() (isa.MicroOp, bool) { return isa.MicroOp{}, true }
+func (g *stuckGen) Fill(dst []isa.MicroOp) {
+	g.once.Do(func() {
+		close(g.entered)
+		<-g.release
+	})
+	clear(dst)
 }
 
 // TestRecordedDisabled checks the tapes-off path returns live
