@@ -11,6 +11,7 @@
 package xui_test
 
 import (
+	"io"
 	"testing"
 
 	"xui/internal/check"
@@ -216,10 +217,11 @@ func BenchmarkObsDisabled(b *testing.B) {
 	}
 }
 
-// BenchmarkObsEnabled measures the same run with a live tracer + registry
-// attached, bounding the cost of full tracing.
+// BenchmarkObsEnabled measures the same run with a registry and a tracer
+// streaming to io.Discard attached, bounding the cost of full tracing,
+// event encoding included.
 func BenchmarkObsEnabled(b *testing.B) {
-	experiments.SetObservability(obs.NewContext())
+	experiments.SetObservability(&obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()})
 	defer experiments.SetObservability(nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

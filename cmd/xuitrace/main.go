@@ -54,7 +54,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("traced the Fig. 2 scenario to %s (%d events; arrive=%.0f deliveryDone=%.0f)\n",
-			tracePath, uint64(ctx.Trace.Len())+ctx.Trace.Streamed(), r.Arrive, r.DeliveryDone)
+			tracePath, ctx.Trace.Events(), r.Arrive, r.DeliveryDone)
 		return
 	}
 

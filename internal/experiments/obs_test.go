@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"testing"
 
 	"xui/internal/obs"
@@ -13,18 +14,18 @@ import (
 // JSON whose interrupt spans appear in the flush → refill → delivery order
 // the paper's timeline describes.
 func TestTracedFig2ChromeTrace(t *testing.T) {
-	ctx := obs.NewContext()
+	var buf bytes.Buffer
+	ctx := &obs.Context{Trace: obs.NewStreamTracer(&buf), Metrics: obs.NewRegistry()}
 	r := TracedFig2(ctx)
 	if r.Arrive == 0 || r.DeliveryDone == 0 {
 		t.Fatalf("traced Fig2 returned an empty result: %+v", r)
 	}
 
-	var buf bytes.Buffer
-	if err := ctx.Trace.Export(&buf); err != nil {
-		t.Fatalf("export: %v", err)
+	if err := ctx.Trace.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("trace export is not valid JSON")
+		t.Fatalf("streamed trace is not valid JSON")
 	}
 	var parsed struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
@@ -86,14 +87,14 @@ func TestObservabilityRestored(t *testing.T) {
 	if Observability() != nil {
 		t.Fatal("observability unexpectedly enabled at test start")
 	}
-	ctx := obs.NewContext()
+	ctx := &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}
 	TracedFig2(ctx)
 	if Observability() != nil {
 		t.Error("TracedFig2 left the package sink installed")
 	}
-	n := ctx.Trace.Len()
+	n := ctx.Trace.Events()
 	Fig2() // untraced
-	if ctx.Trace.Len() != n {
+	if ctx.Trace.Events() != n {
 		t.Error("untraced run appended events to a detached context")
 	}
 }

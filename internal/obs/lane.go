@@ -9,21 +9,22 @@ package obs
 // deterministic, the parent's event sequence is byte-identical at any
 // worker count.
 
-// NewLane returns a fresh buffered child tracer suitable for one shard's
-// epoch-local recording. A nil parent yields a nil lane, so a disabled
-// trace stays disabled shard-locally too.
+// NewLane returns a fresh buffered child tracer for one shard's
+// epoch-local recording. A lane has no writer and no cap; it holds one
+// epoch's events until the barrier absorbs it. A nil parent yields a nil
+// lane, so a disabled trace stays disabled shard-locally too.
 func (t *Tracer) NewLane() *Tracer {
 	if t == nil {
 		return nil
 	}
-	return &Tracer{MaxEvents: t.MaxEvents}
+	return &Tracer{}
 }
 
 // AbsorbFrom moves every buffered event from child into t, preserving the
 // child's recording order, and resets the child for the next epoch. The
 // caller must guarantee the child is quiescent (no goroutine is recording
-// into it) — the epoch barrier provides exactly that. Child tracers must
-// be buffered; absorbing a streaming child panics.
+// into it) — the epoch barrier provides exactly that. The child must be a
+// lane; absorbing a streaming tracer panics.
 func (t *Tracer) AbsorbFrom(child *Tracer) {
 	if t == nil || child == nil || t == child {
 		return
@@ -31,19 +32,12 @@ func (t *Tracer) AbsorbFrom(child *Tracer) {
 	child.mu.Lock()
 	if child.stream != nil {
 		child.mu.Unlock()
-		panic("obs: AbsorbFrom child must be a plain buffered tracer")
+		panic("obs: AbsorbFrom child must be a lane")
 	}
 	evs := child.events
-	dropped := child.dropped
 	child.events = evs[:0]
-	child.dropped = 0
 	child.mu.Unlock()
 	for i := range evs {
 		t.add(evs[i])
-	}
-	if dropped > 0 {
-		t.mu.Lock()
-		t.dropped += dropped
-		t.mu.Unlock()
 	}
 }

@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer shared by both simulation
-// tiers: a structured trace recorder that exports Chrome trace-event /
-// Perfetto JSON, and a metrics registry of counters, gauges and
-// log-bucketed histograms with JSON snapshot export.
+// tiers: a structured trace recorder that streams Chrome trace-event /
+// Perfetto JSON to a writer as it records, and a metrics registry of
+// counters, gauges and log-bucketed histograms with JSON snapshot export.
 //
 // Observability is strictly opt-in. Every entry point is nil-safe: calling
 // any method on a nil *Tracer, *Registry or *Context is a no-op, so
@@ -16,7 +16,7 @@
 // # Conventions
 //
 // Trace timestamps are simulated cycles of the 2 GHz machine and are
-// converted to fractional microseconds at export time (the unit the Chrome
+// converted to fractional microseconds when serialised (the unit the Chrome
 // trace-event format specifies). Process/thread IDs partition the timeline:
 //
 //	pid 1 — Tier-1 pipeline cores (tid = core index)
@@ -26,13 +26,7 @@
 // "cpu0/delivered", "vcore1/cycles/notify", "sim/events_fired".
 package obs
 
-import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sync"
-)
+import "sync"
 
 // CyclesPerMicrosecond converts simulated cycles to trace microseconds
 // (2 GHz clock, matching sim.CyclesPerSecond).
@@ -50,24 +44,8 @@ const (
 	SweepPid uint32 = 3
 )
 
-// DefaultMaxEvents bounds a Tracer's buffered event count so that tracing a
-// long Tier-2 horizon cannot exhaust memory. What happens past the cap
-// depends on the tracer's mode:
-//
-//   - Buffered (the default): further events are counted in Dropped() and
-//     discarded. The loss is never silent — Export appends a final
-//     "trace_dropped" metadata event plus otherData.droppedEvents, and
-//     Context.ExportFiles publishes an "obs/dropped" counter into the
-//     metrics registry.
-//   - Streaming (StreamTo/StreamFile): there is no cap. MaxEvents is
-//     ignored; resident memory is bounded by the chunk size and every
-//     event reaches the stream (the mode long captures should use).
-//
-// Raise Tracer.MaxEvents for deep buffered captures, or stream instead.
-const DefaultMaxEvents = 1 << 21
-
 // event is one Chrome trace-event record. Timestamps are kept in cycles
-// until export.
+// until serialised.
 type event struct {
 	name     string
 	cat      string
@@ -78,81 +56,51 @@ type event struct {
 	args     map[string]any
 }
 
-// Tracer records structured events and serialises them in the Chrome
+// Tracer records structured events and streams them in the Chrome
 // trace-event JSON format understood by Perfetto (ui.perfetto.dev) and
 // chrome://tracing. A nil Tracer discards everything. Tracer is safe for
 // concurrent use: each Simulator is single-threaded, but the sweep engine
 // (internal/sweep) fans independent runs across worker goroutines that all
 // record into the one tracer the CLI installed.
 //
-// A tracer operates in one of two modes (see DefaultMaxEvents for the
-// overflow semantics of each): buffered (record then Export) or streaming
-// (StreamTo/StreamFile: events flow to an io.Writer in bounded-memory
-// chunks as they are recorded).
+// A root tracer (NewStreamTracer/StreamFile) serialises events to its
+// writer in bounded-memory chunks as they are recorded; Close seals the
+// document. A per-shard lane (NewLane) only buffers: the sharded engine's
+// epoch barrier absorbs it into its root.
 type Tracer struct {
-	// MaxEvents caps the buffer; zero means DefaultMaxEvents. Ignored in
-	// streaming mode.
-	MaxEvents int
+	mu     sync.Mutex
+	events []event //xui:guardedby mu
+	n      uint64  //xui:guardedby mu
 
-	mu      sync.Mutex
-	events  []event //xui:guardedby mu
-	dropped uint64  //xui:guardedby mu
-
-	stream *streamState // non-nil: streaming mode
+	stream *streamState // nil on a lane
 	closed bool         //xui:guardedby mu
 }
-
-// NewTracer returns an empty buffered tracer with the default event cap.
-func NewTracer() *Tracer { return &Tracer{} }
 
 // Enabled reports whether events will be recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Len returns the number of resident (buffered, not yet flushed) events.
-func (t *Tracer) Len() int {
+// Events returns the number of events recorded so far.
+func (t *Tracer) Events() uint64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.events)
-}
-
-// Dropped returns the number of events discarded after the buffered-mode
-// cap was hit (or recorded after Close).
-func (t *Tracer) Dropped() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	return t.n
 }
 
 //xui:noalloc
 func (t *Tracer) add(e event) {
-	limit := t.MaxEvents
-	if limit == 0 {
-		limit = DefaultMaxEvents
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
-		t.dropped++
-		return
-	}
-	if t.stream != nil {
-		t.events = append(t.events, e)
-		if len(t.events) >= t.stream.chunk {
-			t.flushLocked() // cold path: serialisation lives off the recording path
-		}
-		return
-	}
-	if len(t.events) >= limit {
-		t.dropped++
 		return
 	}
 	t.events = append(t.events, e)
+	t.n++
+	if t.stream != nil && len(t.events) >= t.stream.chunk {
+		t.flushLocked() // cold path: serialisation lives off the recording path
+	}
 }
 
 // Span records a complete ('X') event covering [startCy, endCy]. Zero-length
@@ -202,66 +150,6 @@ func (t *Tracer) NameThread(pid, tid uint32, name string) {
 
 func cyclesToUs(cy uint64) float64 { return float64(cy) / CyclesPerMicrosecond }
 
-// lossEvents returns the metadata event that closes a trace which dropped
-// events: "trace_dropped", carrying the count.
-func lossEvents(dropped uint64) []event {
-	if dropped == 0 {
-		return nil
-	}
-	return []event{{name: "trace_dropped", ph: 'M', args: map[string]any{"count": dropped}}}
-}
-
-// Export writes the buffered events as a Chrome trace-event JSON object
-// ({"traceEvents": [...]}), loadable by Perfetto and chrome://tracing,
-// through the streaming encoder: a buffered trace parses to the same
-// events as a streamed one. A nil tracer exports an empty (still valid)
-// trace. Dropped events are never silent: the export ends with a
-// "trace_dropped" metadata event carrying the count, in addition to
-// otherData.droppedEvents. Streaming tracers are
-// exported by Close, not Export (the events already went to their writer).
-func (t *Tracer) Export(w io.Writer) error {
-	b := []byte(streamPrologue)
-	var other struct {
-		Dropped uint64 `json:"droppedEvents,omitempty"`
-	}
-	if t != nil {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		if t.stream != nil {
-			return fmt.Errorf("obs: Export on a streaming tracer; use Close to finalise the stream")
-		}
-		// The clipped capacity keeps append off the buffer's spare room.
-		for i, e := range append(t.events[:len(t.events):len(t.events)], lossEvents(t.dropped)...) {
-			b = appendElem(b, e, i == 0)
-		}
-		other.Dropped = t.dropped
-	}
-	b = append(b, "\n]"...)
-	if other.Dropped > 0 {
-		raw, err := json.Marshal(other)
-		if err != nil {
-			return err
-		}
-		b = append(b, `,"otherData":`...)
-		b = append(b, raw...)
-	}
-	_, err := w.Write(append(b, "}\n"...))
-	return err
-}
-
-// ExportFile writes the trace to path.
-func (t *Tracer) ExportFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := t.Export(f); err != nil {
-		f.Close()
-		return fmt.Errorf("obs: exporting trace to %s: %w", path, err)
-	}
-	return f.Close()
-}
-
 // Context bundles a tracer and a registry, either of which may be nil. It
 // is the single handle instrumented components hold; a nil *Context (or a
 // Context with both fields nil) disables observability entirely.
@@ -270,12 +158,7 @@ type Context struct {
 	Metrics *Registry
 }
 
-// NewContext returns a context with a fresh tracer and registry.
-func NewContext() *Context {
-	return &Context{Trace: NewTracer(), Metrics: NewRegistry()}
-}
-
-// Tracer returns the context's tracer, nil when ctx is nil.
+// TracerOrNil returns the context's tracer, nil when ctx is nil.
 func (c *Context) TracerOrNil() *Tracer {
 	if c == nil {
 		return nil
@@ -289,33 +172,4 @@ func (c *Context) RegistryOrNil() *Registry {
 		return nil
 	}
 	return c.Metrics
-}
-
-// ExportFiles writes the context's trace and metrics snapshot to the given
-// paths; an empty path skips that export. A streaming tracer is finalised
-// with Close instead (its events already went to the stream), and any
-// event loss is published as the "obs/dropped" counter before the metrics
-// snapshot is taken. A nil context is a no-op.
-func (c *Context) ExportFiles(tracePath, metricsPath string) error {
-	if c == nil {
-		return nil
-	}
-	if d := c.Trace.Dropped(); d > 0 {
-		c.Metrics.Add("obs/dropped", d)
-	}
-	if c.Trace.Streaming() {
-		if err := c.Trace.Close(); err != nil {
-			return err
-		}
-	} else if tracePath != "" {
-		if err := c.Trace.ExportFile(tracePath); err != nil {
-			return err
-		}
-	}
-	if metricsPath != "" {
-		if err := c.Metrics.ExportFile(metricsPath); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -3,7 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
+	"io"
 	"sync"
 	"testing"
 
@@ -15,14 +15,20 @@ type chromeTrace struct {
 	TraceEvents []map[string]any `json:"traceEvents"`
 }
 
-func parseTrace(t *testing.T, tr *Tracer) chromeTrace {
-	t.Helper()
+// bufTracer returns a root tracer streaming into a fresh buffer.
+func bufTracer() (*Tracer, *bytes.Buffer) {
 	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatalf("export: %v", err)
+	return NewStreamTracer(&buf), &buf
+}
+
+// parseTrace closes tr and parses the document it streamed into buf.
+func parseTrace(t *testing.T, tr *Tracer, buf *bytes.Buffer) chromeTrace {
+	t.Helper()
+	if err := tr.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 	if !json.Valid(buf.Bytes()) {
-		t.Fatalf("export produced invalid JSON: %s", buf.String())
+		t.Fatalf("stream produced invalid JSON: %s", buf.String())
 	}
 	var ct chromeTrace
 	if err := json.Unmarshal(buf.Bytes(), &ct); err != nil {
@@ -32,14 +38,14 @@ func parseTrace(t *testing.T, tr *Tracer) chromeTrace {
 }
 
 func TestTracerEventShapes(t *testing.T) {
-	tr := NewTracer()
+	tr, buf := bufTracer()
 	tr.NameProcess(1, "tier1")
 	tr.NameThread(1, 0, "core0")
 	tr.Span(1, 0, "delivery", "interrupt", 2000, 2400, map[string]any{"k": 1})
 	tr.Instant(1, 0, "arrive", "interrupt", 2000, nil)
 	tr.Counter(1, "pending", 2000, 3)
 
-	ct := parseTrace(t, tr)
+	ct := parseTrace(t, tr, buf)
 	if len(ct.TraceEvents) != 5 {
 		t.Fatalf("got %d events, want 5", len(ct.TraceEvents))
 	}
@@ -67,9 +73,9 @@ func TestTracerEventShapes(t *testing.T) {
 }
 
 func TestTracerZeroLengthSpanWidened(t *testing.T) {
-	tr := NewTracer()
+	tr, buf := bufTracer()
 	tr.Span(1, 0, "x", "", 100, 100, nil)
-	ct := parseTrace(t, tr)
+	ct := parseTrace(t, tr, buf)
 	if d := ct.TraceEvents[0]["dur"].(float64); d <= 0 {
 		t.Errorf("zero-length span exported with dur=%v", d)
 	}
@@ -82,33 +88,13 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.Counter(1, "a", 0, 1)
 	tr.NameProcess(1, "p")
 	tr.NameThread(1, 0, "t")
-	if tr.Enabled() || tr.Len() != 0 || tr.Dropped() != 0 {
+	if tr.Enabled() || tr.Events() != 0 || tr.Close() != nil || tr.flush() != nil {
 		t.Fatal("nil tracer should be inert")
 	}
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatalf("nil export: %v", err)
+	if tr.NewLane() != nil {
+		t.Fatal("nil tracer handed out a live lane")
 	}
-	if !json.Valid(buf.Bytes()) || !strings.Contains(buf.String(), "traceEvents") {
-		t.Fatalf("nil export not a valid empty trace: %s", buf.String())
-	}
-}
-
-func TestTracerCap(t *testing.T) {
-	tr := &Tracer{MaxEvents: 4}
-	for i := 0; i < 10; i++ {
-		tr.Instant(1, 0, "e", "", uint64(i), nil)
-	}
-	if tr.Len() != 4 || tr.Dropped() != 6 {
-		t.Fatalf("cap: len=%d dropped=%d", tr.Len(), tr.Dropped())
-	}
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "droppedEvents") {
-		t.Error("dropped count not surfaced in export")
-	}
+	tr.AbsorbFrom(nil)
 }
 
 func TestRegistryBasics(t *testing.T) {
@@ -253,7 +239,7 @@ func TestAddCycleAccount(t *testing.T) {
 }
 
 func TestPipelineFlushSpanOrder(t *testing.T) {
-	tr := NewTracer()
+	tr, buf := bufTracer()
 	reg := NewRegistry()
 	p := NewPipeline(tr, reg, 1, 0)
 
@@ -269,7 +255,7 @@ func TestPipelineFlushSpanOrder(t *testing.T) {
 	p.IntrHandlerDone(1650)
 	p.IntrUiret(1660)
 
-	ct := parseTrace(t, tr)
+	ct := parseTrace(t, tr, buf)
 	ts := map[string]float64{}
 	for _, e := range ct.TraceEvents {
 		if e["ph"] == "X" {
@@ -309,7 +295,7 @@ func TestPipelineFlushSpanOrder(t *testing.T) {
 }
 
 func TestSimProbeSampling(t *testing.T) {
-	tr := NewTracer()
+	tr := NewStreamTracer(io.Discard)
 	reg := NewRegistry()
 	p := NewSimProbe(tr, reg, 2)
 	p.SampleEvery = 2
@@ -330,7 +316,7 @@ func TestSimProbeSampling(t *testing.T) {
 	bare.EventScheduled(0, 1)
 	bare.EventFired(1, 0)
 	bare.EventCancelled(1)
-	if tr.Len() != 5 {
-		t.Errorf("expected 5 sampled counter events, got %d", tr.Len())
+	if tr.Events() != 5 {
+		t.Errorf("expected 5 sampled counter events, got %d", tr.Events())
 	}
 }

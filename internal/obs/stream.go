@@ -12,34 +12,29 @@ import (
 // is bounded by this count regardless of how many events a run records.
 const DefaultStreamChunk = 4096
 
-// streamState is the streaming half of a Tracer: a chunked Chrome-trace
-// JSON writer that emits events incrementally. The document is
-// {"displayTimeUnit":"ns","traceEvents":[ e, e, ... ]} with the prologue
-// written on the first flush and the trailer (plus loss metadata) written
-// by Close — so a capture terminated early by Close is still a complete,
+// streamState is a root tracer's chunked Chrome-trace JSON writer. The
+// document is {"displayTimeUnit":"ns","traceEvents":[ e, e, ... ]} with
+// the prologue written on the first flush and the trailer written by
+// Close — so a capture terminated early by Close is still a complete,
 // valid JSON document containing everything recorded up to that point.
 type streamState struct {
 	w       io.Writer
 	closer  io.Closer // non-nil when the tracer owns the writer (StreamFile)
 	chunk   int       // events buffered before a flush
 	buf     []byte    // reusable serialisation buffer
-	written uint64    // events already serialised to the stream
 	started bool      // prologue written
 	err     error     // first write error; sticky
 }
 
-// NewStreamTracer returns a tracer in streaming mode: events are
-// serialised to w in chunks of DefaultStreamChunk as they are recorded,
-// so resident memory stays bounded no matter how long the capture runs.
-// Call Close (or Context.ExportFiles) to finalise the JSON document.
-func NewStreamTracer(w io.Writer) *Tracer { return NewStreamTracerChunk(w, DefaultStreamChunk) }
+// NewStreamTracer returns a root tracer: events are serialised to w in
+// chunks of DefaultStreamChunk as they are recorded, so resident memory
+// stays bounded no matter how long the capture runs. Call Close to
+// finalise the JSON document.
+func NewStreamTracer(w io.Writer) *Tracer { return newStreamTracerChunk(w, DefaultStreamChunk) }
 
-// NewStreamTracerChunk is NewStreamTracer with an explicit chunk size
-// (events buffered between flushes); n <= 0 means DefaultStreamChunk.
-func NewStreamTracerChunk(w io.Writer, n int) *Tracer {
-	if n <= 0 {
-		n = DefaultStreamChunk
-	}
+// newStreamTracerChunk is NewStreamTracer with an explicit chunk size
+// (events buffered between flushes).
+func newStreamTracerChunk(w io.Writer, n int) *Tracer {
 	return &Tracer{
 		events: make([]event, 0, n),
 		stream: &streamState{w: w, chunk: n},
@@ -58,33 +53,9 @@ func StreamFile(path string) (*Tracer, error) {
 	return t, nil
 }
 
-// Streaming reports whether the tracer is in streaming mode.
-func (t *Tracer) Streaming() bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.stream != nil
-}
-
-// Streamed returns the number of events serialised to the stream so far
-// (not counting events still buffered in the current chunk).
-func (t *Tracer) Streamed() uint64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.stream == nil {
-		return 0
-	}
-	return t.stream.written
-}
-
-// Flush serialises any buffered events to the stream. It is a no-op on
-// nil, non-streaming or already-closed tracers.
-func (t *Tracer) Flush() error {
+// flush serialises any buffered events to the stream. It is a no-op on
+// nil, lane or already-closed tracers.
+func (t *Tracer) flush() error {
 	if t == nil {
 		return nil
 	}
@@ -97,12 +68,11 @@ func (t *Tracer) Flush() error {
 	return t.stream.err
 }
 
-// Close flushes buffered events, writes the document trailer (including
-// dropped-event metadata, if any) and closes the writer if the tracer
-// owns it. The resulting output is a complete, valid Chrome-trace JSON
-// document even when the capture is terminated before the run finished.
-// Close is idempotent; events recorded after Close are counted as
-// dropped. On a nil or non-streaming tracer Close is a no-op.
+// Close flushes buffered events, writes the document trailer and closes
+// the writer if the tracer owns it. The resulting output is a complete,
+// valid Chrome-trace JSON document even when the capture is terminated
+// before the run finished. Close is idempotent; events recorded after
+// Close are discarded. On a nil tracer or a lane Close is a no-op.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
@@ -112,8 +82,6 @@ func (t *Tracer) Close() error {
 	if t.stream == nil || t.closed {
 		return nil
 	}
-	// Surface loss in-band before sealing the event array.
-	t.events = append(t.events, lossEvents(t.dropped)...)
 	t.flushLocked()
 	s := t.stream
 	if s.err == nil && !s.started {
@@ -154,14 +122,14 @@ func (t *Tracer) flushLocked() {
 		t.events = t.events[:0] //xui:lockok caller holds t.mu
 		return
 	}
-	if !s.started {
+	first := !s.started
+	if first {
 		s.write(streamPrologue)
 		s.started = true
 	}
 	s.buf = s.buf[:0]
-	for _, e := range t.events { //xui:lockok caller holds t.mu
-		s.buf = appendElem(s.buf, e, s.written == 0)
-		s.written++
+	for i, e := range t.events { //xui:lockok caller holds t.mu
+		s.buf = appendElem(s.buf, e, first && i == 0)
 	}
 	if s.err == nil {
 		_, s.err = s.w.Write(s.buf)

@@ -26,7 +26,7 @@ func decodeTrace(t *testing.T, raw []byte) []map[string]any {
 // third is flushed by Close).
 func TestStreamGolden(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewStreamTracerChunk(&buf, 2)
+	tr := newStreamTracerChunk(&buf, 2)
 	tr.NameProcess(1, "tier1")
 	tr.Span(1, 0, "work", "cat", 2000, 4000, nil)
 	if buf.Len() == 0 {
@@ -64,11 +64,11 @@ func TestStreamEmptyTrace(t *testing.T) {
 }
 
 // TestStreamEarlyClose asserts Close mid-capture seals a valid document
-// containing everything recorded so far, and that later records are counted
-// as dropped rather than corrupting the stream.
+// containing everything recorded so far, and that later records are
+// discarded rather than corrupting the stream.
 func TestStreamEarlyClose(t *testing.T) {
 	var buf bytes.Buffer
-	tr := NewStreamTracerChunk(&buf, 64) // all three still buffered at Close
+	tr := newStreamTracerChunk(&buf, 64) // all three still buffered at Close
 	for i := 0; i < 3; i++ {
 		tr.Instant(1, 0, "e", "", uint64(i)*2000, nil)
 	}
@@ -84,15 +84,15 @@ func TestStreamEarlyClose(t *testing.T) {
 	if buf.String() != sealed {
 		t.Error("records after Close mutated the sealed stream")
 	}
-	if tr.Dropped() != 2 {
-		t.Errorf("post-Close records dropped = %d, want 2", tr.Dropped())
+	if tr.Events() != 3 {
+		t.Errorf("Events() = %d after post-Close records, want 3", tr.Events())
 	}
 	if got := decodeTrace(t, buf.Bytes()); len(got) != 3 {
 		t.Errorf("early-closed trace decoded to %d events, want 3", len(got))
 	}
 }
 
-// TestStreamFlushIncremental asserts explicit Flush pushes buffered events
+// TestStreamFlushIncremental asserts an explicit flush pushes buffered events
 // out before the chunk fills, and that the stream stays append-only.
 func TestStreamFlushIncremental(t *testing.T) {
 	var buf bytes.Buffer
@@ -100,17 +100,17 @@ func TestStreamFlushIncremental(t *testing.T) {
 	tr.Instant(1, 0, "a", "", 0, nil)
 	tr.Instant(1, 0, "b", "", 2000, nil)
 	if buf.Len() != 0 {
-		t.Fatal("events flushed before Flush was called")
+		t.Fatal("events flushed before flush was called")
 	}
-	if err := tr.Flush(); err != nil {
+	if err := tr.flush(); err != nil {
 		t.Fatal(err)
 	}
 	afterFlush := buf.Len()
 	if afterFlush == 0 {
-		t.Fatal("Flush wrote nothing")
+		t.Fatal("flush wrote nothing")
 	}
-	if tr.Streamed() != 2 {
-		t.Errorf("Streamed() = %d, want 2", tr.Streamed())
+	if tr.Events() != 2 {
+		t.Errorf("Events() = %d, want 2", tr.Events())
 	}
 	tr.Instant(1, 0, "c", "", 4000, nil)
 	if err := tr.Close(); err != nil {
@@ -141,12 +141,11 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestStreamNoLossAtScale records 10× DefaultMaxEvents events — far beyond
-// what buffered mode retains — and asserts every one reaches the stream
-// while resident event memory stays bounded by the chunk size. This is the
-// acceptance test for incremental flushing replacing drop-after-cap.
+// TestStreamNoLossAtScale records ~21M events — over 5000 chunks — and
+// asserts every one reaches the stream while resident event memory stays
+// bounded by the chunk size.
 func TestStreamNoLossAtScale(t *testing.T) {
-	const total = 10 * DefaultMaxEvents
+	const total = 10 << 21
 	var w countingWriter
 	tr := NewStreamTracer(&w)
 	for i := 0; i < total; i++ {
@@ -158,11 +157,8 @@ func TestStreamNoLossAtScale(t *testing.T) {
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if tr.Dropped() != 0 {
-		t.Errorf("streaming dropped %d events", tr.Dropped())
-	}
-	if tr.Streamed() != total {
-		t.Errorf("Streamed() = %d, want %d", tr.Streamed(), total)
+	if tr.Events() != total {
+		t.Errorf("Events() = %d, want %d", tr.Events(), total)
 	}
 	// One newline precedes each event; the trailer "\n]}\n" adds two more.
 	if w.newlines != total+2 {
@@ -185,75 +181,42 @@ func TestStreamEscapedNames(t *testing.T) {
 	}
 }
 
-// recordSample records one event of every phase, with args and with names
-// that need escaping.
-func recordSample(tr *Tracer) {
-	tr.NameProcess(1, "tier1")
-	tr.NameThread(1, 0, "core0")
-	tr.Span(1, 0, "delivery", "interrupt", 2000, 2400, map[string]any{"k": 1, "s": "v"})
-	tr.Span(2, 3, "widened", "", 500, 500, nil)
-	tr.Instant(1, 0, `quote"back\slash`, "π-cat", 3000, nil)
-	tr.Counter(2, "pending", 4001, 3.5)
-}
-
-// exportDoc exports a buffered tracer and parses the document.
-func exportDoc(t *testing.T, tr *Tracer) (events []map[string]any, other map[string]uint64) {
-	t.Helper()
+// TestLaneAbsorb: a lane buffers without a writer, AbsorbFrom appends its
+// events to the root's stream in recording order and empties the lane for
+// the next epoch, and a streaming child is refused.
+func TestLaneAbsorb(t *testing.T) {
 	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
+	root := NewStreamTracer(&buf)
+	lane := root.NewLane()
+	root.Instant(2, 0, "root", "", 0, nil)
+	lane.Instant(2, 1, "a", "", 2000, nil)
+	lane.Span(2, 1, "b", "", 4000, 6000, nil)
+	if lane.Close() != nil || buf.Len() != 0 {
+		t.Fatal("a lane wrote or closed something")
+	}
+	root.AbsorbFrom(lane)
+	lane.Instant(2, 1, "c", "", 8000, nil)
+	root.AbsorbFrom(lane)
+	root.AbsorbFrom(lane) // empty: absorbs nothing
+	if err := root.Close(); err != nil {
 		t.Fatal(err)
 	}
-	var doc struct {
-		TraceEvents []map[string]any  `json:"traceEvents"`
-		OtherData   map[string]uint64 `json:"otherData"`
+	var names []string
+	for _, e := range decodeTrace(t, buf.Bytes()) {
+		names = append(names, e["name"].(string))
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("export is not valid JSON: %v\n%s", err, buf.Bytes())
+	if want := []string{"root", "a", "b", "c"}; !reflect.DeepEqual(names, want) {
+		t.Errorf("absorbed order = %v, want %v", names, want)
 	}
-	return doc.TraceEvents, doc.OtherData
-}
-
-// TestExportMatchesStream: buffered export and a streaming tracer
-// serialise the same recorded events through one encoder, so their
-// traceEvents arrays parse equal; a lossy export stays valid JSON and
-// carries its count.
-func TestExportMatchesStream(t *testing.T) {
-	var buf bytes.Buffer
-	streamed := NewStreamTracerChunk(&buf, 2)
-	recordSample(streamed)
-	if err := streamed.Close(); err != nil {
-		t.Fatal(err)
+	if root.Events() != 4 {
+		t.Errorf("root Events() = %d, want 4", root.Events())
 	}
-	want := decodeTrace(t, buf.Bytes())
-	if len(want) != 6 {
-		t.Fatalf("streamed %d events, want 6", len(want))
-	}
-
-	buffered := NewTracer()
-	recordSample(buffered)
-	got, other := exportDoc(t, buffered)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("buffered export differs from the stream:\n%v\nvs\n%v", got, want)
-	}
-	if other != nil {
-		t.Errorf("buffered export reports loss %v", other)
-	}
-
-	dropped := &Tracer{MaxEvents: 4}
-	recordSample(dropped)
-	got, other = exportDoc(t, dropped)
-	if !reflect.DeepEqual(got[:4], want[:4]) || got[4]["name"] != "trace_dropped" || other["droppedEvents"] != 2 {
-		t.Errorf("dropped export: %v otherData=%v", got, other)
-	}
-}
-
-// TestExportOnStreamingTracer pins the guard: buffered Export is not valid
-// on a streaming tracer.
-func TestExportOnStreamingTracer(t *testing.T) {
-	tr := NewStreamTracer(io.Discard)
-	if err := tr.Export(io.Discard); err == nil {
-		t.Error("Export on streaming tracer should fail")
-	}
+	defer func() {
+		if recover() == nil {
+			t.Error("absorbing a streaming tracer did not panic")
+		}
+	}()
+	root.AbsorbFrom(NewStreamTracer(io.Discard))
 }
 
 // BenchmarkStreamInstant guards the allocation budget of the streaming

@@ -51,17 +51,13 @@ type SweepTiming struct {
 	JobUs stats.Summary `json:"jobUs"`
 }
 
-// TraceInfo records where the run's trace went and whether it lost events.
+// TraceInfo records where the run's trace went and how many events it
+// holds.
 type TraceInfo struct {
 	// Path is the trace output file ("" when tracing was off).
 	Path string `json:"path,omitempty"`
-	// Streaming reports whether the trace was flushed incrementally.
-	Streaming bool `json:"streaming"`
-	// Events is the number of events exported or streamed.
+	// Events is the number of events recorded.
 	Events uint64 `json:"events"`
-	// Dropped surfaces buffered-mode event loss (always zero for
-	// streaming traces).
-	Dropped uint64 `json:"dropped"`
 }
 
 // Doc is the unified run report.
@@ -108,7 +104,7 @@ func (d *Doc) AddResult(name string, rows any) { d.Results[name] = rows }
 
 // AttachContext snapshots an observability context into the report:
 // the metrics registry (from which sweep timings are derived) and the
-// tracer's loss counters. Either half of ctx may be nil.
+// tracer's event count. Either half of ctx may be nil.
 func (d *Doc) AttachContext(ctx *obs.Context, tracePath string) {
 	if ctx == nil {
 		return
@@ -119,12 +115,7 @@ func (d *Doc) AttachContext(ctx *obs.Context, tracePath string) {
 		d.Sweeps = deriveSweeps(snap)
 	}
 	if ctx.Trace.Enabled() {
-		d.Trace = &TraceInfo{
-			Path:      tracePath,
-			Streaming: ctx.Trace.Streaming(),
-			Events:    uint64(ctx.Trace.Len()) + ctx.Trace.Streamed(),
-			Dropped:   ctx.Trace.Dropped(),
-		}
+		d.Trace = &TraceInfo{Path: tracePath, Events: ctx.Trace.Events()}
 	}
 }
 

@@ -3,6 +3,7 @@ package report
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestReportFingerprint(t *testing.T) {
 // TestReportDocument exercises the full document shape: results, metrics
 // snapshot with derived sweep timings, and valid JSON output.
 func TestReportDocument(t *testing.T) {
-	ctx := obs.NewContext()
+	ctx := &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}
 	experiments.SetObservability(ctx)
 	defer experiments.SetObservability(nil)
 	defer experiments.SetWorkers(0)

@@ -121,7 +121,11 @@ func (s *Session) Finish(experiment string, quick bool, results map[string]any) 
 		d.WallMs = float64(time.Since(s.start).Microseconds()) / 1000
 		errs = append(errs, d.WriteFile(s.reportPath))
 	}
-	errs = append(errs, s.ctx.ExportFiles(s.tracePath, s.metricsPath), s.stopProf())
+	errs = append(errs, s.ctx.TracerOrNil().Close())
+	if s.metricsPath != "" {
+		errs = append(errs, s.ctx.Metrics.ExportFile(s.metricsPath))
+	}
+	errs = append(errs, s.stopProf())
 	experiments.SetObservability(nil)
 	experiments.SetChecking(nil)
 	if s.checks != nil {

@@ -82,7 +82,7 @@ func TestSession(t *testing.T) {
 				t.Errorf("report: cmd=%q workers=%d cacheOn=%v cache=%v results=%d checks=%v",
 					doc.Cmd, doc.Workers, doc.CacheOn, len(doc.Cache) > 0, len(doc.Results), doc.Checks != nil)
 			}
-			if doc.Trace == nil || !doc.Trace.Streaming || doc.Trace.Path != tracePath {
+			if doc.Trace == nil || doc.Trace.Events == 0 || doc.Trace.Path != tracePath {
 				t.Errorf("report trace section: %+v", doc.Trace)
 			}
 

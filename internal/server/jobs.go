@@ -91,6 +91,7 @@ type job struct {
 	prog      progress  //xui:guardedby mu
 	tracePath string    // set before the job is published; immutable after
 	traceDone bool      //xui:guardedby mu
+	traceErr  string    //xui:guardedby mu
 	queuedAt  time.Time // set before the job is published; immutable after
 	startedAt time.Time //xui:guardedby mu
 	doneAt    time.Time //xui:guardedby mu
@@ -107,8 +108,9 @@ type view struct {
 	Error      string   `json:"error,omitempty"`
 	Progress   progress `json:"progress"`
 	Trace      bool     `json:"trace"`
-	WaitMs     float64  `json:"waitMs"`          // submit → start of run (or now while queued)
-	RunMs      float64  `json:"runMs,omitempty"` // start of run → done, once done
+	TraceError string   `json:"traceError,omitempty"` // why a requested trace could not be written
+	WaitMs     float64  `json:"waitMs"`               // submit → start of run (or now while queued)
+	RunMs      float64  `json:"runMs,omitempty"`      // start of run → done, once done
 }
 
 func (j *job) view() view {
@@ -124,6 +126,7 @@ func (j *job) view() view {
 		Error:      j.err,
 		Progress:   j.prog,
 		Trace:      j.tracePath != "",
+		TraceError: j.traceErr,
 	}
 	if !j.queuedAt.IsZero() {
 		// The queue phase ends when the executor starts the job, or at
@@ -172,6 +175,16 @@ func (j *job) setFailed(msg string) {
 	j.status = statusFailed
 	j.err = msg
 	j.doneAt = time.Now()
+	j.mu.Unlock()
+}
+
+// finishTrace marks the job's trace final, so /trace stops reporting it
+// as still being written; msg is why the trace could not be written, if
+// it could not.
+func (j *job) finishTrace(msg string) {
+	j.mu.Lock()
+	j.traceDone = true
+	j.traceErr = msg
 	j.mu.Unlock()
 }
 

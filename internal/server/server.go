@@ -190,6 +190,7 @@ func (s *Server) runJob(j *job) {
 	// tier, or a Put racing the queue) while this job waited.
 	if data, ok := s.cache.GetCached(j.id); ok {
 		j.setDone(data, true)
+		j.finishTrace("") // nothing ran, so no trace was written
 		s.metrics.Inc("server/jobs_done")
 		return
 	}
@@ -201,14 +202,12 @@ func (s *Server) runJob(j *job) {
 	experiments.SetWorkers(budget)
 
 	ctx := &obs.Context{Metrics: s.metrics}
-	var tracer *obs.Tracer
+	var traceErr error
 	if j.spec.Trace {
-		if tr, err := obs.StreamFile(j.tracePath); err == nil {
-			tracer = tr
-			ctx.Trace = tr
-		}
 		// A trace-file failure degrades the job to traceless rather
-		// than failing it: the trace is a side artifact.
+		// than failing it: the trace is a side artifact. The failure is
+		// kept on the job and served by /trace instead.
+		ctx.Trace, traceErr = obs.StreamFile(j.tracePath)
 	}
 	experiments.SetObservability(ctx)
 	experiments.SetProgress(j.setProgress)
@@ -216,11 +215,17 @@ func (s *Server) runJob(j *job) {
 	defer func() {
 		experiments.SetProgress(nil)
 		experiments.SetObservability(s.baseCtx)
-		if tracer != nil {
-			tracer.Close()
-			j.mu.Lock()
-			j.traceDone = true
-			j.mu.Unlock()
+		if j.spec.Trace {
+			// A write failure mid-stream (ENOSPC, say) surfaces at Close.
+			if err := ctx.Trace.Close(); traceErr == nil {
+				traceErr = err
+			}
+			msg := ""
+			if traceErr != nil {
+				msg = traceErr.Error()
+				s.metrics.Inc("server/trace_errors")
+			}
+			j.finishTrace(msg)
 		}
 		ms := uint64(time.Since(start).Milliseconds())
 		s.runMsSum.Add(ms)
@@ -436,11 +441,16 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// noTrace answers a trace request for a job that has no trace.
+const noTrace = "job has no trace (submit with \"trace\": true; cache hits never trace)"
+
 // handleTrace serves the job's streaming Perfetto trace incrementally:
 // the bytes from ?offset=N to the current end of file, with
 // X-Trace-Next-Offset carrying the offset to poll from next and
 // X-Trace-Complete flipping to true once the tracer has closed (the
-// document is then valid JSON end to end).
+// document is then valid JSON end to end). A trace that could not be
+// written ends the poll with a complete 500 carrying the error; a job
+// answered from the cache after it queued never traced and answers 404.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	j := s.lookup(r)
 	if j == nil {
@@ -448,10 +458,15 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j.mu.Lock()
-	path, complete := j.tracePath, j.traceDone
+	path, complete, traceErr := j.tracePath, j.traceDone, j.traceErr
 	j.mu.Unlock()
 	if path == "" {
-		writeErr(w, http.StatusNotFound, "job has no trace (submit with \"trace\": true; cache hits never trace)")
+		writeErr(w, http.StatusNotFound, noTrace)
+		return
+	}
+	if traceErr != "" {
+		w.Header().Set("X-Trace-Complete", "true")
+		writeErr(w, http.StatusInternalServerError, "writing trace: %s", traceErr)
 		return
 	}
 	var offset int64
@@ -465,6 +480,10 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
+		if complete {
+			writeErr(w, http.StatusNotFound, noTrace)
+			return
+		}
 		// Queued, or running but nothing flushed yet: an empty chunk.
 		w.Header().Set("X-Trace-Next-Offset", "0")
 		w.Header().Set("X-Trace-Complete", "false")

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -436,6 +438,93 @@ func TestTraceStreaming(t *testing.T) {
 	r2.Body.Close()
 	if r2.StatusCode != http.StatusNotFound {
 		t.Fatalf("trace of untraced job = %d, want 404", r2.StatusCode)
+	}
+}
+
+// jobStatus reads a job's status from the status endpoint.
+func jobStatus(t *testing.T, ts *httptest.Server, id string) string {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var v view
+	json.NewDecoder(resp.Body).Decode(&v)
+	return v.Status
+}
+
+// getTrace fetches a job's trace from offset 0.
+func getTrace(t *testing.T, ts *httptest.Server, id string) (int, http.Header, string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/api/v1/jobs/" + id + "/trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var b bytes.Buffer
+	b.ReadFrom(resp.Body)
+	return resp.StatusCode, resp.Header, b.String()
+}
+
+// TestTraceWriteFailure: a traced job whose trace file cannot be created
+// still completes, and its trace ends in a terminal error instead of an
+// endless run of empty, incomplete chunks.
+func TestTraceWriteFailure(t *testing.T) {
+	traceDir := filepath.Join(t.TempDir(), "traces")
+	s, ts := newTestServer(t, Config{Version: "test-h", TraceDir: traceDir})
+	if err := os.RemoveAll(traceDir); err != nil {
+		t.Fatal(err)
+	}
+
+	_, v, _ := submit(t, ts, Spec{Experiment: "table2", Quick: true, Trace: true})
+	done := waitDone(t, ts, v.ID)
+	if done.Status != statusDone || !done.Trace || done.TraceError == "" {
+		t.Fatalf("view = %+v, want done with a traceError", done)
+	}
+	if code, _ := getResult(t, ts, v.ID); code != http.StatusOK {
+		t.Errorf("result of a job whose trace failed = %d, want 200", code)
+	}
+	code, hdr, body := getTrace(t, ts, v.ID)
+	if code != http.StatusInternalServerError || hdr.Get("X-Trace-Complete") != "true" || !strings.Contains(body, done.TraceError) {
+		t.Errorf("trace = %d complete=%q %s, want a complete 500 carrying %q",
+			code, hdr.Get("X-Trace-Complete"), body, done.TraceError)
+	}
+	if n := s.metrics.Counter("server/trace_errors"); n != 1 {
+		t.Errorf("server/trace_errors = %d, want 1", n)
+	}
+}
+
+// TestTraceCacheRecheck: a traced job answered from the cache after it
+// queued never ran, so its trace answers 404 rather than polling forever.
+func TestTraceCacheRecheck(t *testing.T) {
+	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	release := make(chan struct{})
+	var unblock sync.Once
+	runExperiment = func(name string, quick bool) (any, error) {
+		if name == "fig2" {
+			<-release // the busy job
+		}
+		return map[string]any{"ok": true}, nil
+	}
+	s, ts := newTestServer(t, Config{Version: "test-i", TraceDir: t.TempDir()})
+	t.Cleanup(func() { unblock.Do(func() { close(release) }) })
+
+	_, busy, _ := submit(t, ts, Spec{Experiment: "fig2", Quick: true})
+	for deadline := time.Now().Add(5 * time.Second); jobStatus(t, ts, busy.ID) != statusRunning; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("busy job never started")
+		}
+	}
+	_, queued, _ := submit(t, ts, Spec{Experiment: "table2", Quick: true, Trace: true})
+	s.cache.Put(queued.ID, []byte(`{"ok":true}`))
+	unblock.Do(func() { close(release) })
+
+	if v := waitDone(t, ts, queued.ID); v.Status != statusDone || !v.Cached || v.TraceError != "" {
+		t.Fatalf("view = %+v, want done from the cache with no traceError", v)
+	}
+	if code, _, body := getTrace(t, ts, queued.ID); code != http.StatusNotFound {
+		t.Errorf("trace of a cache-answered job = %d %s, want 404", code, body)
 	}
 }
 

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"io"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -131,7 +132,7 @@ func TestProgressCallback(t *testing.T) {
 // whole process. Instead it is captured and re-raised on the calling
 // goroutine, where a recover() works, and the pool stops cleanly.
 func TestProgressPanicCaptured(t *testing.T) {
-	ctx := obs.NewContext()
+	ctx := tracedContext()
 	var jobsRun atomic.Int64
 	func() {
 		defer func() {
@@ -173,7 +174,7 @@ func TestProgressPanicCaptured(t *testing.T) {
 // TestEtaResetOnCancellation: a cancelled sweep zeroes its ETA gauge
 // instead of reporting its last nonzero projection forever.
 func TestEtaResetOnCancellation(t *testing.T) {
-	ctx := obs.NewContext()
+	ctx := tracedContext()
 	cctx, cancel := context.WithCancel(context.Background())
 	_, err := RunOpts(make([]int, 500), Options{Workers: 2, Name: "eta", Obs: ctx, Ctx: cctx},
 		func(i int, _ int) int {
@@ -194,7 +195,7 @@ func TestEtaResetOnCancellation(t *testing.T) {
 // TestObservabilityWiring checks a sweep records spans per job, per-worker
 // counter tracks, and registry counters under the sweep namespace.
 func TestObservabilityWiring(t *testing.T) {
-	ctx := obs.NewContext()
+	ctx := tracedContext()
 	_, err := RunOpts(make([]int, 9), Options{Workers: 3, Name: "fig4", Obs: ctx},
 		func(i int, _ int) int { return i })
 	if err != nil {
@@ -217,15 +218,15 @@ func TestObservabilityWiring(t *testing.T) {
 		t.Fatalf("per-worker job counters sum to %d, want 9", perWorker)
 	}
 	// 9 job spans + counter samples + metadata; at minimum the 9 spans.
-	if ctx.Trace.Len() < 9 {
-		t.Fatalf("trace has %d events, want >= 9", ctx.Trace.Len())
+	if ctx.Trace.Events() < 9 {
+		t.Fatalf("trace has %d events, want >= 9", ctx.Trace.Events())
 	}
 }
 
 // TestDeterministicUnderRace hammers a shared obs sink from many workers;
 // run with -race this doubles as the data-race check for the obs layer.
 func TestDeterministicUnderRace(t *testing.T) {
-	ctx := obs.NewContext()
+	ctx := tracedContext()
 	jobs := make([]int, 64)
 	for i := range jobs {
 		jobs[i] = i
@@ -244,4 +245,10 @@ func TestDeterministicUnderRace(t *testing.T) {
 	if got := ctx.Metrics.Counter("race/hits"); got != 64 {
 		t.Fatalf("race/hits = %d, want 64", got)
 	}
+}
+
+// tracedContext returns a context with a live registry and a tracer
+// streaming to io.Discard.
+func tracedContext() *obs.Context {
+	return &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}
 }
