@@ -25,11 +25,14 @@ import (
 	"xui/internal/uintr"
 )
 
+// env is the default run environment the benchmarks run on.
+var env = &experiments.Env{}
+
 // BenchmarkTable2UIPIMetrics regenerates Table 2.
 func BenchmarkTable2UIPIMetrics(b *testing.B) {
 	var r experiments.Table2Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Table2()
+		r = env.Table2()
 	}
 	b.ReportMetric(r.EndToEnd, "endToEnd-cy")
 	b.ReportMetric(r.ReceiverCost, "receiver-cy")
@@ -40,7 +43,7 @@ func BenchmarkTable2UIPIMetrics(b *testing.B) {
 func BenchmarkFig2Timeline(b *testing.B) {
 	var r experiments.Fig2Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Fig2()
+		r = env.Fig2()
 	}
 	b.ReportMetric(r.Arrive, "arrive-cy")
 	b.ReportMetric(r.FirstNotif, "firstNotif-cy")
@@ -53,7 +56,7 @@ func BenchmarkFig2Timeline(b *testing.B) {
 func BenchmarkFig4ReceiverOverhead(b *testing.B) {
 	var avg map[string]float64
 	for i := 0; i < b.N; i++ {
-		avg = experiments.Fig4Summary(experiments.Fig4(200000))
+		avg = experiments.Fig4Summary(env.Fig4(200000))
 	}
 	b.ReportMetric(avg["UIPI SW Timer"], "uipi-cy/event")
 	b.ReportMetric(avg["xUI (SW Timer + Tracking)"], "tracked-cy/event")
@@ -65,7 +68,7 @@ func BenchmarkFig4ReceiverOverhead(b *testing.B) {
 func BenchmarkFig5Safepoints(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5([]float64{5}, 150000)
+		rows = env.Fig5([]float64{5}, 150000)
 	}
 	for _, r := range rows {
 		if r.Workload != "matmul" {
@@ -86,7 +89,7 @@ func BenchmarkFig5Safepoints(b *testing.B) {
 func BenchmarkFig6TimerCost(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6([]float64{5}, []int{22}, 20*sim.Millisecond)
+		rows = env.Fig6([]float64{5}, []int{22}, 20*sim.Millisecond)
 	}
 	for _, r := range rows {
 		switch r.Method {
@@ -105,7 +108,7 @@ func BenchmarkFig6TimerCost(b *testing.B) {
 func BenchmarkFig7RocksDB(b *testing.B) {
 	var rows []experiments.Fig7Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig7([]float64{215_000}, 100*sim.Millisecond)
+		rows = env.Fig7([]float64{215_000}, 100*sim.Millisecond)
 	}
 	for _, r := range rows {
 		switch r.Config {
@@ -124,7 +127,7 @@ func BenchmarkFig7RocksDB(b *testing.B) {
 func BenchmarkFig8L3Fwd(b *testing.B) {
 	var rows []experiments.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig8([]int{1}, []float64{40}, 15*sim.Millisecond)
+		rows = env.Fig8([]int{1}, []float64{40}, 15*sim.Millisecond)
 	}
 	for _, r := range rows {
 		if r.Mode == "xui" {
@@ -141,7 +144,7 @@ func BenchmarkFig8L3Fwd(b *testing.B) {
 func BenchmarkFig9DSA(b *testing.B) {
 	var rows []experiments.Fig9Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig9([]float64{20}, 500)
+		rows = env.Fig9([]float64{20}, 500)
 	}
 	for _, r := range rows {
 		if r.Class != "2us" {
@@ -161,7 +164,7 @@ func BenchmarkFig9DSA(b *testing.B) {
 func BenchmarkWorstCaseLatency(b *testing.B) {
 	var rows []experiments.WorstCaseRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.WorstCase([]int{50})
+		rows = env.WorstCase([]int{50})
 	}
 	b.ReportMetric(float64(rows[0].TrackedCycles), "tracked-cy")
 	b.ReportMetric(float64(rows[0].FlushCycles), "flush-cy")
@@ -171,7 +174,7 @@ func BenchmarkWorstCaseLatency(b *testing.B) {
 func BenchmarkSection2Costs(b *testing.B) {
 	var r experiments.Section2Result
 	for i := 0; i < b.N; i++ {
-		r = experiments.Section2()
+		r = env.Section2()
 	}
 	b.ReportMetric(r.UIPIReceiverCycles, "uipi-cy")
 	b.ReportMetric(r.PollPositiveCycles, "pollPositive-cy")
@@ -187,7 +190,7 @@ func BenchmarkAblationStrategies(b *testing.B) {
 		b.Run(s.String(), func(b *testing.B) {
 			var per float64
 			for i := 0; i < b.N; i++ {
-				per = experiments.ReceiverEventCost(s, "linpack", false, 10000, 200000)
+				per = env.ReceiverEventCost(s, "linpack", false, 10000, 200000)
 			}
 			b.ReportMetric(per, "cy/event")
 		})
@@ -196,9 +199,9 @@ func BenchmarkAblationStrategies(b *testing.B) {
 
 // obsBenchRun is the fixed pipeline workload the observability-overhead
 // pair below shares: a flush-strategy receiver on linpack taking periodic
-// full-path interrupts.
-func obsBenchRun() {
-	c, port := experiments.NewReceiver(cpu.Flush, trace.ByName("linpack", 1))
+// full-path interrupts, built on e.
+func obsBenchRun(e *experiments.Env) {
+	c, port := e.NewReceiver(cpu.Flush, trace.ByName("linpack", 1))
 	c.PeriodicInterrupts(5000, 5000, func() cpu.Interrupt {
 		port.MarkRemoteWrite(experiments.UPIDAddr)
 		return cpu.Interrupt{Vector: 1, Handler: experiments.TinyHandler()}
@@ -210,10 +213,10 @@ func obsBenchRun() {
 // default nil-observer fast path. Compare against BenchmarkObsEnabled: the
 // hook guards must cost well under 2% of host time.
 func BenchmarkObsDisabled(b *testing.B) {
-	experiments.SetObservability(nil)
+	e := &experiments.Env{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obsBenchRun()
+		obsBenchRun(e)
 	}
 }
 
@@ -221,11 +224,10 @@ func BenchmarkObsDisabled(b *testing.B) {
 // streaming to io.Discard attached, bounding the cost of full tracing,
 // event encoding included.
 func BenchmarkObsEnabled(b *testing.B) {
-	experiments.SetObservability(&obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()})
-	defer experiments.SetObservability(nil)
+	e := &experiments.Env{Obs: &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		obsBenchRun()
+		obsBenchRun(e)
 	}
 }
 
@@ -235,7 +237,7 @@ func BenchmarkObsEnabled(b *testing.B) {
 func BenchmarkAblationReinject(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		core, port := experiments.NewReceiver(cpu.Tracked, experiments.SlowBranchStream(40000))
+		core, port := env.NewReceiver(cpu.Tracked, experiments.SlowBranchStream(40000))
 		_ = port
 		for j := uint64(1); j <= 40; j++ {
 			core.ScheduleInterrupt(j*2000, cpu.Interrupt{
@@ -259,16 +261,16 @@ func BenchmarkAblationReinject(b *testing.B) {
 
 // checkBenchRun is the fixed workload the invariant-checking overhead pair
 // shares: the obsBenchRun pipeline plus a Tier-2 UIPI delivery loop, so
-// both tiers' check hooks are on the measured path.
-func checkBenchRun() {
-	obsBenchRun()
+// both tiers' check hooks are on the measured path when e checks.
+func checkBenchRun(e *experiments.Env) {
+	obsBenchRun(e)
 	s := sim.New(1)
 	m, err := core.NewMachine(s, 2, core.TrackedIPI)
 	if err != nil {
 		panic(err)
 	}
-	if col := experiments.Checking(); col != nil {
-		check.Attach(col, m, "bench")
+	if e.Check != nil {
+		check.Attach(e.Check, m, "bench")
 	}
 	k := kernel.New(m)
 	recv := k.NewThread()
@@ -293,21 +295,20 @@ func checkBenchRun() {
 // the nil guards must cost well under 2% of host time, and the delivery
 // hot path stays allocation-free (TestCheckDisabledDeliveryAllocFree).
 func BenchmarkCheckDisabled(b *testing.B) {
-	experiments.SetChecking(nil)
+	e := &experiments.Env{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		checkBenchRun()
+		checkBenchRun(e)
 	}
 }
 
 // BenchmarkCheckEnabled measures the same runs with a live collector
 // attached, bounding the cost of always-on checking.
 func BenchmarkCheckEnabled(b *testing.B) {
-	experiments.SetChecking(check.NewCollector())
-	defer experiments.SetChecking(nil)
+	e := &experiments.Env{Check: check.NewCollector()}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		checkBenchRun()
+		checkBenchRun(e)
 	}
 }
 

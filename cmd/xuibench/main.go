@@ -45,9 +45,9 @@ func main() {
 	var payloads map[string]any
 	var err error
 	if *plotOut {
-		payloads, err = emitPlots(os.Stdout, *quick)
+		payloads, err = emitPlots(sess.Env(), os.Stdout, *quick)
 	} else {
-		payloads, err = runExperiments(os.Stdout, names, *quick, *jsonOut)
+		payloads, err = runExperiments(sess.Env(), os.Stdout, names, *quick, *jsonOut)
 	}
 	if err = errors.Join(err, sess.Finish(strings.ToLower(*exp), *quick, payloads)); err != nil {
 		fatal(err)
@@ -103,19 +103,19 @@ func parseExpList(exp string) []string {
 	return names
 }
 
-// runExperiments runs the named experiments through the job registry and
-// returns their payloads by name. Text mode writes each experiment's
-// tables to w as it finishes; JSON mode writes one object keyed by name,
-// for downstream tooling, once all have run.
-func runExperiments(w io.Writer, names []string, quick, jsonOut bool) (map[string]any, error) {
+// runExperiments runs the named experiments on e through the job
+// registry and returns their payloads by name. Text mode writes each
+// experiment's tables to w as it finishes; JSON mode writes one object
+// keyed by name, for downstream tooling, once all have run.
+func runExperiments(e *experiments.Env, w io.Writer, names []string, quick, jsonOut bool) (map[string]any, error) {
 	out := map[string]any{}
 	for _, n := range names {
 		var p any
 		var err error
 		if jsonOut {
-			p, err = experiments.RunJob(n, quick)
+			p, err = e.RunJob(n, quick)
 		} else {
-			p, err = experiments.RenderJob(w, n, quick)
+			p, err = e.RenderJob(w, n, quick)
 		}
 		if err != nil {
 			return nil, err
@@ -133,22 +133,22 @@ func runExperiments(w io.Writer, names []string, quick, jsonOut bool) (map[strin
 // emitPlots charts the shape of the curve figures from their registry
 // payloads — fig5 on matmul, fig8 at one NIC, fig9's 20 µs offload
 // class — and returns the payloads.
-func emitPlots(w io.Writer, quick bool) (map[string]any, error) {
+func emitPlots(e *experiments.Env, w io.Writer, quick bool) (map[string]any, error) {
 	out := map[string]any{}
 	var err error
-	if out["fig5"], err = chart(w, "fig5", quick, "Figure 5 (shape) — preemption overhead vs. quantum, matmul",
+	if out["fig5"], err = chart(e, w, "fig5", quick, "Figure 5 (shape) — preemption overhead vs. quantum, matmul",
 		"quantum µs", "overhead %", experiments.Fig5Methods, func(r experiments.Fig5Row) (string, float64, float64, bool) {
 			return r.Method, r.QuantumUs, r.OverheadPct, r.Workload == "matmul"
 		}); err != nil {
 		return nil, err
 	}
-	if out["fig8"], err = chart(w, "fig8", quick, "Figure 8 (shape) — free cycles vs. load, 1 NIC",
+	if out["fig8"], err = chart(e, w, "fig8", quick, "Figure 8 (shape) — free cycles vs. load, 1 NIC",
 		"offered load %", "free cycles %", []string{"poll", "xui"}, func(r experiments.Fig8Row) (string, float64, float64, bool) {
 			return r.Mode, r.LoadPct, r.FreePct, r.NICs == 1
 		}); err != nil {
 		return nil, err
 	}
-	if out["fig9"], err = chart(w, "fig9", quick, "Figure 9 (shape) — notify latency vs. noise, 20 µs offloads",
+	if out["fig9"], err = chart(e, w, "fig9", quick, "Figure 9 (shape) — notify latency vs. noise, 20 µs offloads",
 		"noise %", "notify µs", experiments.Fig9Methods, func(r experiments.Fig9Row) (string, float64, float64, bool) {
 			return r.Method, r.NoisePct, r.NotifyUs, r.Class == "20us"
 		}); err != nil {
@@ -160,9 +160,9 @@ func emitPlots(w io.Writer, quick bool) (map[string]any, error) {
 // chart runs the named experiment and charts its rows as one series per
 // entry of names, in that order, returning the payload. point maps a row
 // to its series and coordinates, or reports false to leave the row out.
-func chart[T any](w io.Writer, name string, quick bool, title, xLabel, yLabel string, names []string,
+func chart[T any](e *experiments.Env, w io.Writer, name string, quick bool, title, xLabel, yLabel string, names []string,
 	point func(T) (series string, x, y float64, keep bool)) (any, error) {
-	p, err := experiments.RunJob(name, quick)
+	p, err := e.RunJob(name, quick)
 	if err != nil {
 		return nil, err
 	}

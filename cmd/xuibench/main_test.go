@@ -18,7 +18,7 @@ func TestFrontEndParity(t *testing.T) {
 	for _, name := range experiments.JobNames() {
 		t.Run(name, func(t *testing.T) {
 			var text bytes.Buffer
-			payloads, err := runExperiments(&text, []string{name}, true, false)
+			payloads, err := runExperiments(&experiments.Env{}, &text, []string{name}, true, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -35,7 +35,7 @@ func TestFrontEndParity(t *testing.T) {
 			textRows := resultRows(t, doc.Bytes(), name)
 
 			var js bytes.Buffer
-			payloads, err = runExperiments(&js, []string{name}, true, true)
+			payloads, err = runExperiments(&experiments.Env{}, &js, []string{name}, true, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,7 +45,7 @@ func TestFrontEndParity(t *testing.T) {
 			}
 			jsonRows := compact(t, byName[name])
 
-			// -json mode's payload is experiments.RunJob's, the call
+			// -json mode's payload is Env.RunJob's, the call
 			// server.runJob fingerprints.
 			served := report.New("xuiserve")
 			served.Experiment = name

@@ -40,10 +40,11 @@ func main() {
 	}
 
 	horizon := sim.Time(*ms) * sim.Millisecond
+	env := sess.Env()
 	var payload any
 	switch *scenario {
 	case "rocksdb":
-		rows := experiments.Fig7([]float64{*load}, horizon)
+		rows := env.Fig7([]float64{*load}, horizon)
 		fmt.Printf("%-14s %10s %10s %11s %10s\n", "config", "achieved", "GET p99", "GET p99.9", "SCAN p99")
 		for _, r := range rows {
 			fmt.Printf("%-14s %10.0f %8.1fµs %9.1fµs %8.0fµs\n",
@@ -51,21 +52,21 @@ func main() {
 		}
 		payload = rows
 	case "l3fwd":
-		rows := experiments.Fig8([]int{*nics}, []float64{*load}, horizon)
+		rows := env.Fig8([]int{*nics}, []float64{*load}, horizon)
 		for _, r := range rows {
 			fmt.Printf("%-5s net=%5.1f%% poll=%5.1f%% notify=%4.1f%% free=%5.1f%% tput=%.0fpps p95=%.2fµs drops=%d\n",
 				r.Mode, r.NetPct, r.PollPct, r.NotifyPct, r.FreePct, r.ThroughputPPS, r.P95Us, r.Dropped)
 		}
 		payload = rows
 	case "dsa":
-		rows := experiments.Fig9([]float64{*noise}, 2000)
+		rows := env.Fig9([]float64{*noise}, 2000)
 		for _, r := range rows {
 			fmt.Printf("%-5s %-14s free=%5.1f%% notify=%7.3fµs request=%6.2fµs\n",
 				r.Class, r.Method, r.FreePct, r.NotifyUs, r.RequestUs)
 		}
 		payload = rows
 	case "timer":
-		rows := experiments.Fig6([]float64{*period}, []int{*cores}, horizon)
+		rows := env.Fig6([]float64{*period}, []int{*cores}, horizon)
 		for _, r := range rows {
 			fmt.Printf("%-12s util=%5.1f%% late=%d\n", r.Method, 100*r.TimerUtil, r.TicksLate)
 		}
@@ -80,7 +81,7 @@ func main() {
 			PerGroupRPS:   *load,
 			Horizon:       horizon,
 		}
-		r := experiments.ScalePoint(cfg, experiments.EngineWidth())
+		r := env.ScalePoint(cfg, env.EngineWidth())
 		fmt.Printf("%d groups × %d cores: spawned=%d completed=%d GET p99=%.1fµs crossMsgs=%d epochs=%d agg=%d rebalances=%d\n",
 			r.Groups, r.CoresPerGroup, r.Spawned, r.Completed, r.GetP99Us, r.CrossMsgs, r.Epochs, r.AggRecv, r.Rebalances)
 		payload = r

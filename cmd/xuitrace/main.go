@@ -43,23 +43,23 @@ func main() {
 	if err := sess.Start(); err != nil {
 		fatal(err)
 	}
+	env := sess.Env()
 
 	if tracePath := flag.Lookup("trace").Value.String(); tracePath != "" && *period == 0 && !*timeline {
 		// No custom interrupt run configured: trace the paper's Figure 2
 		// scenario (senduipi loop sender offset + flush-strategy receiver
 		// on the rdtsc measurement loop).
-		ctx := experiments.Observability()
-		r := experiments.TracedFig2(ctx)
+		r := env.TracedFig2()
 		if err := sess.Finish("fig2-trace", false, map[string]any{"fig2": r}); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("traced the Fig. 2 scenario to %s (%d events; arrive=%.0f deliveryDone=%.0f)\n",
-			tracePath, ctx.Trace.Events(), r.Arrive, r.DeliveryDone)
+			tracePath, env.Obs.Trace.Events(), r.Arrive, r.DeliveryDone)
 		return
 	}
 
 	if *timeline {
-		payload, err := experiments.RenderJob(os.Stdout, "fig2", false)
+		payload, err := env.RenderJob(os.Stdout, "fig2", false)
 		if err != nil {
 			fatal(err)
 		}
@@ -103,7 +103,7 @@ func main() {
 	cfg.Strategy = strat
 	cfg.SafepointMode = *safepoints > 0
 	cfg.Ucode = experiments.Ucode()
-	c, port := experiments.NewReceiverConfig(cfg, prog)
+	c, port := env.NewReceiverConfig(cfg, prog)
 	if *period > 0 {
 		c.PeriodicInterrupts(*period, *period, func() cpu.Interrupt {
 			if !*skipNotif {
@@ -113,8 +113,8 @@ func main() {
 		})
 	}
 	var cc *check.CoreChecker
-	if col := experiments.Checking(); col != nil {
-		cc = check.WrapCore(col, c, "tier1")
+	if env.Check != nil {
+		cc = check.WrapCore(env.Check, c, "tier1")
 	}
 	res := c.Run(*uops, *uops*500)
 	if cc != nil {

@@ -376,14 +376,30 @@ func TestCostsModel(t *testing.T) {
 	}
 }
 
+// TestHighestVector checks the math/bits form against a bit-by-bit scan
+// from the top: 0, every single bit, a two-bit mask, and seeded random
+// masks (shifted ones included, so low vectors are exercised too).
 func TestHighestVector(t *testing.T) {
-	if got := highestVector(0); got != 0 {
-		t.Errorf("highestVector(0) = %d", got)
+	scan := func(pir uint64) uintr.Vector {
+		for i := 63; i >= 0; i-- {
+			if pir&(1<<uint(i)) != 0 {
+				return uintr.Vector(i)
+			}
+		}
+		return 0
 	}
-	if got := highestVector(1); got != 0 {
-		t.Errorf("highestVector(1) = %d", got)
+	masks := []uint64{0, 1<<40 | 1<<3}
+	for i := 0; i < 64; i++ {
+		masks = append(masks, 1<<uint(i))
 	}
-	if got := highestVector(1<<40 | 1<<3); got != 40 {
-		t.Errorf("highestVector = %d, want 40", got)
+	rng := sim.NewRNG(42)
+	for i := 0; i < 1000; i++ {
+		m := rng.Uint64()
+		masks = append(masks, m, m>>uint(rng.Intn(64)))
+	}
+	for _, m := range masks {
+		if got, want := highestVector(m), scan(m); got != want {
+			t.Fatalf("highestVector(%#x) = %d, want %d", m, got, want)
+		}
 	}
 }

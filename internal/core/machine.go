@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 
 	"xui/internal/apic"
 	"xui/internal/obs"
@@ -70,8 +70,8 @@ type VCore struct {
 	Account *stats.CycleAccount
 	Busy    stats.Busy
 
-	// Delivered counts user-level deliveries by mechanism.
-	Delivered map[Mechanism]uint64
+	// Delivered counts user-level deliveries, indexed by mechanism.
+	Delivered [ForwardedIntr + 1]uint64
 
 	// DelivLat is the always-on recognise→delivery-complete latency
 	// histogram: cycles from a vector first entering UIRR to its delivery
@@ -258,13 +258,12 @@ func (v *VCore) Testui() bool { return v.UIF }
 // UIRRPending returns the vectors recognised but not yet delivered.
 func (v *VCore) UIRRPending() uint64 { return v.uirr }
 
+// highestVector returns the highest set bit of pir, or 0 when pir is 0.
 func highestVector(pir uint64) uintr.Vector {
-	for i := 63; i >= 0; i-- {
-		if pir&(1<<uint(i)) != 0 {
-			return uintr.Vector(i)
-		}
+	if pir == 0 {
+		return 0
 	}
-	return 0
+	return uintr.Vector(bits.Len64(pir) - 1)
 }
 
 // Machine assembles the Tier-2 hardware: cores with local APICs and
@@ -328,14 +327,13 @@ func (m *Machine) addCores(ipiMech Mechanism, perGroup int, kernels []*sim.Simul
 	for id := 0; id < len(buses)*perGroup; id++ {
 		g := id / perGroup
 		v := &VCore{
-			ID:        id,
-			Sim:       kernels[g],
-			Costs:     m.Costs,
-			IPIMech:   ipiMech,
-			UIF:       true,
-			Account:   stats.NewCycleAccount(),
-			Delivered: make(map[Mechanism]uint64),
-			DelivLat:  stats.NewHistogram(),
+			ID:       id,
+			Sim:      kernels[g],
+			Costs:    m.Costs,
+			IPIMech:  ipiMech,
+			UIF:      true,
+			Account:  stats.NewCycleAccount(),
+			DelivLat: stats.NewHistogram(),
 		}
 		l, err := buses[g].NewLocalAPIC(uint32(id), v)
 		if err != nil {
@@ -505,13 +503,10 @@ func (m *Machine) SnapshotMetrics(reg *obs.Registry) {
 		reg.AddCycleAccount(ns+"cycles/", v.Account)
 		reg.SetGauge(ns+"utilization", v.Busy.Utilization(now))
 		reg.MergeHistogram(obs.AggTier2DeliveryWait, v.DelivLat)
-		mechs := make([]Mechanism, 0, len(v.Delivered))
-		for mech := range v.Delivered {
-			mechs = append(mechs, mech)
-		}
-		sort.Slice(mechs, func(i, j int) bool { return mechs[i] < mechs[j] })
-		for _, mech := range mechs {
-			reg.SetGauge(ns+"delivered_total/"+mech.String(), float64(v.Delivered[mech]))
+		for mech, n := range v.Delivered {
+			if n != 0 {
+				reg.SetGauge(ns+"delivered_total/"+Mechanism(mech).String(), float64(n))
+			}
 		}
 	}
 }

@@ -21,35 +21,16 @@ import "xui/internal/isa"
 type Engine uint8
 
 const (
-	// EngineAuto follows the package-level fast-forward switch
-	// (SetFastForward), the default.
-	EngineAuto Engine = iota
-	// EngineInterpreted forces the original per-cycle issue-queue scan
-	// and per-op stream interpretation. Kept as the reference
+	// EngineFast is the decoded-tape engine, the zero value: dataflow
+	// wakeup scheduling instead of the scan, direct indexing into
+	// decoded tapes, and basic-block fast-forward fetch outside the
+	// fidelity window.
+	EngineFast Engine = iota
+	// EngineInterpreted is the original per-cycle issue-queue scan and
+	// per-op stream interpretation. Kept as the reference
 	// implementation that the parity tests compare against.
 	EngineInterpreted
-	// EngineFast forces the decoded-tape engine: dataflow wakeup
-	// scheduling instead of the scan, direct indexing into decoded tapes,
-	// and basic-block fast-forward fetch outside the fidelity window.
-	EngineFast
 )
-
-// fastForward is the package-level default for Engine == EngineAuto,
-// cleared by the parity tests (TestFastForwardParity,
-// TestCheckpointParity) to select the reference engine. Like every
-// configuration knob in this package it must be set from the
-// coordinating goroutine before cores run (test setup); sweep workers
-// only read it, through New/Reset, after the goroutine-spawn
-// happens-before.
-var fastForward = true
-
-// SetFastForward toggles the decoded fast-forward engine for cores
-// configured with EngineAuto. On by default; turning it off forces the
-// interpreted reference engine everywhere.
-func SetFastForward(on bool) { fastForward = on }
-
-// FastForwardEnabled reports the package-level fast-forward default.
-func FastForwardEnabled() bool { return fastForward }
 
 // DefaultFidelityWindow is the lookahead, in cycles, within which an
 // expected interrupt arrival forces fetch back to full per-op fidelity
@@ -146,7 +127,7 @@ type Config struct {
 	Ucode UcodeSet
 
 	// Engine selects the execution machinery (identical results either
-	// way); EngineAuto follows SetFastForward.
+	// way); the zero value is EngineFast.
 	Engine Engine
 
 	// FidelityWindow bounds how close, in cycles, the next known

@@ -261,8 +261,7 @@ func New(cfg Config, prog isa.Stream, mp MemPort) *Core {
 // on the fast engine, swaps the per-op stream cursor for the tape's
 // decoded random-access form. Called from New and Reset.
 func (c *Core) initEngine() {
-	c.fast = c.cfg.Engine == EngineFast ||
-		(c.cfg.Engine == EngineAuto && FastForwardEnabled())
+	c.fast = c.cfg.Engine == EngineFast
 	c.fidelity = c.cfg.FidelityWindow
 	if c.fidelity == 0 {
 		c.fidelity = DefaultFidelityWindow

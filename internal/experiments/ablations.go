@@ -10,7 +10,6 @@ import (
 	"xui/internal/kvstore"
 	"xui/internal/loadgen"
 	"xui/internal/sim"
-	"xui/internal/trace"
 	"xui/internal/urt"
 )
 
@@ -28,7 +27,7 @@ type CluiStuiResult struct {
 // CluiStuiCriticalSection runs the RocksDB workload at overload twice —
 // once with GET service times inflated by mallocsPerGet clui/stui pairs —
 // and reports the throughput penalty.
-func CluiStuiCriticalSection(mallocsPerGet int, horizon sim.Time) CluiStuiResult {
+func (e *Env) CluiStuiCriticalSection(mallocsPerGet int, horizon sim.Time) CluiStuiResult {
 	pair := float64(core.CluiCost + core.StuiCost)
 	costs := kvstore.DefaultCostModel()
 	res := CluiStuiResult{
@@ -36,8 +35,8 @@ func CluiStuiCriticalSection(mallocsPerGet int, horizon sim.Time) CluiStuiResult
 		PairCost:        pair,
 		AnalyticPenalty: 100 * pair * float64(mallocsPerGet) / float64(costs.GetMean),
 	}
-	thr := runGrid("cluistui", []int{0, mallocsPerGet}, func(_ int, m int) float64 {
-		return cluiStuiThroughput(m, horizon)
+	thr := runGrid(e, "cluistui", []int{0, mallocsPerGet}, func(_ int, m int) float64 {
+		return e.cluiStuiThroughput(m, horizon)
 	})
 	base, prot := thr[0], thr[1]
 	if base > 0 {
@@ -51,13 +50,13 @@ func CluiStuiCriticalSection(mallocsPerGet int, horizon sim.Time) CluiStuiResult
 // scheduling at overload, completed-request throughput is dominated by
 // GETs anyway (short requests bypass queued SCANs), so the clean capacity
 // measurement uses the homogeneous stream.
-func cluiStuiThroughput(mallocsPerGet int, horizon sim.Time) float64 {
+func (e *Env) cluiStuiThroughput(mallocsPerGet int, horizon sim.Time) float64 {
 	s := sim.New(4321)
 	m, err := core.NewMachine(s, 1, core.TrackedIPI)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	k := kernel.New(m)
 	rt, err := urt.New(m, k, urt.Config{Workers: 1, Preempt: urt.KBTimer, Quantum: fig7Quantum})
 	if err != nil {
@@ -73,7 +72,7 @@ func cluiStuiThroughput(mallocsPerGet int, horizon sim.Time) float64 {
 		panic(err)
 	}
 	s.RunUntil(horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	gen.Stop()
 	return float64(rt.Completed) / horizon.Seconds()
 }
@@ -91,17 +90,17 @@ type SafepointDensityRow struct {
 // Hardware safepoints are free when idle, so overhead stays flat while
 // delivery delay grows linearly with spacing — the "near zero cost"
 // claim, quantified.
-func SafepointDensity(spacings []int, uops uint64) []SafepointDensityRow {
+func (e *Env) SafepointDensity(spacings []int, uops uint64) []SafepointDensityRow {
 	const period = 10000
 	// Strategy-independent memoized baseline: shared with PollDensity and
 	// any fig5 run at the same budget.
-	base := workloadBaseline("matmul", 1, uops, uops*400)
+	base := e.workloadBaseline("matmul", 1, uops, uops*400)
 
-	return runGrid("safepoint-density", spacings, func(_ int, every int) SafepointDensityRow {
+	return runGrid(e, "safepoint-density", spacings, func(_ int, every int) SafepointDensityRow {
 		cfg := receiverCfg(cpu.Tracked)
 		cfg.SafepointMode = true
-		res := runReceiverWarm(cfg, fmt.Sprintf("matmul/1+sp%d", every),
-			func() isa.Stream { return trace.RecordedSafepoint("matmul", 1, uops, every) },
+		res := e.runReceiverWarm(cfg, fmt.Sprintf("matmul/1+sp%d", every),
+			func() isa.Stream { return e.stream(streamSpec{workload: "matmul", seed: 1, safepoint: every}, uops) },
 			uops, uops*400, period-1,
 			func(c *cpu.Core, _ *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
@@ -138,13 +137,13 @@ type PollDensityRow struct {
 
 // PollDensity sweeps Concord-style check spacing on matmul with no
 // preemptions at all: the overhead is pure instrumentation tax.
-func PollDensity(spacings []int, uops uint64) []PollDensityRow {
-	base := workloadBaseline("matmul", 1, uops, uops*400)
-	return runGrid("poll-density", spacings, func(_ int, every int) PollDensityRow {
+func (e *Env) PollDensity(spacings []int, uops uint64) []PollDensityRow {
+	base := e.workloadBaseline("matmul", 1, uops, uops*400)
+	return runGrid(e, "poll-density", spacings, func(_ int, every int) PollDensityRow {
 		total := uops + uops/uint64(every)*2
-		res := baselineRun(fmt.Sprintf("matmul/1+poll%d", every),
+		res := e.baselineRun(fmt.Sprintf("matmul/1+poll%d", every),
 			func() isa.Stream {
-				return trace.RecordedPoll("matmul", 1, uops, every, FlagAddr)
+				return e.stream(streamSpec{workload: "matmul", seed: 1, poll: every}, uops)
 			}, total, total*400)
 		return PollDensityRow{
 			Every:       every,

@@ -7,7 +7,7 @@ import (
 )
 
 func TestCluiStuiCriticalSection(t *testing.T) {
-	r := CluiStuiCriticalSection(5, 100*sim.Millisecond)
+	r := suite.CluiStuiCriticalSection(5, 100*sim.Millisecond)
 	// Paper §4.1: protecting malloc in RocksDB with clui/stui cost 7 %
 	// throughput. Five 34-cycle pairs per 1.2 µs GET is 7.1 % analytically;
 	// the runtime measurement lands close.
@@ -21,7 +21,7 @@ func TestCluiStuiCriticalSection(t *testing.T) {
 }
 
 func TestSafepointDensityAblation(t *testing.T) {
-	rows := SafepointDensity([]int{5, 400}, 120000)
+	rows := suite.SafepointDensity([]int{5, 400}, 120000)
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -38,7 +38,7 @@ func TestSafepointDensityAblation(t *testing.T) {
 }
 
 func TestPollDensityAblation(t *testing.T) {
-	rows := PollDensity([]int{4, 25, 100}, 120000)
+	rows := suite.PollDensity([]int{4, 25, 100}, 120000)
 	// Monotone: denser checks, larger tax — the Go-team dilemma.
 	for i := 1; i < len(rows); i++ {
 		if rows[i].OverheadPct >= rows[i-1].OverheadPct {

@@ -1,0 +1,47 @@
+package experiments
+
+import (
+	"sync"
+
+	"xui/internal/obs"
+)
+
+// The bench shim: bench/ configures its runs through three package-level
+// setters and a package-level RunJob, and may not change until the
+// benchmark itself does. The setters write one mutex-guarded Env; RunJob
+// runs a copy of it. ROADMAP item 8 deletes this file with bench/'s calls.
+var shim struct {
+	mu  sync.Mutex
+	env Env //xui:guardedby mu
+}
+
+// SetWorkers sets the bench shim's sweep worker-pool size.
+func SetWorkers(n int) {
+	shim.mu.Lock()
+	defer shim.mu.Unlock()
+	shim.env.Workers = n
+}
+
+// SetShards sets the bench shim's sharded-engine worker width.
+func SetShards(n int) {
+	shim.mu.Lock()
+	defer shim.mu.Unlock()
+	shim.env.Shards = n
+}
+
+// SetObservability sets the bench shim's observability context.
+func SetObservability(ctx *obs.Context) {
+	shim.mu.Lock()
+	defer shim.mu.Unlock()
+	shim.env.Obs = ctx
+}
+
+// RunJob runs the named experiment on a copy of the bench shim's Env.
+func RunJob(name string, quick bool) (any, error) { return shimEnv().RunJob(name, quick) }
+
+// shimEnv copies the bench shim's settings into a fresh Env.
+func shimEnv() *Env {
+	shim.mu.Lock()
+	defer shim.mu.Unlock()
+	return &Env{Workers: shim.env.Workers, Shards: shim.env.Shards, Obs: shim.env.Obs}
+}

@@ -10,7 +10,6 @@ import (
 	"xui/internal/cpu"
 	"xui/internal/isa"
 	"xui/internal/mem"
-	"xui/internal/trace"
 	"xui/internal/uintr"
 )
 
@@ -33,20 +32,16 @@ func Ucode() cpu.UcodeSet {
 
 // NewReceiver builds a receiver core with the given strategy over prog.
 // The returned port lets the driver mark remote UPID writes.
-func NewReceiver(strategy cpu.Strategy, prog isa.Stream) (*cpu.Core, *cpu.PrivatePort) {
-	cfg := cpu.DefaultConfig()
-	cfg.Strategy = strategy
-	cfg.Ucode = Ucode()
-	return NewReceiverConfig(cfg, prog)
+func (e *Env) NewReceiver(strategy cpu.Strategy, prog isa.Stream) (*cpu.Core, *cpu.PrivatePort) {
+	return e.NewReceiverConfig(receiverCfg(strategy), prog)
 }
 
 // NewReceiverConfig is NewReceiver with an explicit core configuration,
 // for drivers that change more than the strategy (e.g. safepoint mode).
-func NewReceiverConfig(cfg cpu.Config, prog isa.Stream) (*cpu.Core, *cpu.PrivatePort) {
+// The core runs on e's engine.
+func (e *Env) NewReceiverConfig(cfg cpu.Config, prog isa.Stream) (*cpu.Core, *cpu.PrivatePort) {
 	port := &cpu.PrivatePort{H: mem.NewHierarchy(mem.Config{}), SharedCost: mem.LatCrossCore}
-	c := cpu.New(cfg, prog, port)
-	observeCore(c)
-	return c, port
+	return e.newCore(cfg, prog, port), port
 }
 
 // MeasurementHandler models the paper's measurement handler: it reads the
@@ -101,14 +96,14 @@ func SlowBranchStream(n int) isa.Stream {
 // delivery strategy (it is consulted only on interrupt paths), so all
 // of fig4's strategy cells — and any other experiment differencing
 // against the same (workload, seed, budget) — share one cached run.
-func ReceiverEventCost(strategy cpu.Strategy, workload string, skipNotif bool, period uint64, nUops uint64) float64 {
-	rBase := workloadBaseline(workload, 1, nUops, nUops*400)
+func (e *Env) ReceiverEventCost(strategy cpu.Strategy, workload string, skipNotif bool, period uint64, nUops uint64) float64 {
+	rBase := e.workloadBaseline(workload, 1, nUops, nUops*400)
 
 	// The first arrival is at cycle period, so the prefix up to period-1
 	// is interrupt-free and shared (checkpointed) across strategies and
 	// delivery paths.
-	rIntr := runReceiverWarm(receiverCfg(strategy), fmt.Sprintf("%s/%d", workload, 1),
-		func() isa.Stream { return workloadStream(workload, 1, nUops) },
+	rIntr := e.runReceiverWarm(receiverCfg(strategy), fmt.Sprintf("%s/%d", workload, 1),
+		func() isa.Stream { return e.workloadStream(workload, 1, nUops) },
 		nUops, nUops*400, period-1,
 		func(c *cpu.Core, port *cpu.PrivatePort) {
 			c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
@@ -130,16 +125,16 @@ func ReceiverEventCost(strategy cpu.Strategy, workload string, skipNotif bool, p
 // we use a few hundred, the model is deterministic). It also returns the
 // cycle offset within one senduipi at which the ICR write completes (the
 // IPI departure point).
-func SenduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
+func (e *Env) SenduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 	// Memoized: Table 2 and Fig. 2 both run this exact study.
-	c := senduipiCache.Get(fmt.Sprintf("iters=%d", iters), func() senduipiCost {
-		per, icr := senduipiLoopCost(iters)
+	c := cached(e, senduipiCache, fmt.Sprintf("iters=%d", iters), func() senduipiCost {
+		per, icr := e.senduipiLoopCost(iters)
 		return senduipiCost{per: per, icr: icr}
 	})
 	return c.per, c.icr
 }
 
-func senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
+func (e *Env) senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 	routine, icrIdx := uintr.SenduipiRoutine(UITTAddr, UPIDAddr)
 	perIter := len(routine.Ops)
 	ops := make([]isa.MicroOp, 0, perIter*iters)
@@ -163,7 +158,7 @@ func senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 	var icrCommits, startCommits []uint64
 	cfg := cpu.DefaultConfig()
 	cfg.Ucode = Ucode()
-	res := runReceiver(cfg, prog, uint64(len(ops)), uint64(len(ops))*500,
+	res := e.runReceiver(cfg, prog, uint64(len(ops)), uint64(len(ops))*500,
 		func(core *cpu.Core, port *cpu.PrivatePort) {
 			core.OnProgramCommit = func(pos, cycle uint64) {
 				rel := int(pos) % perIter
@@ -203,15 +198,15 @@ func senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 // steady-state cost of one negative poll (L1 hit, predicted branch) and
 // the cost of a positive poll (remote invalidation → cache-to-cache miss,
 // mispredicted branch) — the ≈100-cycle figure from §2.
-func PollingCosts() (negative float64, positive float64) {
+func (e *Env) PollingCosts() (negative float64, positive float64) {
 	// Negative polls: difference between an instrumented and plain stream.
 	const n = 120000
-	rPlain := workloadBaseline("base64", 3, n, n*400)
+	rPlain := e.workloadBaseline("base64", 3, n, n*400)
 	// The instrumented stream interleaves 2 extra ops per 10; run the same
 	// count of *inner* ops: total = n * 12/10. Interrupt-free, so it
 	// memoizes like any baseline (fed from its own recorded tape).
-	rInstr := baselineRun("base64/3+poll10",
-		func() isa.Stream { return trace.RecordedPoll("base64", 3, n, 10, FlagAddr) },
+	rInstr := e.baselineRun("base64/3+poll10",
+		func() isa.Stream { return e.stream(streamSpec{workload: "base64", seed: 3, poll: 10}, n) },
 		n*12/10, n*400)
 	checks := float64(n) / 10
 	negative = (float64(rInstr.Cycles) - float64(rPlain.Cycles)) / checks

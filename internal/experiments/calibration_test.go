@@ -22,7 +22,7 @@ func within(t *testing.T, name string, got, want, tol float64) {
 // TestTable2Calibration is the Tier-1 ↔ paper cross-check: the pipeline
 // model must reproduce Table 2 within tolerance.
 func TestTable2Calibration(t *testing.T) {
-	r := Table2()
+	r := suite.Table2()
 	p := PaperTable2()
 	within(t, "senduipi", r.Senduipi, p.Senduipi, 0.10)
 	within(t, "receiver cost", r.ReceiverCost, p.ReceiverCost, 0.20)
@@ -39,22 +39,22 @@ func TestTier1Tier2Agreement(t *testing.T) {
 	const period = 10000
 	costs := core.DefaultCosts()
 
-	kb := (ReceiverEventCost(cpu.Tracked, "fib", true, period, 300000) +
-		ReceiverEventCost(cpu.Tracked, "linpack", true, period, 300000) +
-		ReceiverEventCost(cpu.Tracked, "memops", true, period, 300000)) / 3
+	kb := (suite.ReceiverEventCost(cpu.Tracked, "fib", true, period, 300000) +
+		suite.ReceiverEventCost(cpu.Tracked, "linpack", true, period, 300000) +
+		suite.ReceiverEventCost(cpu.Tracked, "memops", true, period, 300000)) / 3
 	within(t, "delivery-only (Tier1 vs Tier2 constant)", kb, float64(costs.Receiver(core.KBTimerIntr)), 0.25)
 
-	tracked := (ReceiverEventCost(cpu.Tracked, "fib", false, period, 300000) +
-		ReceiverEventCost(cpu.Tracked, "linpack", false, period, 300000) +
-		ReceiverEventCost(cpu.Tracked, "memops", false, period, 300000)) / 3
+	tracked := (suite.ReceiverEventCost(cpu.Tracked, "fib", false, period, 300000) +
+		suite.ReceiverEventCost(cpu.Tracked, "linpack", false, period, 300000) +
+		suite.ReceiverEventCost(cpu.Tracked, "memops", false, period, 300000)) / 3
 	within(t, "tracked IPI (Tier1 vs Tier2 constant)", tracked, float64(costs.Receiver(core.TrackedIPI)), 0.25)
 
-	send, _ := SenduipiLoopCost(60)
+	send, _ := suite.SenduipiLoopCost(60)
 	within(t, "senduipi (Tier1 vs Tier2 constant)", send, float64(costs.Sender(core.UIPI)), 0.10)
 }
 
 func TestFig2Calibration(t *testing.T) {
-	r := Fig2()
+	r := suite.Fig2()
 	p := PaperFig2()
 	within(t, "arrival", r.Arrive, p.Arrive, 0.10)
 	within(t, "first notif event", r.FirstNotif, p.FirstNotif, 0.20)
@@ -69,7 +69,7 @@ func TestFig2Calibration(t *testing.T) {
 // paper reports: UIPI ≈645 ≫ tracked ≈231 ≫ delivery-only ≈105, with the
 // overall overhead at a 5 µs quantum dropping from ≈6.9 % to ≈1.1 %.
 func TestFig4Calibration(t *testing.T) {
-	rows := Fig4(300000)
+	rows := suite.Fig4(300000)
 	avg := Fig4Summary(rows)
 	uipi := avg["UIPI SW Timer"]
 	tracked := avg["xUI (SW Timer + Tracking)"]
@@ -91,7 +91,7 @@ func TestFig4Calibration(t *testing.T) {
 // TestFig5Calibration asserts the 5 µs anchor points: safepoints
 // 1.2–1.5 %, polling 8.5–11 %, UIPI in between.
 func TestFig5Calibration(t *testing.T) {
-	rows := Fig5([]float64{5}, 150000)
+	rows := suite.Fig5([]float64{5}, 150000)
 	get := func(w, m string) float64 {
 		for _, r := range rows {
 			if r.Workload == w && r.Method == m {
@@ -121,7 +121,7 @@ func TestFig5Calibration(t *testing.T) {
 }
 
 func TestWorstCaseCalibration(t *testing.T) {
-	rows := WorstCase([]int{10, 50})
+	rows := suite.WorstCase([]int{10, 50})
 	short, long := rows[0], rows[1]
 	if long.TrackedCycles < 2000 {
 		t.Errorf("50-load SP chain: tracked max latency %d, paper ≈7000 (thousands expected)", long.TrackedCycles)
@@ -137,7 +137,7 @@ func TestWorstCaseCalibration(t *testing.T) {
 }
 
 func TestSection2Calibration(t *testing.T) {
-	r := Section2()
+	r := suite.Section2()
 	if r.SignalCycles != 4800 {
 		t.Errorf("signal = %g", r.SignalCycles)
 	}
@@ -166,9 +166,9 @@ func TestSection2Calibration(t *testing.T) {
 
 // TestDuetCoSimulation cross-checks the end-to-end UIPI path with the
 // lockstep two-core Tier-1 co-simulation, which shares no shortcut
-// constants with Table2() (real coherence transfers, real wire timing).
+// constants with suite.Table2() (real coherence transfers, real wire timing).
 func TestDuetCoSimulation(t *testing.T) {
-	r := Duet(40)
+	r := suite.Duet(40)
 	if r.Sends < 35 || r.Delivered < r.Sends-1 {
 		t.Fatalf("duet: %d sends, %d delivered", r.Sends, r.Delivered)
 	}
@@ -177,7 +177,7 @@ func TestDuetCoSimulation(t *testing.T) {
 	// (the sender's window has drained, so senduipi's serializing writes
 	// stall less; the receiver's caches are warm between events). The
 	// co-simulation must land in the same regime — hundreds of cycles to
-	// arrival, ≈a thousand end-to-end — without reusing any Table2()
+	// arrival, ≈a thousand end-to-end — without reusing any suite.Table2()
 	// machinery.
 	if r.MeanArrival < 150 || r.MeanArrival > 430 {
 		t.Errorf("duet arrival %.0f outside [150,430] (paper tight-loop: 380)", r.MeanArrival)
@@ -196,7 +196,7 @@ func TestDuetCoSimulation(t *testing.T) {
 // stays flat, and squashed work must scale linearly with interrupt count
 // under flush.
 func TestSection35Detectors(t *testing.T) {
-	rows := S35PointerChase([]int{8, 1024, 131072})
+	rows := suite.S35PointerChase([]int{8, 1024, 131072})
 	small, large := rows[0], rows[len(rows)-1]
 	// Drain latency grows strongly with the working set.
 	if large.DrainCycles < 2*small.DrainCycles {
@@ -212,7 +212,7 @@ func TestSection35Detectors(t *testing.T) {
 			large.FlushCycles, large.DrainCycles)
 	}
 
-	lin := S35Linearity([]int{5, 10, 20, 40})
+	lin := suite.S35Linearity([]int{5, 10, 20, 40})
 	if lin.PerIntr <= 0 {
 		t.Fatalf("no squashed work under flush: %+v", lin)
 	}

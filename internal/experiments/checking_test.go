@@ -9,15 +9,19 @@ import (
 	"xui/internal/sim"
 )
 
-// TestMain keeps invariant checking on for the entire experiments suite:
-// every receiver core and Tier-2 machine any test builds runs with the
-// checker attached, and the suite fails if an invariant fired anywhere —
-// including inside the parity and end-to-end sweeps.
+// suiteCheck is the invariant collector of the whole experiments suite:
+// every Env a test runs on reports into it (tests that need a collector
+// of their own say so), and TestMain fails the suite if an invariant
+// fired anywhere — including inside the parity and end-to-end sweeps.
+var suiteCheck = check.NewCollector()
+
+// suite is the default Env of the test suite: the zero Env, checked.
+var suite = &Env{Check: suiteCheck}
+
+// TestMain keeps invariant checking on for the entire experiments suite.
 func TestMain(m *testing.M) {
-	col := check.NewCollector()
-	SetChecking(col)
 	code := m.Run()
-	rep := col.Report()
+	rep := suiteCheck.Report()
 	if code == 0 && !rep.OK() {
 		fmt.Fprintf(os.Stderr, "FAIL: invariant violations during experiments suite:\n%s\n", rep)
 		code = 1
@@ -33,15 +37,12 @@ func TestCheckedSweepClean(t *testing.T) {
 		t.Skip("full checked sweep is not -short")
 	}
 	col := check.NewCollector()
-	prev := Checking()
-	SetChecking(col)
-	defer SetChecking(prev)
-
-	Fig4(40_000)
-	Fig6([]float64{5, 100}, []int{1, 22}, 20*sim.Millisecond)
-	Fig7([]float64{50_000, 200_000}, 100*sim.Millisecond)
-	Fig8([]int{1, 4}, []float64{40}, 10*sim.Millisecond)
-	Fig9([]float64{0, 40}, 500)
+	e := &Env{Check: col}
+	e.Fig4(40_000)
+	e.Fig6([]float64{5, 100}, []int{1, 22}, 20*sim.Millisecond)
+	e.Fig7([]float64{50_000, 200_000}, 100*sim.Millisecond)
+	e.Fig8([]int{1, 4}, []float64{40}, 10*sim.Millisecond)
+	e.Fig9([]float64{0, 40}, 500)
 
 	rep := col.Report()
 	if !rep.OK() {

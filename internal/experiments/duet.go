@@ -42,7 +42,7 @@ func (p *systemPort) SharedLoad(addr uint64) int { return p.sys.SharedRead(p.cor
 func (p *systemPort) SharedStore(addr uint64) int { return p.sys.SharedWrite(p.core, addr) }
 
 // Duet runs iters paced senduipi round trips.
-func Duet(iters int) DuetResult {
+func (e *Env) Duet(iters int) DuetResult {
 	sys := mem.NewSystem(2, mem.Config{})
 
 	// Sender program: senduipi followed by a ~1500-cycle dependent spacer
@@ -64,15 +64,13 @@ func Duet(iters int) DuetResult {
 
 	sendCfg := cpu.DefaultConfig()
 	sendCfg.Ucode = Ucode()
-	sender := cpu.New(sendCfg, isa.NewSliceStream("senduipi-duet", ops), &systemPort{sys: sys, core: 0})
-	observeCore(sender)
+	sender := e.newCore(sendCfg, isa.NewSliceStream("senduipi-duet", ops), &systemPort{sys: sys, core: 0})
 
 	recvCfg := cpu.DefaultConfig()
 	recvCfg.Strategy = cpu.Flush
 	recvCfg.Ucode = Ucode()
-	receiver := cpu.New(recvCfg, NewEndlessRdtsc(), &systemPort{sys: sys, core: 1})
-	observeCore(receiver)
-	rcc := checkCore(receiver, "tier1/duet")
+	receiver := e.newCore(recvCfg, NewEndlessRdtsc(), &systemPort{sys: sys, core: 1})
+	rcc := e.checkCore(receiver, "tier1/duet")
 
 	var starts, icrs []uint64
 	sender.OnProgramCommit = func(pos, cycle uint64) {

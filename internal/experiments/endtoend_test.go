@@ -8,7 +8,7 @@ import (
 
 // TestFig6Behaviour asserts the scaling claims behind Figure 6.
 func TestFig6Behaviour(t *testing.T) {
-	rows := Fig6([]float64{5, 100}, []int{1, 22}, 20*sim.Millisecond)
+	rows := suite.Fig6([]float64{5, 100}, []int{1, 22}, 20*sim.Millisecond)
 	get := func(m string, p float64, n int) Fig6Row {
 		for _, r := range rows {
 			if r.Method == m && r.PeriodUs == p && r.AppCores == n {
@@ -47,7 +47,7 @@ func TestFig6Behaviour(t *testing.T) {
 // TestFig7Behaviour asserts the preemption claims behind Figure 7.
 func TestFig7Behaviour(t *testing.T) {
 	loads := []float64{50_000, 150_000, 205_000, 215_000, 225_000, 230_000, 240_000}
-	rows := Fig7(loads, 150*sim.Millisecond)
+	rows := suite.Fig7(loads, 150*sim.Millisecond)
 	get := func(cfg string, rps float64) Fig7Row {
 		for _, r := range rows {
 			if r.Config == cfg && r.OfferedRPS == rps {
@@ -89,7 +89,7 @@ func TestFig7Behaviour(t *testing.T) {
 
 // TestFig8Behaviour asserts the l3fwd efficiency claims.
 func TestFig8Behaviour(t *testing.T) {
-	rows := Fig8([]int{1, 8}, []float64{40}, 20*sim.Millisecond)
+	rows := suite.Fig8([]int{1, 8}, []float64{40}, 20*sim.Millisecond)
 	get := func(mode string, nics int) Fig8Row {
 		for _, r := range rows {
 			if r.Mode == mode && r.NICs == nics {
@@ -131,7 +131,7 @@ func TestFig8Behaviour(t *testing.T) {
 
 // TestFig9Behaviour asserts the DSA completion-notification claims.
 func TestFig9Behaviour(t *testing.T) {
-	rows := Fig9([]float64{0, 40}, 500)
+	rows := suite.Fig9([]float64{0, 40}, 500)
 	get := func(class, method string, noise float64) Fig9Row {
 		for _, r := range rows {
 			if r.Class == class && r.Method == method && r.NoisePct == noise {
@@ -176,7 +176,7 @@ func TestFig9Behaviour(t *testing.T) {
 
 // TestMultiWorkerStealing asserts the work-stealing study's claims.
 func TestMultiWorkerStealing(t *testing.T) {
-	rows := MultiWorker([]int{1, 4}, 400_000, 80*sim.Millisecond)
+	rows := suite.MultiWorker([]int{1, 4}, 400_000, 80*sim.Millisecond)
 	get := func(n int, steal bool) MultiWorkerRow {
 		for _, r := range rows {
 			if r.Workers == n && r.Steal == steal {

@@ -23,40 +23,35 @@ func TestFastForwardParity(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func() any
+		run  func(e *Env) any
 	}{
-		{"fig4", func() any { return Fig4(40000) }},
-		{"fig5", func() any { return Fig5([]float64{5}, 40000) }},
-		{"table2", func() any { return Table2() }},
-		{"worstcase", func() any { return WorstCase([]int{5, 10}) }},
-		{"s35chase", func() any { return S35PointerChase([]int{8, 64}) }},
-		{"s35linearity", func() any { return S35Linearity([]int{5, 10}) }},
-		{"safepoint-density", func() any { return SafepointDensity([]int{25, 100}, 40000) }},
-		{"poll-density", func() any { return PollDensity([]int{25}, 40000) }},
+		{"fig4", func(e *Env) any { return e.Fig4(40000) }},
+		{"fig5", func(e *Env) any { return e.Fig5([]float64{5}, 40000) }},
+		{"table2", func(e *Env) any { return e.Table2() }},
+		{"worstcase", func(e *Env) any { return e.WorstCase([]int{5, 10}) }},
+		{"s35chase", func(e *Env) any { return e.S35PointerChase([]int{8, 64}) }},
+		{"s35linearity", func(e *Env) any { return e.S35Linearity([]int{5, 10}) }},
+		{"safepoint-density", func(e *Env) any { return e.SafepointDensity([]int{25, 100}, 40000) }},
+		{"poll-density", func(e *Env) any { return e.PollDensity([]int{25}, 40000) }},
 	}
 	configs := []struct {
 		name    string
-		ff      bool
+		engine  cpu.Engine
 		workers int
 	}{
-		{"ff/j1", true, 1},
-		{"ff/j8", true, 8},
-		{"noff/j1", false, 1},
-		{"noff/j8", false, 8},
+		{"ff/j1", cpu.EngineFast, 1},
+		{"ff/j8", cpu.EngineFast, 8},
+		{"noff/j1", cpu.EngineInterpreted, 1},
+		{"noff/j8", cpu.EngineInterpreted, 8},
 	}
-	defer func() {
-		cpu.SetFastForward(true)
-		SetWorkers(0)
-		runcache.ResetAll()
-	}()
+	defer runcache.ResetAll()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []byte
 			for i, cf := range configs {
-				cpu.SetFastForward(cf.ff)
-				SetWorkers(cf.workers)
+				e := &Env{Workers: cf.workers, Engine: cf.engine, Check: suiteCheck}
 				runcache.ResetAll()
-				got, err := json.Marshal(tc.run())
+				got, err := json.Marshal(tc.run(e))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -80,7 +75,7 @@ func TestFastForwardParity(t *testing.T) {
 func TestCheckpointParity(t *testing.T) {
 	const uops = 40000
 	const period = 10000
-	mk := func() isa.Stream { return workloadStream("matmul", 7, uops) }
+	mk := func() isa.Stream { return suite.workloadStream("matmul", 7, uops) }
 	setup := func(c *cpu.Core, port *cpu.PrivatePort) {
 		c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 			port.MarkRemoteWrite(UPIDAddr)
@@ -90,17 +85,17 @@ func TestCheckpointParity(t *testing.T) {
 	for _, strat := range []cpu.Strategy{cpu.Flush, cpu.Drain, cpu.Tracked} {
 		// The warm build itself must succeed — a nil here means the run
 		// would silently fall back to cold simulation.
-		if ws := buildWarmState(receiverCfg(strat), mk, period-1, uops); ws == nil {
+		if ws := suite.buildWarmState(receiverCfg(strat), mk, period-1, uops); ws == nil {
 			t.Fatalf("strategy %v: warm-state build declined", strat)
 		} else if ws.ck.Committed() == 0 || ws.ck.Cycle() != period-1 {
 			t.Fatalf("strategy %v: warm state malformed: committed=%d cycle=%d",
 				strat, ws.ck.Committed(), ws.ck.Cycle())
 		}
 
-		cold := runReceiver(receiverCfg(strat), mk(), uops, uops*400, setup)
+		cold := suite.runReceiver(receiverCfg(strat), mk(), uops, uops*400, setup)
 
 		runcache.ResetAll()
-		warm := runReceiverWarm(receiverCfg(strat), "matmul/7", mk, uops, uops*400, period-1, setup)
+		warm := suite.runReceiverWarm(receiverCfg(strat), "matmul/7", mk, uops, uops*400, period-1, setup)
 		if !reflect.DeepEqual(cold, warm) {
 			t.Errorf("strategy %v: warm-restored run differs from cold run:\n  cold: %+v\n  warm: %+v",
 				strat, cold, warm)
@@ -110,7 +105,7 @@ func TestCheckpointParity(t *testing.T) {
 			t.Errorf("strategy %v: checkpoint was not built (misses = %d, want 1)", strat, s.Misses)
 		}
 
-		again := runReceiverWarm(receiverCfg(strat), "matmul/7", mk, uops, uops*400, period-1, setup)
+		again := suite.runReceiverWarm(receiverCfg(strat), "matmul/7", mk, uops, uops*400, period-1, setup)
 		if !reflect.DeepEqual(cold, again) {
 			t.Errorf("strategy %v: second warm run differs from cold run", strat)
 		}

@@ -4,7 +4,6 @@ import (
 	"xui/internal/apic"
 	"xui/internal/isa"
 	"xui/internal/mem"
-	"xui/internal/obs"
 )
 
 // Fig2Result reproduces Figure 2, the UIPI latency timeline: cycle offsets
@@ -24,32 +23,27 @@ func PaperFig2() Fig2Result {
 	return Fig2Result{Arrive: 380, FirstNotif: 804, DeliveryDone: 1066, UiretCost: 10}
 }
 
-// TracedFig2 runs the Fig. 2 scenario with observability attached: receiver
-// cores built during the run record their interrupt-delivery lifecycle into
-// ctx (flush → refill → notification → delivery → handler → uiret spans on
-// Tier1Pid). The previous package-wide sink is restored afterwards.
-func TracedFig2(ctx *obs.Context) Fig2Result {
-	prev := Observability()
-	SetObservability(ctx)
-	defer SetObservability(prev)
-	// A cache hit would skip the simulation whose lifecycle this exists
-	// to record, so the traced run bypasses the redundancy layer.
-	prevCaching := CachingEnabled()
-	SetCaching(false)
-	defer SetCaching(prevCaching)
-	return Fig2()
+// TracedFig2 runs the Fig. 2 scenario so that its receiver cores record
+// their interrupt-delivery lifecycle into e.Obs (flush → refill →
+// notification → delivery → handler → uiret spans on Tier1Pid). A cache
+// hit would skip the simulation whose lifecycle this exists to record,
+// so the run is on an uncached copy of e.
+func (e *Env) TracedFig2() Fig2Result {
+	traced := &Env{Workers: e.Workers, Shards: e.Shards, Obs: e.Obs, Check: e.Check,
+		Progress: e.Progress, Engine: e.Engine, NoCache: true}
+	return traced.Fig2()
 }
 
 // Fig2 measures the timeline on the pipeline model: the sender offset from
 // the senduipi loop study, the receiver decomposition from per-interrupt
 // instrumentation on the rdtsc measurement loop.
-func Fig2() Fig2Result {
-	_, icr := SenduipiLoopCost(60)
+func (e *Env) Fig2() Fig2Result {
+	_, icr := e.SenduipiLoopCost(60)
 	arrive := icr + float64(apic.BusLatency)
 
 	// Same instrumented run Table 2's receiver cost decomposes
 	// (memoized): periodic UIPIs into the rdtsc measurement loop.
-	res := measuredUIPIRun()
+	res := e.measuredUIPIRun()
 
 	var firstNotif, deliveryDone, handlerStart, uiret float64
 	n := 0

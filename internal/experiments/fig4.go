@@ -38,7 +38,7 @@ var Fig4Workloads = []string{"fib", "linpack", "memops"}
 // Fig4 measures receiver-side overhead for periodic interrupts at a 5 µs
 // interval (the paper's headline: 645 → 231 → 105 cycles per event;
 // 6.86 % → 1.06 % overhead).
-func Fig4(uopsPerRun uint64) []Fig4Row {
+func (e *Env) Fig4(uopsPerRun uint64) []Fig4Row {
 	period := uint64(5 * sim.Time(2000)) // 5 µs at 2 GHz
 	type job struct {
 		w   string
@@ -50,8 +50,8 @@ func Fig4(uopsPerRun uint64) []Fig4Row {
 			jobs = append(jobs, job{w, cfg})
 		}
 	}
-	return runGrid("fig4", jobs, func(_ int, j job) Fig4Row {
-		per := ReceiverEventCost(j.cfg.Strategy, j.w, j.cfg.SkipNotif, period, uopsPerRun)
+	return runGrid(e, "fig4", jobs, func(_ int, j job) Fig4Row {
+		per := e.ReceiverEventCost(j.cfg.Strategy, j.w, j.cfg.SkipNotif, period, uopsPerRun)
 		return Fig4Row{
 			Workload:    j.w,
 			Config:      j.cfg.Name,

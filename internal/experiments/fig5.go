@@ -4,7 +4,6 @@ import (
 	"xui/internal/core"
 	"xui/internal/cpu"
 	"xui/internal/isa"
-	"xui/internal/trace"
 )
 
 // Fig5Row is one point of Figure 5: preemption overhead for a workload at
@@ -49,11 +48,11 @@ func CtxSwitchHandler() []isa.MicroOp {
 // the slowdown relative to an unpreempted, uninstrumented run. Paper
 // anchors at a 5 µs quantum: safepoints 1.2–1.5 %, UIPI in between,
 // polling 8.5–11 %.
-func Fig5(quantaUs []float64, uopsPerRun uint64) []Fig5Row {
+func (e *Env) Fig5(quantaUs []float64, uopsPerRun uint64) []Fig5Row {
 	// Phase 1: the per-workload uninstrumented baselines (memoized; fig4
 	// and section2 runs at the same budget share them).
-	bases := runGrid("fig5/base", Fig5Workloads, func(_ int, w string) uint64 {
-		return workloadBaseline(w, 1, uopsPerRun, uopsPerRun*400).Cycles
+	bases := runGrid(e, "fig5/base", Fig5Workloads, func(_ int, w string) uint64 {
+		return e.workloadBaseline(w, 1, uopsPerRun, uopsPerRun*400).Cycles
 	})
 	// Phase 2: the (workload, quantum, method) grid against those baselines.
 	type job struct {
@@ -70,15 +69,15 @@ func Fig5(quantaUs []float64, uopsPerRun uint64) []Fig5Row {
 			}
 		}
 	}
-	return runGrid("fig5", jobs, func(_ int, j job) Fig5Row {
+	return runGrid(e, "fig5", jobs, func(_ int, j job) Fig5Row {
 		period := uint64(j.q * 2000)
-		cycles := fig5Run(j.w, j.method, period, uopsPerRun)
+		cycles := e.fig5Run(j.w, j.method, period, uopsPerRun)
 		over := 100 * (cycles - float64(j.base)) / float64(j.base)
 		return Fig5Row{Workload: j.w, Method: j.method, QuantumUs: j.q, OverheadPct: over}
 	})
 }
 
-func fig5Run(workload, method string, period, uops uint64) float64 {
+func (e *Env) fig5Run(workload, method string, period, uops uint64) float64 {
 	switch method {
 	case "polling":
 		// Concord instrumentation: the poll checks execute regardless of
@@ -88,16 +87,16 @@ func fig5Run(workload, method string, period, uops uint64) float64 {
 		// quantum-independent — baselineRun memoizes it, so all quanta of a
 		// workload share one simulation.
 		total := uops + uops/pollCheckEvery*2
-		res := baselineRun(workload+"/1+poll25",
+		res := e.baselineRun(workload+"/1+poll25",
 			func() isa.Stream {
-				return trace.RecordedPoll(workload, 1, uops, pollCheckEvery, FlagAddr)
+				return e.stream(streamSpec{workload: workload, seed: 1, poll: pollCheckEvery}, uops)
 			}, total, total*400)
 		positives := float64(res.Cycles) / float64(period)
 		posCost := float64(core.PollingNotifyCost+core.UserContextSwitch) + float64(cpu.DefaultConfig().FrontEndDepth)
 		return float64(res.Cycles) + positives*posCost
 	case "uipi":
-		res := runReceiverWarm(receiverCfg(cpu.Flush), workload+"/1",
-			func() isa.Stream { return workloadStream(workload, 1, uops) },
+		res := e.runReceiverWarm(receiverCfg(cpu.Flush), workload+"/1",
+			func() isa.Stream { return e.workloadStream(workload, 1, uops) },
 			uops, uops*400, period-1,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
@@ -109,9 +108,9 @@ func fig5Run(workload, method string, period, uops uint64) float64 {
 	case "xui-safepoint":
 		cfg := receiverCfg(cpu.Tracked)
 		cfg.SafepointMode = true
-		res := runReceiverWarm(cfg, workload+"/1+sp25",
+		res := e.runReceiverWarm(cfg, workload+"/1+sp25",
 			func() isa.Stream {
-				return trace.RecordedSafepoint(workload, 1, uops, safepointEvery)
+				return e.stream(streamSpec{workload: workload, seed: 1, safepoint: safepointEvery}, uops)
 			},
 			uops, uops*400, period-1,
 			func(c *cpu.Core, _ *cpu.PrivatePort) {

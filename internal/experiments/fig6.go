@@ -27,7 +27,7 @@ var Fig6Methods = []string{"setitimer", "nanosleep", "rdtsc-spin", "xui-kbtimer"
 // occupying the timer core for the senduipi cost. xUI removes the timer
 // core entirely (each core has its own KB_Timer), so its utilization is
 // identically zero.
-func Fig6(periodsUs []float64, appCores []int, horizon sim.Time) []Fig6Row {
+func (e *Env) Fig6(periodsUs []float64, appCores []int, horizon sim.Time) []Fig6Row {
 	type job struct {
 		method string
 		pUs    float64
@@ -41,12 +41,12 @@ func Fig6(periodsUs []float64, appCores []int, horizon sim.Time) []Fig6Row {
 			}
 		}
 	}
-	return runGrid("fig6", jobs, func(_ int, j job) Fig6Row {
-		return fig6Point(j.method, j.pUs, j.n, horizon)
+	return runGrid(e, "fig6", jobs, func(_ int, j job) Fig6Row {
+		return e.fig6Point(j.method, j.pUs, j.n, horizon)
 	})
 }
 
-func fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) Fig6Row {
+func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) Fig6Row {
 	row := Fig6Row{Method: method, PeriodUs: periodUs, AppCores: nApp}
 	if method == "xui-kbtimer" {
 		return row // no timer core at all
@@ -57,7 +57,7 @@ func fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) Fig6
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	k := kernel.New(m)
 	timerCore := nApp
 
@@ -133,7 +133,7 @@ func fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) Fig6
 		s.Schedule(period, tick)
 	}
 	s.RunUntil(horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 
 	acct := m.Cores[timerCore].Account
 	busy := acct.Get("os-timer") + acct.Get(core.CatSend) + acct.Get("signal")

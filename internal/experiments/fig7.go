@@ -53,7 +53,7 @@ type Fig7Row struct {
 // Poisson arrivals into an Aspen-like runtime on one server core, 5 µs
 // preemption quantum. The key-value store really executes each request;
 // the simulated service time comes from the calibrated cost model.
-func Fig7(loads []float64, horizon sim.Time) []Fig7Row {
+func (e *Env) Fig7(loads []float64, horizon sim.Time) []Fig7Row {
 	type job struct {
 		cfg  Fig7Config
 		load float64
@@ -64,14 +64,14 @@ func Fig7(loads []float64, horizon sim.Time) []Fig7Row {
 			jobs = append(jobs, job{cfg, load})
 		}
 	}
-	return runGrid("fig7", jobs, func(_ int, j job) Fig7Row {
-		return fig7Point(j.cfg, j.load, horizon)
+	return runGrid(e, "fig7", jobs, func(_ int, j job) Fig7Row {
+		return e.fig7Point(j.cfg, j.load, horizon)
 	})
 }
 
 const fig7Quantum = 5 * 2000 // 5 µs
 
-func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
+func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	s := sim.New(1234)
 	nCores := 1
 	if cfg.Preempt == urt.UIPITimerCore {
@@ -81,7 +81,7 @@ func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	k := kernel.New(m)
 	rt, err := urt.New(m, k, urt.Config{
 		Workers: 1,
@@ -125,7 +125,7 @@ func fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 		panic(err)
 	}
 	s.RunUntil(horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	gen.Stop()
 
 	row := Fig7Row{Config: cfg.Name, OfferedRPS: rps}

@@ -34,7 +34,7 @@ type Fig8Row struct {
 // horizon. Paper anchors: polling always consumes the whole core; at 40 %
 // load with one queue xUI leaves ≈45 % of cycles free; throughput parity
 // within 0.08 %; p95 latency +2 %/−8 %/+65 % for 1/4/8 NICs.
-func Fig8(nicCounts []int, loadsPct []float64, horizon sim.Time) []Fig8Row {
+func (e *Env) Fig8(nicCounts []int, loadsPct []float64, horizon sim.Time) []Fig8Row {
 	type job struct {
 		mode netsim.Mode
 		nq   int
@@ -50,18 +50,18 @@ func Fig8(nicCounts []int, loadsPct []float64, horizon sim.Time) []Fig8Row {
 	// read-only during a run. A fresh 48 MiB DIR-24-8 table per point
 	// made the heap's peak depend on where the collector's cycles fell.
 	table := lpm.GenerateTable(16000, 7)
-	return runGrid("fig8", jobs, func(_ int, j job) Fig8Row {
-		return fig8Point(table, j.mode, j.nq, j.load, horizon)
+	return runGrid(e, "fig8", jobs, func(_ int, j job) Fig8Row {
+		return e.fig8Point(table, j.mode, j.nq, j.load, horizon)
 	})
 }
 
-func fig8Point(table *lpm.Table, mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8Row {
+func (e *Env) fig8Point(table *lpm.Table, mode netsim.Mode, nq int, loadPct float64, horizon sim.Time) Fig8Row {
 	s := sim.New(2024)
 	m, err := core.NewMachine(s, 1, core.TrackedIPI)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	v := m.Cores[0]
 
 	// Offered load: loadPct of the core's forwarding capacity, split
@@ -101,7 +101,7 @@ func fig8Point(table *lpm.Table, mode netsim.Mode, nq int, loadPct float64, hori
 	}
 	l3.Start()
 	s.RunUntil(horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	for _, g := range gens {
 		g.Stop()
 	}

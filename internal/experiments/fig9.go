@@ -39,7 +39,7 @@ const (
 // periodic polling's latency degrades sharply for 20 µs requests as noise
 // grows; xUI stays within ≈0.2 µs of spinning while freeing ≈75 % of
 // cycles for 2 µs requests.
-func Fig9(noisePcts []float64, requests int) []Fig9Row {
+func (e *Env) Fig9(noisePcts []float64, requests int) []Fig9Row {
 	classes := []struct {
 		name string
 		mean sim.Time
@@ -58,18 +58,18 @@ func Fig9(noisePcts []float64, requests int) []Fig9Row {
 			}
 		}
 	}
-	return runGrid("fig9", jobs, func(_ int, j job) Fig9Row {
-		return fig9Point(j.name, j.mean, j.np/100, j.method, requests)
+	return runGrid(e, "fig9", jobs, func(_ int, j job) Fig9Row {
+		return e.fig9Point(j.name, j.mean, j.np/100, j.method, requests)
 	})
 }
 
-func fig9Point(className string, mean sim.Time, noise float64, method string, requests int) Fig9Row {
+func (e *Env) fig9Point(className string, mean sim.Time, noise float64, method string, requests int) Fig9Row {
 	s := sim.New(31)
 	m, err := core.NewMachine(s, 1, core.TrackedIPI)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	v := m.Cores[0]
 	kernel.New(m) // install the kernel's interrupt hooks
 	dev := dsa.New(s, dsa.Config{BaseLatency: mean, Noise: noise}, 321)
@@ -172,7 +172,7 @@ func fig9Point(className string, mean sim.Time, noise float64, method string, re
 	if done < requests {
 		panic("experiments: fig9 run stalled")
 	}
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 
 	elapsed := float64(s.Now())
 	busy := float64(v.Account.Get(core.CatWork) + v.Account.Get(core.CatPoll) +

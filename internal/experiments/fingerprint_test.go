@@ -6,28 +6,21 @@ import (
 	"testing"
 
 	"xui/internal/check"
-	"xui/internal/runcache"
 	"xui/internal/sim"
 )
 
 // TestDeterministicFingerprint is the end-to-end determinism gate the
 // static determinism analyzer (internal/lint) exists to protect: a small
 // sweep, run twice in the same process with invariant checking attached
-// and the run cache disabled (so the second pass genuinely re-executes),
+// on the uncached path (so the second pass genuinely re-executes),
 // must serialize to byte-identical JSON. Any time.Now, global math/rand,
 // environment read or unordered map iteration that slips into a result
 // path shows up here as a fingerprint mismatch.
 func TestDeterministicFingerprint(t *testing.T) {
-	runcache.SetEnabled(false)
-	defer runcache.SetEnabled(true)
-	defer SetChecking(nil)
-	defer SetWorkers(0)
-	SetWorkers(4)
-
 	horizon := 2 * sim.Millisecond
 	run := func() []byte {
 		col := check.NewCollector()
-		SetChecking(col)
+		e := &Env{Workers: 4, NoCache: true, Check: col}
 		out := struct {
 			Fig4   any
 			Fig6   any
@@ -35,15 +28,15 @@ func TestDeterministicFingerprint(t *testing.T) {
 			Fig7   any
 			Table2 any
 		}{
-			Fig4: Fig4(40000),
-			Fig6: Fig6([]float64{20}, []int{1, 4}, horizon),
-			Fig9: Fig9([]float64{0, 30}, 100),
+			Fig4: e.Fig4(40000),
+			Fig6: e.Fig6([]float64{20}, []int{1, 4}, horizon),
+			Fig9: e.Fig9([]float64{0, 30}, 100),
 			// Fig7 and Table2 carry the delivery-latency percentile
 			// columns (exact-integer histogram outputs); including them
 			// extends the fingerprint to the streaming-observability
 			// histograms.
-			Fig7:   Fig7([]float64{20000}, horizon),
-			Table2: Table2(),
+			Fig7:   e.Fig7([]float64{20000}, horizon),
+			Table2: e.Table2(),
 		}
 		rep := col.Report()
 		if rep.Violations != 0 {

@@ -20,17 +20,17 @@ import (
 //     finished last.
 var hostKeys = regexp.MustCompile(`^sweep/.*/(wall_ms|eta_ms|job_us|workers|worker\d+/jobs)$|^cpu\d+/|^vcore\d+/(utilization|delivered_total/)`)
 
-// observedSnapshot runs each job (quick) from cold caches with a
-// metrics-only context installed, as the daemon does, and returns the
-// registry snapshot without the host-dependent keys.
-func observedSnapshot(t *testing.T, jobs []string) map[string]any {
+// observedSnapshot runs each job (quick) from cold caches at the given
+// sweep and engine widths with a metrics-only context, as the daemon
+// does, and returns the registry snapshot without the host-dependent
+// keys.
+func observedSnapshot(t *testing.T, workers, shards int, jobs []string) map[string]any {
 	t.Helper()
 	ctx := &obs.Context{Metrics: obs.NewRegistry()}
-	SetObservability(ctx)
-	defer SetObservability(nil)
+	e := &Env{Workers: workers, Shards: shards, Obs: ctx, Check: suiteCheck}
 	for _, name := range jobs {
 		ResetCaches()
-		if _, err := RunJob(name, true); err != nil {
+		if _, err := e.RunJob(name, true); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
@@ -63,23 +63,15 @@ func TestObservedMetricsParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the observed Tier-2 quick grids four times")
 	}
-	defer SetWorkers(0)
-	defer SetShards(0)
-
 	t.Run("workers", func(t *testing.T) {
 		jobs := []string{"fig6", "fig9", "multiworker", "duet"}
-		SetWorkers(1)
-		serial := observedSnapshot(t, jobs)
-		SetWorkers(8)
-		parallel := observedSnapshot(t, jobs)
+		serial := observedSnapshot(t, 1, 0, jobs)
+		parallel := observedSnapshot(t, 8, 0, jobs)
 		diffSnapshots(t, "-j 1", serial, "-j 8", parallel)
 	})
 	t.Run("shards", func(t *testing.T) {
-		SetWorkers(1)
-		SetShards(1)
-		narrow := observedSnapshot(t, []string{"scale"})
-		SetShards(4)
-		wide := observedSnapshot(t, []string{"scale"})
+		narrow := observedSnapshot(t, 1, 1, []string{"scale"})
+		wide := observedSnapshot(t, 1, 4, []string{"scale"})
 		diffSnapshots(t, "-shards 1", narrow, "-shards 4", wide)
 	})
 }

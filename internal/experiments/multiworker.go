@@ -27,7 +27,7 @@ type MultiWorkerRow struct {
 
 // MultiWorker sweeps worker counts with and without stealing. All arrivals
 // enqueue on worker 0; without stealing the extra cores idle.
-func MultiWorker(workers []int, rps float64, horizon sim.Time) []MultiWorkerRow {
+func (e *Env) MultiWorker(workers []int, rps float64, horizon sim.Time) []MultiWorkerRow {
 	type job struct {
 		n     int
 		steal bool
@@ -41,18 +41,18 @@ func MultiWorker(workers []int, rps float64, horizon sim.Time) []MultiWorkerRow 
 			jobs = append(jobs, job{n, steal})
 		}
 	}
-	return runGrid("multiworker", jobs, func(_ int, j job) MultiWorkerRow {
-		return multiWorkerPoint(j.n, j.steal, rps, horizon)
+	return runGrid(e, "multiworker", jobs, func(_ int, j job) MultiWorkerRow {
+		return e.multiWorkerPoint(j.n, j.steal, rps, horizon)
 	})
 }
 
-func multiWorkerPoint(workers int, steal bool, rps float64, horizon sim.Time) MultiWorkerRow {
+func (e *Env) multiWorkerPoint(workers int, steal bool, rps float64, horizon sim.Time) MultiWorkerRow {
 	s := sim.New(8)
 	m, err := core.NewMachine(s, workers, core.TrackedIPI)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 	k := kernel.New(m)
 	rt, err := urt.New(m, k, urt.Config{
 		Workers:      workers,
@@ -79,7 +79,7 @@ func multiWorkerPoint(workers int, steal bool, rps float64, horizon sim.Time) Mu
 		panic(err)
 	}
 	s.RunUntil(horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	gen.Stop()
 
 	row := MultiWorkerRow{Workers: workers, Steal: steal, OfferedRPS: rps}

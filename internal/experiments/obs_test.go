@@ -16,7 +16,7 @@ import (
 func TestTracedFig2ChromeTrace(t *testing.T) {
 	var buf bytes.Buffer
 	ctx := &obs.Context{Trace: obs.NewStreamTracer(&buf), Metrics: obs.NewRegistry()}
-	r := TracedFig2(ctx)
+	r := (&Env{Obs: ctx, Check: suiteCheck}).TracedFig2()
 	if r.Arrive == 0 || r.DeliveryDone == 0 {
 		t.Fatalf("traced Fig2 returned an empty result: %+v", r)
 	}
@@ -80,20 +80,13 @@ func TestTracedFig2ChromeTrace(t *testing.T) {
 	}
 }
 
-// TestObservabilityRestored checks that TracedFig2 restores the previous
-// package-wide sink and that running experiments without observability
-// leaves the trace empty.
+// TestObservabilityRestored checks that running experiments without
+// observability adds no events to a context an earlier run traced into.
 func TestObservabilityRestored(t *testing.T) {
-	if Observability() != nil {
-		t.Fatal("observability unexpectedly enabled at test start")
-	}
 	ctx := &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}
-	TracedFig2(ctx)
-	if Observability() != nil {
-		t.Error("TracedFig2 left the package sink installed")
-	}
+	(&Env{Obs: ctx, Check: suiteCheck}).TracedFig2()
 	n := ctx.Trace.Events()
-	Fig2() // untraced
+	suite.Fig2() // untraced
 	if ctx.Trace.Events() != n {
 		t.Error("untraced run appended events to a detached context")
 	}

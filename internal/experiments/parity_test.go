@@ -21,33 +21,30 @@ func TestSweepParity(t *testing.T) {
 	horizon := 2 * sim.Millisecond
 	cases := []struct {
 		name string
-		run  func() any
+		run  func(e *Env) any
 	}{
-		{"fig4", func() any { return Fig4(40000) }},
-		{"fig5", func() any { return Fig5([]float64{5}, 40000) }},
-		{"fig6", func() any { return Fig6([]float64{20}, []int{1, 4}, horizon) }},
-		{"fig7", func() any { return Fig7([]float64{100_000}, horizon) }},
-		{"fig8", func() any { return Fig8([]int{1}, []float64{40}, horizon) }},
-		{"fig9", func() any { return Fig9([]float64{0, 30}, 100) }},
-		{"table2", func() any { return Table2() }},
-		{"worstcase", func() any { return WorstCase([]int{5, 10}) }},
-		{"s35chase", func() any { return S35PointerChase([]int{8, 64}) }},
-		{"s35linearity", func() any { return S35Linearity([]int{5, 10}) }},
-		{"multiworker", func() any { return MultiWorker([]int{1, 2}, 200_000, horizon) }},
-		{"safepoint-density", func() any { return SafepointDensity([]int{25, 100}, 40000) }},
-		{"poll-density", func() any { return PollDensity([]int{25}, 40000) }},
-		{"cluistui", func() any { return CluiStuiCriticalSection(5, horizon) }},
+		{"fig4", func(e *Env) any { return e.Fig4(40000) }},
+		{"fig5", func(e *Env) any { return e.Fig5([]float64{5}, 40000) }},
+		{"fig6", func(e *Env) any { return e.Fig6([]float64{20}, []int{1, 4}, horizon) }},
+		{"fig7", func(e *Env) any { return e.Fig7([]float64{100_000}, horizon) }},
+		{"fig8", func(e *Env) any { return e.Fig8([]int{1}, []float64{40}, horizon) }},
+		{"fig9", func(e *Env) any { return e.Fig9([]float64{0, 30}, 100) }},
+		{"table2", func(e *Env) any { return e.Table2() }},
+		{"worstcase", func(e *Env) any { return e.WorstCase([]int{5, 10}) }},
+		{"s35chase", func(e *Env) any { return e.S35PointerChase([]int{8, 64}) }},
+		{"s35linearity", func(e *Env) any { return e.S35Linearity([]int{5, 10}) }},
+		{"multiworker", func(e *Env) any { return e.MultiWorker([]int{1, 2}, 200_000, horizon) }},
+		{"safepoint-density", func(e *Env) any { return e.SafepointDensity([]int{25, 100}, 40000) }},
+		{"poll-density", func(e *Env) any { return e.PollDensity([]int{25}, 40000) }},
+		{"cluistui", func(e *Env) any { return e.CluiStuiCriticalSection(5, horizon) }},
 	}
-	defer SetWorkers(0)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			SetWorkers(1)
-			serial, err := json.Marshal(tc.run())
+			serial, err := json.Marshal(tc.run(&Env{Workers: 1, Check: suiteCheck}))
 			if err != nil {
 				t.Fatal(err)
 			}
-			SetWorkers(8)
-			parallel, err := json.Marshal(tc.run())
+			parallel, err := json.Marshal(tc.run(&Env{Workers: 8, Check: suiteCheck}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -21,71 +21,71 @@ type jobSpec struct {
 	// byName marks an experiment "all" leaves out: it runs only when
 	// requested by name.
 	byName bool
-	// run computes the payload and returns it with a closure that
+	// run computes the payload on e and returns it with a closure that
 	// renders it as text tables.
-	run func(quick bool) (payload any, text func(io.Writer))
+	run func(e *Env, quick bool) (payload any, text func(io.Writer))
 }
 
 // job binds a typed runner to its renderer, so neither needs a type
 // assertion on the payload.
-func job[T any](name string, run func(quick bool) T, text func(io.Writer, T)) jobSpec {
-	return jobSpec{name: name, run: func(quick bool) (any, func(io.Writer)) {
-		p := run(quick)
+func job[T any](name string, run func(e *Env, quick bool) T, text func(io.Writer, T)) jobSpec {
+	return jobSpec{name: name, run: func(e *Env, quick bool) (any, func(io.Writer)) {
+		p := run(e, quick)
 		return p, func(w io.Writer) { text(w, p) }
 	}}
 }
 
 // jobRegistry lists every experiment in canonical order.
 var jobRegistry = []jobSpec{
-	job("table2", func(bool) versus[Table2Result] {
-		return versus[Table2Result]{Simulated: Table2(), Paper: PaperTable2()}
+	job("table2", func(e *Env, _ bool) versus[Table2Result] {
+		return versus[Table2Result]{Simulated: e.Table2(), Paper: PaperTable2()}
 	}, textTable2),
-	job("fig2", func(bool) versus[Fig2Result] {
-		return versus[Fig2Result]{Simulated: Fig2(), Paper: PaperFig2()}
+	job("fig2", func(e *Env, _ bool) versus[Fig2Result] {
+		return versus[Fig2Result]{Simulated: e.Fig2(), Paper: PaperFig2()}
 	}, textFig2),
-	job("fig4", func(quick bool) fig4Payload {
-		rows := Fig4(jobUops(quick))
+	job("fig4", func(e *Env, quick bool) fig4Payload {
+		rows := e.Fig4(jobUops(quick))
 		return fig4Payload{Averages: Fig4Summary(rows), Rows: rows}
 	}, textFig4),
-	job("fig5", func(quick bool) []Fig5Row { return Fig5([]float64{2, 5, 10, 25, 50}, jobUops(quick)) }, textFig5),
-	job("fig6", func(quick bool) []Fig6Row {
-		return Fig6([]float64{5, 10, 20, 50, 100}, []int{1, 2, 4, 8, 16, 22, 26}, jobHorizon(quick))
+	job("fig5", func(e *Env, quick bool) []Fig5Row { return e.Fig5([]float64{2, 5, 10, 25, 50}, jobUops(quick)) }, textFig5),
+	job("fig6", func(e *Env, quick bool) []Fig6Row {
+		return e.Fig6([]float64{5, 10, 20, 50, 100}, []int{1, 2, 4, 8, 16, 22, 26}, jobHorizon(quick))
 	}, textFig6),
-	job("fig7", func(quick bool) []Fig7Row {
-		return Fig7([]float64{25_000, 50_000, 100_000, 150_000, 200_000, 225_000, 245_000}, jobHorizon(quick))
+	job("fig7", func(e *Env, quick bool) []Fig7Row {
+		return e.Fig7([]float64{25_000, 50_000, 100_000, 150_000, 200_000, 225_000, 245_000}, jobHorizon(quick))
 	}, textFig7),
-	job("fig8", func(quick bool) []Fig8Row {
-		return Fig8([]int{1, 2, 4, 8}, []float64{10, 20, 40, 60, 80}, jobHorizon(quick))
+	job("fig8", func(e *Env, quick bool) []Fig8Row {
+		return e.Fig8([]int{1, 2, 4, 8}, []float64{10, 20, 40, 60, 80}, jobHorizon(quick))
 	}, textFig8),
-	job("fig9", func(bool) []Fig9Row { return Fig9([]float64{0, 10, 20, 30, 40, 50}, 1000) }, textFig9),
-	job("worstcase", func(bool) []WorstCaseRow { return WorstCase([]int{5, 10, 20, 35, 50, 60}) }, textWorstCase),
-	job("section2", func(bool) Section2Result { return Section2() }, textSection2),
-	job("section35", func(bool) section35Payload {
+	job("fig9", func(e *Env, _ bool) []Fig9Row { return e.Fig9([]float64{0, 10, 20, 30, 40, 50}, 1000) }, textFig9),
+	job("worstcase", func(e *Env, _ bool) []WorstCaseRow { return e.WorstCase([]int{5, 10, 20, 35, 50, 60}) }, textWorstCase),
+	job("section2", func(e *Env, _ bool) Section2Result { return e.Section2() }, textSection2),
+	job("section35", func(e *Env, _ bool) section35Payload {
 		return section35Payload{
-			PointerChase: S35PointerChase([]int{8, 64, 1024, 16384, 131072}),
-			Linearity:    S35Linearity([]int{5, 10, 20, 40}),
+			PointerChase: e.S35PointerChase([]int{8, 64, 1024, 16384, 131072}),
+			Linearity:    e.S35Linearity([]int{5, 10, 20, 40}),
 		}
 	}, textSection35),
-	job("ablations", func(quick bool) ablationsPayload {
+	job("ablations", func(e *Env, quick bool) ablationsPayload {
 		return ablationsPayload{
-			CluiStui:         CluiStuiCriticalSection(5, jobHorizon(quick)),
-			SafepointDensity: SafepointDensity([]int{5, 25, 100, 400}, jobUops(quick)),
-			PollDensity:      PollDensity([]int{4, 10, 25, 50, 100}, jobUops(quick)),
+			CluiStui:         e.CluiStuiCriticalSection(5, jobHorizon(quick)),
+			SafepointDensity: e.SafepointDensity([]int{5, 25, 100, 400}, jobUops(quick)),
+			PollDensity:      e.PollDensity([]int{4, 10, 25, 50, 100}, jobUops(quick)),
 		}
 	}, textAblations),
-	job("multiworker", func(quick bool) []MultiWorkerRow {
-		return MultiWorker([]int{1, 2, 4}, 400_000, jobHorizon(quick))
+	job("multiworker", func(e *Env, quick bool) []MultiWorkerRow {
+		return e.MultiWorker([]int{1, 2, 4}, 400_000, jobHorizon(quick))
 	}, textMultiWorker),
-	job("duet", func(quick bool) DuetResult {
+	job("duet", func(e *Env, quick bool) DuetResult {
 		iters := 40
 		if quick {
 			iters = 15
 		}
-		return Duet(iters)
+		return e.Duet(iters)
 	}, textDuet),
 	// scale measures the sharded engine itself at cluster sizes, so it is
 	// requested explicitly rather than run as part of "all".
-	job("scale", Scale, textScale).onlyByName(),
+	job("scale", (*Env).Scale, textScale).onlyByName(),
 }
 
 func (s jobSpec) onlyByName() jobSpec {
@@ -167,27 +167,26 @@ func lookupJob(name string) (jobSpec, bool) {
 	return jobSpec{}, false
 }
 
-// RunJob executes the named experiment at the given grid scale and
-// returns its machine-readable payload. The caller owns process-wide
-// configuration (SetWorkers, SetCaching, SetObservability, SetProgress)
-// exactly as the cmd binaries do.
-func RunJob(name string, quick bool) (any, error) {
+// RunJob executes the named experiment on e at the given grid scale and
+// returns its machine-readable payload. Everything the run is configured
+// with — widths, sinks, progress — comes from e.
+func (e *Env) RunJob(name string, quick bool) (any, error) {
 	s, ok := lookupJob(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job %q", name)
 	}
-	payload, _ := s.run(quick)
+	payload, _ := s.run(e, quick)
 	return payload, nil
 }
 
 // RenderJob executes the named experiment like RunJob, writes its text
 // tables to w, and returns the payload the tables were rendered from.
-func RenderJob(w io.Writer, name string, quick bool) (any, error) {
+func (e *Env) RenderJob(w io.Writer, name string, quick bool) (any, error) {
 	s, ok := lookupJob(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job %q", name)
 	}
-	payload, text := s.run(quick)
+	payload, text := s.run(e, quick)
 	text(w)
 	return payload, nil
 }

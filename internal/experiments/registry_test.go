@@ -25,7 +25,7 @@ func TestJobRegistryNames(t *testing.T) {
 	if JobKnown("nope") {
 		t.Error("JobKnown of unknown name = true")
 	}
-	if _, err := RunJob("nope", true); err == nil {
+	if _, err := suite.RunJob("nope", true); err == nil {
 		t.Error("RunJob of unknown name succeeded")
 	}
 }
@@ -33,19 +33,18 @@ func TestJobRegistryNames(t *testing.T) {
 // TestRunJobMatchesDirectCall: the registry's payload for an experiment
 // is byte-identical to calling the experiment directly — the property
 // that makes daemon-cached results interchangeable with local runs. It
-// also exercises the SetProgress hook end to end through a real grid.
+// also exercises the Env's Progress hook end to end through a real grid.
 func TestRunJobMatchesDirectCall(t *testing.T) {
 	ResetCaches()
 	var mu sync.Mutex
 	progress := map[string][2]int{}
-	SetProgress(func(sweep string, done, total int) {
+	e := &Env{Check: suiteCheck, Progress: func(sweep string, done, total int) {
 		mu.Lock()
 		progress[sweep] = [2]int{done, total}
 		mu.Unlock()
-	})
-	defer SetProgress(nil)
+	}}
 
-	payload, err := RunJob("fig2", true)
+	payload, err := e.RunJob("fig2", true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestRunJobMatchesDirectCall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := json.Marshal(map[string]any{"simulated": Fig2(), "paper": PaperFig2()})
+	want, err := json.Marshal(map[string]any{"simulated": e.Fig2(), "paper": PaperFig2()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,14 +61,14 @@ func TestRunJobMatchesDirectCall(t *testing.T) {
 	}
 
 	// A grid experiment streams progress through the hook.
-	if _, err := RunJob("worstcase", true); err != nil {
+	if _, err := e.RunJob("worstcase", true); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
 	p, ok := progress["worstcase"]
 	mu.Unlock()
 	if !ok {
-		t.Fatal("SetProgress hook never fired for the worstcase grid")
+		t.Fatal("Progress hook never fired for the worstcase grid")
 	}
 	if p[0] != p[1] || p[0] == 0 {
 		t.Fatalf("final progress = %d/%d, want complete and nonzero", p[0], p[1])

@@ -56,39 +56,34 @@ func TestRunCacheParity(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		run  func() any
+		run  func(e *Env) any
 	}{
-		{"fig4", func() any { return Fig4(40000) }},
-		{"fig5", func() any { return Fig5([]float64{5}, 40000) }},
-		{"table2", func() any { return Table2() }},
-		{"worstcase", func() any { return WorstCase([]int{5, 10}) }},
-		{"s35linearity", func() any { return S35Linearity([]int{5, 10}) }},
-		{"safepoint-density", func() any { return SafepointDensity([]int{25, 100}, 40000) }},
-		{"poll-density", func() any { return PollDensity([]int{25}, 40000) }},
+		{"fig4", func(e *Env) any { return e.Fig4(40000) }},
+		{"fig5", func(e *Env) any { return e.Fig5([]float64{5}, 40000) }},
+		{"table2", func(e *Env) any { return e.Table2() }},
+		{"worstcase", func(e *Env) any { return e.WorstCase([]int{5, 10}) }},
+		{"s35linearity", func(e *Env) any { return e.S35Linearity([]int{5, 10}) }},
+		{"safepoint-density", func(e *Env) any { return e.SafepointDensity([]int{25, 100}, 40000) }},
+		{"poll-density", func(e *Env) any { return e.PollDensity([]int{25}, 40000) }},
 	}
 	configs := []struct {
 		name    string
-		caching bool
+		noCache bool
 		workers int
 	}{
-		{"cache/j1", true, 1},
-		{"cache/j8", true, 8},
-		{"nocache/j1", false, 1},
-		{"nocache/j8", false, 8},
+		{"cache/j1", false, 1},
+		{"cache/j8", false, 8},
+		{"nocache/j1", true, 1},
+		{"nocache/j8", true, 8},
 	}
-	defer func() {
-		SetCaching(true)
-		SetWorkers(0)
-		ResetCaches()
-	}()
+	defer ResetCaches()
 	ResetCaches()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref []byte
 			for _, cf := range configs {
-				SetCaching(cf.caching)
-				SetWorkers(cf.workers)
-				got, err := json.Marshal(tc.run())
+				e := &Env{Workers: cf.workers, NoCache: cf.noCache, Check: suiteCheck}
+				got, err := json.Marshal(tc.run(e))
 				if err != nil {
 					t.Fatal(err)
 				}

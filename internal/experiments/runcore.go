@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"xui/internal/cpu"
 	"xui/internal/isa"
@@ -25,27 +24,10 @@ import (
 //     port + hierarchy) from a sync.Pool and resets it instead of
 //     reallocating the ROB and ~35 K cache-set slices.
 //
-// All three honour one switch (SetCaching, a test hook that selects the
-// uncached reference path) and one contract: experiment rows are
+// All three are switched off together by Env.NoCache, which selects the
+// uncached reference path, under one contract: experiment rows are
 // byte-identical with the machinery on or off, at any worker count
 // (TestRunCacheParity).
-
-// cachingOn gates the run cache, tapes and core pooling together.
-var cachingOn atomic.Bool
-
-func init() { cachingOn.Store(true) }
-
-// SetCaching enables or disables the Tier-1 redundancy-elimination
-// layer (run cache + recorded tapes + core pooling) process-wide.
-// Results never depend on the setting — only wall time does.
-func SetCaching(on bool) {
-	cachingOn.Store(on)
-	runcache.SetEnabled(on)
-	trace.SetTapes(on)
-}
-
-// CachingEnabled reports whether the layer is active.
-func CachingEnabled() bool { return cachingOn.Load() }
 
 // ResetCaches drops every memoized run and recorded tape (tests and
 // A/B timing). Never call with a sweep in flight.
@@ -55,7 +37,8 @@ func ResetCaches() {
 }
 
 // receiverCfg is the standard receiver-core configuration: Table 3
-// baseline, the given delivery strategy, calibrated microcode.
+// baseline, the given delivery strategy, calibrated microcode. The
+// engine is set where the core is built (Env.newCore, acquireRig).
 func receiverCfg(strategy cpu.Strategy) cpu.Config {
 	cfg := cpu.DefaultConfig()
 	cfg.Strategy = strategy
@@ -74,56 +57,62 @@ type rig struct {
 
 var rigPool sync.Pool
 
-// acquireRig returns a receiver rig reset for cfg and prog. With
-// caching disabled every rig is freshly built, which is exactly what a
+// acquireRig returns a receiver rig reset for cfg and prog. On the
+// uncached path every rig is freshly built, which is exactly what a
 // fresh NewReceiver would produce — the parity tests compare the two.
-func acquireRig(cfg cpu.Config, prog isa.Stream) *rig {
-	if cachingOn.Load() {
+func (e *Env) acquireRig(cfg cpu.Config, prog isa.Stream) *rig {
+	if !e.NoCache {
 		if r, _ := rigPool.Get().(*rig); r != nil {
 			r.hier.Reset()
 			r.port.SharedCost = mem.LatCrossCore
 			clear(r.port.PendingRemote)
+			cfg.Engine = e.Engine
 			r.core.Reset(cfg, prog, r.port)
-			observeCore(r.core)
+			e.observeCore(r.core)
 			return r
 		}
 	}
 	h := mem.NewHierarchy(mem.Config{})
 	port := &cpu.PrivatePort{H: h, SharedCost: mem.LatCrossCore}
-	c := cpu.New(cfg, prog, port)
-	observeCore(c)
-	return &rig{hier: h, port: port, core: c}
+	return &rig{hier: h, port: port, core: e.newCore(cfg, prog, port)}
 }
 
 // releaseRig returns a rig to the pool. The caller must be done with
 // the core (its Result may be retained: Core.Reset starts a fresh
 // records slice precisely so released cores never corrupt one).
-func releaseRig(r *rig) {
-	if cachingOn.Load() {
+func (e *Env) releaseRig(r *rig) {
+	if !e.NoCache {
 		rigPool.Put(r)
 	}
+}
+
+// cached is c.Get(key, compute), or compute() on the uncached path.
+func cached[V any](e *Env, c *runcache.Cache[V], key string, compute func() V) V {
+	if e.NoCache {
+		return compute()
+	}
+	return c.Get(key, compute)
 }
 
 // runReceiver runs prog to a budget of uops committed program
 // micro-ops on a pooled receiver core. setup, when non-nil, arms the
 // run (schedules interrupts, installs commit hooks) before it starts.
-func runReceiver(cfg cpu.Config, prog isa.Stream, uops, maxCycles uint64, setup func(c *cpu.Core, port *cpu.PrivatePort)) cpu.Result {
-	r := acquireRig(cfg, prog)
-	cc := checkCore(r.core, "tier1")
+func (e *Env) runReceiver(cfg cpu.Config, prog isa.Stream, uops, maxCycles uint64, setup func(c *cpu.Core, port *cpu.PrivatePort)) cpu.Result {
+	r := e.acquireRig(cfg, prog)
+	cc := e.checkCore(r.core, "tier1")
 	if setup != nil {
 		setup(r.core, r.port)
 	}
 	res := r.core.Run(uops, maxCycles)
 	finishCore(cc)
-	releaseRig(r)
+	e.releaseRig(r)
 	return res
 }
 
-// workloadStream returns the (tape-backed) stream of a named
-// microbenchmark, sized so a run of the given uop budget never reaches
-// the tape's end.
-func workloadStream(workload string, seed, uops uint64) isa.Stream {
-	return trace.Recorded(workload, seed, uops)
+// workloadStream returns the stream of a named microbenchmark, sized so
+// a run of the given uop budget never reaches the tape's end.
+func (e *Env) workloadStream(workload string, seed, uops uint64) isa.Stream {
+	return e.stream(streamSpec{workload: workload, seed: seed}, uops)
 }
 
 // baselineCache memoizes interrupt-free receiver runs; single-flight,
@@ -197,11 +186,10 @@ func warmKey(streamKey string, warmCycles uint64, cfg cpu.Config) string {
 // buildWarmState runs mk()'s stream for warmCycles cycles with the
 // interrupt machinery untouched and captures the result. nil (cached
 // too, so the price is paid once) means the run is not checkpointable —
-// program too short, tapes off, or a fetch state TakeCheckpoint
-// declines.
-func buildWarmState(cfg cpu.Config, mk func() isa.Stream, warmCycles, uops uint64) *warmState {
-	r := acquireRig(cfg, mk())
-	defer releaseRig(r)
+// program too short, or a fetch state TakeCheckpoint declines.
+func (e *Env) buildWarmState(cfg cpu.Config, mk func() isa.Stream, warmCycles, uops uint64) *warmState {
+	r := e.acquireRig(cfg, mk())
+	defer e.releaseRig(r)
 	if !r.core.RunUntil(warmCycles, uops) {
 		return nil
 	}
@@ -217,25 +205,24 @@ func buildWarmState(cfg cpu.Config, mk func() isa.Stream, warmCycles, uops uint6
 // the remainder. setup runs after the restore, exactly as it would
 // after cycle warmCycles of a cold run; rows are byte-identical either
 // way (TestCheckpointParity, TestFastForwardParity). Falls back to the
-// plain path whenever the machinery is off or the warm state is
-// unusable.
-func runReceiverWarm(cfg cpu.Config, streamKey string, mk func() isa.Stream, uops, maxCycles, warmCycles uint64, setup func(c *cpu.Core, port *cpu.PrivatePort)) cpu.Result {
-	if !cachingOn.Load() || !cpu.FastForwardEnabled() || cfg.Engine == cpu.EngineInterpreted ||
-		warmCycles < 2 || warmCycles >= maxCycles {
-		return runReceiver(cfg, mk(), uops, maxCycles, setup)
+// plain path on the uncached or interpreted reference paths, or when
+// the warm state is unusable.
+func (e *Env) runReceiverWarm(cfg cpu.Config, streamKey string, mk func() isa.Stream, uops, maxCycles, warmCycles uint64, setup func(c *cpu.Core, port *cpu.PrivatePort)) cpu.Result {
+	if e.NoCache || e.Engine == cpu.EngineInterpreted || warmCycles < 2 || warmCycles >= maxCycles {
+		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
 	}
 	ws := checkpointCache.Get(warmKey(streamKey, warmCycles, cfg), func() *warmState {
-		return buildWarmState(cfg, mk, warmCycles, uops)
+		return e.buildWarmState(cfg, mk, warmCycles, uops)
 	})
 	if ws == nil || ws.ck.Committed() >= uops {
-		return runReceiver(cfg, mk(), uops, maxCycles, setup)
+		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
 	}
-	r := acquireRig(cfg, mk())
+	r := e.acquireRig(cfg, mk())
 	if !r.core.RestoreCheckpoint(ws.ck) || !r.hier.RestoreSnapshot(ws.ms) {
-		releaseRig(r)
-		return runReceiver(cfg, mk(), uops, maxCycles, setup)
+		e.releaseRig(r)
+		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
 	}
-	cc := checkCore(r.core, "tier1")
+	cc := e.checkCore(r.core, "tier1")
 	if setup != nil {
 		setup(r.core, r.port)
 	}
@@ -243,25 +230,25 @@ func runReceiverWarm(cfg cpu.Config, streamKey string, mk func() isa.Stream, uop
 	// cold run's exactly.
 	res := r.core.Run(uops-ws.ck.Committed(), maxCycles-warmCycles)
 	finishCore(cc)
-	releaseRig(r)
+	e.releaseRig(r)
 	return res
 }
 
 // baselineRun memoizes the interrupt-free run of a deterministic
 // stream. streamKey must uniquely identify mk()'s output (name, seed
 // and any generator parameters); mk is only called on a miss.
-func baselineRun(streamKey string, mk func() isa.Stream, uops, maxCycles uint64) cpu.Result {
+func (e *Env) baselineRun(streamKey string, mk func() isa.Stream, uops, maxCycles uint64) cpu.Result {
 	cfg := receiverCfg(cpu.Flush) // strategy is not part of what a baseline depends on
-	return baselineCache.Get(baselineKey(streamKey, uops, maxCycles, cfg), func() cpu.Result {
-		return runReceiver(cfg, mk(), uops, maxCycles, nil)
+	return cached(e, baselineCache, baselineKey(streamKey, uops, maxCycles, cfg), func() cpu.Result {
+		return e.runReceiver(cfg, mk(), uops, maxCycles, nil)
 	})
 }
 
 // workloadBaseline is baselineRun for the ByName microbenchmarks,
 // fed from the recorded tape.
-func workloadBaseline(workload string, seed, uops, maxCycles uint64) cpu.Result {
-	return baselineRun(fmt.Sprintf("%s/%d", workload, seed),
-		func() isa.Stream { return workloadStream(workload, seed, uops) },
+func (e *Env) workloadBaseline(workload string, seed, uops, maxCycles uint64) cpu.Result {
+	return e.baselineRun(fmt.Sprintf("%s/%d", workload, seed),
+		func() isa.Stream { return e.workloadStream(workload, seed, uops) },
 		uops, maxCycles)
 }
 

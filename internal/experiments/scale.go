@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"runtime"
-
 	"xui/internal/apic"
 	"xui/internal/core"
 	"xui/internal/kernel"
@@ -82,37 +80,28 @@ type ScaleRow struct {
 	Rebalances    uint64  // conventional IPI broadcasts the aggregator sent back
 }
 
-// Scale runs the family at the configured engine width (SetShards).
-func Scale(quick bool) []ScaleRow {
+// Scale runs the family at e's engine width (Env.Shards).
+func (e *Env) Scale(quick bool) []ScaleRow {
 	cfgs := ScaleConfigs(quick)
 	rows := make([]ScaleRow, len(cfgs))
-	width := EngineWidth()
+	width := e.EngineWidth()
 	// Serial loop, not runGrid: the parallelism under measurement is the
 	// engine's own worker pool, and stacking the sweep pool on top would
 	// only let runs contend for the same host cores.
 	for i, c := range cfgs {
-		rows[i] = ScalePoint(c, width)
+		rows[i] = e.ScalePoint(c, width)
 	}
 	return rows
 }
 
-// EngineWidth resolves the effective sharded-engine worker width: the
-// configured -shards value, or one per host core when unset.
-func EngineWidth() int {
-	if n := Shards(); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // ScalePoint runs one configuration on a sharded engine with the given
 // worker width. The row depends only on the configuration, never the width.
-func ScalePoint(cfg ScaleConfig, width int) ScaleRow {
+func (e *Env) ScalePoint(cfg ScaleConfig, width int) ScaleRow {
 	switch cfg.Mode {
 	case "cluster":
-		return scaleCluster(cfg, width)
+		return e.scaleCluster(cfg, width)
 	case "edge":
-		return scaleEdge(cfg, width)
+		return e.scaleEdge(cfg, width)
 	}
 	panic("experiments: unknown scale mode " + cfg.Mode)
 }
@@ -124,14 +113,14 @@ func ScalePoint(cfg ScaleConfig, width int) ScaleRow {
 // and the aggregator answers every 256th report with a conventional
 // "rebalance" IPI broadcast to every other group, exercising the
 // cross-shard bus router in the opposite direction.
-func scaleCluster(cfg ScaleConfig, width int) ScaleRow {
+func (e *Env) scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 	g, cpg := cfg.Groups, cfg.CoresPerGroup
 	eng := shard.New(0xA11CE, g, scaleLookahead, width)
 	m, err := core.NewSharded(eng, cpg, core.TrackedIPI, ScaleCrossLatency)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 
 	kerns := make([]*kernel.Kernel, g)
 	for i := 0; i < g; i++ {
@@ -219,7 +208,7 @@ func scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 	}
 
 	eng.RunUntil(cfg.Horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	for _, gen := range gens {
 		gen.Stop()
 	}
@@ -250,14 +239,14 @@ func scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 // own NICs on a shard-local l3fwd core under xUI device interrupts, and
 // reports forwarding statistics to the group-0 aggregator with a periodic
 // cross-shard senduipi.
-func scaleEdge(cfg ScaleConfig, width int) ScaleRow {
+func (e *Env) scaleEdge(cfg ScaleConfig, width int) ScaleRow {
 	g, cpg, nq := cfg.Groups, cfg.CoresPerGroup, cfg.NICsPerGroup
 	eng := shard.New(0xED6E, g, scaleLookahead, width)
 	m, err := core.NewSharded(eng, cpg, core.TrackedIPI, ScaleCrossLatency)
 	if err != nil {
 		panic(err)
 	}
-	maybeObserve(m)
+	e.observeMachine(m)
 
 	// Aggregator thread on core 1 of group 0; forwarding runs on core 0 of
 	// every group. One shared routing table: it is read-only during the
@@ -323,7 +312,7 @@ func scaleEdge(cfg ScaleConfig, width int) ScaleRow {
 	}
 
 	eng.RunUntil(cfg.Horizon)
-	SnapshotObserved(m)
+	e.snapshotMachine(m)
 	for _, gen := range gens {
 		gen.Stop()
 	}

@@ -6,7 +6,6 @@ import (
 
 	"xui/internal/core"
 	"xui/internal/isa"
-	"xui/internal/trace"
 )
 
 // Section2Result collects the §2 motivation measurements: the costs of the
@@ -24,28 +23,28 @@ type Section2Result struct {
 }
 
 // Section2 measures each quantity on the models.
-func Section2() Section2Result {
+func (e *Env) Section2() Section2Result {
 	var r Section2Result
 	r.SignalCycles = core.SignalCost
 	r.SignalKernelCycles = core.SignalKernelCost
 
-	t2 := Table2()
+	t2 := e.Table2()
 	r.UIPIReceiverCycles = t2.ReceiverCost
 
-	neg, pos := PollingCosts()
+	neg, pos := e.PollingCosts()
 	r.PollNegativeCycles = neg
 	r.PollPositiveCycles = pos
 
 	// Wasmtime-style preemption checks in a tight loop: a check at every
 	// back-edge of a ~4-instruction loop.
-	r.TightLoopPollPct = pollSlowdown("linpack", 3, 150000)
+	r.TightLoopPollPct = e.pollSlowdown("linpack", 3, 150000)
 
 	// Go-proposal-style loop instrumentation across the microbenches
 	// (geometric mean; the proposal measured ≈7 %).
 	prod := 1.0
 	n := 0
 	for _, w := range []string{"fib", "linpack", "memops", "matmul", "base64"} {
-		s := pollSlowdown(w, 40, 120000)
+		s := e.pollSlowdown(w, 40, 120000)
 		prod *= 1 + s/100
 		n++
 	}
@@ -53,12 +52,12 @@ func Section2() Section2Result {
 	return r
 }
 
-func pollSlowdown(workload string, checkEvery int, uops uint64) float64 {
-	rb := workloadBaseline(workload, 1, uops, uops*400)
+func (e *Env) pollSlowdown(workload string, checkEvery int, uops uint64) float64 {
+	rb := e.workloadBaseline(workload, 1, uops, uops*400)
 	total := uops + uops/uint64(checkEvery)*2
-	ri := baselineRun(fmt.Sprintf("%s/1+poll%d", workload, checkEvery),
+	ri := e.baselineRun(fmt.Sprintf("%s/1+poll%d", workload, checkEvery),
 		func() isa.Stream {
-			return trace.RecordedPoll(workload, 1, uops, checkEvery, FlagAddr)
+			return e.stream(streamSpec{workload: workload, seed: 1, poll: checkEvery}, uops)
 		}, total, total*400)
 	return 100 * (float64(ri.Cycles) - float64(rb.Cycles)) / float64(rb.Cycles)
 }

@@ -26,7 +26,7 @@ type S35ChaseRow struct {
 }
 
 // S35PointerChase sweeps the chase working set for both strategies.
-func S35PointerChase(workingSetsKB []int) []S35ChaseRow {
+func (e *Env) S35PointerChase(workingSetsKB []int) []S35ChaseRow {
 	type job struct {
 		strategy cpu.Strategy
 		ws       int
@@ -35,8 +35,8 @@ func S35PointerChase(workingSetsKB []int) []S35ChaseRow {
 	for _, ws := range workingSetsKB {
 		jobs = append(jobs, job{cpu.Flush, ws}, job{cpu.Drain, ws})
 	}
-	lats := runGrid("s35chase", jobs, func(_ int, j job) float64 {
-		return s35ChasePoint(j.strategy, j.ws)
+	lats := runGrid(e, "s35chase", jobs, func(_ int, j job) float64 {
+		return e.s35ChasePoint(j.strategy, j.ws)
 	})
 	rows := make([]S35ChaseRow, len(workingSetsKB))
 	for i, ws := range workingSetsKB {
@@ -45,16 +45,16 @@ func S35PointerChase(workingSetsKB []int) []S35ChaseRow {
 	return rows
 }
 
-func s35ChasePoint(s cpu.Strategy, wsKB int) float64 {
+func (e *Env) s35ChasePoint(s cpu.Strategy, wsKB int) float64 {
 	// First arrival at 45013: flush and drain share one warm checkpoint per
 	// working set up to 45012.
 	key := fmt.Sprintf("chase/21/%d/0", uint64(wsKB)<<10)
 	mk := func() isa.Stream {
-		return trace.RecordedStream(key, 30000, func() isa.Stream {
+		return e.stream(streamSpec{key: key, mk: func() isa.Stream {
 			return trace.NewPointerChase(21, uint64(wsKB)<<10, 0)
-		})
+		}}, 30000)
 	}
-	res := runReceiverWarm(receiverCfg(s), key, mk, 30000, 80_000_000, 45012,
+	res := e.runReceiverWarm(receiverCfg(s), key, mk, 30000, 80_000_000, 45012,
 		func(c *cpu.Core, port *cpu.PrivatePort) {
 			for i := uint64(1); i <= 10; i++ {
 				port.MarkRemoteWrite(UPIDAddr)
@@ -88,12 +88,12 @@ type S35FlushLinearity struct {
 }
 
 // S35Linearity runs the same workload with increasing interrupt counts.
-func S35Linearity(counts []int) S35FlushLinearity {
+func (e *Env) S35Linearity(counts []int) S35FlushLinearity {
 	out := S35FlushLinearity{Interrupts: counts}
-	out.Squashed = runGrid("s35linearity", counts, func(_ int, k int) uint64 {
+	out.Squashed = runGrid(e, "s35linearity", counts, func(_ int, k int) uint64 {
 		uops := uint64(k+2) * 5000 / 2 * 3 // enough uops to span all arrivals
-		res := runReceiverWarm(receiverCfg(cpu.Flush), "linpack/4",
-			func() isa.Stream { return workloadStream("linpack", 4, uops) },
+		res := e.runReceiverWarm(receiverCfg(cpu.Flush), "linpack/4",
+			func() isa.Stream { return e.workloadStream("linpack", 4, uops) },
 			uops, 50_000_000, 4999,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				for i := 1; i <= k; i++ {

@@ -15,19 +15,11 @@ import (
 // (CI runs this under -race, so it also proves the epoch protocol's
 // happens-before edges are the only synchronization the shards need).
 func TestShardParity(t *testing.T) {
-	defer SetShards(0)
-	defer SetCaching(true)
-	defer SetChecking(nil)
-
 	for _, cache := range []bool{true, false} {
-		SetCaching(cache)
 		var want []byte
 		for _, width := range []int{1, 4, 16} {
-			SetShards(width)
 			col := check.NewCollector()
-			SetChecking(col)
-			rows := Scale(true)
-			SetChecking(nil)
+			rows := (&Env{Shards: width, NoCache: !cache, Check: col}).Scale(true)
 
 			if rep := col.Report(); !rep.OK() {
 				t.Fatalf("cache=%v width=%d: invariant violations:\n%s", cache, width, rep)
@@ -65,16 +57,10 @@ func TestShardParity(t *testing.T) {
 // -race too, which checks the barrier-time absorb against the shard
 // workers.
 func TestShardTraceParity(t *testing.T) {
-	defer SetShards(0)
-	defer SetObservability(nil)
-
 	tier2 := func(width int) []json.RawMessage {
-		SetShards(width)
 		var buf bytes.Buffer
 		ctx := &obs.Context{Trace: obs.NewStreamTracer(&buf)}
-		SetObservability(ctx)
-		Scale(true)
-		SetObservability(nil)
+		(&Env{Shards: width, Obs: ctx, Check: suiteCheck}).Scale(true)
 		if err := ctx.Trace.Close(); err != nil {
 			t.Fatal(err)
 		}

@@ -34,11 +34,11 @@ func PaperTable2() Table2Result {
 // into the rdtsc measurement loop, flush strategy, full notification
 // path. One memoized entry serves both experiments (and §2, which
 // re-derives Table 2).
-func measuredUIPIRun() cpu.Result {
+func (e *Env) measuredUIPIRun() cpu.Result {
 	const period = 20000
 	const uops = 300000
-	return receiverCache.Get("rdtscloop/flush/measure/p20000/u300000", func() cpu.Result {
-		return runReceiver(receiverCfg(cpu.Flush), trace.NewRdtscLoop(), uops, uops*400,
+	return cached(e, receiverCache, "rdtscloop/flush/measure/p20000/u300000", func() cpu.Result {
+		return e.runReceiver(receiverCfg(cpu.Flush), trace.NewRdtscLoop(), uops, uops*400,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 					port.MarkRemoteWrite(UPIDAddr)
@@ -52,25 +52,25 @@ func measuredUIPIRun() cpu.Result {
 // the paper's methodology: a sender core running a senduipi loop, a
 // receiver core running the rdtsc measurement loop, stock UIPI delivery
 // (flush strategy, full notification path).
-func Table2() Table2Result {
+func (e *Env) Table2() Table2Result {
 	// The three measurements are independent simulations; fan them out.
 	const uops = 300000
 	type part struct {
 		send, icr float64
 		res       cpu.Result
 	}
-	parts := runGrid("table2", []int{0, 1, 2}, func(_ int, which int) part {
+	parts := runGrid(e, "table2", []int{0, 1, 2}, func(_ int, which int) part {
 		switch which {
 		case 0:
-			send, icr := SenduipiLoopCost(60)
+			send, icr := e.SenduipiLoopCost(60)
 			return part{send: send, icr: icr}
 		case 1:
 			// Interrupt-free rdtsc loop (the differencing baseline,
 			// memoized across Table2 invocations — §2 re-derives it).
-			return part{res: baselineRun("rdtscloop", func() isa.Stream { return trace.NewRdtscLoop() }, uops, uops*400)}
+			return part{res: e.baselineRun("rdtscloop", func() isa.Stream { return trace.NewRdtscLoop() }, uops, uops*400)}
 		default:
 			// Receiver cost: added receiver cycles per UIPI on the rdtsc loop.
-			return part{res: measuredUIPIRun()}
+			return part{res: e.measuredUIPIRun()}
 		}
 	})
 	send, icr := parts[0].send, parts[0].icr

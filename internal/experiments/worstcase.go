@@ -29,7 +29,7 @@ type WorstCaseRow struct {
 // WorstCase sweeps the load-chain length. The paper observes ≈7000 cycles
 // worst case for tracking with chains of 50+ loads, an order of magnitude
 // worse than flushing — and calls it "an extreme pathological case".
-func WorstCase(chainLens []int) []WorstCaseRow {
+func (e *Env) WorstCase(chainLens []int) []WorstCaseRow {
 	type job struct {
 		strategy cpu.Strategy
 		n        int
@@ -38,8 +38,8 @@ func WorstCase(chainLens []int) []WorstCaseRow {
 	for _, n := range chainLens {
 		jobs = append(jobs, job{cpu.Tracked, n}, job{cpu.Flush, n})
 	}
-	lats := runGrid("worstcase", jobs, func(_ int, j job) wcLatency {
-		return worstCaseLatency(j.strategy, j.n)
+	lats := runGrid(e, "worstcase", jobs, func(_ int, j job) wcLatency {
+		return e.worstCaseLatency(j.strategy, j.n)
 	})
 	rows := make([]WorstCaseRow, len(chainLens))
 	for i, n := range chainLens {
@@ -61,7 +61,7 @@ type wcLatency struct {
 	dist stats.Summary
 }
 
-func worstCaseLatency(s cpu.Strategy, chainLen int) wcLatency {
+func (e *Env) worstCaseLatency(s cpu.Strategy, chainLen int) wcLatency {
 	// An SP write every chainLen hops ties RSP to a chain of that length.
 	// It is a worst-*case* study: deliver several interrupts at different
 	// chain phases and report the maximum delivery latency observed. The
@@ -69,11 +69,11 @@ func worstCaseLatency(s cpu.Strategy, chainLen int) wcLatency {
 	// checkpoint per chain length up to 40012.
 	key := fmt.Sprintf("chase/17/%d/%d", uint64(256<<20), chainLen)
 	mk := func() isa.Stream {
-		return trace.RecordedStream(key, 60000, func() isa.Stream {
+		return e.stream(streamSpec{key: key, mk: func() isa.Stream {
 			return trace.NewPointerChase(17, 256<<20, chainLen)
-		})
+		}}, 60000)
 	}
-	res := runReceiverWarm(receiverCfg(s), key, mk, 60000, 100_000_000, 40012,
+	res := e.runReceiverWarm(receiverCfg(s), key, mk, 60000, 100_000_000, 40012,
 		func(c *cpu.Core, _ *cpu.PrivatePort) {
 			for i := uint64(1); i <= 12; i++ {
 				// Prime-ish spacing decorrelates arrival phase from chain phase.

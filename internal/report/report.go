@@ -72,8 +72,6 @@ type Doc struct {
 	Quick bool `json:"quick"`
 	// Workers is the sweep parallelism the run used (-j).
 	Workers int `json:"workers"`
-	// CacheOn records whether the run-redundancy layer was enabled.
-	CacheOn bool `json:"cacheOn"`
 	// Results maps experiment name → its row payload (the same structs
 	// the table printers format), fingerprint-covered.
 	Results map[string]any `json:"results"`

@@ -20,24 +20,19 @@ import (
 // latency-percentile columns (fig7/fig8 DelivP*Cy, table2 Delivery,
 // worstcase distributions), which are exact-integer histogram outputs.
 func TestReportFingerprint(t *testing.T) {
-	defer experiments.SetWorkers(0)
-	defer experiments.SetCaching(true)
-
 	horizon := 2 * sim.Millisecond
 	build := func(workers int, caching bool) []byte {
-		experiments.SetWorkers(workers)
-		experiments.SetCaching(caching)
+		e := &experiments.Env{Workers: workers, NoCache: !caching}
 		experiments.ResetCaches()
 
 		d := New("report-test")
 		d.Experiment = "fingerprint"
 		d.Quick = true
 		d.Workers = workers
-		d.CacheOn = caching
-		d.AddResult("table2", experiments.Table2())
-		d.AddResult("fig7", experiments.Fig7([]float64{20000}, horizon))
-		d.AddResult("fig8", experiments.Fig8([]int{1}, []float64{30}, horizon))
-		d.AddResult("worstcase", experiments.WorstCase([]int{8}))
+		d.AddResult("table2", e.Table2())
+		d.AddResult("fig7", e.Fig7([]float64{20000}, horizon))
+		d.AddResult("fig8", e.Fig8([]int{1}, []float64{30}, horizon))
+		d.AddResult("worstcase", e.WorstCase([]int{8}))
 
 		fp, err := d.Fingerprint()
 		if err != nil {
@@ -50,8 +45,8 @@ func TestReportFingerprint(t *testing.T) {
 	if !strings.Contains(string(ref), "DelivP99Cy") {
 		t.Fatal("fingerprint does not carry delivery-latency percentile columns")
 	}
-	// Fingerprints must not depend on worker count; Workers/CacheOn are
-	// document metadata, not fingerprint material.
+	// Fingerprints must not depend on worker count or cache mode; Workers
+	// is document metadata, not fingerprint material.
 	for _, cfg := range []struct {
 		workers int
 		caching bool
@@ -68,13 +63,10 @@ func TestReportFingerprint(t *testing.T) {
 // snapshot with derived sweep timings, and valid JSON output.
 func TestReportDocument(t *testing.T) {
 	ctx := &obs.Context{Trace: obs.NewStreamTracer(io.Discard), Metrics: obs.NewRegistry()}
-	experiments.SetObservability(ctx)
-	defer experiments.SetObservability(nil)
-	defer experiments.SetWorkers(0)
-	experiments.SetWorkers(2)
+	e := &experiments.Env{Workers: 2, Obs: ctx}
 
 	d := New("report-test")
-	d.AddResult("worstcase", experiments.WorstCase([]int{4}))
+	d.AddResult("worstcase", e.WorstCase([]int{4}))
 	snap := experiments.CacheStats()
 	d.Cache = &snap
 	d.AttachContext(ctx, "trace.json")

@@ -15,13 +15,14 @@ import (
 
 // Session is the run lifecycle every command-line front end shares: one
 // flag set for the trace, metrics, report, profiles, sweep and engine
-// widths and invariant checking, applied by Start and wound down by
-// Finish. A front end's main keeps only its own flags and its run body:
+// widths and invariant checking. Start builds the run's experiments.Env
+// from them, Finish writes the run's outputs. A front end's main keeps
+// only its own flags and its run body:
 //
 //	sess := report.Flags(flag.CommandLine, "xuisim")
 //	flag.Parse()
 //	if err := sess.Start(); err != nil { ... }
-//	... run, collecting payloads ...
+//	... run on sess.Env(), collecting payloads ...
 //	if err := sess.Finish(experiment, quick, results); err != nil { ... }
 type Session struct {
 	cmd                                string
@@ -30,6 +31,7 @@ type Session struct {
 	workers, shards                    int
 	checkOn                            bool
 
+	env      *experiments.Env
 	ctx      *obs.Context
 	checks   *check.Collector
 	stopProf func() error
@@ -51,16 +53,14 @@ func Flags(fs *flag.FlagSet, cmd string) *Session {
 	return s
 }
 
-// Start applies the sweep and engine widths, installs the invariant
-// collector, starts the profiles and installs the observability context:
-// a streaming tracer with -trace, and a metrics registry with -metrics or
-// -report (reports read their latency histograms out of it).
+// Start builds the run's Env from the flags — the sweep and engine
+// widths, the invariant collector with -check, and the observability
+// context: a streaming tracer with -trace, and a metrics registry with
+// -metrics or -report (reports read their latency histograms out of
+// it) — and starts the profiles.
 func (s *Session) Start() error {
-	experiments.SetWorkers(s.workers)
-	experiments.SetShards(s.shards)
 	if s.checkOn {
 		s.checks = check.NewCollector()
-		experiments.SetChecking(s.checks)
 	}
 	stop, err := obs.StartProfiles(s.cpuProfile, s.memProfile)
 	if err != nil {
@@ -79,18 +79,23 @@ func (s *Session) Start() error {
 		if s.metricsPath != "" || s.reportPath != "" {
 			s.ctx.Metrics = obs.NewRegistry()
 		}
-		experiments.SetObservability(s.ctx)
 	}
+	s.env = &experiments.Env{Workers: s.workers, Shards: s.shards, Obs: s.ctx, Check: s.checks}
 	s.start = time.Now()
 	return nil
 }
 
+// Env is the run environment Start built: every run of the session goes
+// through it, so all of them share its sinks and number their Tier-1
+// trace threads in one sequence.
+func (s *Session) Env() *experiments.Env { return s.env }
+
 // Finish ends the run: it publishes the cache and check counters into the
 // registry, writes the report (results keyed by experiment name), closes
-// the trace, writes the metrics snapshot, stops the profiles and detaches
-// the process-wide sinks. A failed step does not skip the later ones; the
-// error joins every failure. With -check on, Finish prints the check
-// report to stderr and fails if any invariant was violated.
+// the trace, writes the metrics snapshot and stops the profiles. A failed
+// step does not skip the later ones; the error joins every failure. With
+// -check on, Finish prints the check report to stderr and fails if any
+// invariant was violated.
 func (s *Session) Finish(experiment string, quick bool, results map[string]any) error {
 	var cr check.Report
 	if s.checks != nil {
@@ -108,7 +113,6 @@ func (s *Session) Finish(experiment string, quick bool, results map[string]any) 
 		d.Experiment = experiment
 		d.Quick = quick
 		d.Workers = s.workers
-		d.CacheOn = experiments.CachingEnabled()
 		for name, rows := range results {
 			d.AddResult(name, rows)
 		}
@@ -126,8 +130,6 @@ func (s *Session) Finish(experiment string, quick bool, results map[string]any) 
 		errs = append(errs, s.ctx.Metrics.ExportFile(s.metricsPath))
 	}
 	errs = append(errs, s.stopProf())
-	experiments.SetObservability(nil)
-	experiments.SetChecking(nil)
 	if s.checks != nil {
 		fmt.Fprintln(os.Stderr, cr)
 		if !cr.OK() {

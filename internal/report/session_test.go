@@ -14,20 +14,21 @@ import (
 // TestSession drives the shared front-end lifecycle the way each cmd
 // does — flags parsed from a FlagSet, Start, the cmd's run body, Finish —
 // for one run body per front end: xuibench's registry job, xuisim's dsa
-// scenario and xuitrace's traced Fig. 2. Every front end's -metrics
-// snapshot carries the cache/ keys, its -report records the -j it ran
-// with and the cache section, and its -trace is a streamed Chrome trace.
+// scenario and xuitrace's traced Fig. 2, each on the session's Env.
+// Every front end's -metrics snapshot carries the cache/ keys, its
+// -report records the -j it ran with and the cache section, and its
+// -trace is a streamed Chrome trace.
 func TestSession(t *testing.T) {
-	runs := map[string]func() any{
-		"xuibench": func() any {
-			p, err := experiments.RunJob("table2", true)
+	runs := map[string]func(e *experiments.Env) any{
+		"xuibench": func(e *experiments.Env) any {
+			p, err := e.RunJob("table2", true)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return p
 		},
-		"xuisim":   func() any { return experiments.Fig9([]float64{20}, 200) },
-		"xuitrace": func() any { return experiments.TracedFig2(experiments.Observability()) },
+		"xuisim":   func(e *experiments.Env) any { return e.Fig9([]float64{20}, 200) },
+		"xuitrace": func(e *experiments.Env) any { return e.TracedFig2() },
 	}
 	for cmd, run := range runs {
 		t.Run(cmd, func(t *testing.T) {
@@ -43,19 +44,15 @@ func TestSession(t *testing.T) {
 			if err := sess.Start(); err != nil {
 				t.Fatal(err)
 			}
-			defer experiments.SetWorkers(0)
-			defer experiments.SetShards(0)
-			if got := experiments.Workers(); got != 3 {
-				t.Errorf("Start set %d sweep workers, want 3", got)
+			e := sess.Env()
+			if e.Workers != 3 || e.Shards != 2 {
+				t.Errorf("Start built an Env with %d sweep workers and %d shards, want 3 and 2", e.Workers, e.Shards)
 			}
-			if experiments.Observability() == nil || experiments.Checking() == nil {
-				t.Fatal("Start did not install the observability context and check collector")
+			if e.Obs == nil || e.Check == nil {
+				t.Fatal("Start did not put the observability context and check collector in the Env")
 			}
-			if err := sess.Finish(cmd, true, map[string]any{cmd: run()}); err != nil {
+			if err := sess.Finish(cmd, true, map[string]any{cmd: run(e)}); err != nil {
 				t.Fatalf("Finish on a clean checked run: %v", err)
-			}
-			if experiments.Observability() != nil || experiments.Checking() != nil {
-				t.Error("Finish left the process-wide sinks installed")
 			}
 
 			var snap struct {
@@ -71,16 +68,15 @@ func TestSession(t *testing.T) {
 			var doc struct {
 				Cmd     string          `json:"cmd"`
 				Workers int             `json:"workers"`
-				CacheOn bool            `json:"cacheOn"`
 				Cache   json.RawMessage `json:"cache"`
 				Results map[string]any  `json:"results"`
 				Checks  *struct{}       `json:"checks"`
 				Trace   *TraceInfo      `json:"trace"`
 			}
 			readJSON(t, reportPath, &doc)
-			if doc.Cmd != cmd || doc.Workers != 3 || !doc.CacheOn || len(doc.Cache) == 0 || doc.Results[cmd] == nil || doc.Checks == nil {
-				t.Errorf("report: cmd=%q workers=%d cacheOn=%v cache=%v results=%d checks=%v",
-					doc.Cmd, doc.Workers, doc.CacheOn, len(doc.Cache) > 0, len(doc.Results), doc.Checks != nil)
+			if doc.Cmd != cmd || doc.Workers != 3 || len(doc.Cache) == 0 || doc.Results[cmd] == nil || doc.Checks == nil {
+				t.Errorf("report: cmd=%q workers=%d cache=%v results=%d checks=%v",
+					doc.Cmd, doc.Workers, len(doc.Cache) > 0, len(doc.Results), doc.Checks != nil)
 			}
 			if doc.Trace == nil || doc.Trace.Events == 0 || doc.Trace.Path != tracePath {
 				t.Errorf("report trace section: %+v", doc.Trace)
@@ -109,9 +105,7 @@ func TestSessionCheckFailure(t *testing.T) {
 	if err := sess.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer experiments.SetWorkers(0)
-	defer experiments.SetShards(0)
-	experiments.Checking().Violate("injected", 0, "test", "deliberate violation")
+	sess.Env().Check.Violate("injected", 0, "test", "deliberate violation")
 	err := sess.Finish("none", false, nil)
 	if err == nil || !strings.Contains(err.Error(), "1 invariant violations") {
 		t.Fatalf("Finish = %v, want a check failure", err)

@@ -22,7 +22,9 @@
 // strategy, for example — see experiments.baselineKey). Invalidation is
 // by fingerprint: change an input, and the key changes with it, so
 // stale entries are never read; they are only dropped wholesale by
-// ResetAll or process exit.
+// ResetAll or process exit. A caller that wants the uncached reference
+// path (experiments.Env.NoCache) calls its computation directly instead
+// of Get.
 //
 // # Persistence
 //
@@ -51,20 +53,6 @@ import (
 
 	"xui/internal/obs"
 )
-
-// enabled is the package-wide switch; the parity tests clear it (via
-// experiments.SetCaching), turning every Get into a plain call of its
-// compute function (the determinism A/B check).
-var enabled atomic.Bool
-
-func init() { enabled.Store(true) }
-
-// SetEnabled turns memoization on or off process-wide. Off, Get always
-// recomputes and records neither hits nor misses.
-func SetEnabled(on bool) { enabled.Store(on) }
-
-// Enabled reports whether memoization is active.
-func Enabled() bool { return enabled.Load() }
 
 // Stats is a point-in-time snapshot of one cache's counters.
 type Stats struct {
@@ -201,9 +189,6 @@ func (c *Cache[V]) storePersisted(key string, v V) {
 // probes the backend before computing, and a completed computation is
 // written behind for the next process.
 func (c *Cache[V]) Get(key string, compute func() V) V {
-	if !enabled.Load() {
-		return compute()
-	}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		c.mu.Unlock()
@@ -251,9 +236,6 @@ func (c *Cache[V]) Get(key string, compute func() V) V {
 // caller may retry a transiently failed computation with Put.
 func (c *Cache[V]) GetCached(key string) (V, bool) {
 	var zero V
-	if !enabled.Load() {
-		return zero, false
-	}
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
@@ -293,9 +275,6 @@ func (c *Cache[V]) GetCached(key string) (V, bool) {
 // tier. An in-flight computation for the same key completes against its
 // orphaned entry exactly as under reset.
 func (c *Cache[V]) Put(key string, v V) {
-	if !enabled.Load() {
-		return
-	}
 	e := &entry[V]{val: v, done: make(chan struct{})}
 	close(e.done)
 	c.mu.Lock()

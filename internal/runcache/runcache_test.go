@@ -26,22 +26,6 @@ func TestGetMemoizes(t *testing.T) {
 	}
 }
 
-func TestGetDisabledRecomputes(t *testing.T) {
-	defer ResetAll()
-	defer SetEnabled(true)
-	SetEnabled(false)
-	c := New[int]("test-disabled")
-	calls := 0
-	c.Get("k", func() int { calls++; return 1 })
-	c.Get("k", func() int { calls++; return 1 })
-	if calls != 2 {
-		t.Errorf("disabled cache ran compute %d times, want 2", calls)
-	}
-	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 || s.Entries != 0 {
-		t.Errorf("disabled cache recorded stats %+v, want zeros", s)
-	}
-}
-
 // TestSingleFlight checks concurrent Gets for one key run the compute
 // exactly once, with every caller seeing the same value.
 func TestSingleFlight(t *testing.T) {

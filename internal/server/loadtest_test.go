@@ -65,8 +65,8 @@ func TestLoadgenOverloadSheds(t *testing.T) {
 	// Registered before newTestServer so it runs after the server's
 	// cleanup has stopped the executor (cleanups are LIFO): restoring
 	// the seam while queued jobs still run would be a write race.
-	t.Cleanup(func() { runExperiment = experiments.RunJob })
-	runExperiment = func(name string, quick bool) (any, error) {
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
 		time.Sleep(5 * time.Millisecond)
 		return map[string]any{"ok": true}, nil
 	}

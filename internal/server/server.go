@@ -11,16 +11,16 @@
 // cache-hit submissions are cheap map/disk reads serving hundreds of
 // clients — while simulation itself runs on a single executor
 // goroutine draining a bounded queue. One simulator daemon, many
-// clients: each job gets a per-job sweep worker budget (capped by
-// Config.MaxJobWorkers) and saturates the host through internal/sweep;
-// running two grids at once would just interleave their worker pools.
-// The bounded queue is the admission valve: past the high-water mark
-// the server sheds load with 429 + Retry-After instead of queueing
-// without bound (and eventually OOMing) under overload.
+// clients: each job runs on an experiments.Env of its own, with a
+// per-job sweep worker budget (capped by Config.MaxJobWorkers) that
+// saturates the host through internal/sweep, and its own trace and
+// progress sinks. The bounded queue is the admission valve: past the
+// high-water mark the server sheds load with 429 + Retry-After instead
+// of queueing without bound (and eventually OOMing) under overload.
 //
-// A Server owns the process-global experiment knobs (SetWorkers,
-// SetObservability, SetProgress, runcache.SetBackend) for its lifetime:
-// run exactly one live Server per process.
+// A Server installs the persistent run-cache tier process-wide
+// (runcache.SetBackend) for its lifetime: run exactly one live Server
+// per process.
 package server
 
 import (
@@ -70,7 +70,6 @@ type Server struct {
 	version string
 	cache   *runcache.Cache[[]byte]
 	metrics *obs.Registry
-	baseCtx *obs.Context
 
 	mu   sync.Mutex
 	jobs map[string]*job //xui:guardedby mu
@@ -90,9 +89,9 @@ type Server struct {
 // served, so a disk hit is byte-identical to the run that produced it.
 func identity(b []byte) ([]byte, error) { return b, nil }
 
-// runExperiment is experiments.RunJob, indirected so tests can inject
-// blocking or panicking jobs without a real grid.
-var runExperiment = experiments.RunJob
+// runExperiment is Env.RunJob, indirected so tests can inject blocking
+// or panicking jobs without a real grid.
+var runExperiment = (*experiments.Env).RunJob
 
 // New builds a Server, installing the persistent tier when
 // cfg.CacheDir is set. The returned server's executor is running.
@@ -134,23 +133,19 @@ func New(cfg Config) (*Server, error) {
 		stop:      make(chan struct{}),
 		startedAt: time.Now(),
 	}
-	s.baseCtx = &obs.Context{Metrics: s.metrics}
-	experiments.SetObservability(s.baseCtx)
 	s.wg.Add(1)
 	go s.executor()
 	return s, nil
 }
 
 // Close stops the executor (jobs already queued are abandoned in the
-// queued state), drains write-behind cache stores, and releases the
-// process-global knobs the server held. Safe to call more than once.
+// queued state), drains write-behind cache stores, and uninstalls the
+// persistent tier. Safe to call more than once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
 		s.wg.Wait()
 		runcache.WaitPersist()
-		experiments.SetProgress(nil)
-		experiments.SetObservability(nil)
 		runcache.SetBackend(nil)
 	})
 	return nil
@@ -181,9 +176,9 @@ func (s *Server) executor() {
 	}
 }
 
-// runJob executes one job to completion: cache recheck, per-job budget
-// and observability setup, the run itself (panic-isolated), result
-// canonicalisation, and the write-behind store.
+// runJob executes one job to completion: cache recheck, the job's Env
+// (sweep budget, observability, progress), the run itself
+// (panic-isolated), result canonicalisation, and the write-behind store.
 func (s *Server) runJob(j *job) {
 	j.setRunning()
 	// The entry may have appeared (another process sharing the disk
@@ -199,8 +194,6 @@ func (s *Server) runJob(j *job) {
 	if budget <= 0 || budget > s.cfg.MaxJobWorkers {
 		budget = s.cfg.MaxJobWorkers
 	}
-	experiments.SetWorkers(budget)
-
 	ctx := &obs.Context{Metrics: s.metrics}
 	var traceErr error
 	if j.spec.Trace {
@@ -209,12 +202,9 @@ func (s *Server) runJob(j *job) {
 		// kept on the job and served by /trace instead.
 		ctx.Trace, traceErr = obs.StreamFile(j.tracePath)
 	}
-	experiments.SetObservability(ctx)
-	experiments.SetProgress(j.setProgress)
+	env := &experiments.Env{Workers: budget, Obs: ctx, Progress: j.setProgress}
 	start := time.Now()
 	defer func() {
-		experiments.SetProgress(nil)
-		experiments.SetObservability(s.baseCtx)
 		if j.spec.Trace {
 			// A write failure mid-stream (ENOSPC, say) surfaces at Close.
 			if err := ctx.Trace.Close(); traceErr == nil {
@@ -243,7 +233,7 @@ func (s *Server) runJob(j *job) {
 				err = fmt.Errorf("job panicked: %v", r)
 			}
 		}()
-		payload, err = runExperiment(j.spec.Experiment, j.spec.Quick)
+		payload, err = runExperiment(env, j.spec.Experiment, j.spec.Quick)
 		return
 	}()
 	if err != nil {

@@ -18,8 +18,9 @@ import (
 	"xui/internal/runcache"
 )
 
-// newTestServer builds a Server plus an httptest front end. Servers own
-// process-global knobs, so tests must run one at a time and Close it.
+// newTestServer builds a Server plus an httptest front end. A Server
+// installs the process-wide persistent cache tier, so tests must run one
+// at a time and Close it.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
@@ -215,10 +216,10 @@ func TestAdmissionControl(t *testing.T) {
 	// first so the executor can finish, then the server cleanup stops
 	// it, and only then is the seam restored — restoring while jobs
 	// still run would be a write race.
-	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
 	block := make(chan struct{})
 	var unblock sync.Once
-	runExperiment = func(name string, quick bool) (any, error) {
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
 		<-block
 		return map[string]any{"ok": true}, nil
 	}
@@ -289,11 +290,11 @@ func TestAdmissionControl(t *testing.T) {
 func TestQueueRunSplit(t *testing.T) {
 	// Restore the seam only after the server cleanup has stopped the
 	// executor (see TestAdmissionControl).
-	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
 	const hold, runFor = 300 * time.Millisecond, 50 * time.Millisecond
 	release := make(chan struct{})
 	var unblock sync.Once
-	runExperiment = func(name string, quick bool) (any, error) {
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
 		if name == "fig2" {
 			<-release // the busy job
 		} else {
@@ -348,9 +349,9 @@ func TestQueueRunSplit(t *testing.T) {
 func TestJobPanicFailsJobOnly(t *testing.T) {
 	// Registered before newTestServer: restore only after the server
 	// cleanup has stopped the executor (see TestAdmissionControl).
-	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
 	calls := 0
-	runExperiment = func(name string, quick bool) (any, error) {
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
 		calls++
 		if calls == 1 {
 			panic("injected model bug")
@@ -498,10 +499,10 @@ func TestTraceWriteFailure(t *testing.T) {
 // TestTraceCacheRecheck: a traced job answered from the cache after it
 // queued never ran, so its trace answers 404 rather than polling forever.
 func TestTraceCacheRecheck(t *testing.T) {
-	t.Cleanup(func() { runExperiment = experiments.RunJob })
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
 	release := make(chan struct{})
 	var unblock sync.Once
-	runExperiment = func(name string, quick bool) (any, error) {
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
 		if name == "fig2" {
 			<-release // the busy job
 		}

@@ -19,19 +19,9 @@ import (
 // generated and decoded, and the existing decoded prefix is copied into
 // a fresh backing array (generators are deterministic in their seed, so
 // the grown tape has every shorter one as an exact prefix and live
-// replayers over the old array never observe a change).
-
-// tapesOn is the process-wide switch; the parity tests clear it (via
-// experiments.SetCaching) and Recorded falls back to live generators.
-var tapesOn atomic.Bool
-
-func init() { tapesOn.Store(true) }
-
-// SetTapes enables or disables tape-backed streams process-wide.
-func SetTapes(on bool) { tapesOn.Store(on) }
-
-// TapesEnabled reports whether Recorded returns tape replayers.
-func TapesEnabled() bool { return tapesOn.Load() }
+// replayers over the old array never observe a change). A caller that
+// wants the live generators instead (the uncached reference path of
+// experiments.Env) builds them directly.
 
 // TapeSlack is how far past the commit budget a tape extends. The
 // front end runs ahead of commit by at most the ROB (384) plus one
@@ -112,13 +102,9 @@ func ResetTapes() {
 
 // Recorded returns a stream of the named microbenchmark (the ByName
 // set) that will deliver at least budget+TapeSlack micro-ops before
-// ending: a cursor replayer over the process-wide tape when tapes are
-// enabled, or a live generator otherwise. It returns nil for unknown
-// names, like ByName.
+// ending: a cursor replayer over the process-wide tape. It returns nil
+// for unknown names, like ByName.
 func Recorded(name string, seed, budget uint64) isa.Stream {
-	if !tapesOn.Load() {
-		return ByName(name, seed)
-	}
 	return recordedStream(tapeKey{name, seed}, int(budget+TapeSlack),
 		func() isa.Stream { return ByName(name, seed) })
 }
@@ -136,9 +122,6 @@ func Recorded(name string, seed, budget uint64) isa.Stream {
 func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uint64) isa.Stream {
 	if every < 1 {
 		every = 1
-	}
-	if !tapesOn.Load() {
-		return NewPollInstrumented(ByName(name, seed), every, flagAddr)
 	}
 	total := innerBudget + innerBudget/uint64(every)*2
 	// Quantize upfront: innerNeed must cover the quantized output
@@ -193,9 +176,6 @@ func RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
 	if every < 1 {
 		every = 1
 	}
-	if !tapesOn.Load() {
-		return NewSafepointAnnotated(ByName(name, seed), every)
-	}
 	need := quantizeTapeLen(int(budget + TapeSlack))
 	baseT := recordedTape(tapeKey{name, seed}, need,
 		func() isa.Stream { return ByName(name, seed) })
@@ -216,11 +196,8 @@ func RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
 // RecordedStream tape-backs an arbitrary deterministic generator under
 // an explicit registry key. key must uniquely identify mk()'s output
 // (embed every generator parameter); mk is only called to record or
-// grow the tape, or directly when tapes are off.
+// grow the tape.
 func RecordedStream(key string, budget uint64, mk func() isa.Stream) isa.Stream {
-	if !tapesOn.Load() {
-		return mk()
-	}
 	return recordedStream(tapeKey{key, 0}, int(budget+TapeSlack), mk)
 }
 

@@ -212,22 +212,6 @@ func (g *stuckGen) Fill(dst []isa.MicroOp) {
 	clear(dst)
 }
 
-// TestRecordedDisabled checks the tapes-off path returns live
-// generators and records nothing.
-func TestRecordedDisabled(t *testing.T) {
-	defer SetTapes(true)
-	defer ResetTapes()
-	ResetTapes()
-	SetTapes(false)
-	s := Recorded("fib", 1, 1000)
-	if _, ok := s.(*isa.TapeStream); ok {
-		t.Fatal("Recorded returned a tape stream with tapes disabled")
-	}
-	if got := Tapes(); got.Tapes != 0 || got.Recordings != 0 {
-		t.Errorf("disabled Recorded touched the registry: %+v", got)
-	}
-}
-
 func TestRecordedUnknownName(t *testing.T) {
 	defer ResetTapes()
 	if s := Recorded("no-such-workload", 1, 100); s != nil {
