@@ -50,11 +50,12 @@ check:
 	go test ./internal/experiments
 	go run ./cmd/xuibench -check
 
-# Smoke-run the Go fuzz targets for 10s each (histogram percentile and
-# bucket-index round trips).
+# Smoke-run the Go fuzz targets for 10s each, as CI does (histogram
+# percentile and bucket-index round trips, micro-op decode/lift round trip).
 fuzz:
 	go test -run '^$$' -fuzz FuzzHistogramPercentile -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz FuzzBucketIndex -fuzztime 10s ./internal/stats
+	go test -run '^$$' -fuzz FuzzDecodeLift -fuzztime 10s ./internal/isa
 
 # CPU-profile a full parallel sweep of every experiment.
 sweep-profile:

@@ -22,9 +22,8 @@
 //	                diagnostic counts and the diagnostics themselves)
 //	-list           print the analyzer catalogue and annotation grammar
 //	-annotations    print the //xui: annotation inventory and stale waivers
-//	-determinism, -nilprobe, -sgoroutine, -noalloc, -alias,
-//	-shardsafe, -lockcheck, -recoversafe
-//	                enable/disable individual analyzers (all default true)
+//
+// Every run checks all eight analyzers; there are no per-analyzer switches.
 package main
 
 import (
@@ -47,11 +46,7 @@ func main() {
 		repPath  = flag.String("report", "", "write a unified schema-versioned run report (per-analyzer diagnostic counts and the diagnostics) to this file")
 		listOut  = flag.Bool("list", false, "print the analyzer catalogue and annotation grammar, then exit")
 		annosOut = flag.Bool("annotations", false, "print the //xui: annotation inventory and stale waivers, then exit")
-		enabled  = map[string]*bool{}
 	)
-	for _, name := range lint.AnalyzerNames() {
-		enabled[name] = flag.Bool(name, true, "run the "+name+" analyzer ("+lint.AnalyzerDoc(name)+")")
-	}
 	flag.Parse()
 
 	if *listOut {
@@ -92,18 +87,12 @@ func main() {
 		}
 	}
 
-	on := map[string]bool{}
-	for name, v := range enabled {
-		on[name] = *v
+	diags := suite.Run(nil)
+	esc, err := suite.EscapeCheck(root, "", affected)
+	if err != nil {
+		fatal(err)
 	}
-	diags := suite.Run(on)
-	if on["noalloc"] {
-		esc, err := suite.EscapeCheck(root, "", affected)
-		if err != nil {
-			fatal(err)
-		}
-		diags = append(diags, esc...)
-	}
+	diags = append(diags, esc...)
 	diags = append(diags, suite.StaleWaivers()...)
 	diags = filterByPatterns(diags, flag.Args(), root)
 	if affected != nil {
@@ -111,20 +100,14 @@ func main() {
 	}
 
 	if *repPath != "" {
-		if err := writeReport(*repPath, diags, on); err != nil {
+		if err := writeReport(*repPath, diags); err != nil {
 			fatal(err)
 		}
 	}
 	if *jsonOut {
-		var names []string
-		for _, name := range lint.AnalyzerNames() {
-			if on[name] {
-				names = append(names, name)
-			}
-		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(lint.NewFindings(diags, names, root)); err != nil {
+		if err := enc.Encode(lint.NewFindings(diags, lint.AnalyzerNames(), root)); err != nil {
 			fatal(err)
 		}
 	} else {
@@ -154,14 +137,12 @@ func fatal(err error) {
 }
 
 // writeReport emits the unified run report: per-analyzer diagnostic counts
-// (zero entries included for every enabled analyzer, so a clean run still
-// records what ran) plus the diagnostics themselves.
-func writeReport(path string, diags []lint.Diagnostic, on map[string]bool) error {
+// (zero entries included for every analyzer, so a clean run still records
+// what ran) plus the diagnostics themselves.
+func writeReport(path string, diags []lint.Diagnostic) error {
 	counts := map[string]int{}
-	for name, enabled := range on {
-		if enabled {
-			counts[name] = 0
-		}
+	for _, name := range lint.AnalyzerNames() {
+		counts[name] = 0
 	}
 	for _, d := range diags {
 		counts[d.Analyzer]++
@@ -244,17 +225,9 @@ func printCatalogue() {
 	}
 	fmt.Println()
 	fmt.Println("annotation grammar (comments starting exactly with //xui:):")
-	fmt.Println("  //xui:nondet <reason>     waive a determinism diagnostic on this or the next line")
-	fmt.Println("  //xui:noalloc             (function doc) function and its direct-call tree must not heap-allocate per -gcflags=-m")
-	fmt.Println("  //xui:alloc <reason>      waive an allocation on this or the next line; on a call line, vouches for the callee subtree")
-	fmt.Println("  //xui:aliased             (struct slice field) reslicing/truncating in place is forbidden")
-	fmt.Println("  //xui:parallel <reason>   waive an sgoroutine diagnostic (only honored in parallel-waiver packages)")
-	fmt.Println("  //xui:guardedby <mu>      (struct field or var-block local) field may only be accessed holding the sibling mutex <mu>")
-	fmt.Println("  //xui:producer <f,...>    (struct field) only the named methods may write the field")
-	fmt.Println("  //xui:crosssend           (func doc) the 'when' parameter must derive from an epoch source")
-	fmt.Println("  //xui:lockok <reason>     waive a lockcheck diagnostic on this or the next line")
-	fmt.Println("  //xui:shardok <reason>    waive a shardsafe diagnostic on this or the next line")
-	fmt.Println("  //xui:norecover <reason>  waive a recoversafe diagnostic on this or the next line")
+	for _, d := range lint.Directives {
+		fmt.Printf("  %-25s %s\n", d.Usage(), d.Doc)
+	}
 }
 
 // printAnnotations lists the module's annotation inventory: every noalloc
@@ -308,18 +281,17 @@ func printAnnotations(suite *lint.Suite, root string) {
 		fmt.Printf("  %s:%d: %s\n", rel(cs.Pos.Filename), cs.Pos.Line, cs.Name)
 	}
 
-	waiverKinds := []struct {
-		verb string
-		ws   []*lint.Waiver
-	}{
-		{"nondet", a.Nondet}, {"alloc", a.Alloc}, {"parallel", a.Parallel},
-		{"lockok", a.LockOk}, {"shardok", a.ShardOk}, {"norecover", a.NoRecover},
-	}
-	for _, wk := range waiverKinds {
-		fmt.Printf("//xui:%s waivers (%d):\n", wk.verb, len(wk.ws))
-		for _, w := range wk.ws {
-			fmt.Printf("  %s:%d: %q\n", rel(w.File), w.Line, w.Reason)
+	for _, d := range lint.Directives {
+		if d.Place != lint.OnLine {
+			continue
 		}
+		var lines []string
+		for _, w := range a.Waivers {
+			if w.Verb == d.Verb {
+				lines = append(lines, fmt.Sprintf("  %s:%d: %q\n", rel(w.File), w.Line, w.Reason))
+			}
+		}
+		fmt.Printf("//xui:%s waivers (%d):\n%s", d.Verb, len(lines), strings.Join(lines, ""))
 	}
 
 	stale := suite.StaleWaivers()

@@ -8,15 +8,89 @@ import (
 	"strings"
 )
 
-// Waiver is a line-scoped //xui:nondet, //xui:alloc or //xui:parallel
-// comment. It waives diagnostics on its own line (trailing comment) and on
-// the next line (comment above the statement). Used is set when a
-// diagnostic was actually suppressed, so stale waivers can be reported.
+// Placement says where a //xui: directive may appear.
+type Placement uint8
+
+const (
+	// OnLine is a waiver: a comment that waives its owning analyzer's
+	// diagnostics on its own line (trailing comment) and on the next line
+	// (comment above the statement). Its reason is mandatory.
+	OnLine Placement = iota
+	// OnFunc is part of a function declaration's doc comment.
+	OnFunc
+	// OnField annotates a struct field.
+	OnField
+	// OnFieldOrLocal annotates a struct field or a var in a parenthesized
+	// var block.
+	OnFieldOrLocal
+)
+
+// rule explains a misplaced directive of this placement.
+func (pl Placement) rule() string {
+	switch pl {
+	case OnFunc:
+		return "it must be part of a function declaration's doc comment"
+	case OnField:
+		return "it must annotate a struct field"
+	default:
+		return "it must annotate a struct field or a var in a parenthesized var block"
+	}
+}
+
+// Directive is one //xui: verb: the analyzer that owns its diagnostics
+// (and, for a waiver, the diagnostics it suppresses), where it may appear,
+// and its line in the grammar that `xuivet -list` prints.
+type Directive struct {
+	Verb     string
+	Analyzer string
+	Place    Placement
+	Arg      string // argument syntax, "" when the directive takes none
+	Doc      string
+}
+
+// Usage renders the directive with its argument: "//xui:nondet <reason>".
+func (d *Directive) Usage() string {
+	return strings.TrimSpace("//" + directivePrefix + d.Verb + " " + d.Arg)
+}
+
+// Directives is every //xui: verb, in grammar order. Collection,
+// placement and unknown-verb validation, waiving, the stale-waiver audit
+// and xuivet's -list and -annotations output all derive from it.
+var Directives = []Directive{
+	{"nondet", "determinism", OnLine, "<reason>", "waive a determinism diagnostic on this or the next line"},
+	{"noalloc", "noalloc", OnFunc, "", "(function doc) function and its direct-call tree must not heap-allocate per -gcflags=-m"},
+	{"alloc", "noalloc", OnLine, "<reason>", "waive an allocation on this or the next line; on a call line, vouches for the callee subtree"},
+	{"aliased", "alias", OnField, "", "(struct slice field) reslicing/truncating in place is forbidden"},
+	{"parallel", "sgoroutine", OnLine, "<reason>", "waive an sgoroutine diagnostic (only honored in parallel-waiver packages)"},
+	{"guardedby", "lockcheck", OnFieldOrLocal, "<mu>", "(struct field or var-block local) field may only be accessed holding the sibling mutex <mu>"},
+	{"producer", "shardsafe", OnField, "<f,...>", "(struct field) only the named methods may write the field"},
+	{"crosssend", "shardsafe", OnFunc, "", "(func doc) the 'when' parameter must derive from an epoch source"},
+	{"lockok", "lockcheck", OnLine, "<reason>", "waive a lockcheck diagnostic on this or the next line"},
+	{"shardok", "shardsafe", OnLine, "<reason>", "waive a shardsafe diagnostic on this or the next line"},
+	{"norecover", "recoversafe", OnLine, "<reason>", "waive a recoversafe diagnostic on this or the next line"},
+}
+
+// directive returns the table row for verb, or nil for an unknown verb.
+func directive(verb string) *Directive {
+	for i := range Directives {
+		if Directives[i].Verb == verb {
+			return &Directives[i]
+		}
+	}
+	return nil
+}
+
+// Waiver is one line-scoped directive (an OnLine row of Directives). Used
+// is set when a diagnostic was actually suppressed, so stale waivers can be
+// reported.
 type Waiver struct {
+	Verb   string
 	File   string
 	Line   int
 	Reason string
 	Used   bool
+	pkg    string    // import path of the package holding the comment
+	pos    token.Pos // the comment itself, for findings about the waiver
 }
 
 func (w *Waiver) covers(p token.Position) bool {
@@ -79,90 +153,13 @@ type CrossSendAnno struct {
 
 // Annotations is the module-wide table of //xui: directives.
 type Annotations struct {
-	Nondet    []*Waiver
-	Alloc     []*Waiver
-	Parallel  []*Waiver
-	LockOk    []*Waiver
-	ShardOk   []*Waiver
-	NoRecover []*Waiver
+	Waivers   []*Waiver
 	Noalloc   []*FuncAnno
 	Aliased   []*FieldAnno
 	GuardedBy []*GuardAnno
 	Producer  []*ProducerAnno
 	CrossSend []*CrossSendAnno
 	Malformed []Diagnostic
-}
-
-// waiveNondet reports whether a determinism diagnostic at p is covered by
-// a //xui:nondet waiver, marking the waiver used.
-func (a *Annotations) waiveNondet(p token.Position) bool {
-	for _, w := range a.Nondet {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// waiveAlloc reports whether an escape-analysis diagnostic at p is covered
-// by a //xui:alloc waiver, marking the waiver used.
-func (a *Annotations) waiveAlloc(p token.Position) bool {
-	for _, w := range a.Alloc {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// waiveParallel reports whether a single-goroutine diagnostic at p is
-// covered by a //xui:parallel waiver, marking the waiver used.
-func (a *Annotations) waiveParallel(p token.Position) bool {
-	for _, w := range a.Parallel {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// waiveLockOk reports whether a lockcheck diagnostic at p is covered by a
-// //xui:lockok waiver, marking the waiver used.
-func (a *Annotations) waiveLockOk(p token.Position) bool {
-	for _, w := range a.LockOk {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// waiveShardOk reports whether a shardsafe diagnostic at p is covered by a
-// //xui:shardok waiver, marking the waiver used.
-func (a *Annotations) waiveShardOk(p token.Position) bool {
-	for _, w := range a.ShardOk {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
-}
-
-// waiveNoRecover reports whether a recoversafe diagnostic at p is covered
-// by a //xui:norecover waiver, marking the waiver used.
-func (a *Annotations) waiveNoRecover(p token.Position) bool {
-	for _, w := range a.NoRecover {
-		if w.covers(p) {
-			w.Used = true
-			return true
-		}
-	}
-	return false
 }
 
 // noallocAt returns the annotated function covering file:line, if any.
@@ -277,64 +274,30 @@ func (a *Annotations) collectFile(p *Package, f *ast.File) {
 				continue
 			}
 			pos := p.Fset.Position(c.Pos())
-			switch verb {
-			case "nondet", "alloc", "parallel", "lockok", "shardok", "norecover":
-				owner := waiverOwner[verb]
-				if rest == "" {
-					a.malformed(owner, pos, "//xui:%s needs a reason: //xui:%s <why this is safe>", verb, verb)
-					continue
-				}
-				w := &Waiver{File: pos.Filename, Line: pos.Line, Reason: rest}
-				switch verb {
-				case "nondet":
-					a.Nondet = append(a.Nondet, w)
-				case "alloc":
-					a.Alloc = append(a.Alloc, w)
-				case "parallel":
-					a.Parallel = append(a.Parallel, w)
-				case "lockok":
-					a.LockOk = append(a.LockOk, w)
-				case "shardok":
-					a.ShardOk = append(a.ShardOk, w)
-				default:
-					a.NoRecover = append(a.NoRecover, w)
-				}
-			case "noalloc":
-				if !attached[c] {
-					a.malformed("noalloc", pos, "misplaced //xui:noalloc: it must be part of a function declaration's doc comment")
-				}
-			case "aliased":
-				if !attached[c] {
-					a.malformed("alias", pos, "misplaced //xui:aliased: it must annotate a struct field")
-				}
-			case "guardedby":
-				if !attached[c] {
-					a.malformed("lockcheck", pos, "misplaced //xui:guardedby: it must annotate a struct field or a var in a parenthesized var block")
-				}
-			case "producer":
-				if !attached[c] {
-					a.malformed("shardsafe", pos, "misplaced //xui:producer: it must annotate a struct field")
-				}
-			case "crosssend":
-				if !attached[c] {
-					a.malformed("shardsafe", pos, "misplaced //xui:crosssend: it must be part of a function declaration's doc comment")
-				}
-			default:
-				a.malformed("determinism", pos, "unknown annotation //xui:%s (known: nondet, noalloc, alloc, aliased, parallel, guardedby, producer, crosssend, lockok, shardok, norecover)", verb)
+			d := directive(verb)
+			switch {
+			case d == nil:
+				a.malformed("determinism", pos, "unknown annotation //xui:%s (known: %s)", verb, knownVerbs())
+			case d.Place == OnLine && rest == "":
+				a.malformed(d.Analyzer, pos, "//xui:%s needs a reason: //xui:%s <why this is safe>", verb, verb)
+			case d.Place == OnLine:
+				a.Waivers = append(a.Waivers, &Waiver{
+					Verb: verb, File: pos.Filename, Line: pos.Line, Reason: rest,
+					pkg: p.Path, pos: c.Pos(),
+				})
+			case !attached[c]:
+				a.malformed(d.Analyzer, pos, "misplaced //xui:%s: %s", verb, d.Place.rule())
 			}
 		}
 	}
 }
 
-// waiverOwner names the analyzer each waiver verb belongs to, for
-// malformed-annotation attribution.
-var waiverOwner = map[string]string{
-	"nondet":    "determinism",
-	"alloc":     "noalloc",
-	"parallel":  "sgoroutine",
-	"lockok":    "lockcheck",
-	"shardok":   "shardsafe",
-	"norecover": "recoversafe",
+func knownVerbs() string {
+	verbs := make([]string, len(Directives))
+	for i, d := range Directives {
+		verbs[i] = d.Verb
+	}
+	return strings.Join(verbs, ", ")
 }
 
 func commentList(cg *ast.CommentGroup) []*ast.Comment {

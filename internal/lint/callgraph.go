@@ -5,18 +5,17 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 )
 
 // The module-wide call graph. Nodes are every declared function/method and
-// every function literal in the module; edges are call sites, classified by
-// how they were resolved. Resolution is deliberately bounded: direct calls
-// and statically known method calls resolve exactly; interface method calls
-// resolve to every module type implementing the interface; calls through
-// func values resolve to every function the flow-insensitive binding pass
-// saw assigned to that variable, field or parameter; anything else is an
-// explicit EdgeDynamic so analyzers can choose to be loud or silent about
-// the blind spot rather than silently unsound.
+// every function literal in the module; edges are the call sites the
+// analyzers follow, classified by how they were resolved. Resolution is
+// deliberately bounded: direct calls and statically known method calls
+// resolve exactly, and calls through func values resolve to every function
+// the flow-insensitive binding pass saw assigned to that variable, field or
+// parameter. A call the graph cannot resolve statically — an interface
+// method, a func value with no recorded binding, a computed callee —
+// produces no edge.
 
 // EdgeKind classifies how a call site was resolved to its callee.
 type EdgeKind uint8
@@ -25,30 +24,10 @@ const (
 	// EdgeDirect is a statically resolved call to a declared function,
 	// method, or an immediately invoked function literal.
 	EdgeDirect EdgeKind = iota
-	// EdgeInterface is an interface method call resolved to a module type's
-	// concrete method via the method set.
-	EdgeInterface
 	// EdgeFuncVal is a call through a func-typed variable, field or
 	// parameter, resolved to a function the binding pass saw flow into it.
 	EdgeFuncVal
-	// EdgeDynamic is a call the graph could not resolve: a func value with
-	// no recorded binding, an interface with no module implementation, or a
-	// computed callee.
-	EdgeDynamic
 )
-
-func (k EdgeKind) String() string {
-	switch k {
-	case EdgeDirect:
-		return "direct"
-	case EdgeInterface:
-		return "interface"
-	case EdgeFuncVal:
-		return "funcval"
-	default:
-		return "dynamic"
-	}
-}
 
 // Node is one function in the module: a declared function or method
 // (Obj/Decl set) or a function literal (Lit set).
@@ -76,14 +55,13 @@ func (n *Node) Body() *ast.BlockStmt {
 	return n.Lit.Body
 }
 
-// Edge is one call site. Callee is nil exactly when Kind is EdgeDynamic.
+// Edge is one resolved call site.
 type Edge struct {
-	Caller   *Node
-	Callee   *Node
-	Kind     EdgeKind
-	Pos      token.Pos
-	GoStmt   bool // the call is the function started by a go statement
-	Deferred bool // the call is deferred
+	Caller *Node
+	Callee *Node
+	Kind   EdgeKind
+	Pos    token.Pos
+	GoStmt bool // the call is the function started by a go statement
 }
 
 // CallGraph holds the module's functions and call edges in source order.
@@ -136,10 +114,9 @@ func BuildCallGraph(pkgs []*Package) *CallGraph {
 	}
 	g.addNodes(pkgs)
 	flows := g.bindFuncValues(pkgs)
-	impls := newImplIndex(pkgs)
 	for _, p := range pkgs {
 		for _, f := range p.Files {
-			g.addEdges(p, f, flows, impls)
+			g.addEdges(p, f, flows)
 		}
 	}
 	return g
@@ -388,67 +365,13 @@ func (g *CallGraph) bindCallArgs(p *Package, call *ast.CallExpr, addFlow func(ty
 	}
 }
 
-// implIndex resolves interface method calls to the concrete methods of
-// module types implementing the interface.
-type implIndex struct {
-	named []*types.Named
-	cache map[string][]*types.Func
-}
-
-func newImplIndex(pkgs []*Package) *implIndex {
-	ix := &implIndex{cache: map[string][]*types.Func{}}
-	for _, p := range pkgs {
-		scope := p.Types.Scope()
-		names := scope.Names()
-		sort.Strings(names)
-		for _, name := range names {
-			if tn, ok := scope.Lookup(name).(*types.TypeName); ok {
-				if named, ok := tn.Type().(*types.Named); ok {
-					if _, isIface := named.Underlying().(*types.Interface); !isIface {
-						ix.named = append(ix.named, named)
-					}
-				}
-			}
-		}
-	}
-	return ix
-}
-
-// implementers returns the concrete module methods satisfying an interface
-// method call. Empty interfaces resolve to nothing (EdgeDynamic).
-func (ix *implIndex) implementers(iface *types.Interface, method string) []*types.Func {
-	if iface.NumMethods() == 0 {
-		return nil
-	}
-	key := iface.String() + "." + method
-	if fns, ok := ix.cache[key]; ok {
-		return fns
-	}
-	var fns []*types.Func
-	for _, named := range ix.named {
-		if !types.Implements(named, iface) && !types.Implements(types.NewPointer(named), iface) {
-			continue
-		}
-		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(named), true, named.Obj().Pkg(), method)
-		if fn, ok := obj.(*types.Func); ok {
-			fns = append(fns, fn)
-		}
-	}
-	ix.cache[key] = fns
-	return fns
-}
-
 // addEdges walks one file and records an edge per call site.
-func (g *CallGraph) addEdges(p *Package, f *ast.File, flows map[types.Object][]*Node, impls *implIndex) {
-	// Which call expressions are the operand of a go or defer statement.
+func (g *CallGraph) addEdges(p *Package, f *ast.File, flows map[types.Object][]*Node) {
+	// Which call expressions are the operand of a go statement.
 	goCalls := map[*ast.CallExpr]bool{}
-	deferCalls := map[*ast.CallExpr]bool{}
 	ast.Inspect(f, func(node ast.Node) bool {
-		switch n := node.(type) {
-		case *ast.GoStmt:
+		if n, ok := node.(*ast.GoStmt); ok {
 			goCalls[n.Call] = true
-		case *ast.DeferStmt:
-			deferCalls[n.Call] = true
 		}
 		return true
 	})
@@ -462,10 +385,9 @@ func (g *CallGraph) addEdges(p *Package, f *ast.File, flows map[types.Object][]*
 		if caller == nil {
 			return true // package-scope initializer expressions
 		}
-		for _, e := range g.resolveCall(p, call, flows, impls) {
+		for _, e := range g.resolveCall(p, call, flows) {
 			e.Caller = caller
 			e.GoStmt = goCalls[call]
-			e.Deferred = deferCalls[call]
 			caller.Out = append(caller.Out, e)
 		}
 		return true
@@ -473,10 +395,11 @@ func (g *CallGraph) addEdges(p *Package, f *ast.File, flows map[types.Object][]*
 }
 
 // resolveCall classifies one call site. Calls to non-module (standard
-// library) functions produce no edge: the graph covers module code, and
-// analyzers that care about specific stdlib calls match them in the body
-// scan where full position and type information is at hand.
-func (g *CallGraph) resolveCall(p *Package, call *ast.CallExpr, flows map[types.Object][]*Node, impls *implIndex) []*Edge {
+// library) functions and interface methods produce no edge: the graph
+// covers statically known module code, and analyzers that care about
+// specific stdlib calls match them in the body scan where full position and
+// type information is at hand.
+func (g *CallGraph) resolveCall(p *Package, call *ast.CallExpr, flows map[types.Object][]*Node) []*Edge {
 	fun := ast.Unparen(call.Fun)
 	// Generic instantiation f[T](...) — unwrap to the identifier.
 	switch ix := fun.(type) {
@@ -508,36 +431,18 @@ func (g *CallGraph) resolveCall(p *Package, call *ast.CallExpr, flows map[types.
 	case *ast.SelectorExpr:
 		switch obj := p.Info.Uses[fun.Sel].(type) {
 		case *types.Func:
-			if sel, ok := p.Info.Selections[fun]; ok && sel.Kind() == types.MethodVal {
-				recv := sel.Recv()
-				if iface, ok := recv.Underlying().(*types.Interface); ok {
-					var edges []*Edge
-					for _, impl := range impls.implementers(iface, obj.Name()) {
-						if n := g.byObj[impl]; n != nil {
-							edges = append(edges, &Edge{Callee: n, Kind: EdgeInterface, Pos: call.Pos()})
-						}
-					}
-					if edges == nil {
-						edges = []*Edge{{Kind: EdgeDynamic, Pos: call.Pos()}}
-					}
-					return edges
-				}
-			}
 			if n := g.byObj[obj]; n != nil {
 				return []*Edge{{Callee: n, Kind: EdgeDirect, Pos: call.Pos()}}
 			}
-			return nil // standard library
+			return nil // standard library or interface method
 		case *types.Var: // func-typed field
 			return g.funcValEdges(call, flows[obj])
 		}
 	}
-	return []*Edge{{Kind: EdgeDynamic, Pos: call.Pos()}}
+	return nil
 }
 
 func (g *CallGraph) funcValEdges(call *ast.CallExpr, targets []*Node) []*Edge {
-	if len(targets) == 0 {
-		return []*Edge{{Kind: EdgeDynamic, Pos: call.Pos()}}
-	}
 	seen := map[*Node]bool{}
 	var edges []*Edge
 	for _, n := range targets {

@@ -39,7 +39,7 @@ func (g *CallGraph) reach(follow func(*Edge) bool, own func(*Node) (string, toke
 				continue
 			}
 			for _, e := range n.Out {
-				if e.Callee == nil || !follow(e) {
+				if !follow(e) {
 					continue
 				}
 				if f := facts[e.Callee]; f != nil {

@@ -62,9 +62,6 @@ func checkDetBoundary(s *Suite, p *Package, report func(pos token.Pos, msg strin
 			continue
 		}
 		for _, e := range n.Out {
-			if e.Callee == nil || (e.Kind != EdgeDirect && e.Kind != EdgeFuncVal) {
-				continue
-			}
 			if matchPkg(e.Callee.Pkg.Path, s.Cfg.DeterminismPkgs) {
 				continue
 			}
@@ -93,7 +90,7 @@ func (s *Suite) detReach() map[*Node]*reachFact {
 	if s.detFactsMap == nil {
 		g := s.Graph()
 		s.detFactsMap = g.reach(
-			func(e *Edge) bool { return e.Kind == EdgeDirect || e.Kind == EdgeFuncVal },
+			func(*Edge) bool { return true },
 			func(n *Node) (string, token.Position, bool) {
 				return ownNondetSource(s, n)
 			},
@@ -123,7 +120,7 @@ func ownNondetSource(s *Suite, n *Node) (string, token.Position, bool) {
 		}
 		if d, ok := classifyNondet(p, call); ok {
 			pos := p.Fset.Position(call.Pos())
-			if s.Annos.waiveNondet(pos) {
+			if s.waive("determinism", pos) {
 				return true
 			}
 			desc, at = d, pos

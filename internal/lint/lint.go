@@ -15,15 +15,17 @@
 // analyzer.
 //
 // Since v2 the suite is interprocedural: a module-wide call graph
-// (callgraph.go) with explicit edge kinds — direct, interface, funcval,
-// dynamic — and a small forward dataflow layer (dataflow.go) let noalloc
-// verify the whole reachable call tree of an annotated function,
-// determinism see time.Now through wrappers and stored func values, and
-// the concurrency-contract analyzers (shardsafe, lockcheck, recoversafe)
-// check disciplines that span function boundaries. DESIGN.md §15 describes
-// the construction and its soundness limits.
+// (callgraph.go) of direct and func-value call edges and a small forward
+// dataflow layer (dataflow.go) let noalloc verify the whole reachable call
+// tree of an annotated function, determinism see time.Now through wrappers
+// and stored func values, and the concurrency-contract analyzers
+// (shardsafe, lockcheck, recoversafe) check disciplines that span function
+// boundaries. DESIGN.md §15 describes the construction and its soundness
+// limits.
 //
-// Annotation grammar (all comments start exactly with "//xui:"):
+// Annotation grammar (all comments start exactly with "//xui:"). The
+// Directives table in annotations.go is the one list of verbs, their
+// owning analyzers and placements; every verb in it has a line here.
 //
 //	//xui:nondet <reason>    waive a determinism diagnostic on this or the
 //	                         next line; the reason is mandatory
@@ -40,7 +42,8 @@
 //	//xui:parallel <reason>  waive a single-goroutine (sgoroutine) diagnostic
 //	                         on this or the next line; legitimate only in
 //	                         the sharded engine's epoch machinery
-//	                         (shardsafe audits the scope)
+//	                         (Config.ParallelWaiverPkgs); anywhere else
+//	                         it waives nothing and is an sgoroutine finding
 //	//xui:guardedby <mu>     (struct field, or local var in a parenthesized
 //	                         var block) the field may only be accessed while
 //	                         the named sibling mutex is held (lockcheck)
@@ -100,7 +103,8 @@ type Package struct {
 }
 
 // Analyzer is one named contract check. The report callback optionally
-// carries a call-path blame chain for interprocedural findings.
+// carries a call-path blame chain for interprocedural findings. run is nil
+// for noalloc, whose check is EscapeCheck.
 type Analyzer struct {
 	Name string
 	Doc  string
@@ -131,8 +135,8 @@ type Config struct {
 	// ParallelWaiverPkgs lists the only import-path prefixes where
 	// //xui:parallel waivers are legitimate — the sharded engine's epoch
 	// machinery. A parallel waiver anywhere else in a single-goroutine
-	// package is a shardsafe finding: it would silently punch a hole in the
-	// kernel's single-goroutine contract.
+	// package suppresses nothing and is itself an sgoroutine finding: it
+	// would silently punch a hole in the kernel's single-goroutine contract.
 	ParallelWaiverPkgs []string
 }
 
@@ -194,6 +198,7 @@ type Suite struct {
 	Pkgs  []*Package
 	Annos *Annotations
 
+	ran          map[string]bool // analyzers run so far, for the stale-waiver audit
 	graph        *CallGraph
 	detFactsMap  map[*Node]*reachFact
 	blockFacts   map[*Node]*reachFact
@@ -202,9 +207,7 @@ type Suite struct {
 
 // NewSuite collects annotations across pkgs and prepares the analyzers.
 func NewSuite(cfg *Config, pkgs []*Package) *Suite {
-	s := &Suite{Cfg: cfg, Pkgs: pkgs}
-	s.Annos = collectAnnotations(pkgs)
-	return s
+	return &Suite{Cfg: cfg, Pkgs: pkgs, Annos: collectAnnotations(pkgs), ran: map[string]bool{}}
 }
 
 // Graph returns the module call graph, built on first use.
@@ -250,23 +253,21 @@ func AnalyzerDoc(name string) string {
 
 // Run executes the named analyzers (all when enabled is nil) over every
 // package and returns the surviving diagnostics sorted by position. Waived
-// determinism/alloc findings are dropped and their waivers marked used.
-// Malformed-annotation findings are always included.
+// findings are dropped and their waivers marked used. Malformed-annotation
+// findings are included for every enabled analyzer.
 func (s *Suite) Run(enabled map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	on := func(name string) bool { return enabled == nil || enabled[name] }
 	for _, a := range Analyzers() {
-		if a.Name == "noalloc" {
-			continue // static half runs below; escape half is EscapeCheck
-		}
-		if !on(a.Name) {
+		if a.run == nil || !on(a.Name) {
 			continue
 		}
+		s.ran[a.Name] = true
 		for _, p := range s.Pkgs {
 			pkg := p
 			a.run(s, pkg, func(pos token.Pos, msg string, path ...Frame) {
 				d := Diagnostic{Analyzer: a.Name, Pos: pkg.Fset.Position(pos), Message: msg, Path: path}
-				if s.waived(a.Name, d.Pos) {
+				if s.waive(a.Name, d.Pos) {
 					return
 				}
 				out = append(out, d)
@@ -284,48 +285,36 @@ func (s *Suite) Run(enabled map[string]bool) []Diagnostic {
 	return out
 }
 
-// waived dispatches a diagnostic position to the waiver table owned by the
-// reporting analyzer, marking any matching waiver used.
-func (s *Suite) waived(analyzer string, pos token.Position) bool {
-	switch analyzer {
-	case "determinism":
-		return s.Annos.waiveNondet(pos)
-	case "sgoroutine":
-		return s.Annos.waiveParallel(pos)
-	case "lockcheck":
-		return s.Annos.waiveLockOk(pos)
-	case "shardsafe":
-		return s.Annos.waiveShardOk(pos)
-	case "recoversafe":
-		return s.Annos.waiveNoRecover(pos)
+// waive reports whether a diagnostic analyzer raised at pos is covered by
+// one of that analyzer's waivers, marking the waiver used. A misplaced
+// //xui:parallel waiver covers nothing: sgoroutine reports it instead.
+func (s *Suite) waive(analyzer string, pos token.Position) bool {
+	for _, w := range s.Annos.Waivers {
+		if directive(w.Verb).Analyzer == analyzer && w.covers(pos) && !s.misplacedParallel(w) {
+			w.Used = true
+			return true
+		}
 	}
 	return false
 }
 
-// StaleWaivers returns every waiver (//xui:nondet, //xui:alloc,
-// //xui:parallel, //xui:lockok, //xui:shardok, //xui:norecover) that
-// suppressed nothing in the analyses run so far — code that became clean,
-// so the waiver should be deleted. Call after Run (and EscapeCheck, for
-// alloc waivers).
+// StaleWaivers returns every waiver that suppressed nothing in the
+// analyses run so far — code that became clean, so the waiver should be
+// deleted. Only waivers whose owning analyzer ran are audited: call after
+// Run, and after EscapeCheck for //xui:alloc waivers.
 func (s *Suite) StaleWaivers() []Diagnostic {
 	var out []Diagnostic
-	stale := func(analyzer, verb string, ws []*Waiver) {
-		for _, w := range ws {
-			if !w.Used {
-				out = append(out, Diagnostic{
-					Analyzer: analyzer,
-					Pos:      token.Position{Filename: w.File, Line: w.Line, Column: 1},
-					Message:  fmt.Sprintf("stale //xui:%s waiver (%q): no diagnostic suppressed; delete it", verb, w.Reason),
-				})
-			}
+	for _, w := range s.Annos.Waivers {
+		owner := directive(w.Verb).Analyzer
+		if w.Used || !s.ran[owner] {
+			continue
 		}
+		out = append(out, Diagnostic{
+			Analyzer: owner,
+			Pos:      token.Position{Filename: w.File, Line: w.Line, Column: 1},
+			Message:  fmt.Sprintf("stale //xui:%s waiver (%q): no diagnostic suppressed; delete it", w.Verb, w.Reason),
+		})
 	}
-	stale("determinism", "nondet", s.Annos.Nondet)
-	stale("noalloc", "alloc", s.Annos.Alloc)
-	stale("sgoroutine", "parallel", s.Annos.Parallel)
-	stale("lockcheck", "lockok", s.Annos.LockOk)
-	stale("shardsafe", "shardok", s.Annos.ShardOk)
-	stale("recoversafe", "norecover", s.Annos.NoRecover)
 	sortDiags(out)
 	return out
 }

@@ -1,7 +1,10 @@
 package lint
 
 import (
+	"go/parser"
+	"go/token"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,6 +76,48 @@ func TestShardSafeFixture(t *testing.T) {
 	}
 }
 
+// TestStaleWaiversOnlyForAnalyzersThatRan proves the stale audit judges a
+// waiver only against its owning analyzer: the sg fixture's //xui:parallel
+// waivers are not stale after a determinism-only run.
+func TestStaleWaiversOnlyForAnalyzersThatRan(t *testing.T) {
+	s, _ := loadFixture(t, "sg")
+	s.Run(map[string]bool{"determinism": true})
+	if stale := s.StaleWaivers(); len(stale) != 0 {
+		t.Errorf("want no stale waivers after a determinism-only run, got %d: %v", len(stale), stale)
+	}
+}
+
+// TestDirectiveTable checks the //xui: directive table against itself, the
+// analyzer set and the package doc: verbs are unique, every owner is a real
+// analyzer, and every verb has a line in the doc's annotation grammar.
+func TestDirectiveTable(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "lint.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, grammar, ok := strings.Cut(f.Doc.Text(), "Annotation grammar")
+	if !ok {
+		t.Fatal("package doc has no annotation grammar block")
+	}
+	analyzers := map[string]bool{}
+	for _, name := range AnalyzerNames() {
+		analyzers[name] = true
+	}
+	seen := map[string]bool{}
+	for _, d := range Directives {
+		if seen[d.Verb] {
+			t.Errorf("verb %q appears twice", d.Verb)
+		}
+		seen[d.Verb] = true
+		if !analyzers[d.Analyzer] {
+			t.Errorf("//xui:%s: owner %q is not an analyzer", d.Verb, d.Analyzer)
+		}
+		if !regexp.MustCompile(`(?m)^\s*//xui:` + regexp.QuoteMeta(d.Verb) + `(\s|$)`).MatchString(grammar) {
+			t.Errorf("//xui:%s is missing from the package doc's annotation grammar", d.Verb)
+		}
+	}
+}
+
 // TestParallelWaiverScope proves a //xui:parallel waiver in a
 // single-goroutine package OUTSIDE ParallelWaiverPkgs is reported even
 // though it suppresses nothing.
@@ -84,7 +129,7 @@ func TestParallelWaiverScope(t *testing.T) {
 	}
 	cfg := &Config{SingleGoroutinePkgs: []string{"fixture/parscope"}}
 	s := NewSuite(cfg, []*Package{p})
-	diags := s.Run(map[string]bool{"shardsafe": true})
+	diags := s.Run(map[string]bool{"sgoroutine": true})
 	if len(diags) != 1 {
 		t.Fatalf("want exactly 1 scope diagnostic, got %d: %v", len(diags), diags)
 	}

@@ -62,9 +62,7 @@ func (s *Suite) mayBlockFacts() map[*Node]*reachFact {
 	if s.blockFacts == nil {
 		g := s.Graph()
 		s.blockFacts = g.reach(
-			func(e *Edge) bool {
-				return (e.Kind == EdgeDirect || e.Kind == EdgeFuncVal) && !e.GoStmt
-			},
+			func(e *Edge) bool { return !e.GoStmt },
 			func(n *Node) (string, token.Position, bool) {
 				return ownBlocking(n)
 			},

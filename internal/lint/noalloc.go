@@ -21,19 +21,20 @@ import (
 // hide an allocation one helper down. Findings inside a callee carry the
 // call-path blame chain from the annotated root.
 //
-// Closure rules: direct edges only (interface, func-value and dynamic
-// calls are not followed — the annotation asserts a statically known hot
-// path); a callee that is itself //xui:noalloc is not descended into (its
-// own contract covers it, avoiding double reports); an //xui:alloc waiver
-// on a call line vouches for that callee and prunes the edge. Crash paths
-// (lines spanned by panic calls) are exempt everywhere in the tree, and
-// deliberate cold-path allocations can be waived line-by-line with
-// //xui:alloc <reason>.
+// Closure rules: direct edges only (func-value edges are not followed,
+// and interface calls have no edge — the annotation asserts a statically
+// known hot path); a callee that is itself //xui:noalloc is not descended
+// into (its own contract covers it, avoiding double reports); an
+// //xui:alloc waiver on a call line vouches for that callee and prunes the
+// edge. Crash paths (lines spanned by panic calls) are exempt everywhere
+// in the tree, and deliberate cold-path allocations can be waived
+// line-by-line with //xui:alloc <reason>.
 func analyzerNoalloc() *Analyzer {
 	return &Analyzer{
 		Name: "noalloc",
 		Doc:  "verify //xui:noalloc functions and their reachable call trees against the compiler's -m escape-analysis diagnostics",
-		run:  func(*Suite, *Package, func(token.Pos, string, ...Frame)) {}, // static half lives in annotation collection; dynamic half is EscapeCheck
+		// No per-package run: the static half lives in annotation
+		// collection, the dynamic half is EscapeCheck.
 	}
 }
 
@@ -100,7 +101,7 @@ func (s *Suite) noallocClosures() []*rootClosure {
 			n := queue[0]
 			queue = queue[1:]
 			for _, e := range n.Out {
-				if e.Kind != EdgeDirect || e.Callee == nil {
+				if e.Kind != EdgeDirect {
 					continue
 				}
 				if _, seen := rc.via[e.Callee]; seen {
@@ -111,7 +112,7 @@ func (s *Suite) noallocClosures() []*rootClosure {
 				}
 				// An //xui:alloc waiver on the call line vouches for the
 				// callee at this site: prune the edge.
-				if s.Annos.waiveAlloc(n.Pkg.Fset.Position(e.Pos)) {
+				if s.waive("noalloc", n.Pkg.Fset.Position(e.Pos)) {
 					continue
 				}
 				rc.via[e.Callee] = e
@@ -131,6 +132,7 @@ func (s *Suite) noallocClosures() []*rootClosure {
 // to annotated roots whose closure touches one of the listed import paths
 // (the -since incremental mode).
 func (s *Suite) EscapeCheck(moduleDir, goTool string, only map[string]bool) ([]Diagnostic, error) {
+	s.ran["noalloc"] = true
 	if len(s.Annos.Noalloc) == 0 {
 		return nil, nil
 	}
@@ -250,7 +252,7 @@ func (s *Suite) EscapeCheck(moduleDir, goTool string, only map[string]bool) ([]D
 			continue
 		}
 		pos := token.Position{Filename: abs, Line: lineNo, Column: col}
-		if s.Annos.waiveAlloc(pos) {
+		if s.waive("noalloc", pos) {
 			continue
 		}
 		rc := rcs[0]

@@ -21,17 +21,12 @@ import (
 //     forwarded "when" parameter). A cross-shard message stamped with
 //     anything else can land inside the receiving shard's current epoch
 //     and break the conservative time-window synchronization.
-//  3. //xui:parallel waiver scoping: parallel waivers are only legitimate
-//     in Config.ParallelWaiverPkgs (the sharded engine). One anywhere else
-//     in a single-goroutine package would silently punch a hole in the
-//     kernel's single-goroutine contract, so it is reported here even
-//     before it suppresses anything.
 //
 // Findings are waivable with //xui:shardok <reason>.
 func analyzerShardSafe() *Analyzer {
 	return &Analyzer{
 		Name: "shardsafe",
-		Doc:  "enforce single-producer mailbox writes, epoch-derived cross-shard send times, and //xui:parallel waiver scoping",
+		Doc:  "enforce single-producer mailbox writes and epoch-derived cross-shard send times",
 		run:  runShardSafe,
 	}
 }
@@ -39,7 +34,6 @@ func analyzerShardSafe() *Analyzer {
 func runShardSafe(s *Suite, p *Package, report func(pos token.Pos, msg string, path ...Frame)) {
 	checkProducers(s, p, report)
 	checkCrossSends(s, p, report)
-	checkParallelWaiverScope(s, p, report)
 }
 
 // checkProducers flags writes (and address-takes) of //xui:producer fields
@@ -180,36 +174,5 @@ func checkCrossSends(s *Suite, p *Package, report func(pos token.Pos, msg string
 			}
 			return true
 		})
-	}
-}
-
-// checkParallelWaiverScope reports //xui:parallel waivers outside the
-// packages where they are legitimate.
-func checkParallelWaiverScope(s *Suite, p *Package, report func(pos token.Pos, msg string, path ...Frame)) {
-	if !matchPkg(p.Path, s.Cfg.SingleGoroutinePkgs) || matchPkg(p.Path, s.Cfg.ParallelWaiverPkgs) {
-		return
-	}
-	for _, f := range p.Files {
-		file := p.Fset.Position(f.Pos()).Filename
-		for _, w := range s.Annos.Parallel {
-			if w.File != file {
-				continue
-			}
-			// Re-derive the comment position: waivers carry file and line.
-			pos := token.NoPos
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if p.Fset.Position(c.Pos()).Line == w.Line {
-						pos = c.Pos()
-					}
-				}
-			}
-			if pos == token.NoPos {
-				continue
-			}
-			report(pos, fmt.Sprintf(
-				"//xui:parallel waiver (%q) outside the sharded engine: the single-goroutine contract of %s cannot be waived here",
-				w.Reason, p.Path))
-		}
 	}
 }

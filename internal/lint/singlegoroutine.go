@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -17,7 +18,8 @@ import (
 // staleness like every other waiver. Outside those waived sites, any `go`
 // statement, channel machinery, or sync primitive either breaks
 // determinism or hides a data race from the model, so the analyzer
-// forbids it.
+// forbids it. A //xui:parallel waiver outside Config.ParallelWaiverPkgs
+// is itself a finding and waives nothing.
 func analyzerSingleGoroutine() *Analyzer {
 	return &Analyzer{
 		Name: "sgoroutine",
@@ -29,6 +31,13 @@ func analyzerSingleGoroutine() *Analyzer {
 func runSingleGoroutine(s *Suite, p *Package, report func(pos token.Pos, msg string, path ...Frame)) {
 	if !matchPkg(p.Path, s.Cfg.SingleGoroutinePkgs) {
 		return
+	}
+	for _, w := range s.Annos.Waivers {
+		if w.pkg == p.Path && s.misplacedParallel(w) {
+			report(w.pos, fmt.Sprintf(
+				"//xui:parallel waiver (%q) outside the sharded engine: the single-goroutine contract of %s cannot be waived here",
+				w.Reason, p.Path))
+		}
 	}
 	const contract = "the single-goroutine simulation contract: model concurrency with events, run cross-run parallelism through internal/sweep"
 	for _, f := range p.Files {
@@ -68,4 +77,10 @@ func runSingleGoroutine(s *Suite, p *Package, report func(pos token.Pos, msg str
 			return true
 		})
 	}
+}
+
+// misplacedParallel reports whether w is a //xui:parallel waiver outside
+// the packages where the sharded engine may legitimately use one.
+func (s *Suite) misplacedParallel(w *Waiver) bool {
+	return w.Verb == "parallel" && !matchPkg(w.pkg, s.Cfg.ParallelWaiverPkgs)
 }
