@@ -68,10 +68,21 @@ func BenchmarkUIPIDelivery(b *testing.B) {
 	}
 }
 
+// TestUIPIDeliveryAllocFree pins the bare UIPI round trip at zero heap
+// allocations once warm: the ICR-write, bus-arrival and delivery-finish
+// events all use handlers bound when the machine was built.
+func TestUIPIDeliveryAllocFree(t *testing.T) {
+	r := newUIPIRig(t, nil)
+	r.deliver()
+	if got := testing.AllocsPerRun(200, r.deliver); got != 0 {
+		t.Errorf("bare UIPI round trip allocates %.1f objects, want 0", got)
+	}
+}
+
 // TestMetricsDeliveryAllocs pins that a metrics-only context adds no heap
 // allocation per delivery: metric names are resolved when the registry is
-// attached, so the floor (the event kernel's closures, paid with no
-// context at all) is also the ceiling.
+// attached, so the bare floor (zero, TestUIPIDeliveryAllocFree) is also
+// the ceiling.
 func TestMetricsDeliveryAllocs(t *testing.T) {
 	bare := newUIPIRig(t, nil)
 	floor := testing.AllocsPerRun(200, bare.deliver)

@@ -46,20 +46,21 @@ func (m Mechanism) String() string {
 
 // Costs is the Tier-2 per-event cost model, in cycles. The defaults come
 // from the paper's measurements (Table 2, §4.1) and are cross-checked
-// against the Tier-1 pipeline model by internal/experiments.
+// against the Tier-1 pipeline model by internal/experiments. Each table is
+// indexed by Mechanism; a delivery reads one on every event.
 type Costs struct {
 	// ReceiverByMech is the receiver-side cost of accepting one event.
-	ReceiverByMech map[Mechanism]sim.Time
+	ReceiverByMech [ForwardedIntr + 1]sim.Time
 	// SenderByMech is the sender-side cost of signalling one event.
-	SenderByMech map[Mechanism]sim.Time
+	SenderByMech [ForwardedIntr + 1]sim.Time
 	// WireByMech is the in-flight latency from signal to receiver pin.
-	WireByMech map[Mechanism]sim.Time
+	WireByMech [ForwardedIntr + 1]sim.Time
 }
 
 // DefaultCosts returns the calibrated model.
 func DefaultCosts() Costs {
 	return Costs{
-		ReceiverByMech: map[Mechanism]sim.Time{
+		ReceiverByMech: [ForwardedIntr + 1]sim.Time{
 			BusyPoll:      PollingNotifyCost,
 			PeriodicPoll:  PollingNotifyCost,
 			Signal:        SignalCost,
@@ -68,7 +69,7 @@ func DefaultCosts() Costs {
 			KBTimerIntr:   DeliveryOnlyCost,
 			ForwardedIntr: DeliveryOnlyCost,
 		},
-		SenderByMech: map[Mechanism]sim.Time{
+		SenderByMech: [ForwardedIntr + 1]sim.Time{
 			BusyPoll:      0, // remote store; the writer's RFO is charged by the device/core model
 			PeriodicPoll:  0,
 			Signal:        SyscallCost, // tgkill() on the sender
@@ -77,7 +78,7 @@ func DefaultCosts() Costs {
 			KBTimerIntr:   0,            // the timer is the sender
 			ForwardedIntr: 0,            // the device is the sender
 		},
-		WireByMech: map[Mechanism]sim.Time{
+		WireByMech: [ForwardedIntr + 1]sim.Time{
 			BusyPoll:      PollingNotifyCost / 2, // line transfer observed by the spinning reader
 			PeriodicPoll:  0,                     // latency dominated by the poll period, charged by the model
 			Signal:        SignalCost / 2,

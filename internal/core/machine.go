@@ -55,8 +55,17 @@ type VCore struct {
 	// uirrMech remembers which mechanism posted each vector, so the
 	// delivery charge matches the path taken.
 	uirrMech [64]Mechanism
-	// delivering is true while the delivery microcode + handler run.
+	// delivering is true while the delivery microcode + handler run. A
+	// core runs one delivery at a time, so the vector and mechanism of
+	// that delivery live here, read back by finish when it completes.
 	delivering bool
+	delivVec   uintr.Vector
+	delivMech  Mechanism
+	// finish and sendICR are the core's delivery-complete and ICR-write
+	// event handlers, bound once in addCores so scheduling them allocates
+	// nothing.
+	finish  sim.Handler
+	sendICR sim.ArgHandler
 
 	// Handler is the registered user-level interrupt handler; it runs
 	// after the delivery cost has elapsed.
@@ -198,6 +207,8 @@ func (v *VCore) post(now sim.Time, vector uintr.Vector, mech Mechanism) {
 
 // tryDeliver starts delivery of the highest-priority recognised vector if
 // the core can take a user interrupt now.
+//
+//xui:noalloc
 func (v *VCore) tryDeliver(now sim.Time) {
 	if v.uirr == 0 || !v.UIF || v.delivering {
 		return
@@ -211,7 +222,7 @@ func (v *VCore) tryDeliver(now sim.Time) {
 	v.DelivLat.Record(uint64(now + cost - v.postedAt[vec]))
 	if v.Obs != nil {
 		if v.Obs.Trace.Enabled() {
-			v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery",
+			v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery", //xui:alloc span name, only with a tracer attached
 				uint64(now), uint64(now+cost), map[string]any{"vector": uint8(vec)})
 		}
 		v.met.delivered[mech].Add(1)
@@ -222,17 +233,24 @@ func (v *VCore) tryDeliver(now sim.Time) {
 	}
 	v.UIF = false // delivery clears the flag until uiret
 	v.delivering = true
-	v.Sim.After(cost, func(t sim.Time) {
-		v.delivering = false
-		v.UIF = true // uiret
-		if v.Check != nil {
-			v.Check.DeliverEnd(t, v.ID, vec, mech)
-		}
-		if v.Handler != nil {
-			v.Handler(t, vec, mech)
-		}
-		v.tryDeliver(t)
-	})
+	v.delivVec, v.delivMech = vec, mech
+	v.Sim.After(cost, v.finish)
+}
+
+// finishDelivery completes the delivery tryDeliver started: uiret sets
+// UIF again, the user handler runs, and the next held vector (if any)
+// starts.
+func (v *VCore) finishDelivery(t sim.Time) {
+	vec, mech := v.delivVec, v.delivMech
+	v.delivering = false
+	v.UIF = true // uiret
+	if v.Check != nil {
+		v.Check.DeliverEnd(t, v.ID, vec, mech)
+	}
+	if v.Handler != nil {
+		v.Handler(t, vec, mech)
+	}
+	v.tryDeliver(t)
 }
 
 // Clui executes the clui instruction: clear UIF, blocking user-interrupt
@@ -342,6 +360,8 @@ func (m *Machine) addCores(ipiMech Mechanism, perGroup int, kernels []*sim.Simul
 		v.APIC = l
 		v.KBT = NewKBTimer(kernels[g])
 		v.KBT.Fire = v.kbFire
+		v.finish = v.finishDelivery
+		v.sendICR = v.writeICR
 		m.Cores = append(m.Cores, v)
 	}
 	return nil
@@ -392,13 +412,17 @@ func (m *Machine) SendUIPI(sender int, uitt *uintr.UITT, idx int) error {
 	if m.ExtraSendLatency != nil {
 		delay += m.ExtraSendLatency(sender)
 	}
-	src.Sim.After(delay, func(sim.Time) {
-		// ICR written: the message is on the bus.
-		if err := src.APIC.SendIPI(ndst, nv); err != nil {
-			panic(fmt.Sprintf("core: UIPI to unknown APIC %d", ndst))
-		}
-	})
+	src.Sim.AfterArg(delay, src.sendICR, uint64(ndst)<<8|uint64(nv))
 	return nil
+}
+
+// writeICR is the ICR-write point of a senduipi: the notification IPI
+// (destination APIC ID and vector packed as ndst<<8|nv) goes on the bus.
+func (v *VCore) writeICR(_ sim.Time, arg uint64) {
+	ndst, nv := uint32(arg>>8), uint8(arg)
+	if err := v.APIC.SendIPI(ndst, nv); err != nil {
+		panic(fmt.Sprintf("core: UIPI to unknown APIC %d", ndst))
+	}
 }
 
 // DeliveryLatency merges every core's recognise→delivery-complete

@@ -16,7 +16,7 @@ import (
 // goroutine per epoch. Cross-group traffic — senduipi to a thread homed on
 // another shard, IPIs, IOAPIC asserts and extended device messages for
 // remote cores — crosses through the engine's epoch-synchronized
-// mailboxes with an interconnect latency of CrossLatency cycles on top of
+// outboxes with an interconnect latency of CrossLatency cycles on top of
 // the bus hop, so the engine's lookahead (≤ BusLatency + CrossLatency)
 // bounds every cross-shard dependency and results are byte-identical at
 // any worker count.

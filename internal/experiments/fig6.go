@@ -76,24 +76,8 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 
 	// sendAll issues the per-core UIPIs back to back; each occupies the
 	// timer core for the senduipi cost.
-	var ticksLate uint64
-	sendAll := func(deadline sim.Time, done func(now sim.Time)) {
-		var one func(i int)
-		one = func(i int) {
-			if i >= nApp {
-				if s.Now() > deadline {
-					ticksLate++
-				}
-				done(s.Now())
-				return
-			}
-			if err := m.SendUIPI(timerCore, k.UITT(), idx[i]); err != nil {
-				panic(err)
-			}
-			s.After(sim.Time(core.SenduipiCost), func(sim.Time) { one(i + 1) })
-		}
-		one(0)
-	}
+	ts := &tickSender{s: s, m: m, k: k, timerCore: timerCore, idx: idx}
+	sendAll := ts.sendAll
 
 	switch method {
 	case "setitimer":
@@ -150,7 +134,7 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 			row.TimerUtil = 1
 		}
 	}
-	row.TicksLate = ticksLate
+	row.TicksLate = ts.ticksLate
 	return row
 }
 
@@ -165,4 +149,48 @@ const SpinLoopOverhead = 70
 func Fig6SpinCapacity(periodUs float64) int {
 	period := float64(sim.FromMicros(periodUs))
 	return int(period / float64(core.SenduipiCost+SpinLoopOverhead))
+}
+
+// tickSender issues each timer tick's UIPIs, one per app core, back to
+// back from the timer core; each send occupies it for the senduipi cost.
+type tickSender struct {
+	s         *sim.Simulator
+	m         *core.Machine
+	k         *kernel.Kernel
+	timerCore int
+	idx       []int // UITT index per app core
+	ticksLate uint64
+}
+
+// tickChain is one tick in flight: the next app core to notify, the
+// deadline the tick must meet and the continuation once all are sent.
+// Ticks can overlap when sends overrun the period, so each has its own.
+type tickChain struct {
+	ts       *tickSender
+	i        int
+	deadline sim.Time
+	done     func(now sim.Time)
+	next     sim.Handler // c.send, bound once per tick
+}
+
+func (ts *tickSender) sendAll(deadline sim.Time, done func(now sim.Time)) {
+	c := &tickChain{ts: ts, deadline: deadline, done: done}
+	c.next = c.send
+	c.send(ts.s.Now())
+}
+
+func (c *tickChain) send(now sim.Time) {
+	ts := c.ts
+	if c.i >= len(ts.idx) {
+		if now > c.deadline {
+			ts.ticksLate++
+		}
+		c.done(now)
+		return
+	}
+	if err := ts.m.SendUIPI(ts.timerCore, ts.k.UITT(), ts.idx[c.i]); err != nil {
+		panic(err)
+	}
+	c.i++
+	ts.s.After(sim.Time(core.SenduipiCost), c.next)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sync"
 
 	"xui/internal/core"
 	"xui/internal/kernel"
@@ -71,6 +72,18 @@ func (e *Env) Fig7(loads []float64, horizon sim.Time) []Fig7Row {
 
 const fig7Quantum = 5 * 2000 // 5 µs
 
+// fig7Store is the real store every fig7 point executes its requests
+// against, pre-populated with 20k ordered keys. Requests only Get and
+// Scan, so the filled store is built once per process and shared by the
+// sweep workers.
+var fig7Store = sync.OnceValue(func() *kvstore.Store {
+	store := kvstore.Open(5)
+	for i := 0; i < 20000; i++ {
+		store.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("profile-%d", i)))
+	}
+	return store
+})
+
 func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	s := sim.New(1234)
 	nCores := 1
@@ -92,12 +105,7 @@ func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 		panic(err)
 	}
 
-	// A real store pre-populated with ordered keys; each completed request
-	// actually executes against it.
-	store := kvstore.Open(5)
-	for i := 0; i < 20000; i++ {
-		store.Put([]byte(fmt.Sprintf("user%08d", i)), []byte(fmt.Sprintf("profile-%d", i)))
-	}
+	store := fig7Store()
 	costs := kvstore.DefaultCostModel()
 	rng := sim.NewRNG(77)
 	rec := loadgen.NewRecorder()

@@ -13,7 +13,6 @@ var tombstone []byte // nil
 
 // Delete removes a key by writing a tombstone.
 func (st *Store) Delete(key []byte) {
-	st.Puts++
 	st.mem.put(key, tombstone)
 	if st.mem.size >= st.FlushThreshold {
 		st.Flush()

@@ -114,8 +114,10 @@ func (r *run) get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// Store is the key-value store. It is not safe for concurrent use; the
-// simulated runtime serializes access per core, as Aspen does.
+// Store is the key-value store. Writes (Put, Delete, Flush, Compact) are
+// not safe for concurrent use; the simulated runtime serializes access
+// per core, as Aspen does. Get and Scan only read, so a filled store that
+// is no longer written can be shared by concurrent readers.
 type Store struct {
 	mem  *skiplist
 	runs []*run // newest first
@@ -124,8 +126,6 @@ type Store struct {
 	// FlushThreshold is the memtable size that triggers a flush into an
 	// immutable run.
 	FlushThreshold int
-
-	Puts, Gets, Scans uint64
 }
 
 // Open creates an empty store.
@@ -137,7 +137,6 @@ func Open(seed uint64) *Store {
 // Put inserts or updates a key. A nil value is stored as empty (nil is
 // reserved internally for deletion tombstones).
 func (st *Store) Put(key, val []byte) {
-	st.Puts++
 	cp := make([]byte, len(val))
 	copy(cp, val)
 	st.mem.put(key, cp)
@@ -148,14 +147,12 @@ func (st *Store) Put(key, val []byte) {
 
 // Get returns the newest value for key; deleted keys are not found.
 func (st *Store) Get(key []byte) ([]byte, bool) {
-	st.Gets++
 	v, found, _ := st.lookup(key)
 	return v, found
 }
 
 // Scan visits up to limit keys ≥ start, newest version of each, in order.
 func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
-	st.Scans++
 	type cursor struct {
 		keys [][]byte
 		vals [][]byte

@@ -21,6 +21,7 @@ type OpenLoop struct {
 	carry   float64 // fractional cycles owed from previous arrivals
 	submit  func(now sim.Time, id uint64)
 	ev      *sim.Event
+	fire    sim.Handler // g.issue, bound once
 	stopped bool
 
 	Issued uint64
@@ -42,22 +43,27 @@ func StartOpenLoop(s *sim.Simulator, seed uint64, rate float64, submit func(now 
 		meanGap: float64(sim.CyclesPerSecond) / rate,
 		submit:  submit,
 	}
+	g.fire = g.issue
 	g.arm()
 	return g, nil
 }
 
+//xui:noalloc
 func (g *OpenLoop) arm() {
 	exact := g.rng.Exp(g.meanGap) + g.carry
 	gap := sim.Time(exact) // truncate; the remainder is carried forward
 	g.carry = exact - float64(gap)
-	g.ev = g.sim.After(gap, func(now sim.Time) {
-		if g.stopped {
-			return
-		}
-		g.Issued++
-		g.submit(now, g.Issued)
-		g.arm()
-	})
+	g.ev = g.sim.After(gap, g.fire)
+}
+
+// issue submits the next request and draws the following gap.
+func (g *OpenLoop) issue(now sim.Time) {
+	if g.stopped {
+		return
+	}
+	g.Issued++
+	g.submit(now, g.Issued)
+	g.arm()
 }
 
 // Stop halts generation.

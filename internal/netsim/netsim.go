@@ -30,7 +30,11 @@ type NIC struct {
 	ID  int
 	sim *sim.Simulator
 
-	rx []Packet
+	// rx[head:] is the receive queue. Poll advances head; Inject compacts
+	// the live packets to the front before the array would have to grow,
+	// so after warm-up the ring never reallocates.
+	rx   []Packet
+	head int
 
 	// IntrEnabled arms interrupt generation: the NIC raises OnAssert on an
 	// empty→non-empty transition (NAPI-style moderation, so a busy queue
@@ -47,12 +51,20 @@ type NIC struct {
 func NewNIC(s *sim.Simulator, id int) *NIC { return &NIC{ID: id, sim: s} }
 
 // Inject delivers a packet from the wire into the receive ring.
+//
+//xui:noalloc
 func (n *NIC) Inject(p Packet) {
-	if len(n.rx) >= RingSize {
+	depth := n.Len()
+	if depth >= RingSize {
 		n.Dropped++
 		return
 	}
-	wasEmpty := len(n.rx) == 0
+	if len(n.rx) == cap(n.rx) && n.head > 0 {
+		copy(n.rx, n.rx[n.head:])
+		n.rx = n.rx[:depth]
+		n.head = 0
+	}
+	wasEmpty := depth == 0
 	n.rx = append(n.rx, p)
 	n.Received++
 	if wasEmpty && n.IntrEnabled && n.OnAssert != nil {
@@ -61,21 +73,28 @@ func (n *NIC) Inject(p Packet) {
 	}
 }
 
-// Poll removes up to max packets (rte_eth_rx_burst).
+// Poll removes up to max packets (rte_eth_rx_burst). The returned slice
+// is a view of the ring, valid until the next Inject.
+//
+//xui:noalloc
 func (n *NIC) Poll(max int) []Packet {
-	if len(n.rx) == 0 || max <= 0 {
+	depth := n.Len()
+	if depth == 0 || max <= 0 {
 		return nil
 	}
-	if max > len(n.rx) {
-		max = len(n.rx)
+	if max > depth {
+		max = depth
 	}
-	out := n.rx[:max:max]
-	n.rx = n.rx[max:]
+	out := n.rx[n.head : n.head+max : n.head+max]
+	n.head += max
+	if n.head == len(n.rx) {
+		n.rx, n.head = n.rx[:0], 0
+	}
 	return out
 }
 
 // Len returns the queue depth.
-func (n *NIC) Len() int { return len(n.rx) }
+func (n *NIC) Len() int { return len(n.rx) - n.head }
 
 // Generator produces packets with exponential inter-arrival times
 // (bursty, per §5.4) and uniformly random routable destinations.
@@ -86,6 +105,7 @@ type Generator struct {
 	meanGap float64
 	carry   float64 // fractional cycles truncated from previous gaps
 	ev      *sim.Event
+	fire    sim.Handler // g.inject, bound once
 	nextID  uint64
 	stopped bool
 }
@@ -96,22 +116,27 @@ type Generator struct {
 // unbiased even at small mean gaps.
 func StartGenerator(s *sim.Simulator, nic *NIC, meanGap sim.Time, seed uint64) *Generator {
 	g := &Generator{sim: s, rng: sim.NewRNG(seed), nic: nic, meanGap: float64(meanGap)}
+	g.fire = g.inject
 	g.arm()
 	return g
 }
 
+//xui:noalloc
 func (g *Generator) arm() {
 	exact := g.rng.Exp(g.meanGap) + g.carry
 	gap := sim.Time(exact)
 	g.carry = exact - float64(gap)
-	g.ev = g.sim.After(gap, func(now sim.Time) {
-		if g.stopped {
-			return
-		}
-		g.nextID++
-		g.nic.Inject(Packet{ID: g.nextID, Arrived: now, DstIP: uint32(g.rng.Uint64())})
-		g.arm()
-	})
+	g.ev = g.sim.After(gap, g.fire)
+}
+
+// inject puts the next packet on the wire and draws the following gap.
+func (g *Generator) inject(now sim.Time) {
+	if g.stopped {
+		return
+	}
+	g.nextID++
+	g.nic.Inject(Packet{ID: g.nextID, Arrived: now, DstIP: uint32(g.rng.Uint64())})
+	g.arm()
 }
 
 // Stop halts the generator.
@@ -177,6 +202,10 @@ type L3Fwd struct {
 	running  bool // handler/poll chain active (interrupt mode)
 	stopped  bool
 	intrBusy stats.Busy
+
+	// Event handlers, bound once in NewL3Fwd so the per-round and
+	// per-burst scheduling allocates nothing.
+	pollFn, drainFn, verifyFn, handleFn sim.Handler
 }
 
 // NewL3Fwd builds the application. In InterruptMode the caller must route
@@ -194,6 +223,7 @@ func NewL3Fwd(s *sim.Simulator, table *lpm.Table, nics []*NIC, v *core.VCore, mo
 		mode:    mode,
 		Latency: stats.NewHistogram(),
 	}
+	l.pollFn, l.drainFn, l.verifyFn, l.handleFn = l.pollRound, l.drain, l.rearm, l.HandleInterrupt
 	switch mode {
 	case InterruptMode:
 		for _, n := range nics {
@@ -209,7 +239,7 @@ func NewL3Fwd(s *sim.Simulator, table *lpm.Table, nics []*NIC, v *core.VCore, mo
 			// Monitor hit: the core leaves mwait after the wake latency,
 			// then drains like the interrupt handler would.
 			l.vcore.Account.Charge(core.CatNotify, uint64(MwaitWakeCost))
-			l.sim.After(MwaitWakeCost, l.HandleInterrupt)
+			l.sim.After(MwaitWakeCost, l.handleFn)
 		}
 	}
 	return l, nil
@@ -219,7 +249,7 @@ func NewL3Fwd(s *sim.Simulator, table *lpm.Table, nics []*NIC, v *core.VCore, mo
 // HandleInterrupt).
 func (l *L3Fwd) Start() {
 	if l.mode == PollMode {
-		l.sim.After(1, l.pollRound)
+		l.sim.After(1, l.pollFn)
 	}
 }
 
@@ -229,6 +259,8 @@ func (l *L3Fwd) Stop() { l.stopped = true }
 // pollRound performs one round-robin pass over all queues, charging every
 // cycle to either packet processing or empty polling — the core is never
 // idle (Fig. 8: "polling always utilizes the entire core").
+//
+//xui:noalloc
 func (l *L3Fwd) pollRound(now sim.Time) {
 	if l.stopped {
 		return
@@ -246,7 +278,7 @@ func (l *L3Fwd) pollRound(now sim.Time) {
 	if busy == 0 {
 		busy = 1
 	}
-	l.sim.After(busy, l.pollRound)
+	l.sim.After(busy, l.pollFn)
 }
 
 // process forwards a burst sequentially, returning the cycles consumed.
@@ -281,6 +313,7 @@ func (l *L3Fwd) HandleInterrupt(now sim.Time) {
 	l.drain(now)
 }
 
+//xui:noalloc
 func (l *L3Fwd) drain(now sim.Time) {
 	if l.stopped {
 		l.running = false
@@ -297,29 +330,32 @@ func (l *L3Fwd) drain(now sim.Time) {
 		busy += l.process(now+busy, pkts)
 	}
 	if work {
-		l.sim.After(busy, l.drain)
+		l.sim.After(busy, l.drainFn)
 		return
 	}
 	// All queues observed empty: one final verification pass costs a poll
 	// round, then interrupts are re-armed and the handler returns.
 	verify := EmptyPollCost * sim.Time(len(l.nics))
 	l.vcore.Account.Charge(core.CatPoll, uint64(verify))
-	l.sim.After(verify, func(end sim.Time) {
-		l.running = false
-		l.intrBusy.MarkIdle(uint64(end))
-		race := false
-		for _, n := range l.nics {
-			n.IntrEnabled = true
-			if n.Len() > 0 {
-				race = true
-			}
+	l.sim.After(verify, l.verifyFn)
+}
+
+// rearm ends the handler after the final verification pass: interrupts
+// are re-armed, and a packet that slipped in meanwhile is handled as if
+// the device re-asserted.
+func (l *L3Fwd) rearm(end sim.Time) {
+	l.running = false
+	l.intrBusy.MarkIdle(uint64(end))
+	race := false
+	for _, n := range l.nics {
+		n.IntrEnabled = true
+		if n.Len() > 0 {
+			race = true
 		}
-		if race && !l.stopped {
-			// A packet slipped in between the last poll and re-arming;
-			// process it as if the device re-asserted.
-			l.HandleInterrupt(end)
-		}
-	})
+	}
+	if race && !l.stopped {
+		l.HandleInterrupt(end)
+	}
 }
 
 // BusyCycles returns cycles spent in the interrupt-driven processing path

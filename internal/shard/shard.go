@@ -9,8 +9,9 @@
 // shards and L — the lookahead — is the minimum cross-shard delivery
 // latency. Within an epoch every shard runs independently (no shared
 // mutable state); cross-shard traffic (senduipi, forwarded KB_Timer and
-// NIC interrupts) is buffered in per-pair SPSC mailboxes and exchanged at
-// the epoch barrier, merged in (timestamp, source shard, sequence) order.
+// NIC interrupts) is buffered in one single-producer outbox per source
+// shard and exchanged at the epoch barrier, merged in (timestamp, source
+// shard, sequence) order.
 // Because every message carries a delivery timestamp ≥ the epoch boundary,
 // no shard can observe an event out of order, and the merge key is a total
 // order independent of how many worker goroutines executed the epoch:
@@ -59,10 +60,10 @@ type Engine struct {
 	epochs   uint64
 	barrier  func() // optional post-exchange hook (obs lane flush)
 
-	// Per-pair SPSC mailboxes, indexed src*n+dst. During an epoch, mailbox
-	// row src is written only by the goroutine running shard src; all rows
-	// are drained by the coordinator at the barrier. seqs/sent are
-	// likewise source-owned.
+	// One outbox per source shard; each message names its destination.
+	// During an epoch, outbox src is written only by the goroutine running
+	// shard src; all are drained by the coordinator at the barrier.
+	// seqs/sent are likewise source-owned.
 	out  [][]Msg  //xui:producer push,pop
 	seqs []uint64 //xui:producer push
 	sent []uint64 //xui:producer push
@@ -96,7 +97,7 @@ func New(seed uint64, n int, lookahead sim.Time, workers int) *Engine {
 		sims:      make([]*sim.Simulator, n),
 		lookahead: lookahead,
 		workers:   workers,
-		out:       make([][]Msg, n*n),
+		out:       make([][]Msg, n),
 		seqs:      make([]uint64, n),
 		sent:      make([]uint64, n),
 	}
@@ -166,12 +167,12 @@ func (e *Engine) Send(src, dst int, when sim.Time, fn sim.Handler) {
 	e.push(src, dst, when, fn)
 }
 
-// push appends to the (src,dst) mailbox. Only the goroutine running shard
-// src in the current epoch calls this, so the row is single-producer.
+// push appends to src's outbox. Only the goroutine running shard src in
+// the current epoch calls this, so each outbox is single-producer.
 //
 //xui:noalloc
 func (e *Engine) push(src, dst int, when sim.Time, fn sim.Handler) {
-	box := &e.out[src*len(e.sims)+dst]
+	box := &e.out[src]
 	*box = append(*box, Msg{
 		when: when,
 		seq:  e.seqs[src],
@@ -183,9 +184,10 @@ func (e *Engine) push(src, dst int, when sim.Time, fn sim.Handler) {
 	e.sent[src]++
 }
 
-// pop drains every mailbox into the merge scratch in source-major order
-// (re-sorted by the total key afterwards) and clears handler references so
-// pooled backing arrays do not pin closures. Coordinator-only.
+// pop drains every outbox into the merge scratch in source order
+// (re-sorted by the total key afterwards, so the drain order never
+// matters) and clears handler references so pooled backing arrays do not
+// pin closures. Coordinator-only.
 //
 //xui:noalloc
 func (e *Engine) pop() {
@@ -200,7 +202,7 @@ func (e *Engine) pop() {
 	}
 }
 
-// exchange runs the epoch barrier: drain mailboxes, sort by the total
+// exchange runs the epoch barrier: drain outboxes, sort by the total
 // order, schedule every message on its destination shard, then run the
 // barrier hook. Destination-kernel sequence numbers are assigned in merge
 // order, so same-cycle messages keep the (when, src, seq) order inside the
@@ -394,7 +396,7 @@ func (e *Engine) runWorker(p *workerPool, start chan sim.Time) {
 // release hands the epoch bound to every worker.
 func (p *workerPool) release(end sim.Time) {
 	for _, c := range p.start {
-		c <- end //xui:parallel epoch release; publishes epochEnd and mailbox ownership
+		c <- end //xui:parallel epoch release; publishes epochEnd and outbox ownership
 	}
 }
 
@@ -403,7 +405,7 @@ func (p *workerPool) release(end sim.Time) {
 // another shard, so re-raising before the next release is mandatory).
 func (p *workerPool) await() {
 	for range p.start {
-		<-p.done //xui:parallel barrier wait; re-acquires shard kernels and mailboxes
+		<-p.done //xui:parallel barrier wait; re-acquires shard kernels and outboxes
 	}
 	select { //xui:parallel drain worker panics after the barrier; buffered receive, never blocks
 	case wp := <-p.panicked:

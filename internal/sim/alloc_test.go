@@ -95,6 +95,49 @@ func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestAfterArgPayloadAndAllocFree checks a payload event hands its word to
+// the handler, orders FIFO with closure events at the same cycle, and
+// that the payload path is allocation-free once warm.
+func TestAfterArgPayloadAndAllocFree(t *testing.T) {
+	s := New(1)
+	var got []uint64
+	afn := ArgHandler(func(_ Time, arg uint64) { got = append(got, arg) })
+	s.AfterArg(5, afn, 7)
+	s.After(5, func(Time) { got = append(got, 100) })
+	s.ScheduleArg(5, afn, 9)
+	s.Run()
+	if len(got) != 3 || got[0] != 7 || got[1] != 100 || got[2] != 9 {
+		t.Fatalf("fired payloads = %v, want [7 100 9]", got)
+	}
+
+	var sum uint64
+	sink := ArgHandler(func(_ Time, arg uint64) { sum += arg })
+	for i := 0; i < 256; i++ {
+		s.AfterArg(Time(i+1), sink, 1)
+	}
+	s.Run()
+	allocs := testing.AllocsPerRun(200, func() {
+		s.AfterArg(1, sink, 2)
+		s.Step()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state AfterArg/fire allocates %.1f objects per op, want 0", allocs)
+	}
+}
+
+// BenchmarkSimEventScheduleArg measures the payload-event round trip.
+func BenchmarkSimEventScheduleArg(b *testing.B) {
+	s := New(1)
+	var sum uint64
+	afn := ArgHandler(func(_ Time, arg uint64) { sum += arg })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.AfterArg(1, afn, uint64(i))
+		s.Step()
+	}
+}
+
 // BenchmarkSimEventSchedule measures the one-shot schedule→fire round trip
 // with an otherwise empty queue.
 func BenchmarkSimEventSchedule(b *testing.B) {

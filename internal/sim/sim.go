@@ -11,6 +11,11 @@
 // from per-simulator slabs, fired one-shot and cancelled events return to
 // a free list, and the heap's backing array is preallocated and reused.
 // BenchmarkSimEvent* in this package guard those properties.
+//
+// An event carries either a plain Handler or an ArgHandler plus one word
+// of payload. Hot-path components build their ArgHandler once per object
+// and pass per-event data (say, an APIC ID and a vector) in the word, so
+// scheduling allocates no closure; see AfterArg.
 package sim
 
 import (
@@ -50,6 +55,12 @@ func FromMicros(us float64) Time {
 // with the simulation clock set to the event's time.
 type Handler func(now Time)
 
+// ArgHandler is a handler that receives the one-word payload its event
+// was scheduled with (ScheduleArg/AfterArg). Build it once per object —
+// a method value stored on a field — so the per-event path allocates
+// nothing; the payload carries whatever differs between events.
+type ArgHandler func(now Time, arg uint64)
+
 // Event is a scheduled occurrence. A zero Event is invalid; events are
 // created through Simulator.Schedule and friends.
 //
@@ -65,7 +76,9 @@ type Event struct {
 	seq     uint64 // tie-break: FIFO among same-cycle events
 	index   int    // heap index, -1 when not queued
 	fn      Handler
-	period  Time // 0 for one-shot
+	afn     ArgHandler // set instead of fn by ScheduleArg/AfterArg
+	arg     uint64     // afn's payload
+	period  Time       // 0 for one-shot
 	stopped bool
 }
 
@@ -163,10 +176,11 @@ func (s *Simulator) alloc() *Event {
 	return e
 }
 
-// release retires an event to the free list. The handler reference is
+// release retires an event to the free list. The handler references are
 // dropped so pooled events do not pin closures.
 func (s *Simulator) release(e *Event) {
 	e.fn = nil
+	e.afn = nil
 	e.period = 0
 	e.index = -1
 	e.stopped = true // stale Cancel on the retired pointer stays a no-op
@@ -262,20 +276,8 @@ func (s *Simulator) heapRemove(i int) {
 //
 //xui:noalloc
 func (s *Simulator) Schedule(when Time, fn Handler) *Event {
-	if when < s.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, s.now))
-	}
-	e := s.alloc()
-	e.when = when
-	e.seq = s.seq
+	e := s.queueAt(when)
 	e.fn = fn
-	e.period = 0
-	e.stopped = false
-	s.seq++
-	s.heapPush(e)
-	if s.probe != nil {
-		s.probe.EventScheduled(uint64(s.now), uint64(when))
-	}
 	return e
 }
 
@@ -284,6 +286,46 @@ func (s *Simulator) Schedule(when Time, fn Handler) *Event {
 //xui:noalloc
 func (s *Simulator) After(delay Time, fn Handler) *Event {
 	return s.Schedule(s.now+delay, fn)
+}
+
+// ScheduleArg queues fn(when, arg) to run at absolute time when.
+//
+//xui:noalloc
+func (s *Simulator) ScheduleArg(when Time, fn ArgHandler, arg uint64) *Event {
+	e := s.queueAt(when)
+	e.afn = fn
+	e.arg = arg
+	return e
+}
+
+// AfterArg queues fn(now, arg) to run delay cycles from now. With fn built
+// once per object, this is the allocation-free way to schedule an event
+// that needs per-event data.
+//
+//xui:noalloc
+func (s *Simulator) AfterArg(delay Time, fn ArgHandler, arg uint64) *Event {
+	return s.ScheduleArg(s.now+delay, fn, arg)
+}
+
+// queueAt takes a pooled event, stamps it (when, seq) and pushes it; the
+// caller installs the handler (pooled events come back with both nil).
+//
+//xui:noalloc
+func (s *Simulator) queueAt(when Time) *Event {
+	if when < s.now {
+		panic(fmt.Sprintf("sim: schedule at %d before now %d", when, s.now))
+	}
+	e := s.alloc()
+	e.when = when
+	e.seq = s.seq
+	e.period = 0
+	e.stopped = false
+	s.seq++
+	s.heapPush(e)
+	if s.probe != nil {
+		s.probe.EventScheduled(uint64(s.now), uint64(when))
+	}
+	return e
 }
 
 // Every queues fn to run every period cycles, first firing after period.
@@ -329,7 +371,7 @@ func (s *Simulator) Step() bool {
 			continue // defensive: cancelled events leave the heap eagerly
 		}
 		s.now = e.when
-		fn := e.fn
+		fn, afn, arg := e.fn, e.afn, e.arg
 		periodic := e.period != 0
 		if periodic {
 			// Re-arm before dispatch so the handler can Cancel it.
@@ -342,7 +384,11 @@ func (s *Simulator) Step() bool {
 		if s.probe != nil {
 			s.probe.EventFired(uint64(s.now), len(s.queue))
 		}
-		fn(s.now)
+		if afn != nil {
+			afn(s.now, arg)
+		} else {
+			fn(s.now)
+		}
 		if !periodic {
 			// One-shot storage returns to the pool once the handler is
 			// done (the handler itself may have Cancel'd the fired event;

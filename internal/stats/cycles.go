@@ -9,35 +9,68 @@ import (
 // CycleAccount attributes simulated CPU cycles to named categories — the
 // bookkeeping behind the paper's Figure 8 ("Networking Cycles" / "Polling
 // Cycles" / "Free Cycles") and Figure 9 free-cycle plots. Categories are
-// created on first use.
+// created on first use, a zero charge included.
+//
+// An account sees a handful of fixed names (at most nine in this repo),
+// so it keeps them as a short slice searched linearly: Charge sits on the
+// Tier-2 per-event path, and comparing a few short strings is far cheaper
+// than hashing one into a map.
 type CycleAccount struct {
-	byCat map[string]uint64
+	cats  []cycleCat
 	total uint64
+}
+
+type cycleCat struct {
+	name   string
+	cycles uint64
 }
 
 // NewCycleAccount returns an empty account.
 func NewCycleAccount() *CycleAccount {
-	return &CycleAccount{byCat: make(map[string]uint64)}
+	return &CycleAccount{}
+}
+
+// find returns the index of cat, or -1.
+//
+//xui:noalloc
+func (a *CycleAccount) find(cat string) int {
+	for i := range a.cats {
+		if a.cats[i].name == cat {
+			return i
+		}
+	}
+	return -1
 }
 
 // Charge attributes n cycles to category cat.
+//
+//xui:noalloc
 func (a *CycleAccount) Charge(cat string, n uint64) {
-	a.byCat[cat] += n
 	a.total += n
+	if i := a.find(cat); i >= 0 {
+		a.cats[i].cycles += n
+		return
+	}
+	a.cats = append(a.cats, cycleCat{cat, n}) // first charge of a category; an account has a handful
 }
 
 // Total returns the sum over all categories.
 func (a *CycleAccount) Total() uint64 { return a.total }
 
 // Get returns the cycles charged to cat.
-func (a *CycleAccount) Get(cat string) uint64 { return a.byCat[cat] }
+func (a *CycleAccount) Get(cat string) uint64 {
+	if i := a.find(cat); i >= 0 {
+		return a.cats[i].cycles
+	}
+	return 0
+}
 
 // Fraction returns cat's share of the total, 0 when the account is empty.
 func (a *CycleAccount) Fraction(cat string) float64 {
 	if a.total == 0 {
 		return 0
 	}
-	return float64(a.byCat[cat]) / float64(a.total)
+	return float64(a.Get(cat)) / float64(a.total)
 }
 
 // FractionOf returns cat's share of an externally supplied denominator
@@ -46,14 +79,14 @@ func (a *CycleAccount) FractionOf(cat string, denom uint64) float64 {
 	if denom == 0 {
 		return 0
 	}
-	return float64(a.byCat[cat]) / float64(denom)
+	return float64(a.Get(cat)) / float64(denom)
 }
 
 // Categories returns the category names in sorted order.
 func (a *CycleAccount) Categories() []string {
-	cats := make([]string, 0, len(a.byCat))
-	for c := range a.byCat {
-		cats = append(cats, c)
+	cats := make([]string, len(a.cats))
+	for i, c := range a.cats {
+		cats[i] = c.name
 	}
 	sort.Strings(cats)
 	return cats
@@ -61,9 +94,8 @@ func (a *CycleAccount) Categories() []string {
 
 // Merge adds all of other's charges into a.
 func (a *CycleAccount) Merge(other *CycleAccount) {
-	for c, n := range other.byCat {
-		a.byCat[c] += n
-		a.total += n
+	for _, c := range other.cats {
+		a.Charge(c.name, c.cycles)
 	}
 }
 

@@ -78,3 +78,37 @@ func TestCycleAccountMergeEmpty(t *testing.T) {
 		t.Errorf("merge into empty account: total=%d work=%d", dst.Total(), dst.Get("work"))
 	}
 }
+
+// TestCycleAccountZeroChargeAndMergeKeepCategories pins two category
+// semantics callers rely on: a zero charge still makes its category
+// appear, and Merge carries over a category only the other account has,
+// even when its total there is zero.
+func TestCycleAccountZeroChargeAndMergeKeepCategories(t *testing.T) {
+	a := NewCycleAccount()
+	a.Charge("work", 5)
+	a.Charge("idle", 0)
+	if got := a.Categories(); len(got) != 2 || got[0] != "idle" || got[1] != "work" {
+		t.Errorf("categories after a zero charge = %v, want [idle work]", got)
+	}
+	if a.Total() != 5 || a.Get("idle") != 0 {
+		t.Errorf("zero charge moved cycles: total=%d idle=%d", a.Total(), a.Get("idle"))
+	}
+
+	b := NewCycleAccount()
+	b.Charge("poll", 0)
+	b.Charge("notify", 3)
+	a.Merge(b)
+	got := a.Categories()
+	want := []string{"idle", "notify", "poll", "work"}
+	if len(got) != len(want) {
+		t.Fatalf("categories after merge = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("categories after merge = %v, want %v", got, want)
+		}
+	}
+	if a.Total() != 8 || a.Get("notify") != 3 {
+		t.Errorf("merged account: total=%d notify=%d", a.Total(), a.Get("notify"))
+	}
+}
