@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet vet-fast test microbench race run-all sweep-profile examples check fuzz fix-annotations serve serve-loadtest
+.PHONY: all build vet vet-fast test microbench race run-all sweep-profile examples check fuzz fix-annotations serve
 
 all: build vet test
 
@@ -77,13 +77,6 @@ run-all:
 # disk, byte-identical to the run that produced them (DESIGN.md §14).
 serve:
 	go run ./cmd/xuiserve -addr 127.0.0.1:8378 -cachedir /tmp/xuicache
-
-# Load-test an in-process daemon with the internal/loadgen closed-loop
-# HTTP driver: a cold wave racing the first computation, then a warm
-# wave answered entirely from the run cache. Prints both DriveReports
-# (throughput, shed counts, latency percentiles) as JSON.
-serve-loadtest:
-	@go run ./cmd/xuiserve -loadtest -clients 120 -requests 2400
 
 examples:
 	go run ./examples/quickstart

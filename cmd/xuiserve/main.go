@@ -3,21 +3,17 @@
 // experiment registry, and answers repeated submissions — including
 // after a restart — from a persistent content-addressed run cache.
 //
-// Serve mode (default):
-//
 //	xuiserve -addr :8378 -cachedir /var/cache/xui
 //
-// Load-test modes, built on the internal/loadgen HTTP driver:
-//
-//	xuiserve -loadtest                  boot an in-process daemon and drive it
-//	xuiserve -drive http://host:8378    drive an already-running daemon
-//
-// Both print a JSON DriveReport (throughput, shed counts, latency
-// percentiles) to stdout.
+// It serves until SIGINT or SIGTERM, then stops accepting connections
+// and lets in-flight responses finish (bounded by shutdownGrace).
+// Load is measured from outside: bench/'s serve-warm and serve-mixed
+// workloads drive the daemon, and internal/server's load tests check
+// its cache and admission behaviour under -race.
 package main
 
 import (
-	"encoding/json"
+	"context"
 	"flag"
 	"fmt"
 	"net"
@@ -27,55 +23,37 @@ import (
 	"syscall"
 	"time"
 
-	"xui/internal/loadgen"
 	"xui/internal/runcache"
 	"xui/internal/server"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
-}
+// shutdownGrace bounds how long a stop signal waits for in-flight
+// responses (a trace chunk mid-copy, a result body) before the
+// remaining connections are closed.
+const shutdownGrace = 10 * time.Second
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:8378", "listen address for serve mode")
+	addr := flag.String("addr", "127.0.0.1:8378", "listen address")
 	cacheDir := flag.String("cachedir", "", "root of the persistent run cache; empty keeps results in memory only")
 	queueDepth := flag.Int("queue", 64, "admission high-water mark: queued jobs beyond this are shed with 429")
 	jobWorkers := flag.Int("jobworkers", 0, "per-job sweep worker budget cap; 0 means GOMAXPROCS")
 	traceDir := flag.String("tracedir", "", "directory for per-job streaming trace files; defaults under -cachedir")
-	loadtest := flag.Bool("loadtest", false, "boot an in-process daemon on a loopback port and load-test it")
-	drive := flag.String("drive", "", "load-test an already-running daemon at this base URL")
-	clients := flag.Int("clients", 120, "concurrent load-test clients (-loadtest / -drive)")
-	requests := flag.Int("requests", 2400, "total load-test submissions (-loadtest / -drive)")
-	exp := flag.String("exp", "fig2", "experiment the load-test submits")
-	quick := flag.Bool("quick", true, "submit the reduced-grid scale in load tests")
 	flag.Parse()
 
-	cfg := server.Config{
+	err := run(*addr, server.Config{
 		CacheDir:      *cacheDir,
 		QueueDepth:    *queueDepth,
 		MaxJobWorkers: *jobWorkers,
 		TraceDir:      *traceDir,
-	}
-
-	switch {
-	case *drive != "":
-		if err := runDrive(*drive, *exp, *quick, *clients, *requests); err != nil {
-			fatal(err)
-		}
-	case *loadtest:
-		if err := runLoadtest(cfg, *exp, *quick, *clients, *requests); err != nil {
-			fatal(err)
-		}
-	default:
-		if err := serve(*addr, cfg); err != nil {
-			fatal(err)
-		}
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 }
 
-// serve runs the daemon until SIGINT/SIGTERM.
-func serve(addr string, cfg server.Config) error {
+// run boots the daemon on addr and serves until SIGINT/SIGTERM.
+func run(addr string, cfg server.Config) error {
 	s, err := server.New(cfg)
 	if err != nil {
 		return err
@@ -85,108 +63,32 @@ func serve(addr string, cfg server.Config) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: s.Handler()}
 	fmt.Fprintf(os.Stderr, "xuiserve: listening on http://%s (version %s, cachedir %q)\n",
 		ln.Addr(), runcache.CodeVersion(), cfg.CacheDir)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	return serve(ln, s.Handler(), stop)
+}
+
+// serve serves h on ln until stop fires, then shuts down gracefully:
+// the listener closes at once, and in-flight requests get shutdownGrace
+// to finish before their connections are closed under them.
+func serve(ln net.Listener, h http.Handler, stop <-chan os.Signal) error {
+	httpSrv := &http.Server{Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
 	select {
 	case err := <-errc:
 		return err
 	case <-stop:
-		fmt.Fprintln(os.Stderr, "xuiserve: shutting down")
+	}
+	fmt.Fprintln(os.Stderr, "xuiserve: shutting down")
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		fmt.Fprintf(os.Stderr, "xuiserve: %v; closing remaining connections\n", err)
 		httpSrv.Close()
-		return nil
 	}
-}
-
-// runDrive load-tests a daemon at url and prints the report.
-func runDrive(url, exp string, quick bool, clients, requests int) error {
-	body, err := json.Marshal(map[string]any{"experiment": exp, "quick": quick})
-	if err != nil {
-		return err
-	}
-	rep, err := loadgen.Drive(loadgen.DriveOptions{
-		URL:      url,
-		Clients:  clients,
-		Requests: requests,
-		Body:     body,
-		Timeout:  60 * time.Second,
-	})
-	if err != nil {
-		return err
-	}
-	return emit(rep)
-}
-
-// runLoadtest boots an in-process daemon on an ephemeral loopback port,
-// drives it twice — a cold wave that races the computation and a warm
-// wave answered wholly from cache — and prints both reports.
-func runLoadtest(cfg server.Config, exp string, quick bool, clients, requests int) error {
-	s, err := server.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer s.Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	go httpSrv.Serve(ln)
-	defer httpSrv.Close()
-	url := "http://" + ln.Addr().String()
-	fmt.Fprintf(os.Stderr, "xuiserve: load-testing in-process daemon at %s\n", url)
-
-	body, err := json.Marshal(map[string]any{"experiment": exp, "quick": quick})
-	if err != nil {
-		return err
-	}
-	opts := loadgen.DriveOptions{
-		URL: url, Clients: clients, Requests: requests,
-		Body: body, Timeout: 60 * time.Second,
-	}
-	cold, err := loadgen.Drive(opts)
-	if err != nil {
-		return err
-	}
-	if err := waitJobDone(url, body); err != nil {
-		return err
-	}
-	warm, err := loadgen.Drive(opts)
-	if err != nil {
-		return err
-	}
-	return emit(map[string]any{"cold": cold, "warm": warm})
-}
-
-// waitJobDone polls the job list until no job is queued or running.
-func waitJobDone(url string, body []byte) error {
-	deadline := time.Now().Add(5 * time.Minute)
-	for time.Now().Before(deadline) {
-		resp, err := http.Get(url + "/api/v1/stats")
-		if err != nil {
-			return err
-		}
-		var st struct {
-			Jobs       map[string]int `json:"jobs"`
-			QueueDepth int            `json:"queueDepth"`
-		}
-		json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if st.QueueDepth == 0 && st.Jobs["queued"] == 0 && st.Jobs["running"] == 0 {
-			return nil
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	return fmt.Errorf("xuiserve: load-test job never finished")
-}
-
-func emit(v any) error {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(v)
+	return nil
 }
