@@ -6,7 +6,9 @@
 //	xuiserve -addr :8378 -cachedir /var/cache/xui
 //
 // It serves until SIGINT or SIGTERM, then stops accepting connections
-// and lets in-flight responses finish (bounded by shutdownGrace).
+// and lets in-flight responses finish (bounded by shutdownGrace). A
+// running job then gets a short grace of its own before it is cancelled
+// and failed (Server.Close), so a long job cannot hold the process.
 // Load is measured from outside: bench/'s serve-warm and serve-mixed
 // workloads drive the daemon, and internal/server's load tests check
 // its cache and admission behaviour under -race.

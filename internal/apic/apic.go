@@ -115,8 +115,11 @@ func (l *LocalAPIC) SelfIPI(vector uint8) {
 // Bus connects local APICs and carries interrupt messages with a fixed
 // latency. The IOAPIC and devices also inject messages here.
 type Bus struct {
-	sim    *sim.Simulator
-	apics  map[uint32]*LocalAPIC
+	sim *sim.Simulator
+	// apics is indexed by APICID, with nil for IDs not on this bus. IDs
+	// are core numbers, so the slice is as long as the largest ID on the
+	// bus; every interrupt message reads it twice (send and arrive).
+	apics  []*LocalAPIC
 	router Router // forwards messages for APICIDs on other buses (sharding)
 	// Sent counts all messages carried, including ones handed to the
 	// router (counted at departure, not again at arrival).
@@ -128,15 +131,25 @@ type Bus struct {
 
 // NewBus creates an empty interrupt bus on the given simulator.
 func NewBus(s *sim.Simulator) *Bus {
-	b := &Bus{sim: s, apics: make(map[uint32]*LocalAPIC)}
+	b := &Bus{sim: s}
 	b.accept = b.arrive
 	return b
 }
 
+// maxAPICID is the largest APICID a bus accepts. IDs index a slice, so
+// they must stay small; the model numbers APICs by core.
+const maxAPICID = 1<<16 - 1
+
 // NewLocalAPIC attaches a new local APIC with the given APICID and sink.
 func (b *Bus) NewLocalAPIC(id uint32, sink Sink) (*LocalAPIC, error) {
-	if _, dup := b.apics[id]; dup {
+	if id > maxAPICID {
+		return nil, fmt.Errorf("apic: APICID %d above the model's limit %d", id, maxAPICID)
+	}
+	if b.APIC(id) != nil {
 		return nil, fmt.Errorf("apic: duplicate APICID %d", id)
+	}
+	if n := int(id) + 1; n > len(b.apics) {
+		b.apics = append(b.apics, make([]*LocalAPIC, n-len(b.apics))...)
 	}
 	l := &LocalAPIC{id: id, bus: b, sink: sink}
 	b.apics[id] = l
@@ -144,14 +157,21 @@ func (b *Bus) NewLocalAPIC(id uint32, sink Sink) (*LocalAPIC, error) {
 }
 
 // APIC returns the local APIC with the given ID, or nil.
-func (b *Bus) APIC(id uint32) *LocalAPIC { return b.apics[id] }
+//
+//xui:noalloc
+func (b *Bus) APIC(id uint32) *LocalAPIC {
+	if id < uint32(len(b.apics)) {
+		return b.apics[id]
+	}
+	return nil
+}
 
 // send puts a message on the bus: it reaches a local APIC after
 // BusLatency, or goes to the router when dest is on another bus.
 //
 //xui:noalloc
 func (b *Bus) send(dest uint32, vector uint8) error {
-	if _, ok := b.apics[dest]; !ok {
+	if b.APIC(dest) == nil {
 		if b.router != nil {
 			b.Sent++
 			return b.router.Route(dest, vector)
@@ -165,8 +185,10 @@ func (b *Bus) send(dest uint32, vector uint8) error {
 
 // arrive hands a message that has crossed the bus to its APIC. APICs are
 // never detached, so the destination send found is still there.
+//
+//xui:noalloc
 func (b *Bus) arrive(now sim.Time, arg uint64) {
-	b.apics[uint32(arg>>8)].Accept(now, uint8(arg))
+	b.apics[arg>>8].Accept(now, uint8(arg))
 }
 
 // IOAPIC routes device interrupt lines (GSIs) to ⟨APICID, vector⟩ pairs,

@@ -68,6 +68,38 @@ func TestDuplicateAPICID(t *testing.T) {
 	}
 }
 
+// TestSparseAPICIDs checks the ID-indexed lookup with holes: IDs between
+// or past the attached ones are unknown, and messages still reach the
+// attached APICs.
+func TestSparseAPICIDs(t *testing.T) {
+	s := sim.New(1)
+	bus := NewBus(s)
+	sinks := map[uint32]*recordSink{3: {}, 9: {}}
+	for id, sink := range sinks {
+		if _, err := bus.NewLocalAPIC(id, sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range []uint32{0, 4, 8, 10, 1 << 31} {
+		if bus.APIC(id) != nil {
+			t.Errorf("APIC(%d) = non-nil for an unattached ID", id)
+		}
+		if err := bus.APIC(3).SendIPI(id, 1); err == nil {
+			t.Errorf("send to unattached APICID %d succeeded", id)
+		}
+	}
+	if err := bus.APIC(3).SendIPI(9, 0x40); err != nil {
+		t.Fatal(err)
+	}
+	s.Run()
+	if got := sinks[9].conventional; len(got) != 1 || got[0] != 0x40 {
+		t.Errorf("APIC 9 received %v, want [0x40]", got)
+	}
+	if _, err := bus.NewLocalAPIC(maxAPICID+1, &recordSink{}); err == nil {
+		t.Errorf("APICID past the limit accepted")
+	}
+}
+
 func TestSendToUnknownAPIC(t *testing.T) {
 	_, bus, _ := setup(t, 1)
 	if err := bus.APIC(0).SendIPI(99, 1); err == nil {

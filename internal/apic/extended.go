@@ -55,8 +55,8 @@ func (l *LocalAPIC) AcceptExtended(now sim.Time, vector uint8, tag ThreadTag) {
 // SendExtended injects a tagged device message toward the destination APIC
 // (the device-side analogue of IOAPIC.Assert for extension-aware devices).
 func (b *Bus) SendExtended(dest uint32, vector uint8, tag ThreadTag) error {
-	target, ok := b.apics[dest]
-	if !ok {
+	target := b.APIC(dest)
+	if target == nil {
 		if b.router != nil {
 			b.Sent++
 			return b.router.RouteExtended(dest, vector, tag)

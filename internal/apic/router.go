@@ -28,8 +28,8 @@ func (b *Bus) SetRouter(r Router) { b.router = r }
 // counted in the source bus's Sent when it departed, so Deliver does not
 // recount it.
 func (b *Bus) Deliver(now sim.Time, dest uint32, vector uint8) error {
-	target, ok := b.apics[dest]
-	if !ok {
+	target := b.APIC(dest)
+	if target == nil {
 		return fmt.Errorf("apic: routed message for ID %d, which is not on this bus", dest)
 	}
 	target.Accept(now, vector)
@@ -38,8 +38,8 @@ func (b *Bus) Deliver(now sim.Time, dest uint32, vector uint8) error {
 
 // DeliverExtended is Deliver for tagged extended messages.
 func (b *Bus) DeliverExtended(now sim.Time, dest uint32, vector uint8, tag ThreadTag) error {
-	target, ok := b.apics[dest]
-	if !ok {
+	target := b.APIC(dest)
+	if target == nil {
 		return fmt.Errorf("apic: routed message for ID %d, which is not on this bus", dest)
 	}
 	target.AcceptExtended(now, vector, tag)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"sync/atomic"
 
@@ -53,6 +54,12 @@ type Env struct {
 	// builds. The zero value is the fast engine; EngineInterpreted is
 	// the reference path TestFastForwardParity compares against.
 	Engine cpu.Engine
+	// Ctx, when non-nil, cancels the run's grid sweeps: once it is done
+	// no new grid point starts, and the points that never ran come back
+	// as zero rows. The result of a cancelled run is incomplete, so a
+	// caller that cancels must check Ctx.Err() and discard it. Points
+	// already running finish; a run with no grid is not interrupted.
+	Ctx context.Context
 
 	// tid is the next Tier-1 trace thread ID. Parallel sweep workers
 	// build cores concurrently, so numbering follows completion order,
@@ -70,6 +77,7 @@ func runGrid[J, R any](e *Env, name string, jobs []J, fn func(i int, job J) R) [
 		Workers: e.Workers,
 		Name:    name,
 		Obs:     e.Obs,
+		Ctx:     e.Ctx,
 	}
 	if prog := e.Progress; prog != nil {
 		opts.OnProgress = func(done, total int) { prog(name, done, total) }

@@ -60,59 +60,41 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 	e.observeMachine(m)
 	k := kernel.New(m)
 	timerCore := nApp
+	ts := newTickSender(m, k, nApp)
 
-	// One receiver thread per application core.
-	idx := make([]int, nApp)
-	for i := 0; i < nApp; i++ {
-		th := k.NewThread()
-		k.RegisterHandler(th, func(sim.Time, uintr.Vector, core.Mechanism) {})
-		k.ScheduleOn(th, i)
-		id, err := k.RegisterSender(th, 1)
-		if err != nil {
-			panic(err)
-		}
-		idx[i] = id
-	}
-
-	// sendAll issues the per-core UIPIs back to back; each occupies the
-	// timer core for the senduipi cost.
-	ts := &tickSender{s: s, m: m, k: k, timerCore: timerCore, idx: idx}
-	sendAll := ts.sendAll
-
+	// Each method's tick handler and its continuation (ts.done) are built
+	// once per point, not per tick.
 	switch method {
 	case "setitimer":
 		// Each expiry delivers a signal to the timer core, whose handler
 		// then notifies every app core.
+		ts.done = func(sim.Time, sim.Time) {}
 		if _, err := k.Setitimer(timerCore, period, func(now sim.Time) {
-			sendAll(now+period, func(sim.Time) {})
+			ts.sendAll(now + period)
 		}); err != nil {
 			panic(err)
 		}
 	case "nanosleep":
-		var tick func(now sim.Time)
-		tick = func(now sim.Time) {
-			sendAll(now+period, func(end sim.Time) {
-				next := period
-				// Sleep until the next boundary (skip if we overran).
-				if end-now < period {
-					next = period - (end - now)
-				} else {
-					next = 1
-				}
-				k.Nanosleep(timerCore, next, tick)
-			})
+		tick := func(now sim.Time) { ts.sendAll(now + period) }
+		ts.done = func(start, end sim.Time) {
+			next := period
+			// Sleep until the next boundary (skip if we overran).
+			if end-start < period {
+				next = period - (end - start)
+			} else {
+				next = 1
+			}
+			k.Nanosleep(timerCore, next, tick)
 		}
 		k.Nanosleep(timerCore, period, tick)
 	case "rdtsc-spin":
-		var tick func(now sim.Time)
-		tick = func(now sim.Time) {
-			sendAll(now+period, func(end sim.Time) {
-				next := now + period
-				if next <= end {
-					next = end + 1
-				}
-				s.Schedule(next, tick)
-			})
+		tick := func(now sim.Time) { ts.sendAll(now + period) }
+		ts.done = func(start, end sim.Time) {
+			next := start + period
+			if next <= end {
+				next = end + 1
+			}
+			s.Schedule(next, tick)
 		}
 		s.Schedule(period, tick)
 	}
@@ -160,23 +142,53 @@ type tickSender struct {
 	timerCore int
 	idx       []int // UITT index per app core
 	ticksLate uint64
+	// done runs once a tick's last UIPI is sent, with the tick's start
+	// and end; set once per run.
+	done func(start, end sim.Time)
+	// free holds finished chains for reuse. Chains overlap only when
+	// sends overrun the period, so it stays a handful long.
+	free []*tickChain
 }
 
-// tickChain is one tick in flight: the next app core to notify, the
-// deadline the tick must meet and the continuation once all are sent.
-// Ticks can overlap when sends overrun the period, so each has its own.
+// newTickSender registers one receiver thread per application core
+// 0..nApp-1 and returns a sender on core nApp, the timer core. The
+// caller sets done before the first tick.
+func newTickSender(m *core.Machine, k *kernel.Kernel, nApp int) *tickSender {
+	idx := make([]int, nApp)
+	for i := 0; i < nApp; i++ {
+		th := k.NewThread()
+		k.RegisterHandler(th, func(sim.Time, uintr.Vector, core.Mechanism) {})
+		k.ScheduleOn(th, i)
+		id, err := k.RegisterSender(th, 1)
+		if err != nil {
+			panic(err)
+		}
+		idx[i] = id
+	}
+	return &tickSender{s: m.Sim, m: m, k: k, timerCore: nApp, idx: idx}
+}
+
+// tickChain is one tick in flight: the next app core to notify, when the
+// tick started and the deadline it must meet.
 type tickChain struct {
-	ts       *tickSender
-	i        int
-	deadline sim.Time
-	done     func(now sim.Time)
-	next     sim.Handler // c.send, bound once per tick
+	ts              *tickSender
+	i               int
+	start, deadline sim.Time
+	next            sim.Handler // c.send, bound once per chain
 }
 
-func (ts *tickSender) sendAll(deadline sim.Time, done func(now sim.Time)) {
-	c := &tickChain{ts: ts, deadline: deadline, done: done}
-	c.next = c.send
-	c.send(ts.s.Now())
+// sendAll starts a tick that must finish sending by deadline.
+func (ts *tickSender) sendAll(deadline sim.Time) {
+	var c *tickChain
+	if n := len(ts.free); n > 0 {
+		c = ts.free[n-1]
+		ts.free = ts.free[:n-1]
+	} else {
+		c = &tickChain{ts: ts}
+		c.next = c.send
+	}
+	c.i, c.start, c.deadline = 0, ts.s.Now(), deadline
+	c.send(c.start)
 }
 
 func (c *tickChain) send(now sim.Time) {
@@ -185,7 +197,9 @@ func (c *tickChain) send(now sim.Time) {
 		if now > c.deadline {
 			ts.ticksLate++
 		}
-		c.done(now)
+		// Free the chain first: done may start the next tick at once.
+		ts.free = append(ts.free, c)
+		ts.done(c.start, now)
 		return
 	}
 	if err := ts.m.SendUIPI(ts.timerCore, ts.k.UITT(), ts.idx[c.i]); err != nil {

@@ -66,14 +66,15 @@ func (e *Env) multiWorkerPoint(workers int, steal bool, rps float64, horizon sim
 	costs := kvstore.DefaultCostModel()
 	rng := sim.NewRNG(77)
 	rec := loadgen.NewRecorder()
+	onDone := func(done sim.Time, th *urt.UThread) {
+		rec.Record(th.Class, uint64(done-th.Arrived))
+	}
 	gen, err := loadgen.StartOpenLoop(s, 99, rps, func(now sim.Time, _ uint64) {
 		class, service := "GET", costs.SampleGet(rng)
 		if rng.Bool(0.005) {
 			class, service = "SCAN", costs.SampleScan(rng)
 		}
-		rt.Spawn(0, class, service, func(done sim.Time, th *urt.UThread) {
-			rec.Record(th.Class, uint64(done-th.Arrived))
-		})
+		rt.Spawn(0, class, service, onDone)
 	})
 	if err != nil {
 		panic(err)

@@ -183,23 +183,24 @@ func (e *Env) scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 		gi, firstCore, nw := i, first, workers
 		rng := sim.NewRNG(uint64(2000 + i))
 		var completions uint64
+		// One completion handler per group: every 64th completion reports
+		// to the aggregator from the core its thread was spawned on.
+		onDone := func(done sim.Time, th *urt.UThread) {
+			recs[gi].Record(th.Class, uint64(done-th.Arrived))
+			completions++
+			if completions%64 == 0 {
+				if err := m.SendUIPI(firstCore+th.Worker, kerns[gi].UITT(), aggIdx[gi]); err != nil {
+					panic(err)
+				}
+			}
+		}
 		rps := cfg.PerGroupRPS * float64(workers) / float64(cpg)
 		gen, err := loadgen.StartOpenLoop(eng.Shard(i), uint64(1000+i), rps, func(now sim.Time, id uint64) {
 			class, service := "GET", costs.SampleGet(rng)
 			if rng.Bool(0.002) {
 				class, service = "SCAN", costs.SampleScan(rng)
 			}
-			widx := int(id) % nw
-			senderCore := firstCore + widx
-			rt.Spawn(widx, class, service, func(done sim.Time, th *urt.UThread) {
-				recs[gi].Record(th.Class, uint64(done-th.Arrived))
-				completions++
-				if completions%64 == 0 {
-					if err := m.SendUIPI(senderCore, kerns[gi].UITT(), aggIdx[gi]); err != nil {
-						panic(err)
-					}
-				}
-			})
+			rt.Spawn(int(id)%nw, class, service, onDone)
 		})
 		if err != nil {
 			panic(err)

@@ -24,6 +24,7 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,6 +79,10 @@ type Server struct {
 	stop      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+	// runCtx is every job's Env.Ctx; Close cancels it once the running
+	// job has had closeGrace to finish.
+	runCtx    context.Context
+	cancelRun context.CancelFunc
 
 	shed      atomic.Uint64
 	runMsSum  atomic.Uint64
@@ -88,6 +93,11 @@ type Server struct {
 // identity is the []byte codec: job results are stored exactly as
 // served, so a disk hit is byte-identical to the run that produced it.
 func identity(b []byte) ([]byte, error) { return b, nil }
+
+// closeGrace bounds how long Close waits for the running job before
+// cancelling it. A cancelled job stops at its next grid point, so Close
+// returns about one grid point's run time after the grace.
+const closeGrace = 2 * time.Second
 
 // runExperiment is Env.RunJob, indirected so tests can inject blocking
 // or panicking jobs without a real grid.
@@ -133,6 +143,7 @@ func New(cfg Config) (*Server, error) {
 		stop:      make(chan struct{}),
 		startedAt: time.Now(),
 	}
+	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
 	s.wg.Add(1)
 	go s.executor()
 	return s, nil
@@ -140,11 +151,27 @@ func New(cfg Config) (*Server, error) {
 
 // Close stops the executor (jobs already queued are abandoned in the
 // queued state), drains write-behind cache stores, and uninstalls the
-// persistent tier. Safe to call more than once.
+// persistent tier. A running job gets closeGrace to finish; then it is
+// cancelled and fails, and nothing of it is cached. Safe to call more
+// than once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
-		s.wg.Wait()
+		idle := make(chan struct{})
+		//xui:norecover the body is wg.Wait and a close, neither of which panics
+		go func() {
+			s.wg.Wait()
+			close(idle)
+		}()
+		grace := time.NewTimer(closeGrace)
+		select {
+		case <-idle:
+		case <-grace.C:
+			s.cancelRun()
+			<-idle
+		}
+		grace.Stop()
+		s.cancelRun()
 		runcache.WaitPersist()
 		runcache.SetBackend(nil)
 	})
@@ -202,7 +229,7 @@ func (s *Server) runJob(j *job) {
 		// kept on the job and served by /trace instead.
 		ctx.Trace, traceErr = obs.StreamFile(j.tracePath)
 	}
-	env := &experiments.Env{Workers: budget, Obs: ctx, Progress: j.setProgress}
+	env := &experiments.Env{Workers: budget, Obs: ctx, Progress: j.setProgress, Ctx: s.runCtx}
 	start := time.Now()
 	defer func() {
 		if j.spec.Trace {
@@ -236,6 +263,11 @@ func (s *Server) runJob(j *job) {
 		payload, err = runExperiment(env, j.spec.Experiment, j.spec.Quick)
 		return
 	}()
+	if err == nil && s.runCtx.Err() != nil {
+		// A cancelled sweep returns zero rows for the points it never
+		// ran; that payload is incomplete and must not be stored.
+		err = errors.New("cancelled: server shutting down")
+	}
 	if err != nil {
 		j.setFailed(err.Error())
 		s.metrics.Inc("server/jobs_failed")

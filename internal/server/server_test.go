@@ -575,3 +575,57 @@ func TestMetricsAndStats(t *testing.T) {
 		t.Fatalf("healthz = %d", resp.StatusCode)
 	}
 }
+
+// TestCloseCancelsRunningJob: Close waits closeGrace for a job that
+// would never finish on its own, then cancels it through Env.Ctx. The
+// job fails, and its partial result reaches neither the memory nor the
+// disk tier.
+func TestCloseCancelsRunningJob(t *testing.T) {
+	// Restore the seam only after the server cleanup has stopped the
+	// executor (see TestAdmissionControl).
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
+	runExperiment = func(e *experiments.Env, name string, quick bool) (any, error) {
+		<-e.Ctx.Done()
+		// A cancelled sweep returns zero rows, not an error.
+		return map[string]any{"rows": []int{0, 0}}, nil
+	}
+
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Version: "test-close", CacheDir: dir})
+	_, v, _ := submit(t, ts, Spec{Experiment: "fig8"})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s.mu.Lock()
+		st, _, _ := s.jobs[v.ID].snapshot()
+		s.mu.Unlock()
+		if st == statusRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("job never started")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	start := time.Now()
+	s.Close()
+	if took := time.Since(start); took < closeGrace || took > closeGrace+2*time.Second {
+		t.Errorf("Close took %v, want between the grace (%v) and the grace plus 2s", took, closeGrace)
+	}
+	s.mu.Lock()
+	st, _, msg := s.jobs[v.ID].snapshot()
+	s.mu.Unlock()
+	if st != statusFailed || !strings.Contains(msg, "cancelled") {
+		t.Errorf("cancelled job: status %q error %q, want failed and cancelled", st, msg)
+	}
+	if _, ok := s.cache.GetCached(v.ID); ok {
+		t.Error("memory tier holds the cancelled job's result")
+	}
+	disk, err := runcache.NewDisk(dir, "test-close")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := disk.Load("server/jobs", v.ID); ok {
+		t.Error("disk tier holds the cancelled job's result")
+	}
+}

@@ -125,6 +125,10 @@ type Simulator struct {
 	nFired uint64
 	rng    *RNG
 	probe  Probe
+	// end is one past the last instant the running Run/RunUntil/
+	// RunBefore call will dispatch (Never under Run), and 0 outside any
+	// Run call; Horizon reads it.
+	end Time
 
 	free []*Event // retired events awaiting reuse
 	slab []Event  // bump-allocation backing for new events
@@ -402,8 +406,10 @@ func (s *Simulator) Step() bool {
 
 // Run dispatches events until the queue empties.
 func (s *Simulator) Run() {
+	s.end = Never
 	for s.Step() {
 	}
+	s.end = 0
 }
 
 // NextWhen returns the time of the earliest pending event. The second
@@ -419,6 +425,31 @@ func (s *Simulator) NextWhen() (Time, bool) {
 	return s.queue[0].when, true
 }
 
+// Horizon returns the earliest instant anything can next happen: the
+// smaller of the next pending event's time and one past the last instant
+// the running Run, RunUntil or RunBefore call will dispatch (RunUntil
+// includes its deadline, RunBefore excludes its limit; under Run with an
+// empty queue it is Never). Outside a Run call — a bare Step, or code
+// between runs — it returns Now, since the caller may schedule anything
+// next.
+//
+// A handler may treat every instant in [Now, Horizon) as quiet: no event
+// fires and no outside code runs before Horizon, so state the handler
+// alone owns cannot change there. l3fwd's poll loop uses this to charge
+// a stretch of empty polls at once.
+//
+//xui:noalloc
+func (s *Simulator) Horizon() Time {
+	h := s.end
+	if len(s.queue) > 0 && s.queue[0].when < h {
+		h = s.queue[0].when
+	}
+	if h < s.now {
+		return s.now
+	}
+	return h
+}
+
 // RunBefore dispatches every event with time strictly less than limit and
 // returns the number fired. Unlike RunUntil it does not advance the clock
 // to the limit: the clock stays at the last fired event so a later
@@ -427,20 +458,27 @@ func (s *Simulator) NextWhen() (Time, bool) {
 // sharded engine; the half-open window [epoch start, limit) is what makes
 // conservative synchronization exact.
 func (s *Simulator) RunBefore(limit Time) int {
+	s.end = limit
 	fired := 0
 	for len(s.queue) > 0 && s.queue[0].when < limit {
 		s.Step()
 		fired++
 	}
+	s.end = 0
 	return fired
 }
 
 // RunUntil dispatches events with time ≤ deadline, then advances the clock
 // to the deadline. Events scheduled exactly at the deadline fire.
 func (s *Simulator) RunUntil(deadline Time) {
+	s.end = Never
+	if deadline < Never {
+		s.end = deadline + 1
+	}
 	for len(s.queue) > 0 && s.queue[0].when <= deadline {
 		s.Step()
 	}
+	s.end = 0
 	if s.now < deadline {
 		s.now = deadline
 	}

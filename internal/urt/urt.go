@@ -66,6 +66,10 @@ type UThread struct {
 	Class string
 	// Arrived is when the request entered the runtime.
 	Arrived sim.Time
+	// Worker is the index of the worker the thread was spawned on (with
+	// stealing on, another worker may run it). It lets one OnDone serve
+	// every thread of a runtime.
+	Worker int
 	// OnDone is invoked at completion.
 	OnDone func(now sim.Time, th *UThread)
 
@@ -88,7 +92,10 @@ type Runtime struct {
 	workers []*worker
 	// timer-core state (UIPITimerCore mode)
 	timerThread *kernel.Thread
-	senderIdx   []int // UITT indices per worker
+	senderIdx   []int          // UITT indices per worker
+	tickBase    sim.Time       // quantum boundary of the tick being sent
+	sendFn      sim.ArgHandler // rt.sendTick, bound once
+	tickFn      sim.Handler    // rt.startTick, bound once
 
 	nextID uint64
 
@@ -100,11 +107,16 @@ type worker struct {
 	rt     *Runtime
 	coreID int
 	thread *kernel.Thread
-	runq   []*UThread
+	// runq[head:] is the run queue. pop advances head; push compacts the
+	// queued threads to the front before the array would have to grow,
+	// so a warm queue never reallocates.
+	runq []*UThread
+	head int
 
 	current    *UThread
 	sliceStart sim.Time
 	complEv    *sim.Event
+	finishFn   sim.Handler // w.finish, bound once
 
 	// Busy tracks utilization of the worker core.
 	Busy stats.Busy
@@ -130,6 +142,7 @@ func New(m *core.Machine, k *kernel.Kernel, cfg Config) (*Runtime, error) {
 	rt := &Runtime{cfg: cfg, sim: m.Cores[cfg.FirstCore].Sim, m: m, kern: k}
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{rt: rt, coreID: cfg.FirstCore + i}
+		w.finishFn = w.finish
 		w.thread = k.NewThread()
 		wi := w
 		k.RegisterHandler(w.thread, func(now sim.Time, _ uintr.Vector, mech core.Mechanism) {
@@ -166,28 +179,38 @@ func New(m *core.Machine, k *kernel.Kernel, cfg Config) (*Runtime, error) {
 // timerTick is the dedicated timer core's loop: each quantum it sends one
 // UIPI per worker, serially — each senduipi occupies the timer core for
 // SenduipiCost cycles, which is what caps how many workers one timer core
-// can serve (§6.1: 22 workers at a 5 µs quantum).
+// can serve (§6.1: 22 workers at a 5 µs quantum). The next tick is
+// scheduled only once the last send is done, so one tick is in flight at
+// a time and its state lives on the runtime.
 func (rt *Runtime) timerTick() {
-	timerCore := rt.cfg.FirstCore + rt.cfg.Workers
-	var send func(i int, base sim.Time)
-	send = func(i int, base sim.Time) {
-		if i >= len(rt.workers) {
-			// Next tick: at the next quantum boundary, or immediately if
-			// sending overran the quantum.
-			next := base + rt.cfg.Quantum
-			now := rt.sim.Now()
-			if next <= now {
-				next = now + 1
-			}
-			rt.sim.Schedule(next, func(sim.Time) { send(0, next) })
-			return
+	rt.sendFn, rt.tickFn = rt.sendTick, rt.startTick
+	rt.sim.After(rt.cfg.Quantum, rt.tickFn)
+}
+
+// startTick begins the tick whose quantum boundary is now.
+func (rt *Runtime) startTick(now sim.Time) {
+	rt.tickBase = now
+	rt.sendTick(now, 0)
+}
+
+// sendTick sends the tick's UIPI to worker i, or schedules the next tick
+// once every worker has been sent one.
+func (rt *Runtime) sendTick(now sim.Time, i uint64) {
+	if int(i) >= len(rt.workers) {
+		// Next tick: at the next quantum boundary, or immediately if
+		// sending overran the quantum.
+		next := rt.tickBase + rt.cfg.Quantum
+		if next <= now {
+			next = now + 1
 		}
-		if err := rt.m.SendUIPI(timerCore, rt.kern.UITT(), rt.senderIdx[i]); err != nil {
-			panic(err)
-		}
-		rt.sim.After(sim.Time(core.SenduipiCost), func(sim.Time) { send(i+1, base) })
+		rt.sim.Schedule(next, rt.tickFn)
+		return
 	}
-	rt.sim.After(rt.cfg.Quantum, func(now sim.Time) { send(0, now) })
+	timerCore := rt.cfg.FirstCore + rt.cfg.Workers
+	if err := rt.m.SendUIPI(timerCore, rt.kern.UITT(), rt.senderIdx[i]); err != nil {
+		panic(err)
+	}
+	rt.sim.AfterArg(sim.Time(core.SenduipiCost), rt.sendFn, i+1)
 }
 
 // Spawn submits a user thread with the given service demand to worker w's
@@ -199,11 +222,12 @@ func (rt *Runtime) Spawn(workerIdx int, class string, service sim.Time, onDone f
 		Remaining: service,
 		Class:     class,
 		Arrived:   rt.sim.Now(),
+		Worker:    workerIdx,
 		OnDone:    onDone,
 	}
 	rt.Scheduled++
 	w := rt.workers[workerIdx]
-	w.runq = append(w.runq, th)
+	w.push(th)
 	w.maybeRun(rt.sim.Now())
 	rt.kickIdle(rt.sim.Now())
 	return th
@@ -224,7 +248,7 @@ func (rt *Runtime) kickIdle(now sim.Time) {
 
 // QueueLen returns worker i's run-queue length (excluding the running
 // thread).
-func (rt *Runtime) QueueLen(i int) int { return len(rt.workers[i].runq) }
+func (rt *Runtime) QueueLen(i int) int { return rt.workers[i].queued() }
 
 // WorkerBusy returns worker i's utilization tracker.
 func (rt *Runtime) WorkerBusy(i int) *stats.Busy { return &rt.workers[i].Busy }
@@ -246,22 +270,41 @@ func (w *worker) maybeRun(now sim.Time) {
 	w.start(now, th)
 }
 
+//xui:noalloc
 func (w *worker) start(now sim.Time, th *UThread) {
 	w.current = th
 	begin := now + core.UserContextSwitch
 	w.sliceStart = begin
 	w.rt.m.Cores[w.coreID].Account.Charge("ctxswitch", core.UserContextSwitch)
-	w.complEv = w.rt.sim.Schedule(begin+th.Remaining, func(done sim.Time) {
-		w.finish(done)
-	})
+	w.complEv = w.rt.sim.Schedule(begin+th.Remaining, w.finishFn)
 }
 
+// queued returns the run-queue length.
+func (w *worker) queued() int { return len(w.runq) - w.head }
+
+// push appends th to the run queue.
+func (w *worker) push(th *UThread) {
+	if len(w.runq) == cap(w.runq) && w.head > 0 {
+		n := copy(w.runq, w.runq[w.head:])
+		clear(w.runq[n:])
+		w.runq, w.head = w.runq[:n], 0
+	}
+	w.runq = append(w.runq, th)
+}
+
+// pop takes the oldest queued thread, or nil.
+//
+//xui:noalloc
 func (w *worker) pop() *UThread {
-	if len(w.runq) == 0 {
+	if w.head == len(w.runq) {
 		return nil
 	}
-	th := w.runq[0]
-	w.runq = w.runq[1:]
+	th := w.runq[w.head]
+	w.runq[w.head] = nil
+	w.head++
+	if w.head == len(w.runq) {
+		w.runq, w.head = w.runq[:0], 0
+	}
 	return th
 }
 
@@ -270,18 +313,24 @@ func (w *worker) steal() *UThread {
 	var victim *worker
 	best := 0
 	for _, o := range w.rt.workers {
-		if o != w && len(o.runq) > best {
-			victim, best = o, len(o.runq)
+		if o != w && o.queued() > best {
+			victim, best = o, o.queued()
 		}
 	}
 	if victim == nil {
 		return nil
 	}
-	th := victim.runq[len(victim.runq)-1]
-	victim.runq = victim.runq[:len(victim.runq)-1]
+	last := len(victim.runq) - 1
+	th := victim.runq[last]
+	victim.runq[last] = nil
+	victim.runq = victim.runq[:last]
+	if victim.head == last {
+		victim.runq, victim.head = victim.runq[:0], 0
+	}
 	return th
 }
 
+//xui:noalloc
 func (w *worker) finish(now sim.Time) {
 	th := w.current
 	w.current = nil
@@ -336,18 +385,16 @@ func (w *worker) preemptIntr(now sim.Time, mech core.Mechanism) {
 	th := w.current
 	w.current = nil
 	w.complEv = nil
-	if len(w.runq) == 0 {
+	if w.queued() == 0 {
 		// Nothing else to run: resume the same thread; the handler
 		// returns directly to it with minimal cost (§6.1: "as we return
 		// to the same thread... costs of context switches are minimized").
 		w.current = th
 		w.sliceStart = now
-		w.complEv = w.rt.sim.Schedule(now+th.Remaining, func(done sim.Time) {
-			w.finish(done)
-		})
+		w.complEv = w.rt.sim.Schedule(now+th.Remaining, w.finishFn)
 		return
 	}
-	w.runq = append(w.runq, th)
+	w.push(th)
 	w.maybeRun(now)
 	w.rt.kickIdle(now)
 }
@@ -360,7 +407,5 @@ func (w *worker) restart(now sim.Time) {
 	// accounting only at preemption; for a spurious early interrupt we
 	// simply restart the slice.
 	w.sliceStart = now
-	w.complEv = w.rt.sim.Schedule(now+th.Remaining, func(done sim.Time) {
-		w.finish(done)
-	})
+	w.complEv = w.rt.sim.Schedule(now+th.Remaining, w.finishFn)
 }
