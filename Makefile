@@ -51,11 +51,13 @@ check:
 	go run ./cmd/xuibench -check
 
 # Smoke-run the Go fuzz targets for 10s each, as CI does (histogram
-# percentile and bucket-index round trips, micro-op decode/lift round trip).
+# percentile and bucket-index round trips, micro-op decode/lift round
+# trip, LPM table against the naive reference).
 fuzz:
 	go test -run '^$$' -fuzz FuzzHistogramPercentile -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz FuzzBucketIndex -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz FuzzDecodeLift -fuzztime 10s ./internal/isa
+	go test -run '^$$' -fuzz FuzzLPMAgainstReference -fuzztime 10s ./internal/lpm
 
 # Profile what the benchmark measures: the tier1-grid and tier2-grid
 # experiment sets (bench/workloads.go) at full scale, -j 1 -shards 1.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 	"sync"
 
 	"xui/internal/core"
@@ -105,30 +106,8 @@ func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 		panic(err)
 	}
 
-	store := fig7Store()
-	costs := kvstore.DefaultCostModel()
-	rng := sim.NewRNG(77)
-	rec := loadgen.NewRecorder()
-
-	gen, err := loadgen.StartOpenLoop(s, 99, rps, func(now sim.Time, id uint64) {
-		isScan := rng.Bool(0.005)
-		class := "GET"
-		service := costs.SampleGet(rng)
-		if isScan {
-			class = "SCAN"
-			service = costs.SampleScan(rng)
-		}
-		key := []byte(fmt.Sprintf("user%08d", rng.Intn(20000)))
-		rt.Spawn(0, class, service, func(done sim.Time, th *urt.UThread) {
-			// Execute the real operation at completion.
-			if th.Class == "SCAN" {
-				store.Scan(key, 100, func(_, _ []byte) {})
-			} else {
-				store.Get(key)
-			}
-			rec.Record(th.Class, uint64(done-th.Arrived))
-		})
-	})
+	q := newFig7Requests(rt)
+	gen, err := loadgen.StartOpenLoop(s, 99, rps, q.issue)
 	if err != nil {
 		panic(err)
 	}
@@ -139,11 +118,11 @@ func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	row := Fig7Row{Config: cfg.Name, OfferedRPS: rps}
 	row.Completed = rt.Completed
 	row.AchievedRPS = float64(rt.Completed) / horizon.Seconds()
-	if h := rec.Class("GET"); h != nil {
+	if h := q.rec.Class("GET"); h != nil {
 		row.GetP99Us = sim.Time(h.Percentile(99)).Micros()
 		row.GetP999Us = sim.Time(h.Percentile(99.9)).Micros()
 	}
-	if h := rec.Class("SCAN"); h != nil {
+	if h := q.rec.Class("SCAN"); h != nil {
 		row.ScanP99Us = sim.Time(h.Percentile(99)).Micros()
 	}
 	dl := m.DeliveryLatency()
@@ -151,6 +130,70 @@ func (e *Env) fig7Point(cfg Fig7Config, rps float64, horizon sim.Time) Fig7Row {
 	row.DelivP99Cy = dl.Percentile(99)
 	row.DelivP999Cy = dl.Percentile(99.9)
 	return row
+}
+
+// fig7Requests issues one fig7 point's requests into its runtime and, at
+// each completion, executes the request against the store and records
+// its latency. The completion handler is bound once; a request's key
+// index rides on its thread as UThread.Arg and is formatted into a
+// reused buffer only when the request completes.
+type fig7Requests struct {
+	rt     *urt.Runtime
+	store  *kvstore.Store
+	costs  kvstore.CostModel
+	rng    *sim.RNG
+	rec    *loadgen.Recorder
+	key    []byte
+	onDone func(now sim.Time, th *urt.UThread)
+}
+
+func newFig7Requests(rt *urt.Runtime) *fig7Requests {
+	q := &fig7Requests{
+		rt:    rt,
+		store: fig7Store(),
+		costs: kvstore.DefaultCostModel(),
+		rng:   sim.NewRNG(77),
+		rec:   loadgen.NewRecorder(),
+		key:   make([]byte, 0, 16),
+	}
+	q.onDone = q.complete
+	return q
+}
+
+// issue draws one request's class, service time and key index, in that
+// order, and spawns it on worker 0.
+func (q *fig7Requests) issue(_ sim.Time, _ uint64) {
+	isScan := q.rng.Bool(0.005)
+	class := "GET"
+	service := q.costs.SampleGet(q.rng)
+	if isScan {
+		class = "SCAN"
+		service = q.costs.SampleScan(q.rng)
+	}
+	q.rt.SpawnArg(0, class, service, uint64(q.rng.Intn(20000)), q.onDone)
+}
+
+// complete executes the real operation at completion.
+func (q *fig7Requests) complete(done sim.Time, th *urt.UThread) {
+	q.key = appendUserKey(q.key[:0], int(th.Arg))
+	if th.Class == "SCAN" {
+		q.store.Scan(q.key, 100, func(_, _ []byte) {})
+	} else {
+		q.store.Get(q.key)
+	}
+	q.rec.Record(th.Class, uint64(done-th.Arrived))
+}
+
+// appendUserKey appends the store key for index i ≥ 0 to dst: the bytes
+// of fmt.Sprintf("user%08d", i).
+func appendUserKey(dst []byte, i int) []byte {
+	dst = append(dst, "user"...)
+	var buf [20]byte
+	digits := strconv.AppendInt(buf[:0], int64(i), 10)
+	for n := len(digits); n < 8; n++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
 }
 
 // Fig7Capacity finds, for each configuration, the highest offered load in

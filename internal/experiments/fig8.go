@@ -47,8 +47,8 @@ func (e *Env) Fig8(nicCounts []int, loadsPct []float64, horizon sim.Time) []Fig8
 		}
 	}
 	// One routing table serves every point, as in scaleEdge: it is
-	// read-only during a run. A fresh 48 MiB DIR-24-8 table per point
-	// made the heap's peak depend on where the collector's cycles fell.
+	// read-only during a run. A fresh table per point would make the
+	// heap's peak depend on where the collector's cycles fell.
 	table := lpm.GenerateTable(16000, 7)
 	return runGrid(e, "fig8", jobs, func(_ int, j job) Fig8Row {
 		return e.fig8Point(table, j.mode, j.nq, j.load, horizon)

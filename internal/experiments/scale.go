@@ -189,7 +189,7 @@ func (e *Env) scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 			recs[gi].Record(th.Class, uint64(done-th.Arrived))
 			completions++
 			if completions%64 == 0 {
-				if err := m.SendUIPI(firstCore+th.Worker, kerns[gi].UITT(), aggIdx[gi]); err != nil {
+				if err := m.SendUIPI(firstCore+int(th.Worker), kerns[gi].UITT(), aggIdx[gi]); err != nil {
 					panic(err)
 				}
 			}

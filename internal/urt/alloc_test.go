@@ -2,6 +2,7 @@ package urt
 
 import (
 	"testing"
+	"unsafe"
 
 	"xui/internal/core"
 	"xui/internal/sim"
@@ -39,6 +40,15 @@ func spawnAllocs(t *testing.T, mode PreemptMode, service sim.Time) float64 {
 func TestSpawnFinishOneAlloc(t *testing.T) {
 	if got := spawnAllocs(t, NoPreempt, 2000); got != 1 {
 		t.Errorf("Spawn→finish allocates %.2f objects per thread, want 1", got)
+	}
+}
+
+// TestUThreadFitsSizeClass keeps the one allocation per Spawn in the
+// 64-byte size class: one more word moves every UThread to the 80-byte
+// class, a quarter more bytes on every request-serving experiment.
+func TestUThreadFitsSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(UThread{}); size > 64 {
+		t.Errorf("UThread is %d bytes, want at most 64", size)
 	}
 }
 

@@ -57,7 +57,8 @@ type Config struct {
 }
 
 // UThread is a user-level thread: a request with a service demand. The
-// runtime charges its execution to the worker core it runs on.
+// runtime charges its execution to the worker core it runs on. It is one
+// heap object per request, so its fields fit 64 bytes, one size class.
 type UThread struct {
 	ID        uint64
 	Remaining sim.Time
@@ -66,18 +67,21 @@ type UThread struct {
 	Class string
 	// Arrived is when the request entered the runtime.
 	Arrived sim.Time
+	// Arg is a one-word payload for OnDone (see SpawnArg), so a handler
+	// bound once can still tell requests apart without a closure each.
+	Arg uint64
+	// OnDone is invoked at completion.
+	OnDone func(now sim.Time, th *UThread)
 	// Worker is the index of the worker the thread was spawned on (with
 	// stealing on, another worker may run it). It lets one OnDone serve
 	// every thread of a runtime.
-	Worker int
-	// OnDone is invoked at completion.
-	OnDone func(now sim.Time, th *UThread)
+	Worker int32
 
-	preemptions int
+	preemptions int32
 }
 
 // Preemptions returns how many times the thread was preempted.
-func (t *UThread) Preemptions() int { return t.preemptions }
+func (t *UThread) Preemptions() int { return int(t.preemptions) }
 
 // Runtime is the user-level runtime spanning worker cores
 // FirstCore..FirstCore+Workers-1 of the machine (plus, in UIPITimerCore
@@ -216,13 +220,19 @@ func (rt *Runtime) sendTick(now sim.Time, i uint64) {
 // Spawn submits a user thread with the given service demand to worker w's
 // run queue.
 func (rt *Runtime) Spawn(workerIdx int, class string, service sim.Time, onDone func(now sim.Time, th *UThread)) *UThread {
+	return rt.SpawnArg(workerIdx, class, service, 0, onDone)
+}
+
+// SpawnArg is Spawn with arg carried on the thread as UThread.Arg.
+func (rt *Runtime) SpawnArg(workerIdx int, class string, service sim.Time, arg uint64, onDone func(now sim.Time, th *UThread)) *UThread {
 	rt.nextID++
 	th := &UThread{
 		ID:        rt.nextID,
 		Remaining: service,
 		Class:     class,
 		Arrived:   rt.sim.Now(),
-		Worker:    workerIdx,
+		Worker:    int32(workerIdx),
+		Arg:       arg,
 		OnDone:    onDone,
 	}
 	rt.Scheduled++
