@@ -52,12 +52,13 @@ check:
 
 # Smoke-run the Go fuzz targets for 10s each, as CI does (histogram
 # percentile and bucket-index round trips, micro-op decode/lift round
-# trip, LPM table against the naive reference).
+# trip, LPM table and event queue against their naive references).
 fuzz:
 	go test -run '^$$' -fuzz FuzzHistogramPercentile -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz FuzzBucketIndex -fuzztime 10s ./internal/stats
 	go test -run '^$$' -fuzz FuzzDecodeLift -fuzztime 10s ./internal/isa
 	go test -run '^$$' -fuzz FuzzLPMAgainstReference -fuzztime 10s ./internal/lpm
+	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
 
 # Profile what the benchmark measures: the tier1-grid and tier2-grid
 # experiment sets (bench/workloads.go) at full scale, -j 1 -shards 1.

@@ -311,6 +311,10 @@ type Machine struct {
 	crossLatency sim.Time
 	lanes        []*obs.Tracer
 	parentTrace  *obs.Tracer
+
+	// simProbes are the event-kernel probes Observe attached, one per
+	// simulator; SnapshotMetrics flushes their buffered queue depths.
+	simProbes []*obs.SimProbe
 }
 
 // IcrOffset is when, within a senduipi execution, the ICR write completes
@@ -443,6 +447,8 @@ func (m *Machine) DeliveryLatency() *stats.Histogram {
 // detaches everything.
 func (m *Machine) Observe(ctx *obs.Context) {
 	if ctx == nil {
+		m.flushSimProbes()
+		m.simProbes = nil
 		if m.Eng != nil {
 			m.detachSharded()
 		}
@@ -457,7 +463,17 @@ func (m *Machine) Observe(ctx *obs.Context) {
 		return
 	}
 	m.attachCores(ctx, nil)
-	m.Sim.SetProbe(obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid))
+	p := obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid)
+	m.simProbes = []*obs.SimProbe{p}
+	m.Sim.SetProbe(p)
+}
+
+// flushSimProbes moves every attached probe's buffered queue depths into
+// its registry.
+func (m *Machine) flushSimProbes() {
+	for _, p := range m.simProbes {
+		p.Flush()
+	}
 }
 
 // attachCores points every core at ctx, or at its shard's lane context
@@ -514,13 +530,15 @@ func resolveVCoreMetrics(reg *obs.Registry, id int) vcoreMetrics {
 
 // SnapshotMetrics writes each core's end-of-run accounting into reg:
 // per-category cycle totals under "vcore<ID>/cycles/", utilization and
-// per-mechanism delivered totals as gauges. Call once when the run ends —
+// per-mechanism delivered totals as gauges; the sim probes' buffered queue
+// depths go to their registry. Call once when the run ends —
 // cycle accounts are imported additively, so repeated snapshots of the same
 // account would double-count.
 func (m *Machine) SnapshotMetrics(reg *obs.Registry) {
 	// Absorb any trace events recorded after the last epoch barrier (the
 	// post-loop clock-advance tail of a sharded run).
 	m.FlushLanes()
+	m.flushSimProbes()
 	now := uint64(m.Sim.Now())
 	for _, v := range m.Cores {
 		ns := fmt.Sprintf("vcore%d/", v.ID)

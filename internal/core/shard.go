@@ -192,8 +192,10 @@ func (m *Machine) observeSharded(ctx *obs.Context) {
 	// Shard workers add to the same handle atomics, so metrics need no
 	// per-shard lane.
 	m.attachCores(ctx, laneCtx)
-	for g := 0; g < m.Eng.Shards(); g++ {
-		m.Eng.Shard(g).SetProbe(obs.NewSimProbe(m.lanes[g], ctx.Metrics, obs.Tier2Pid))
+	m.simProbes = make([]*obs.SimProbe, m.Eng.Shards())
+	for g := range m.simProbes {
+		m.simProbes[g] = obs.NewSimProbe(m.lanes[g], ctx.Metrics, obs.Tier2Pid)
+		m.Eng.Shard(g).SetProbe(m.simProbes[g])
 	}
 	m.Eng.SetBarrierHook(m.FlushLanes)
 }

@@ -191,3 +191,31 @@ func TestDeleteCompactProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScanAllocFree checks a Scan over the memtable, several runs and
+// their tombstones allocates nothing: cursors live on the stack and the
+// memtable is walked in place.
+func TestScanAllocFree(t *testing.T) {
+	st := Open(9)
+	st.FlushThreshold = 500
+	for i := 0; i < 2400; i++ {
+		st.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v"))
+		if i%7 == 0 {
+			st.Delete([]byte(fmt.Sprintf("key%05d", i/2)))
+		}
+	}
+	if st.Runs() < 4 || st.MemSize() == 0 {
+		t.Fatalf("store has %d runs and %d memtable entries; want ≥ 4 and > 0", st.Runs(), st.MemSize())
+	}
+	seen := 0
+	fn := func(_, _ []byte) { seen++ }
+	start := []byte("key01000")
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := st.Scan(start, 100, fn); n != 100 {
+			t.Fatalf("Scan emitted %d keys, want 100", n)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan allocates %.1f objects per call, want 0", allocs)
+	}
+}

@@ -83,15 +83,20 @@ func (s *skiplist) get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// scan walks keys ≥ start in order, calling fn until it returns false.
-func (s *skiplist) scan(start []byte, fn func(key, val []byte) bool) {
+// seek returns the first node with key ≥ start, nil if there is none.
+func (s *skiplist) seek(start []byte) *node {
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && bytes.Compare(x.next[i].key, start) < 0 {
 			x = x.next[i]
 		}
 	}
-	for n := x.next[0]; n != nil; n = n.next[0] {
+	return x.next[0]
+}
+
+// scan walks keys ≥ start in order, calling fn until it returns false.
+func (s *skiplist) scan(start []byte, fn func(key, val []byte) bool) {
+	for n := s.seek(start); n != nil; n = n.next[0] {
 		if !fn(n.key, n.val) {
 			return
 		}
@@ -151,27 +156,28 @@ func (st *Store) Get(key []byte) ([]byte, bool) {
 	return v, found
 }
 
+// runCursor is Scan's position in one run's window.
+type runCursor struct {
+	keys, vals [][]byte
+	pos        int
+}
+
+// maxStackRuns is how many runs Scan merges with cursors on the stack;
+// more runs still scan correctly, at one allocation per call.
+const maxStackRuns = 8
+
 // Scan visits up to limit keys ≥ start, newest version of each, in order.
+// It merges the memtable, walked in place, with a window of each run,
+// keeping its cursors on the stack: a call allocates nothing while the
+// store has at most maxStackRuns runs.
 func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
-	type cursor struct {
-		keys [][]byte
-		vals [][]byte
-		pos  int
-	}
-	var curs []*cursor
-	// Memtable snapshot ≥ start; tombstones don't count toward the cap so
-	// they cannot crowd live keys out of the window.
-	var mk, mv [][]byte
-	live := 0
-	st.mem.scan(start, func(k, v []byte) bool {
-		mk = append(mk, k)
-		mv = append(mv, v)
-		if v != nil {
-			live++
-		}
-		return live < limit
-	})
-	curs = append(curs, &cursor{keys: mk, vals: mv})
+	// The memtable is the newest source, so its live entries are always
+	// emitted: the merge stops before it passes the limit-th of them.
+	// Tombstones don't count toward a run's window, so they cannot crowd
+	// live keys out of it.
+	mem := st.mem.seek(start)
+	var buf [maxStackRuns]runCursor
+	curs := buf[:0]
 	for _, r := range st.runs {
 		i := sort.Search(len(r.keys), func(i int) bool {
 			return bytes.Compare(r.keys[i], start) >= 0
@@ -183,27 +189,37 @@ func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
 			}
 			hi++
 		}
-		curs = append(curs, &cursor{keys: r.keys[i:hi], vals: r.vals[i:hi]})
+		curs = append(curs, runCursor{keys: r.keys[i:hi], vals: r.vals[i:hi]})
 	}
-	// K-way merge, newest source wins ties.
+	// K-way merge, newest source wins ties: the memtable, then runs in
+	// order (newest first).
 	n := 0
 	var last []byte
 	for n < limit {
-		best := -1
-		for ci, c := range curs {
-			if c.pos >= len(c.keys) {
-				continue
-			}
-			if best == -1 || bytes.Compare(c.keys[c.pos], curs[best].keys[curs[best].pos]) < 0 {
-				best = ci
+		best := -1 // the memtable, or an index into curs
+		var bk []byte
+		have := mem != nil
+		if have {
+			bk = mem.key
+		}
+		for ci := range curs {
+			c := &curs[ci]
+			if c.pos < len(c.keys) && (!have || bytes.Compare(c.keys[c.pos], bk) < 0) {
+				best, bk, have = ci, c.keys[c.pos], true
 			}
 		}
-		if best == -1 {
+		if !have {
 			break
 		}
-		c := curs[best]
-		k, v := c.keys[c.pos], c.vals[c.pos]
-		c.pos++
+		var k, v []byte
+		if best < 0 {
+			k, v = mem.key, mem.val
+			mem = mem.next[0]
+		} else {
+			c := &curs[best]
+			k, v = c.keys[c.pos], c.vals[c.pos]
+			c.pos++
+		}
 		if last != nil && bytes.Equal(k, last) {
 			continue // older version of an already-emitted key
 		}

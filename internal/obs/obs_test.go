@@ -311,11 +311,20 @@ func TestSimProbeSampling(t *testing.T) {
 	if reg.CounterHandle("sim/events_fired").Value() != 10 || p.evFired != reg.CounterHandle("sim/events_fired") {
 		t.Errorf("probe handle not shared with the registry name")
 	}
+	if _, ok := reg.Snapshot().Histograms["sim/queue_depth"]; ok {
+		t.Errorf("queue depths reached the registry before Flush")
+	}
+	p.Flush()
+	p.Flush() // a second Flush adds nothing
+	if d := reg.Snapshot().Histograms["sim/queue_depth"]; d.Count != 10 || d.Min != 1 || d.Max != 10 {
+		t.Errorf("queue depth histogram: %+v", d)
+	}
 	// A probe with no registry holds nil handles and records nothing.
 	bare := NewSimProbe(nil, nil, 2)
 	bare.EventScheduled(0, 1)
 	bare.EventFired(1, 0)
 	bare.EventCancelled(1)
+	bare.Flush()
 	if tr.Events() != 5 {
 		t.Errorf("expected 5 sampled counter events, got %d", tr.Events())
 	}

@@ -3,7 +3,7 @@
 // time-window synchronization (DESIGN.md §13).
 //
 // Partitioning is logical: a sharded machine assigns each shard a disjoint
-// group of simulated cores, its own slab/free-list event heap, and its own
+// group of simulated cores, its own slab/free-list event queue, and its own
 // RNG stream. Shards advance in bounded epochs. Each epoch covers the
 // half-open window [T, T+L) where T is the minimum next-event time across
 // shards and L — the lookahead — is the minimum cross-shard delivery

@@ -77,7 +77,7 @@ func TestPeriodicCancelInHandlerThenReuse(t *testing.T) {
 }
 
 // TestScheduleSteadyStateAllocFree checks the schedule→fire hot path stops
-// allocating once the pool and heap are warm — the property the overhaul is
+// allocating once the pool and queue are warm — the property the overhaul is
 // for.
 func TestScheduleSteadyStateAllocFree(t *testing.T) {
 	s := New(1)
@@ -151,12 +151,12 @@ func BenchmarkSimEventSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkSimEventScheduleDepth64 measures the same round trip with 64
-// far-future events resident, exercising the heap at realistic depth.
-func BenchmarkSimEventScheduleDepth64(b *testing.B) {
+// benchScheduleAtDepth measures the schedule→fire round trip with depth
+// far-future events resident, so each push scans past all of them.
+func benchScheduleAtDepth(b *testing.B, depth int) {
 	s := New(1)
 	var fn Handler = func(Time) {}
-	for i := 0; i < 64; i++ {
+	for i := 0; i < depth; i++ {
 		s.Schedule(Never-Time(i)-1, fn)
 	}
 	b.ReportAllocs()
@@ -166,6 +166,13 @@ func BenchmarkSimEventScheduleDepth64(b *testing.B) {
 		s.Step()
 	}
 }
+
+// BenchmarkSimEventScheduleDepth{8,16,32,64} locate the depth at which a
+// scan-inserted queue falls behind a binary heap; DESIGN.md §7 records it.
+func BenchmarkSimEventScheduleDepth8(b *testing.B)  { benchScheduleAtDepth(b, 8) }
+func BenchmarkSimEventScheduleDepth16(b *testing.B) { benchScheduleAtDepth(b, 16) }
+func BenchmarkSimEventScheduleDepth32(b *testing.B) { benchScheduleAtDepth(b, 32) }
+func BenchmarkSimEventScheduleDepth64(b *testing.B) { benchScheduleAtDepth(b, 64) }
 
 // BenchmarkSimEventPeriodic measures the periodic re-arm path.
 func BenchmarkSimEventPeriodic(b *testing.B) {

@@ -2,14 +2,14 @@
 // xui system models.
 //
 // Time is measured in CPU cycles of the simulated 2 GHz machine (1 cycle =
-// 0.5 ns). The kernel is deliberately small: an event heap, a clock, and a
-// handful of conveniences (periodic events, cancellation, deterministic
-// randomness). Everything else — cores, NICs, timers, runtimes — is built on
-// top of it in sibling packages.
+// 0.5 ns). The kernel is deliberately small: a sorted event queue, a clock,
+// and a handful of conveniences (periodic events, cancellation,
+// deterministic randomness). Everything else — cores, NICs, timers,
+// runtimes — is built on top of it in sibling packages.
 //
 // The event path is allocation-free in steady state: Event objects come
 // from per-simulator slabs, fired one-shot and cancelled events return to
-// a free list, and the heap's backing array is preallocated and reused.
+// a free list, and the queue's buffer is preallocated and reused.
 // BenchmarkSimEvent* in this package guard those properties.
 //
 // An event carries either a plain Handler or an ArgHandler plus one word
@@ -73,8 +73,7 @@ type ArgHandler func(now Time, arg uint64)
 // no-ops.
 type Event struct {
 	when    Time
-	seq     uint64 // tie-break: FIFO among same-cycle events
-	index   int    // heap index, -1 when not queued
+	index   int // absolute slot in Simulator.queue, -1 when not queued
 	fn      Handler
 	afn     ArgHandler // set instead of fn by ScheduleArg/AfterArg
 	arg     uint64     // afn's payload
@@ -93,8 +92,9 @@ func (e *Event) Pending() bool { return e != nil && e.index >= 0 && !e.stopped }
 // list refills from slabs so steady-state scheduling allocates nothing.
 const eventSlabSize = 64
 
-// initialHeapCap presizes the event heap so typical models never grow it.
-const initialHeapCap = 128
+// initialQueueCap presizes the event queue's buffer so typical models
+// never grow it.
+const initialQueueCap = 128
 
 // Probe receives kernel-level scheduling events for observability. Times
 // are plain uint64 cycles so implementations (internal/obs) need not import
@@ -119,12 +119,14 @@ type Probe interface {
 // through internal/sweep, which gives each job its own Simulator and
 // merges results deterministically.
 type Simulator struct {
-	now    Time
-	queue  []*Event // binary min-heap on (when, seq)
-	seq    uint64
-	nFired uint64
-	rng    *RNG
-	probe  Probe
+	now Time
+	// queue[head:tail] is the pending-event window in dispatch order;
+	// see push. The rest of the buffer is spare.
+	queue      []*Event
+	head, tail int
+	nFired     uint64
+	rng        *RNG
+	probe      Probe
 	// end is one past the last instant the running Run/RunUntil/
 	// RunBefore call will dispatch (Never under Run), and 0 outside any
 	// Run call; Horizon reads it.
@@ -143,7 +145,7 @@ func (s *Simulator) SetProbe(p Probe) { s.probe = p }
 func New(seed uint64) *Simulator {
 	return &Simulator{
 		rng:   NewRNG(seed),
-		queue: make([]*Event, 0, initialHeapCap),
+		queue: make([]*Event, initialQueueCap),
 	}
 }
 
@@ -158,7 +160,7 @@ func (s *Simulator) RNG() *RNG { return s.rng }
 func (s *Simulator) Fired() uint64 { return s.nFired }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int { return s.tail - s.head }
 
 // ---- event pool -----------------------------------------------------------
 
@@ -191,86 +193,86 @@ func (s *Simulator) release(e *Event) {
 	s.free = append(s.free, e)
 }
 
-// ---- event heap -----------------------------------------------------------
+// ---- event queue ----------------------------------------------------------
+//
+// The queue is a sorted window queue[head:tail] over one reused buffer,
+// ascending by when and in insertion order within a cycle. The models keep
+// it shallow (TestRegistryQueueDepth in internal/experiments pins the
+// bound), and at that depth a backward scan over contiguous pointers is
+// cheaper than a heap's sifts (DESIGN.md §7 has the crossover).
+// Each push lands behind every entry due at or before it, and every entry
+// already queued was pushed earlier, so the window is exactly (when,
+// insertion) order — FIFO among same-cycle events — with no sequence
+// number to store. Slots outside the window hold stale pointers into the
+// simulator's own event pool; they pin nothing the pool does not.
 
-func (s *Simulator) heapLess(i, j int) bool {
-	a, b := s.queue[i], s.queue[j]
-	if a.when != b.when {
-		return a.when < b.when
+// push inserts e behind every queued entry due at or before e.when.
+//
+//xui:noalloc
+func (s *Simulator) push(e *Event) {
+	if s.tail == len(s.queue) {
+		s.compact()
 	}
-	return a.seq < b.seq
-}
-
-func (s *Simulator) heapSwap(i, j int) {
-	s.queue[i], s.queue[j] = s.queue[j], s.queue[i]
-	s.queue[i].index = i
-	s.queue[j].index = j
-}
-
-func (s *Simulator) heapUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.heapLess(i, p) {
-			break
-		}
-		s.heapSwap(i, p)
-		i = p
+	q := s.queue
+	i := s.tail
+	s.tail++
+	for i > s.head && q[i-1].when > e.when {
+		q[i] = q[i-1]
+		q[i].index = i
+		i--
 	}
+	q[i] = e
+	e.index = i
 }
 
-func (s *Simulator) heapDown(i int) {
-	n := len(s.queue)
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && s.heapLess(l, small) {
-			small = l
-		}
-		if r < n && s.heapLess(r, small) {
-			small = r
-		}
-		if small == i {
-			return
-		}
-		s.heapSwap(i, small)
-		i = small
+// compact makes room at the buffer's end. It slides the window back to the
+// front, or moves it into a buffer twice the size once the window fills
+// more than half the old one; so a slide copies at most half a buffer and
+// follows at least half a buffer of pushes.
+func (s *Simulator) compact() {
+	n := s.tail - s.head
+	if 2*n > len(s.queue) {
+		grown := make([]*Event, 2*len(s.queue)) //xui:alloc queue growth, only when the window outgrows half the buffer
+		copy(grown, s.queue[s.head:s.tail])
+		s.queue = grown
+	} else {
+		copy(s.queue, s.queue[s.head:s.tail])
 	}
-}
-
-func (s *Simulator) heapPush(e *Event) {
-	e.index = len(s.queue)
-	s.queue = append(s.queue, e)
-	s.heapUp(e.index)
-}
-
-func (s *Simulator) heapPopMin() *Event {
-	e := s.queue[0]
-	n := len(s.queue) - 1
-	s.queue[0] = s.queue[n]
-	s.queue[0].index = 0
-	s.queue[n] = nil
-	s.queue = s.queue[:n]
-	if n > 0 {
-		s.heapDown(0)
+	for i, e := range s.queue[:n] {
+		e.index = i
 	}
+	s.head, s.tail = 0, n
+}
+
+// pop removes and returns the earliest entry.
+func (s *Simulator) pop() *Event {
+	e := s.queue[s.head]
+	s.head++
+	s.rewindIfEmpty()
 	e.index = -1
 	return e
 }
 
-// heapRemove deletes the entry at heap index i.
-func (s *Simulator) heapRemove(i int) {
-	n := len(s.queue) - 1
-	e := s.queue[i]
-	if i != n {
-		s.heapSwap(i, n)
+// remove deletes the entry at absolute slot i, closing the gap from the
+// tail side.
+func (s *Simulator) remove(i int) {
+	q := s.queue
+	e := q[i]
+	s.tail--
+	for ; i < s.tail; i++ {
+		q[i] = q[i+1]
+		q[i].index = i
 	}
-	s.queue[n] = nil
-	s.queue = s.queue[:n]
-	if i != n {
-		s.heapDown(i)
-		s.heapUp(i)
-	}
+	s.rewindIfEmpty()
 	e.index = -1
+}
+
+// rewindIfEmpty restarts an empty window at the buffer's front, so a queue
+// that drains between events never needs compacting.
+func (s *Simulator) rewindIfEmpty() {
+	if s.head == s.tail {
+		s.head, s.tail = 0, 0
+	}
 }
 
 // ---- scheduling -----------------------------------------------------------
@@ -311,7 +313,7 @@ func (s *Simulator) AfterArg(delay Time, fn ArgHandler, arg uint64) *Event {
 	return s.ScheduleArg(s.now+delay, fn, arg)
 }
 
-// queueAt takes a pooled event, stamps it (when, seq) and pushes it; the
+// queueAt takes a pooled event, stamps its time and pushes it; the
 // caller installs the handler (pooled events come back with both nil).
 //
 //xui:noalloc
@@ -321,11 +323,9 @@ func (s *Simulator) queueAt(when Time) *Event {
 	}
 	e := s.alloc()
 	e.when = when
-	e.seq = s.seq
 	e.period = 0
 	e.stopped = false
-	s.seq++
-	s.heapPush(e)
+	s.push(e)
 	if s.probe != nil {
 		s.probe.EventScheduled(uint64(s.now), uint64(when))
 	}
@@ -356,7 +356,7 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 	e.stopped = true
 	if e.index >= 0 {
-		s.heapRemove(e.index)
+		s.remove(e.index)
 		if s.probe != nil {
 			s.probe.EventCancelled(uint64(s.now))
 		}
@@ -369,39 +369,35 @@ func (s *Simulator) Cancel(e *Event) {
 //
 //xui:noalloc
 func (s *Simulator) Step() bool {
-	for len(s.queue) > 0 {
-		e := s.heapPopMin()
-		if e.stopped {
-			continue // defensive: cancelled events leave the heap eagerly
-		}
-		s.now = e.when
-		fn, afn, arg := e.fn, e.afn, e.arg
-		periodic := e.period != 0
-		if periodic {
-			// Re-arm before dispatch so the handler can Cancel it.
-			e.when = s.now + e.period
-			e.seq = s.seq
-			s.seq++
-			s.heapPush(e)
-		}
-		s.nFired++
-		if s.probe != nil {
-			s.probe.EventFired(uint64(s.now), len(s.queue))
-		}
-		if afn != nil {
-			afn(s.now, arg)
-		} else {
-			fn(s.now)
-		}
-		if !periodic {
-			// One-shot storage returns to the pool once the handler is
-			// done (the handler itself may have Cancel'd the fired event;
-			// either way there is no heap entry left).
-			s.release(e)
-		}
-		return true
+	if s.head == s.tail {
+		return false
 	}
-	return false
+	// Cancel removes events eagerly, so the head is always live.
+	e := s.pop()
+	s.now = e.when
+	fn, afn, arg := e.fn, e.afn, e.arg
+	periodic := e.period != 0
+	if periodic {
+		// Re-arm before dispatch so the handler can Cancel it.
+		e.when = s.now + e.period
+		s.push(e)
+	}
+	s.nFired++
+	if s.probe != nil {
+		s.probe.EventFired(uint64(s.now), s.Pending())
+	}
+	if afn != nil {
+		afn(s.now, arg)
+	} else {
+		fn(s.now)
+	}
+	if !periodic {
+		// One-shot storage returns to the pool once the handler is
+		// done (the handler itself may have Cancel'd the fired event;
+		// either way there is no queue entry left).
+		s.release(e)
+	}
+	return true
 }
 
 // Run dispatches events until the queue empties.
@@ -419,10 +415,10 @@ func (s *Simulator) Run() {
 //
 //xui:noalloc
 func (s *Simulator) NextWhen() (Time, bool) {
-	if len(s.queue) == 0 {
+	if s.head == s.tail {
 		return Never, false
 	}
-	return s.queue[0].when, true
+	return s.queue[s.head].when, true
 }
 
 // Horizon returns the earliest instant anything can next happen: the
@@ -441,8 +437,8 @@ func (s *Simulator) NextWhen() (Time, bool) {
 //xui:noalloc
 func (s *Simulator) Horizon() Time {
 	h := s.end
-	if len(s.queue) > 0 && s.queue[0].when < h {
-		h = s.queue[0].when
+	if s.head < s.tail && s.queue[s.head].when < h {
+		h = s.queue[s.head].when
 	}
 	if h < s.now {
 		return s.now
@@ -460,7 +456,7 @@ func (s *Simulator) Horizon() Time {
 func (s *Simulator) RunBefore(limit Time) int {
 	s.end = limit
 	fired := 0
-	for len(s.queue) > 0 && s.queue[0].when < limit {
+	for s.head < s.tail && s.queue[s.head].when < limit {
 		s.Step()
 		fired++
 	}
@@ -475,7 +471,7 @@ func (s *Simulator) RunUntil(deadline Time) {
 	if deadline < Never {
 		s.end = deadline + 1
 	}
-	for len(s.queue) > 0 && s.queue[0].when <= deadline {
+	for s.head < s.tail && s.queue[s.head].when <= deadline {
 		s.Step()
 	}
 	s.end = 0

@@ -72,9 +72,7 @@ func (h *Histogram) RecordN(v uint64, n uint64) {
 	}
 	i := h.bucketIndex(v)
 	if i >= len(h.buckets) {
-		nb := make([]uint64, i+1) //xui:alloc bucket-array growth is amortized-cold: at most 64<<subBits slots ever
-		copy(nb, h.buckets)
-		h.buckets = nb
+		h.extend(i + 1) //xui:alloc bucket-array growth, geometric and at most 64<<subBits slots ever
 	}
 	h.buckets[i] += n
 	h.count += n
@@ -85,6 +83,19 @@ func (h *Histogram) RecordN(v uint64, n uint64) {
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// extend lengthens buckets to n zeroed slots. A reallocation at least
+// doubles the capacity, so values recorded in rising order reallocate
+// O(log n) times, not once per new top bucket. Nothing shortens buckets,
+// so the spare capacity it exposes is still zero.
+func (h *Histogram) extend(n int) {
+	if n > cap(h.buckets) {
+		nb := make([]uint64, len(h.buckets), max(n, 2*cap(h.buckets)))
+		copy(nb, h.buckets)
+		h.buckets = nb
+	}
+	h.buckets = h.buckets[:n]
 }
 
 // Count returns the number of recorded observations.
@@ -157,9 +168,7 @@ func (h *Histogram) Merge(other *Histogram) {
 		panic("stats: merging histograms with different resolution")
 	}
 	if len(other.buckets) > len(h.buckets) {
-		nb := make([]uint64, len(other.buckets))
-		copy(nb, h.buckets)
-		h.buckets = nb
+		h.extend(len(other.buckets))
 	}
 	for i, c := range other.buckets {
 		h.buckets[i] += c

@@ -144,6 +144,34 @@ func TestHistogramRecordN(t *testing.T) {
 	}
 }
 
+// TestHistogramRisingGrowthLogarithmic records a strictly rising sequence
+// that opens 1,000 new top buckets one at a time: the bucket array must be
+// reallocated O(log n) times, not once per bucket, while len(buckets)
+// stays exactly one past the highest bucket recorded.
+func TestHistogramRisingGrowthLogarithmic(t *testing.T) {
+	const n = 1000
+	var h *Histogram
+	allocs := testing.AllocsPerRun(5, func() {
+		h = NewHistogram()
+		for i := 0; i < n; i++ {
+			h.Record(h.bucketLow(i))
+		}
+	})
+	// One allocation is the Histogram itself.
+	if allocs > 20 {
+		t.Fatalf("recording %d rising buckets allocates %.0f times, want O(log n)", n, allocs)
+	}
+	if len(h.buckets) != n || h.Count() != n || h.Max() != h.bucketLow(n-1) {
+		t.Fatalf("len(buckets) = %d, count = %d, max = %d; want %d, %d, %d",
+			len(h.buckets), h.Count(), h.Max(), n, n, h.bucketLow(n-1))
+	}
+	for i, c := range h.buckets {
+		if c != 1 {
+			t.Fatalf("bucket %d holds %d, want 1", i, c)
+		}
+	}
+}
+
 func TestBucketRoundTrip(t *testing.T) {
 	h := NewHistogram()
 	// bucketLow(bucketIndex(v)) <= v and is within one sub-bucket width.
