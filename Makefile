@@ -42,11 +42,13 @@ microbench:
 race:
 	go test -race ./...
 
-# Invariant-checking harness: the fault-injection suite under -race, the
-# always-checked experiments suite, then the full default sweep with the
-# checker attached (exits nonzero on any violation).
+# Invariant-checking harness: the checker's detection tests and the
+# fault scenarios (experiments' TestFault*) under -race, the always-checked
+# experiments suite, then the full default sweep with the checker attached
+# (exits nonzero on any violation).
 check:
 	go test -race ./internal/check
+	go test -race -run 'TestFault' ./internal/experiments
 	go test ./internal/experiments
 	go run ./cmd/xuibench -check
 

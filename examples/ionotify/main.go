@@ -14,12 +14,10 @@ package main
 import (
 	"fmt"
 
-	"xui/internal/apic"
 	"xui/internal/core"
 	"xui/internal/lpm"
 	"xui/internal/netsim"
 	"xui/internal/sim"
-	"xui/internal/uintr"
 )
 
 func run(mode netsim.Mode) {
@@ -38,13 +36,7 @@ func run(mode netsim.Mode) {
 	if mode == netsim.InterruptMode {
 		// Route the NIC's interrupt to the user thread: the kernel
 		// programs the IOAPIC and enables forwarding for vector 0x31.
-		m.IOAPIC.Program(0, apic.Redirection{Dest: 0, Vector: 0x31})
-		v.APIC.EnableForwarding(0x31)
-		v.APIC.ActivateVector(0x31)
-		nic.OnAssert = func() { _ = m.IOAPIC.Assert(0) }
-		v.Handler = func(now sim.Time, _ uintr.Vector, _ core.Mechanism) {
-			l3.HandleInterrupt(now)
-		}
+		l3.RouteInterrupts(m.IOAPIC, 0x31)
 	}
 
 	// 30 % load.

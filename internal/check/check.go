@@ -1,8 +1,8 @@
 // Package check is the simulator's correctness harness: pluggable invariant
 // probes that replay the paper's conservation laws alongside both simulation
 // tiers (interrupts sent = delivered + coalesced + pending + lost-with-
-// reason; UPID ON/SN legality; occupancy bounds; timer-wheel consistency),
-// and a seeded deterministic fault injector that perturbs runs with the
+// reason; UPID ON/SN legality; occupancy bounds; timer-wheel consistency).
+// The seeded fault scenarios in the experiments tests perturb runs with the
 // failure modes the paper reasons about (§4.2 misprediction squash, §4.5
 // descheduled receivers, wire jitter, ring-full bursts, spurious KB_Timer
 // fires). Every injected fault must either be absorbed — invariants hold

@@ -5,156 +5,15 @@ import (
 	"testing"
 
 	"xui/internal/core"
-	"xui/internal/cpu"
 	"xui/internal/kernel"
-	"xui/internal/mem"
 	"xui/internal/obs"
 	"xui/internal/sim"
 	"xui/internal/uintr"
 )
 
-// TestFaultClasses drives every injectable fault and asserts that each is
-// either absorbed (invariants hold, degradation visible under a named
-// counter) or detected by the expected invariant. Runs under -race via the
-// normal test suite.
-func TestFaultClasses(t *testing.T) {
-	cases := []struct {
-		class    FaultClass
-		absorbed bool
-		// counters that must be nonzero (degradation visibility) or zero.
-		nonzero []string
-		zero    []string
-	}{
-		{
-			class:    SquashReinject,
-			absorbed: true,
-			nonzero:  []string{"inject/squash/tier1_reinjections", "inject/squash/tier1_completed"},
-			zero:     []string{"inject/squash/tier1_lost"},
-		},
-		{
-			// The §4.2 ablation: with re-injection off, squashed interrupt
-			// microcode loses the interrupt. That is expected degradation
-			// (tier1_lost), not a model bug, so no invariant fires.
-			class:    SquashNoReinject,
-			absorbed: true,
-			nonzero:  []string{"inject/squash/tier1_lost"},
-		},
-		{
-			class:    Deschedule,
-			absorbed: true,
-			nonzero: []string{
-				"inject/desched/deschedules",
-				"inject/desched/reposts",
-				"inject/desched/delivered",
-			},
-		},
-		{
-			class:    WireJitter,
-			absorbed: true,
-			nonzero:  []string{"inject/jitter_cycles", "inject/jitter/delivered"},
-		},
-		{
-			class:    RingBurst,
-			absorbed: true,
-			nonzero:  []string{"inject/ring_dropped", "inject/burst/delivered"},
-		},
-		{
-			class:    SpuriousKBT,
-			absorbed: true,
-			nonzero:  []string{"inject/spurious_fires", "inject/kbt/delivered"},
-		},
-	}
-	if len(cases) != len(FaultClasses()) {
-		t.Fatalf("test covers %d fault classes, injector has %d", len(cases), len(FaultClasses()))
-	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(string(tc.class), func(t *testing.T) {
-			res, err := RunFault(tc.class, 42)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Absorbed() != tc.absorbed {
-				t.Errorf("absorbed = %v, want %v; report:\n%s", res.Absorbed(), tc.absorbed, res.Report)
-			}
-			if res.Report.Checks == 0 {
-				t.Error("no invariant evaluations performed — checker not wired")
-			}
-			for _, name := range tc.nonzero {
-				if res.Report.Counters[name] == 0 {
-					t.Errorf("counter %s = 0, want > 0; counters: %v", name, res.Report.Counters)
-				}
-			}
-			for _, name := range tc.zero {
-				if got := res.Report.Counters[name]; got != 0 {
-					t.Errorf("counter %s = %d, want 0", name, got)
-				}
-			}
-		})
-	}
-}
-
-// TestFaultDeterminism: same (class, seed) must give a byte-identical
-// fingerprint and report across runs.
-func TestFaultDeterminism(t *testing.T) {
-	for _, class := range FaultClasses() {
-		class := class
-		t.Run(string(class), func(t *testing.T) {
-			for _, seed := range []uint64{1, 7, 12345} {
-				a, err := RunFault(class, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				b, err := RunFault(class, seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if a.Fingerprint != b.Fingerprint {
-					t.Errorf("seed %d: fingerprints differ:\n  %s\n  %s", seed, a.Fingerprint, b.Fingerprint)
-				}
-				if a.Report.Violations != b.Report.Violations || a.Report.Checks != b.Report.Checks {
-					t.Errorf("seed %d: reports differ: %d/%d checks, %d/%d violations",
-						seed, a.Report.Checks, b.Report.Checks, a.Report.Violations, b.Report.Violations)
-				}
-			}
-		})
-	}
-}
-
-// TestLostInterruptDetection proves the lost-interrupt invariant actually
-// fires: corrupt a record so the core claims a loss despite TrackedReinject
-// being enabled — the checker must name the hazard.
-func TestLostInterruptDetection(t *testing.T) {
-	col := NewCollector()
-	cfg := cpu.DefaultConfig()
-	cfg.Strategy = cpu.Tracked
-	cfg.TrackedReinject = true
-	cfg.Ucode = injUcode()
-	port := &cpu.PrivatePort{H: mem.NewHierarchy(mem.Config{}), SharedCost: mem.LatCrossCore}
-	c := cpu.New(cfg, injBranchyStream(200), port)
-	cc := WrapCore(col, c, "detect")
-	c.ScheduleInterrupt(100, cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: injHandler(), Tag: "x"})
-	c.Run(400, 10_000_000)
-	recs := c.Records()
-	if len(recs) == 0 {
-		t.Fatal("no interrupt records")
-	}
-	recs[0].Lost = true // simulate the model silently dropping it
-	cc.FinishCore()
-	rep := col.Report()
-	if rep.OK() {
-		t.Fatal("checker failed to detect an injected lost interrupt")
-	}
-	found := false
-	for _, inv := range rep.Invariants() {
-		if inv == "lost-interrupt" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("detected invariants %v, want lost-interrupt", rep.Invariants())
-	}
-}
+// The kernel finds MachineChecker's kernel hooks by type assertion on
+// Machine.Check, so pin the interface here.
+var _ kernel.CheckProbe = (*MachineChecker)(nil)
 
 // TestUPIDStateDetection proves upid-state fires on an illegal descriptor:
 // flip SN on the live UPID right before a notification departs.

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"xui/internal/core"
-	"xui/internal/kernel"
 	"xui/internal/sim"
 	"xui/internal/uintr"
 )
@@ -301,7 +300,7 @@ func (mc *MachineChecker) Finish() {
 }
 
 // Fingerprint digests the checker's protocol counters into a deterministic
-// string; the injector compares fingerprints across same-seed runs.
+// string; the fault scenarios compare fingerprints across same-seed runs.
 func (mc *MachineChecker) Fingerprint() string {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
@@ -316,8 +315,4 @@ func (mc *MachineChecker) Fingerprint() string {
 		posted, merged, delivered, mc.m.Sim.Now())
 }
 
-// Kernel probe interface conformance (compile-time).
-var (
-	_ core.CheckProbe   = (*MachineChecker)(nil)
-	_ kernel.CheckProbe = (*MachineChecker)(nil)
-)
+var _ core.CheckProbe = (*MachineChecker)(nil)

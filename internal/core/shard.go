@@ -78,12 +78,6 @@ func (m *Machine) Groups() int {
 	return m.Eng.Shards()
 }
 
-// GroupSize returns cores per group (0 when unsharded).
-func (m *Machine) GroupSize() int { return m.groupSize }
-
-// CrossLatency returns the modelled inter-group interconnect latency.
-func (m *Machine) CrossLatency() sim.Time { return m.crossLatency }
-
 // busRouter carries interrupt messages whose destination APIC lives on
 // another group's bus: the full remaining latency (bus hop + interconnect)
 // is paid here, and the message is injected on the destination bus at

@@ -148,17 +148,10 @@ func (e *Env) senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 
 	// Each send's UPID access is remote: the receiver acknowledged the
 	// previous notification, pulling the line away.
-	sharedLoadPos := -1
-	for i, op := range routine.Ops {
-		if op.Shared && op.Class == isa.Load {
-			sharedLoadPos = i
-			break
-		}
-	}
 	var icrCommits, startCommits []uint64
 	cfg := cpu.DefaultConfig()
 	cfg.Ucode = Ucode()
-	res := e.runReceiver(cfg, prog, uint64(len(ops)), uint64(len(ops))*500,
+	e.runReceiver(cfg, prog, uint64(len(ops)), uint64(len(ops))*500,
 		func(core *cpu.Core, port *cpu.PrivatePort) {
 			core.OnProgramCommit = func(pos, cycle uint64) {
 				rel := int(pos) % perIter
@@ -169,7 +162,6 @@ func (e *Env) senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 				if rel == icrIdx {
 					icrCommits = append(icrCommits, cycle)
 				}
-				_ = sharedLoadPos
 			}
 			port.MarkRemoteWrite(UPIDAddr)
 		})
@@ -179,8 +171,6 @@ func (e *Env) senduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 	if iters <= skip+2 {
 		skip = 0
 	}
-	cycles := float64(res.Cycles)
-	_ = cycles
 	n := 0
 	var sumPer, sumICR float64
 	for i := skip + 1; i < len(startCommits) && i < len(icrCommits); i++ {

@@ -1,12 +1,10 @@
 package experiments
 
 import (
-	"xui/internal/apic"
 	"xui/internal/core"
 	"xui/internal/lpm"
 	"xui/internal/netsim"
 	"xui/internal/sim"
-	"xui/internal/uintr"
 )
 
 // Fig8Row is one point of Figure 8: the cycle breakdown of the l3fwd core
@@ -79,21 +77,7 @@ func (e *Env) fig8Point(table *lpm.Table, mode netsim.Mode, nq int, loadPct floa
 		panic(err)
 	}
 	if mode == netsim.InterruptMode {
-		// Each NIC gets its own forwarded vector (§4.5: one device/user
-		// pair per vector).
-		for i, n := range nics {
-			vec := uint8(0x30 + i)
-			gsi := i
-			m.IOAPIC.Program(gsi, apic.Redirection{Dest: 0, Vector: vec})
-			v.APIC.EnableForwarding(vec)
-			v.APIC.ActivateVector(vec)
-			n := n
-			n.OnAssert = func() { _ = m.IOAPIC.Assert(gsi) }
-			_ = n
-		}
-		v.Handler = func(now sim.Time, _ uintr.Vector, _ core.Mechanism) {
-			l3.HandleInterrupt(now)
-		}
+		l3.RouteInterrupts(m.IOAPIC, 0x30)
 	}
 	var gens []*netsim.Generator
 	for i, n := range nics {

@@ -281,18 +281,7 @@ func (e *Env) scaleEdge(cfg ScaleConfig, width int) ScaleRow {
 		if err != nil {
 			panic(err)
 		}
-		for q, n := range nics {
-			vec := uint8(0x30 + q)
-			gsi := q
-			m.IOAPICs[i].Program(gsi, apic.Redirection{Dest: uint32(fwdCore), Vector: vec})
-			v.APIC.EnableForwarding(vec)
-			v.APIC.ActivateVector(vec)
-			ioapic := m.IOAPICs[i]
-			n.OnAssert = func() { _ = ioapic.Assert(gsi) }
-		}
-		v.Handler = func(now sim.Time, _ uintr.Vector, _ core.Mechanism) {
-			l3.HandleInterrupt(now)
-		}
+		l3.RouteInterrupts(m.IOAPICs[i], 0x30)
 		for q, n := range nics {
 			gens = append(gens, netsim.StartGenerator(s, n, perNICGap, uint64(100+i*nq+q)))
 		}

@@ -1,7 +1,8 @@
 // Package kvstore is the RocksDB stand-in for the paper's preemptive-
 // scheduling evaluation (§5.3): a real LSM-flavoured key-value store — a
-// skiplist memtable in front of immutable sorted runs — together with the
-// calibrated service-time model the Tier-2 runtime charges per request
+// skiplist memtable in front of immutable sorted runs, with put, get and
+// scan and no deletes (the paper's load is GET/SCAN only) — together with
+// the calibrated service-time model the Tier-2 runtime charges per request
 // (99.5 % GET at 1.2 µs, 0.5 % SCAN at 580 µs).
 package kvstore
 
@@ -119,8 +120,8 @@ func (r *run) get(key []byte) ([]byte, bool) {
 	return nil, false
 }
 
-// Store is the key-value store. Writes (Put, Delete, Flush, Compact) are
-// not safe for concurrent use; the simulated runtime serializes access
+// Store is the key-value store. Writes (Put, Flush) are not safe for
+// concurrent use; the simulated runtime serializes access
 // per core, as Aspen does. Get and Scan only read, so a filled store that
 // is no longer written can be shared by concurrent readers.
 type Store struct {
@@ -139,8 +140,7 @@ func Open(seed uint64) *Store {
 	return &Store{mem: newSkiplist(rng), rng: rng, FlushThreshold: 4096}
 }
 
-// Put inserts or updates a key. A nil value is stored as empty (nil is
-// reserved internally for deletion tombstones).
+// Put inserts or updates a key with a copy of val.
 func (st *Store) Put(key, val []byte) {
 	cp := make([]byte, len(val))
 	copy(cp, val)
@@ -150,10 +150,17 @@ func (st *Store) Put(key, val []byte) {
 	}
 }
 
-// Get returns the newest value for key; deleted keys are not found.
+// Get returns the newest value for key.
 func (st *Store) Get(key []byte) ([]byte, bool) {
-	v, found, _ := st.lookup(key)
-	return v, found
+	if v, ok := st.mem.get(key); ok {
+		return v, true
+	}
+	for _, r := range st.runs {
+		if v, ok := r.get(key); ok {
+			return v, true
+		}
+	}
+	return nil, false
 }
 
 // runCursor is Scan's position in one run's window.
@@ -171,10 +178,8 @@ const maxStackRuns = 8
 // keeping its cursors on the stack: a call allocates nothing while the
 // store has at most maxStackRuns runs.
 func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
-	// The memtable is the newest source, so its live entries are always
-	// emitted: the merge stops before it passes the limit-th of them.
-	// Tombstones don't count toward a run's window, so they cannot crowd
-	// live keys out of it.
+	// No source can contribute more than its first limit keys ≥ start,
+	// so each run's window stops there.
 	mem := st.mem.seek(start)
 	var buf [maxStackRuns]runCursor
 	curs := buf[:0]
@@ -182,13 +187,7 @@ func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
 		i := sort.Search(len(r.keys), func(i int) bool {
 			return bytes.Compare(r.keys[i], start) >= 0
 		})
-		hi, liveR := i, 0
-		for hi < len(r.keys) && liveR < limit {
-			if r.vals[hi] != nil {
-				liveR++
-			}
-			hi++
-		}
+		hi := min(i+limit, len(r.keys))
 		curs = append(curs, runCursor{keys: r.keys[i:hi], vals: r.vals[i:hi]})
 	}
 	// K-way merge, newest source wins ties: the memtable, then runs in
@@ -224,9 +223,6 @@ func (st *Store) Scan(start []byte, limit int, fn func(key, val []byte)) int {
 			continue // older version of an already-emitted key
 		}
 		last = k
-		if v == nil {
-			continue // tombstone: shadows older versions, emits nothing
-		}
 		fn(k, v)
 		n++
 	}
@@ -247,9 +243,3 @@ func (st *Store) Flush() {
 	st.runs = append([]*run{r}, st.runs...)
 	st.mem = newSkiplist(st.rng)
 }
-
-// Runs returns the number of immutable runs.
-func (st *Store) Runs() int { return len(st.runs) }
-
-// MemSize returns the live memtable entry count.
-func (st *Store) MemSize() int { return st.mem.size }

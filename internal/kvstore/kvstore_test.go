@@ -32,7 +32,7 @@ func TestGetAcrossFlush(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		st.Put([]byte(fmt.Sprintf("key%03d", i)), []byte(fmt.Sprintf("val%d", i)))
 	}
-	if st.Runs() == 0 {
+	if len(st.runs) == 0 {
 		t.Fatalf("no flushes happened")
 	}
 	for i := 0; i < 100; i++ {
@@ -95,14 +95,16 @@ func TestScanPastEnd(t *testing.T) {
 	}
 }
 
-// Property: the store agrees with a plain map + sort on any operation mix.
+// Property: the store agrees with a plain map + sort on any operation mix,
+// and a Scan bounded by a drawn limit returns exactly the model's first
+// limit keys at or above start, even when the limit cuts across runs.
 func TestStoreAgainstMapProperty(t *testing.T) {
 	type op struct {
 		Put bool
 		K   uint8
 		V   uint8
 	}
-	f := func(ops []op, scanStart uint8) bool {
+	f := func(ops []op, scanStart, scanLimit uint8) bool {
 		st := Open(7)
 		st.FlushThreshold = 5 // flush aggressively to stress merge paths
 		model := map[string]string{}
@@ -120,7 +122,6 @@ func TestStoreAgainstMapProperty(t *testing.T) {
 				}
 			}
 		}
-		// Full scan agrees with sorted model contents.
 		start := fmt.Sprintf("k%03d", scanStart)
 		var wantKeys []string
 		for k := range model {
@@ -129,22 +130,28 @@ func TestStoreAgainstMapProperty(t *testing.T) {
 			}
 		}
 		sort.Strings(wantKeys)
-		var gotKeys []string
-		st.Scan([]byte(start), len(model)+1, func(k, v []byte) {
-			gotKeys = append(gotKeys, string(k))
-			if model[string(k)] != string(v) {
-				wantKeys = nil // force failure
-			}
-		})
-		if len(gotKeys) != len(wantKeys) {
-			return false
-		}
-		for i := range gotKeys {
-			if gotKeys[i] != wantKeys[i] {
+		scan := func(limit int, want []string) bool {
+			var got []string
+			n := st.Scan([]byte(start), limit, func(k, v []byte) {
+				got = append(got, string(k))
+				if model[string(k)] != string(v) {
+					got = append(got, "wrong value") // force failure
+				}
+			})
+			if n != len(got) || len(got) != len(want) {
 				return false
 			}
+			for i := range got {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+			return true
 		}
-		return true
+		// A full scan agrees with the sorted model contents, and a bounded
+		// one with its first limit keys.
+		limit := int(scanLimit) % (len(wantKeys) + 1)
+		return scan(len(model)+1, wantKeys) && scan(limit, wantKeys[:limit])
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -206,5 +213,38 @@ func TestValuesAreCopied(t *testing.T) {
 	k[0] = 'X'
 	if got, ok := st.Get([]byte("k")); !ok || !bytes.Equal(got, []byte("live")) {
 		t.Errorf("store aliases caller buffers: %q %v", got, ok)
+	}
+}
+
+func TestPutNilValueIsNotDeletion(t *testing.T) {
+	st := Open(1)
+	st.Put([]byte("k"), nil)
+	if v, ok := st.Get([]byte("k")); !ok || v == nil || len(v) != 0 {
+		t.Errorf("nil-value put behaved like delete: %v %v", v, ok)
+	}
+}
+
+// TestScanAllocFree checks a Scan over the memtable and several runs
+// allocates nothing: cursors live on the stack and the memtable is walked
+// in place.
+func TestScanAllocFree(t *testing.T) {
+	st := Open(9)
+	st.FlushThreshold = 500
+	for i := 0; i < 2400; i++ {
+		st.Put([]byte(fmt.Sprintf("key%05d", i)), []byte("v"))
+	}
+	if len(st.runs) < 4 || st.mem.size == 0 {
+		t.Fatalf("store has %d runs and %d memtable entries; want ≥ 4 and > 0", len(st.runs), st.mem.size)
+	}
+	seen := 0
+	fn := func(_, _ []byte) { seen++ }
+	start := []byte("key01000")
+	allocs := testing.AllocsPerRun(100, func() {
+		if n := st.Scan(start, 100, fn); n != 100 {
+			t.Fatalf("Scan emitted %d keys, want 100", n)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Scan allocates %.1f objects per call, want 0", allocs)
 	}
 }

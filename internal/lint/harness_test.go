@@ -1,6 +1,10 @@
 package lint
 
 import (
+	"fmt"
+	"go/importer"
+	"go/token"
+	"go/types"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -23,10 +27,33 @@ func fixtureConfig(path string) *Config {
 	}
 }
 
+// loadPackageDir loads a single fixture package directory as importPath.
+// Imports resolve from source.
+func loadPackageDir(dir, importPath string) (*Package, error) {
+	fset := token.NewFileSet()
+	files, err := parsePackageDir(fset, dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("lint: no Go files in %s", dir)
+	}
+	mi := &moduleImporter{
+		done:     map[string]*types.Package{},
+		fallback: importer.ForCompiler(fset, "source", nil),
+	}
+	p, err := typeCheck(fset, importPath, files, mi)
+	if err != nil {
+		return nil, err
+	}
+	p.Dir = dir
+	return p, nil
+}
+
 func loadFixture(t *testing.T, name string) (*Suite, *Package) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", name)
-	p, err := LoadPackageDir(dir, "fixture/"+name)
+	p, err := loadPackageDir(dir, "fixture/"+name)
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", name, err)
 	}

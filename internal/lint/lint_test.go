@@ -123,7 +123,7 @@ func TestDirectiveTable(t *testing.T) {
 // though it suppresses nothing.
 func TestParallelWaiverScope(t *testing.T) {
 	dir := filepath.Join("testdata", "src", "parscope")
-	p, err := LoadPackageDir(dir, "fixture/parscope")
+	p, err := loadPackageDir(dir, "fixture/parscope")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,29 +177,6 @@ func LoadModule(root string) ([]*Package, string, error) {
 	return pkgs, modPath, nil
 }
 
-// LoadPackageDir loads a single package directory as importPath — the
-// fixture-test entry point. Imports resolve from source.
-func LoadPackageDir(dir, importPath string) (*Package, error) {
-	fset := token.NewFileSet()
-	files, err := parsePackageDir(fset, dir)
-	if err != nil {
-		return nil, err
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	mi := &moduleImporter{
-		done:     map[string]*types.Package{},
-		fallback: importer.ForCompiler(fset, "source", nil),
-	}
-	p, err := typeCheck(fset, importPath, files, mi)
-	if err != nil {
-		return nil, err
-	}
-	p.Dir = dir
-	return p, nil
-}
-
 func parsePackageDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {

@@ -5,7 +5,6 @@ package loadgen
 
 import (
 	"fmt"
-	"sort"
 
 	"xui/internal/sim"
 	"xui/internal/stats"
@@ -96,13 +95,3 @@ func (r *Recorder) Record(class string, latencyCycles uint64) {
 
 // Class returns the histogram for a class (nil if nothing recorded).
 func (r *Recorder) Class(class string) *stats.Histogram { return r.byClass[class] }
-
-// Classes returns recorded class names, sorted.
-func (r *Recorder) Classes() []string {
-	out := make([]string, 0, len(r.byClass))
-	for c := range r.byClass {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}

@@ -50,8 +50,8 @@ func lookupDigest(tb *Table, routes []route, n int, seed uint64) string {
 }
 
 // TestLookupDigest pins Lookup's answers, 2 M probes each, on the
-// generated tables the experiments use (fig8 and scale: 16,000 routes, seed 7; netsim's tests
-// and the fault injector: 1,000 routes, seed 3). The digests were taken
+// generated tables the experiments use (fig8 and scale: 16,000 routes, seed 7; netsim's tests:
+// 1,000 routes, seed 3). The digests were taken
 // from the DIR-24-8 layout this table replaced, so they prove the trie
 // answers exactly as DPDK's librte_lpm would.
 func TestLookupDigest(t *testing.T) {

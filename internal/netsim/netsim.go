@@ -8,10 +8,12 @@ package netsim
 import (
 	"fmt"
 
+	"xui/internal/apic"
 	"xui/internal/core"
 	"xui/internal/lpm"
 	"xui/internal/sim"
 	"xui/internal/stats"
+	"xui/internal/uintr"
 )
 
 // Packet is a 64-byte IPv4 UDP packet's metadata.
@@ -210,7 +212,7 @@ type L3Fwd struct {
 
 // NewL3Fwd builds the application. In InterruptMode the caller must route
 // each NIC's interrupt (via forwarding) to vcore's handler and call
-// HandleInterrupt from it.
+// HandleInterrupt from it, as RouteInterrupts does.
 func NewL3Fwd(s *sim.Simulator, table *lpm.Table, nics []*NIC, v *core.VCore, mode Mode) (*L3Fwd, error) {
 	if len(nics) == 0 {
 		return nil, fmt.Errorf("netsim: no NICs")
@@ -243,6 +245,22 @@ func NewL3Fwd(s *sim.Simulator, table *lpm.Table, nics []*NIC, v *core.VCore, mo
 		}
 	}
 	return l, nil
+}
+
+// RouteInterrupts wires InterruptMode delivery the way the kernel sets up
+// device forwarding (§4.5, one device/user pair per vector): NIC i asserts
+// GSI i of io, which is programmed to forward vector firstVec+i to the
+// application's core, and the core's user handler calls HandleInterrupt.
+func (l *L3Fwd) RouteInterrupts(io *apic.IOAPIC, firstVec uint8) {
+	v := l.vcore
+	for i, n := range l.nics {
+		gsi, vec := i, firstVec+uint8(i)
+		io.Program(gsi, apic.Redirection{Dest: uint32(v.ID), Vector: vec})
+		v.APIC.EnableForwarding(vec)
+		v.APIC.ActivateVector(vec)
+		n.OnAssert = func() { _ = io.Assert(gsi) }
+	}
+	v.Handler = func(now sim.Time, _ uintr.Vector, _ core.Mechanism) { l.HandleInterrupt(now) }
 }
 
 // Start launches the poll loop (PollMode only; InterruptMode is driven by

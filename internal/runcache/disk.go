@@ -43,9 +43,6 @@ func NewDisk(dir, version string) (*Disk, error) {
 	return &Disk{root: dir, version: version}, nil
 }
 
-// Root returns the tier's root directory.
-func (d *Disk) Root() string { return d.root }
-
 // Version returns the code-version component of the tier's addressing.
 func (d *Disk) Version() string { return d.version }
 

@@ -110,7 +110,7 @@ func TestDiskPoisonedNeverPersisted(t *testing.T) {
 	}()
 	WaitPersist()
 	files := 0
-	filepath.WalkDir(d.Root(), func(path string, e os.DirEntry, err error) error {
+	filepath.WalkDir(d.root, func(path string, e os.DirEntry, err error) error {
 		if err == nil && !e.IsDir() {
 			files++
 		}
@@ -137,7 +137,7 @@ func TestDiskAtomicCommit(t *testing.T) {
 	if got, ok := d.Load("c", "key"); !ok || string(got) != "payload" {
 		t.Fatalf("Load = %q, %v; want payload, true", got, ok)
 	}
-	filepath.WalkDir(d.Root(), func(path string, e os.DirEntry, err error) error {
+	filepath.WalkDir(d.root, func(path string, e os.DirEntry, err error) error {
 		if err == nil && !e.IsDir() && strings.HasPrefix(filepath.Base(path), ".tmp-") {
 			t.Errorf("temp residue after commit: %s", path)
 		}

@@ -81,17 +81,6 @@ func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Normal returns a normally distributed value (Box–Muller).
-func (r *RNG) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
 // ExpTime returns an exponentially distributed duration with the given mean.
 func (r *RNG) ExpTime(mean Time) Time {
 	return Time(math.Round(r.Exp(float64(mean))))

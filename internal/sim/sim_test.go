@@ -220,25 +220,6 @@ func TestRNGExpMean(t *testing.T) {
 	}
 }
 
-func TestRNGNormalMoments(t *testing.T) {
-	r := NewRNG(5)
-	const n = 200000
-	sum, sumsq := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		v := r.Normal(10, 3)
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	if math.Abs(mean-10) > 0.1 {
-		t.Errorf("Normal mean = %g, want ≈10", mean)
-	}
-	if math.Abs(math.Sqrt(variance)-3) > 0.1 {
-		t.Errorf("Normal stddev = %g, want ≈3", math.Sqrt(variance))
-	}
-}
-
 func TestRNGFloat64Range(t *testing.T) {
 	r := NewRNG(17)
 	for i := 0; i < 100000; i++ {

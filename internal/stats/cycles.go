@@ -73,15 +73,6 @@ func (a *CycleAccount) Fraction(cat string) float64 {
 	return float64(a.Get(cat)) / float64(a.total)
 }
 
-// FractionOf returns cat's share of an externally supplied denominator
-// (e.g. wall-clock cycles of the run rather than charged cycles).
-func (a *CycleAccount) FractionOf(cat string, denom uint64) float64 {
-	if denom == 0 {
-		return 0
-	}
-	return float64(a.Get(cat)) / float64(denom)
-}
-
 // Categories returns the category names in sorted order.
 func (a *CycleAccount) Categories() []string {
 	cats := make([]string, len(a.cats))
@@ -153,13 +144,4 @@ func (b *Busy) Utilization(now uint64) float64 {
 		return 0
 	}
 	return float64(b.BusyCycles(now)) / float64(span)
-}
-
-// ResetAt clears accumulation and restarts the measurement window at now.
-func (b *Busy) ResetAt(now uint64) {
-	b.accum = 0
-	b.origin = now
-	if b.busy {
-		b.busySince = now
-	}
 }

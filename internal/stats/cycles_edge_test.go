@@ -7,9 +7,6 @@ func TestCycleAccountFractionEmpty(t *testing.T) {
 	if f := a.Fraction("anything"); f != 0 {
 		t.Errorf("Fraction on empty account = %g, want 0", f)
 	}
-	if f := a.FractionOf("anything", 0); f != 0 {
-		t.Errorf("FractionOf with zero denominator = %g, want 0", f)
-	}
 	if a.Total() != 0 || len(a.Categories()) != 0 {
 		t.Errorf("empty account: total=%d cats=%v", a.Total(), a.Categories())
 	}
@@ -21,25 +18,9 @@ func TestCycleAccountFractionUnknownCategory(t *testing.T) {
 	if f := a.Fraction("missing"); f != 0 {
 		t.Errorf("Fraction of unknown category = %g, want 0", f)
 	}
-	if f := a.FractionOf("missing", 50); f != 0 {
-		t.Errorf("FractionOf unknown category = %g, want 0", f)
-	}
 	// Charging an unknown category must not have materialised it.
 	if len(a.Categories()) != 1 {
 		t.Errorf("categories after reads = %v, want [work]", a.Categories())
-	}
-}
-
-func TestCycleAccountFractionOfExternalDenominator(t *testing.T) {
-	a := NewCycleAccount()
-	a.Charge("poll", 250)
-	// The external denominator can exceed charged cycles (wall clock with
-	// idle time) or be smaller (a sub-window); both must divide exactly.
-	if f := a.FractionOf("poll", 1000); f != 0.25 {
-		t.Errorf("FractionOf(poll, 1000) = %g, want 0.25", f)
-	}
-	if f := a.FractionOf("poll", 125); f != 2 {
-		t.Errorf("FractionOf(poll, 125) = %g, want 2", f)
 	}
 }
 

@@ -78,7 +78,7 @@ func seedBytes(vals ...uint64) []byte {
 }
 
 // FuzzHistogramPercentile cross-checks Histogram.Percentile against
-// ExactPercentile on arbitrary value sets and quantiles. The histogram
+// exactPercentile on arbitrary value sets and quantiles. The histogram
 // reports the lower bound of the bucket holding the rank-th value, so it
 // must never exceed the exact nearest-rank value and must be within one
 // sub-bucket width below it (relative error ≤ 1/2^subBits).
@@ -98,7 +98,7 @@ func FuzzHistogramPercentile(f *testing.F) {
 			h.Record(v)
 		}
 		got := h.Percentile(p)
-		exact := ExactPercentile(vals, p)
+		exact := exactPercentile(vals, p)
 		if got > exact {
 			t.Fatalf("p%.1f of %d values: histogram %d > exact %d", p, len(vals), got, exact)
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // Histogram records value counts with bounded relative error, in the style
@@ -222,20 +221,17 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.P50, s.P95, s.P99, s.P999, s.Max)
 }
 
-// Welford is a running mean/variance accumulator (Welford's algorithm),
+// Welford is a running mean accumulator (Welford's algorithm),
 // numerically stable for long runs.
 type Welford struct {
 	n    uint64
 	mean float64
-	m2   float64
 }
 
 // Add records one observation.
 func (w *Welford) Add(x float64) {
 	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
+	w.mean += (x - w.mean) / float64(w.n)
 }
 
 // N returns the observation count.
@@ -243,37 +239,3 @@ func (w *Welford) N() uint64 { return w.n }
 
 // Mean returns the running mean.
 func (w *Welford) Mean() float64 { return w.mean }
-
-// Variance returns the sample variance (n-1 denominator).
-func (w *Welford) Variance() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// Stddev returns the sample standard deviation.
-func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// ExactPercentile computes a percentile from a raw sample slice (sorted copy,
-// nearest-rank). Used in tests to validate Histogram and in small-sample
-// experiments where exactness matters more than memory.
-func ExactPercentile(xs []uint64, p float64) uint64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]uint64, len(xs))
-	copy(cp, xs)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	if p <= 0 {
-		return cp[0]
-	}
-	if p >= 100 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(cp))))
-	if rank < 1 {
-		rank = 1
-	}
-	return cp[rank-1]
-}

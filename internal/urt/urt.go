@@ -256,10 +256,6 @@ func (rt *Runtime) kickIdle(now sim.Time) {
 	}
 }
 
-// QueueLen returns worker i's run-queue length (excluding the running
-// thread).
-func (rt *Runtime) QueueLen(i int) int { return rt.workers[i].queued() }
-
 // WorkerBusy returns worker i's utilization tracker.
 func (rt *Runtime) WorkerBusy(i int) *stats.Busy { return &rt.workers[i].Busy }
 
