@@ -429,6 +429,28 @@ func (v *VCore) writeICR(_ sim.Time, arg uint64) {
 	}
 }
 
+// Quiescent reports whether the machine is at rest and unwatched: no
+// core has UIF clear, is mid-delivery or holds a recognised or posted
+// vector, and no tracer, metrics registry, checker or fault hook is
+// attached. Pending events are the caller's to account for. A model that
+// finds the machine quiescent with only its own events pending may jump
+// over time it knows would repeat: no per-event record is lost, because
+// nothing is recording. Sharded machines are never quiescent.
+//
+//xui:noalloc
+func (m *Machine) Quiescent() bool {
+	if m.Eng != nil || m.Check != nil || m.ExtraSendLatency != nil {
+		return false
+	}
+	for _, v := range m.Cores {
+		if v.Obs != nil || v.Check != nil || !v.UIF || v.delivering || v.uirr != 0 ||
+			(v.UPID != nil && v.UPID.Pending()) {
+			return false
+		}
+	}
+	return true
+}
+
 // DeliveryLatency merges every core's recognise→delivery-complete
 // histogram into one machine-wide distribution. Merging in core order over
 // order-independent histogram state makes the result deterministic for a

@@ -380,10 +380,12 @@ func TestFaultClasses(t *testing.T) {
 }
 
 // TestFaultDeterminism: same (class, seed) must give a byte-identical
-// fingerprint and report across runs.
+// fingerprint and report across runs. Each RunFault builds its own Env
+// and collector, so the classes run in parallel.
 func TestFaultDeterminism(t *testing.T) {
 	for _, class := range FaultClasses() {
 		t.Run(string(class), func(t *testing.T) {
+			t.Parallel()
 			for _, seed := range []uint64{1, 7, 12345} {
 				a, err := RunFault(class, seed)
 				if err != nil {

@@ -4,6 +4,7 @@ import (
 	"xui/internal/core"
 	"xui/internal/kernel"
 	"xui/internal/sim"
+	"xui/internal/stats"
 	"xui/internal/uintr"
 )
 
@@ -42,14 +43,17 @@ func (e *Env) Fig6(periodsUs []float64, appCores []int, horizon sim.Time) []Fig6
 		}
 	}
 	return runGrid(e, "fig6", jobs, func(_ int, j job) Fig6Row {
-		return e.fig6Point(j.method, j.pUs, j.n, horizon)
+		row, _ := e.fig6Point(j.method, j.pUs, j.n, horizon)
+		return row
 	})
 }
 
-func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) Fig6Row {
+// fig6Point runs one point and also returns its tick sender, whose
+// machine holds the end-of-run state (nil for xui-kbtimer).
+func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.Time) (Fig6Row, *tickSender) {
 	row := Fig6Row{Method: method, PeriodUs: periodUs, AppCores: nApp}
 	if method == "xui-kbtimer" {
-		return row // no timer core at all
+		return row, nil // no timer core at all
 	}
 	period := sim.FromMicros(periodUs)
 	s := sim.New(11)
@@ -61,6 +65,7 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 	k := kernel.New(m)
 	timerCore := nApp
 	ts := newTickSender(m, k, nApp)
+	ts.until = horizon
 
 	// Each method's tick handler and its continuation (ts.done) are built
 	// once per point, not per tick.
@@ -69,11 +74,13 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 		// Each expiry delivers a signal to the timer core, whose handler
 		// then notifies every app core.
 		ts.done = func(sim.Time, sim.Time) {}
-		if _, err := k.Setitimer(timerCore, period, func(now sim.Time) {
+		ts.itimer, err = k.Setitimer(timerCore, period, func(now sim.Time) {
 			ts.sendAll(now + period)
-		}); err != nil {
+		})
+		if err != nil {
 			panic(err)
 		}
+		ts.between = 1 // the timer's next expiry
 	case "nanosleep":
 		tick := func(now sim.Time) { ts.sendAll(now + period) }
 		ts.done = func(start, end sim.Time) {
@@ -117,7 +124,7 @@ func (e *Env) fig6Point(method string, periodUs float64, nApp int, horizon sim.T
 		}
 	}
 	row.TicksLate = ts.ticksLate
-	return row
+	return row, ts
 }
 
 // SpinLoopOverhead is the timer core's per-send bookkeeping between
@@ -148,6 +155,33 @@ type tickSender struct {
 	// free holds finished chains for reuse. Chains overlap only when
 	// sends overrun the period, so it stays a handful long.
 	free []*tickChain
+
+	// Period skip (see skipAhead). until is the RunUntil horizon, 0 for
+	// none (no skip); between is how many events the queue holds at a
+	// tick start besides the tick's own work: setitimer's next expiry,
+	// none for the sleeping and spinning methods. itimer is setitimer's
+	// timer. old and mid are the last two consecutive tick starts found
+	// quiescent, and seen how many of them are valid (0–2).
+	until    sim.Time
+	between  int
+	itimer   *kernel.IntervalTimer
+	old, mid *tickSnap
+	seen     int
+}
+
+// tickSnap is what a tick changes, copied at a tick start: the clock,
+// the late-tick and expiry counts, and every core's accumulators.
+type tickSnap struct {
+	at                  sim.Time
+	ticksLate, expiries uint64
+	cores               []coreSnap
+}
+
+// coreSnap is one core's share of a tickSnap.
+type coreSnap struct {
+	acct      stats.CycleAccount
+	delivered [core.ForwardedIntr + 1]uint64
+	lat       stats.Histogram
 }
 
 // newTickSender registers one receiver thread per application core
@@ -177,8 +211,20 @@ type tickChain struct {
 	next            sim.Handler // c.send, bound once per chain
 }
 
-// sendAll starts a tick that must finish sending by deadline.
+// sendAll starts a tick that must finish sending by deadline, unless the
+// period skip jumps whole ticks ahead first.
 func (ts *tickSender) sendAll(deadline sim.Time) {
+	if ts.until != 0 && ts.skipAhead(deadline) {
+		return
+	}
+	ts.start(deadline)
+}
+
+// land is the skip's landing handler: the tick it postponed starts now.
+func (ts *tickSender) land(_ sim.Time, deadline uint64) { ts.start(sim.Time(deadline)) }
+
+// start sends a tick's UIPIs.
+func (ts *tickSender) start(deadline sim.Time) {
 	var c *tickChain
 	if n := len(ts.free); n > 0 {
 		c = ts.free[n-1]
@@ -207,4 +253,102 @@ func (c *tickChain) send(now sim.Time) {
 	}
 	c.i++
 	ts.s.After(sim.Time(core.SenduipiCost), c.next)
+}
+
+// skipAhead is fig6's period skip. The model draws no random numbers, so
+// a tick that starts with the machine quiescent and nothing but the
+// method's own next event pending starts from the same state as every
+// such tick before it, shifted in time, and does the same work. Once
+// two consecutive such ticks have changed every accumulator by the same
+// amount over the same tick length d, skipAhead adds k more of that
+// change at once, moves the pending events k·d later and postpones this
+// tick's start by k·d, reporting true. k leaves at least one whole tick
+// before the horizon, so the run's last ticks, cut by the horizon, are
+// simulated event by event. A watched machine is never quiescent, so
+// traced, metered and checked runs take the full loop.
+func (ts *tickSender) skipAhead(deadline sim.Time) bool {
+	if ts.s.Pending() != ts.between || !ts.m.Quiescent() {
+		ts.seen = 0
+		return false
+	}
+	now := ts.s.Now()
+	if ts.seen == 2 && ts.repeats(now) {
+		d := now - ts.mid.at
+		if left := uint64((ts.until - min(ts.until, now)) / d); left >= 2 {
+			k := left - 1 // every whole tick before the horizon but the last
+			ts.repeat(k)
+			shift := sim.Time(k) * d
+			ts.s.ShiftPending(shift)
+			ts.s.ScheduleArg(now+shift, ts.land, uint64(deadline+shift))
+			ts.seen = 0
+			return true
+		}
+	}
+	if ts.old == nil {
+		ts.old, ts.mid = newTickSnap(len(ts.m.Cores)), newTickSnap(len(ts.m.Cores))
+	}
+	ts.old, ts.mid = ts.mid, ts.old
+	ts.take(ts.mid, now)
+	ts.seen = min(ts.seen+1, 2)
+	return false
+}
+
+func newTickSnap(cores int) *tickSnap { return &tickSnap{cores: make([]coreSnap, cores)} }
+
+// expiries is setitimer's expiry count, 0 for the other methods.
+func (ts *tickSender) expiries() uint64 {
+	if ts.itimer == nil {
+		return 0
+	}
+	return ts.itimer.Expiries
+}
+
+// take copies the current tick start into sn.
+func (ts *tickSender) take(sn *tickSnap, now sim.Time) {
+	sn.at, sn.ticksLate, sn.expiries = now, ts.ticksLate, ts.expiries()
+	for i, v := range ts.m.Cores {
+		c := &sn.cores[i]
+		c.acct.CopyFrom(v.Account)
+		c.delivered = v.Delivered
+		c.lat.CopyFrom(v.DelivLat)
+	}
+}
+
+// repeats reports whether the tick ending now changed everything by as
+// much, over as long, as the tick before it.
+func (ts *tickSender) repeats(now sim.Time) bool {
+	o, m := ts.old, ts.mid
+	if now-m.at != m.at-o.at || ts.ticksLate-m.ticksLate != m.ticksLate-o.ticksLate ||
+		ts.expiries()-m.expiries != m.expiries-o.expiries {
+		return false
+	}
+	for i, v := range ts.m.Cores {
+		oc, mc := &o.cores[i], &m.cores[i]
+		for j, n := range v.Delivered {
+			if n-mc.delivered[j] != mc.delivered[j]-oc.delivered[j] {
+				return false
+			}
+		}
+		if !v.Account.SameStep(&oc.acct, &mc.acct) || !v.DelivLat.SameStep(&oc.lat, &mc.lat) {
+			return false
+		}
+	}
+	return true
+}
+
+// repeat applies the last tick's change k more times.
+func (ts *tickSender) repeat(k uint64) {
+	m := ts.mid
+	ts.ticksLate += k * (ts.ticksLate - m.ticksLate)
+	if ts.itimer != nil {
+		ts.itimer.Expiries += k * (ts.itimer.Expiries - m.expiries)
+	}
+	for i, v := range ts.m.Cores {
+		mc := &m.cores[i]
+		for j, n := range v.Delivered {
+			v.Delivered[j] += k * (n - mc.delivered[j])
+		}
+		v.Account.Repeat(&mc.acct, k)
+		v.DelivLat.Repeat(&mc.lat, k)
+	}
 }

@@ -364,6 +364,22 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 }
 
+// ShiftPending moves every pending event d cycles later. A uniform shift
+// keeps the queue's order, same-cycle FIFO ties included, and a periodic
+// event keeps its period. A model that jumps over time it knows would
+// repeat (fig6's period skip in internal/experiments) carries its
+// pending events across the jump with it.
+//
+//xui:noalloc
+func (s *Simulator) ShiftPending(d Time) {
+	for _, e := range s.queue[s.head:s.tail] {
+		if e.when > Never-d {
+			panic("sim: pending event shifted past Never")
+		}
+		e.when += d
+	}
+}
+
 // Step dispatches the single earliest event. It reports false when the queue
 // is empty.
 //

@@ -90,6 +90,43 @@ func (a *CycleAccount) Merge(other *CycleAccount) {
 	}
 }
 
+// CopyFrom makes a an exact copy of src, reusing a's storage. Kept copies
+// of a live account are its earlier states, the arguments of SameStep
+// and Repeat; categories are only ever appended, so a category keeps its
+// slot in every later state.
+func (a *CycleAccount) CopyFrom(src *CycleAccount) {
+	a.cats = append(a.cats[:0], src.cats...)
+	a.total = src.total
+}
+
+// SameStep reports whether a was charged, since its earlier state mid,
+// exactly what mid had been charged since its earlier state old, with
+// no category created in either step.
+func (a *CycleAccount) SameStep(old, mid *CycleAccount) bool {
+	if len(a.cats) != len(old.cats) || len(mid.cats) != len(old.cats) {
+		return false
+	}
+	for i, c := range a.cats {
+		if m := mid.cats[i].cycles; c.cycles-m != m-old.cats[i].cycles {
+			return false
+		}
+	}
+	return true
+}
+
+// Repeat charges a k more times with everything it was charged since its
+// earlier state prev.
+func (a *CycleAccount) Repeat(prev *CycleAccount, k uint64) {
+	for i, c := range a.cats {
+		var was uint64
+		if i < len(prev.cats) {
+			was = prev.cats[i].cycles
+		}
+		a.cats[i].cycles += k * (c.cycles - was)
+	}
+	a.total += k * (a.total - prev.total)
+}
+
 func (a *CycleAccount) String() string {
 	var b strings.Builder
 	for i, c := range a.Categories() {

@@ -182,6 +182,49 @@ func (h *Histogram) Merge(other *Histogram) {
 	}
 }
 
+// CopyFrom makes h an exact copy of src, reusing h's bucket array. Kept
+// copies of a live histogram are its earlier states, the arguments of
+// SameStep and Repeat.
+func (h *Histogram) CopyFrom(src *Histogram) {
+	h.subBits = src.subBits
+	h.buckets = append(h.buckets[:0], src.buckets...)
+	h.count, h.sum, h.min, h.max = src.count, src.sum, src.min, src.max
+}
+
+// bucket returns bucket i's count, 0 past the array's end.
+func (h *Histogram) bucket(i int) uint64 {
+	if i < len(h.buckets) {
+		return h.buckets[i]
+	}
+	return 0
+}
+
+// SameStep reports whether h gained, since its earlier state mid,
+// exactly the observations mid had gained since its earlier state old:
+// the same count in every bucket, and the same sum.
+func (h *Histogram) SameStep(old, mid *Histogram) bool {
+	if h.count-mid.count != mid.count-old.count || h.sum-mid.sum != mid.sum-old.sum {
+		return false
+	}
+	for i, c := range h.buckets {
+		if m := mid.bucket(i); c-m != m-old.bucket(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// Repeat records k more times every observation h gained since its
+// earlier state prev, as k calls of RecordN per bucket would. Min and max
+// stay put: every repeated value is already recorded.
+func (h *Histogram) Repeat(prev *Histogram, k uint64) {
+	for i, c := range h.buckets {
+		h.buckets[i] = c + k*(c-prev.bucket(i))
+	}
+	h.count += k * (h.count - prev.count)
+	h.sum += k * (h.sum - prev.sum)
+}
+
 // Reset clears all recorded observations.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
