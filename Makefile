@@ -34,7 +34,7 @@ test:
 
 # Hot-loop microbenchmarks with allocs/op: the sim event kernel, the
 # sharded engine's epoch barrier and cross-shard send, and the cpu
-# pipeline's decode, block step and checkpoint restore. End-to-end and
+# pipeline's decode and block step. End-to-end and
 # per-layer timing is bench/run.sh (BENCHMARK.json).
 microbench:
 	go test -run '^$$' -bench=. -benchmem ./...

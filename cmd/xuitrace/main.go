@@ -1,13 +1,12 @@
 // Command xuitrace runs a single workload trace through the cycle-level
 // out-of-order pipeline model, optionally delivering interrupts, and
-// prints per-run statistics and the per-interrupt delivery timeline —
-// the tool behind the paper's §3 reverse-engineering-style studies.
+// prints per-run statistics and the mean delivery latency — the tool
+// behind the paper's §3 reverse-engineering-style studies.
 //
 // Examples:
 //
 //	xuitrace -workload linpack -uops 200000
 //	xuitrace -workload fib -strategy tracked -period 10000
-//	xuitrace -timeline
 //	xuitrace -trace out.json           # Fig. 2 scenario, Perfetto trace
 package main
 
@@ -36,7 +35,6 @@ func main() {
 	period := flag.Uint64("period", 0, "interrupt period in cycles (0 = none)")
 	skipNotif := flag.Bool("kbtimer", false, "deliver as KB_Timer/device interrupts (skip UPID routing)")
 	safepoints := flag.Int("safepoints", 0, "annotate a safepoint every N ops and gate delivery on them")
-	timeline := flag.Bool("timeline", false, "print the Figure 2 UIPI timeline and exit")
 	seed := flag.Uint64("seed", 1, "workload seed")
 	sess := report.Flags(flag.CommandLine, "xuitrace")
 	flag.Parse()
@@ -45,7 +43,7 @@ func main() {
 	}
 	env := sess.Env()
 
-	if tracePath := flag.Lookup("trace").Value.String(); tracePath != "" && *period == 0 && !*timeline {
+	if tracePath := flag.Lookup("trace").Value.String(); tracePath != "" && *period == 0 {
 		// No custom interrupt run configured: trace the paper's Figure 2
 		// scenario (senduipi loop sender offset + flush-strategy receiver
 		// on the rdtsc measurement loop).
@@ -55,17 +53,6 @@ func main() {
 		}
 		fmt.Printf("traced the Fig. 2 scenario to %s (%d events; arrive=%.0f deliveryDone=%.0f)\n",
 			tracePath, env.Obs.Trace.Events(), r.Arrive, r.DeliveryDone)
-		return
-	}
-
-	if *timeline {
-		payload, err := env.RenderJob(os.Stdout, "fig2", false)
-		if err != nil {
-			fatal(err)
-		}
-		if err := sess.Finish("timeline", false, map[string]any{"fig2": payload}); err != nil {
-			fatal(err)
-		}
 		return
 	}
 
@@ -125,18 +112,7 @@ func main() {
 	fmt.Printf("cycles=%d IPC=%.2f squashed(program)=%d squashed(intr)=%d\n",
 		res.Cycles, res.IPC, res.SquashedProgram, res.SquashedOther)
 	if len(res.Interrupts) > 0 {
-		var lat, reinj float64
-		delivered := 0
-		for _, r := range res.Interrupts {
-			if r.UiretDone == 0 {
-				continue
-			}
-			lat += float64(r.UiretDone - r.Arrive)
-			reinj += float64(r.Reinjections)
-			delivered++
-		}
-		fmt.Printf("interrupts: %d delivered of %d; mean delivery latency %.0f cycles; %.2f reinjections/intr\n",
-			delivered, len(res.Interrupts), lat/float64(delivered), reinj/float64(delivered))
+		fmt.Println(interruptSummary(res.Interrupts))
 	}
 	run := map[string]any{
 		"workload":        prog.Name(),
@@ -152,4 +128,26 @@ func main() {
 	if err := sess.Finish("run", false, map[string]any{"run": run}); err != nil {
 		fatal(err)
 	}
+}
+
+// interruptSummary is the one-line delivery summary of an interrupted
+// run. The means cover completed deliveries only (uiret done), so they
+// are printed only when at least one completed.
+func interruptSummary(recs []cpu.IntrRecord) string {
+	var lat, reinj float64
+	delivered := 0
+	for _, r := range recs {
+		if r.UiretDone == 0 {
+			continue
+		}
+		lat += float64(r.UiretDone - r.Arrive)
+		reinj += float64(r.Reinjections)
+		delivered++
+	}
+	line := fmt.Sprintf("interrupts: %d delivered of %d", delivered, len(recs))
+	if delivered == 0 {
+		return line
+	}
+	return fmt.Sprintf("%s; mean delivery latency %.0f cycles; %.2f reinjections/intr",
+		line, lat/float64(delivered), reinj/float64(delivered))
 }

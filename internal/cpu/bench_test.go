@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"xui/internal/isa"
-	"xui/internal/mem"
 	"xui/internal/trace"
 )
 
@@ -93,30 +92,5 @@ func BenchmarkDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		decodeSink = isa.Decode(ops[i&4095])
-	}
-}
-
-// BenchmarkCheckpointRestore measures one full warm-state restore —
-// pipeline checkpoint plus cache-hierarchy snapshot — the per-grid-point
-// cost the experiments layer pays instead of re-simulating the warmup.
-func BenchmarkCheckpointRestore(b *testing.B) {
-	tape := isa.NewTape("bench", matmulOps(60000))
-	hier := mem.NewHierarchy(mem.Config{})
-	port := &PrivatePort{H: hier, SharedCost: mem.LatCrossCore}
-	c := New(DefaultConfig(), tape.Stream(), port)
-	if !c.RunUntil(10000, 50000) {
-		b.Fatal("warmup did not reach the checkpoint cycle")
-	}
-	ck := c.TakeCheckpoint()
-	if ck == nil {
-		b.Fatal("checkpoint declined")
-	}
-	ms := hier.Snapshot()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !c.RestoreCheckpoint(ck) || !hier.RestoreSnapshot(ms) {
-			b.Fatal("restore failed")
-		}
 	}
 }

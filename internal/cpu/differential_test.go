@@ -6,13 +6,11 @@ import (
 	"testing/quick"
 
 	"xui/internal/isa"
-	"xui/internal/mem"
 )
 
-// Differential tests for the decoded fast engine and the checkpoint
-// machinery: the interpreted per-op path is the reference model, and for
-// arbitrary tapes, strategies and arrival schedules the fast engine (and
-// a checkpoint/restore split of a run) must produce identical results —
+// Differential tests for the decoded fast engine: the interpreted per-op
+// path is the reference model, and for arbitrary tapes, strategies and
+// arrival schedules the fast engine must produce identical results —
 // cycle counts, retire order, and every interrupt timestamp, including
 // mispredict-squashed re-injections.
 
@@ -93,85 +91,6 @@ func TestEngineDifferentialProperty(t *testing.T) {
 		if !reflect.DeepEqual(li, lf) {
 			t.Logf("seed=%d strat=%v sp=%v fid=%d: retire order differs (%d vs %d commits)",
 				seed, strat, safepoint, fid, len(li), len(lf))
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestCheckpointDifferentialProperty: splitting a run at an arbitrary
-// interrupt-free cycle — warm to W on one core, checkpoint, restore into
-// a fresh core, then attach the interrupt schedule and finish — yields a
-// Result deep-equal to the same run executed cold.
-func TestCheckpointDifferentialProperty(t *testing.T) {
-	f := func(seed uint64, stratPick uint8, warm16 uint16, gaps []uint16) bool {
-		strategies := []Strategy{Flush, Drain, Tracked, LegacyGem5}
-		strat := strategies[int(stratPick)%len(strategies)]
-		const nProg = 20000
-		warm := 2 + uint64(warm16)%3000 // always before the first arrival at >= 800... see below
-		tape := mixedTape(seed, nProg+4096)
-
-		schedule := func(c *Core, port *PrivatePort) (n int) {
-			at := uint64(3500) // strictly after any warm cycle
-			for i, g := range gaps {
-				if i >= 8 {
-					break
-				}
-				at += 300 + uint64(g)%2500
-				skip := g%2 == 0
-				if !skip {
-					port.MarkRemoteWrite(testUPIDAddr)
-				}
-				c.ScheduleInterrupt(at, Interrupt{
-					Vector:           uint8(i % 64),
-					SkipNotification: skip,
-					Handler:          smallHandler(),
-				})
-				n++
-			}
-			return n
-		}
-		cfg := DefaultConfig()
-		cfg.Strategy = strat
-		cfg.Ucode = testUcode()
-
-		// Cold reference run.
-		portC := newPort()
-		cold := New(cfg, tape.Stream(), portC)
-		schedule(cold, portC)
-		want := cold.Run(nProg, 50_000_000)
-
-		// Warm on a separate core (no interrupt machinery touched).
-		hierW := mem.NewHierarchy(mem.Config{})
-		portW := &PrivatePort{H: hierW, SharedCost: mem.LatCrossCore}
-		warmer := New(cfg, tape.Stream(), portW)
-		if !warmer.RunUntil(warm, nProg) {
-			return true // program ran dry before warm: nothing to checkpoint
-		}
-		ck := warmer.TakeCheckpoint()
-		if ck == nil {
-			t.Logf("seed=%d warm=%d: checkpoint declined", seed, warm)
-			return false
-		}
-		ms := hierW.Snapshot()
-
-		// Restore into a third, fresh core and finish the run.
-		hierR := mem.NewHierarchy(mem.Config{})
-		portR := &PrivatePort{H: hierR, SharedCost: mem.LatCrossCore}
-		restored := New(cfg, tape.Stream(), portR)
-		if !restored.RestoreCheckpoint(ck) || !hierR.RestoreSnapshot(ms) {
-			t.Logf("seed=%d warm=%d: restore failed", seed, warm)
-			return false
-		}
-		schedule(restored, portR)
-		got := restored.Run(nProg-ck.Committed(), 50_000_000-warm)
-
-		if !reflect.DeepEqual(want, got) {
-			t.Logf("seed=%d strat=%v warm=%d: cold vs restored differ\n  cold:     %+v\n  restored: %+v",
-				seed, strat, warm, want, got)
 			return false
 		}
 		return true

@@ -312,7 +312,7 @@ func (c *Core) fetchFast() {
 
 // locateBlock returns the block containing fetchPos, advancing the
 // cursor sequentially and falling back to binary search after a
-// redirect (mispredict rewind, flush refetch, checkpoint restore).
+// redirect (mispredict rewind, flush refetch).
 //
 //xui:noalloc
 func (c *Core) locateBlock() *isa.Block {

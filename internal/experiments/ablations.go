@@ -99,9 +99,8 @@ func (e *Env) SafepointDensity(spacings []int, uops uint64) []SafepointDensityRo
 	return runGrid(e, "safepoint-density", spacings, func(_ int, every int) SafepointDensityRow {
 		cfg := receiverCfg(cpu.Tracked)
 		cfg.SafepointMode = true
-		res := e.runReceiverWarm(cfg, fmt.Sprintf("matmul/1+sp%d", every),
-			func() isa.Stream { return e.stream(streamSpec{workload: "matmul", seed: 1, safepoint: every}, uops) },
-			uops, uops*400, period-1,
+		res := e.runReceiver(cfg, e.stream(streamSpec{workload: "matmul", seed: 1, safepoint: every}, uops),
+			uops, uops*400,
 			func(c *cpu.Core, _ *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 					return cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: CtxSwitchHandler()}

@@ -99,12 +99,8 @@ func SlowBranchStream(n int) isa.Stream {
 func (e *Env) ReceiverEventCost(strategy cpu.Strategy, workload string, skipNotif bool, period uint64, nUops uint64) float64 {
 	rBase := e.workloadBaseline(workload, 1, nUops, nUops*400)
 
-	// The first arrival is at cycle period, so the prefix up to period-1
-	// is interrupt-free and shared (checkpointed) across strategies and
-	// delivery paths.
-	rIntr := e.runReceiverWarm(receiverCfg(strategy), fmt.Sprintf("%s/%d", workload, 1),
-		func() isa.Stream { return e.workloadStream(workload, 1, nUops) },
-		nUops, nUops*400, period-1,
+	rIntr := e.runReceiver(receiverCfg(strategy), e.workloadStream(workload, 1, nUops),
+		nUops, nUops*400,
 		func(c *cpu.Core, port *cpu.PrivatePort) {
 			c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 				if !skipNotif {

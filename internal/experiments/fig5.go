@@ -95,9 +95,8 @@ func (e *Env) fig5Run(workload, method string, period, uops uint64) float64 {
 		posCost := float64(core.PollingNotifyCost+core.UserContextSwitch) + float64(cpu.DefaultConfig().FrontEndDepth)
 		return float64(res.Cycles) + positives*posCost
 	case "uipi":
-		res := e.runReceiverWarm(receiverCfg(cpu.Flush), workload+"/1",
-			func() isa.Stream { return e.workloadStream(workload, 1, uops) },
-			uops, uops*400, period-1,
+		res := e.runReceiver(receiverCfg(cpu.Flush), e.workloadStream(workload, 1, uops),
+			uops, uops*400,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 					port.MarkRemoteWrite(UPIDAddr)
@@ -108,11 +107,8 @@ func (e *Env) fig5Run(workload, method string, period, uops uint64) float64 {
 	case "xui-safepoint":
 		cfg := receiverCfg(cpu.Tracked)
 		cfg.SafepointMode = true
-		res := e.runReceiverWarm(cfg, workload+"/1+sp25",
-			func() isa.Stream {
-				return e.stream(streamSpec{workload: workload, seed: 1, safepoint: safepointEvery}, uops)
-			},
-			uops, uops*400, period-1,
+		res := e.runReceiver(cfg, e.stream(streamSpec{workload: workload, seed: 1, safepoint: safepointEvery}, uops),
+			uops, uops*400,
 			func(c *cpu.Core, _ *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
 					return cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: CtxSwitchHandler()}

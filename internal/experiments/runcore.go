@@ -134,8 +134,7 @@ var receiverCache = runcache.New[cpu.Result]("tier1/receiver")
 
 // structKey fingerprints the core's structural parameters — the subset
 // of Config that shapes cycle-by-cycle behaviour outside the interrupt
-// paths (cpu's structuralMatch validates the same set on checkpoint
-// restore).
+// paths.
 func structKey(cfg cpu.Config) string {
 	return fmt.Sprintf("fw%d.iw%d.rw%d.sw%d.rob%d.iq%d.lq%d.sq%d.alu%d.mul%d.fpu%d.ld%d.st%d.fe%d",
 		cfg.FetchWidth, cfg.IssueWidth, cfg.RetireWidth, cfg.SquashWidth,
@@ -153,85 +152,6 @@ func structKey(cfg cpu.Config) string {
 // fig4's three-strategy grid onto one baseline per workload.
 func baselineKey(stream string, uops, maxCycles uint64, cfg cpu.Config) string {
 	return fmt.Sprintf("%s|u%d|c%d|%s", stream, uops, maxCycles, structKey(cfg))
-}
-
-// ---- copy-on-write pipeline checkpoints ---------------------------------
-//
-// Interrupted runs cannot be memoized whole (each grid point schedules
-// its own arrivals), but their warmup prefix — everything before the
-// first arrival — can: it is an interrupt-free run of a shared stream
-// on a shared structural configuration. runReceiverWarm warms a core
-// once per (stream, warm cycle, structure), checkpoints it (core state
-// + cache residency), and restores instead of re-simulating. Restores
-// copy *into* the rig's own arrays, so the cached state is effectively
-// copy-on-write: taken once, read by any number of concurrent restores.
-
-// warmState is one cached warmup: the pipeline checkpoint plus the
-// memory hierarchy's residency snapshot at the same cycle.
-type warmState struct {
-	ck *cpu.Checkpoint
-	ms *mem.Snapshot
-}
-
-// checkpointCache memoizes warm states; single-flight like the others.
-var checkpointCache = runcache.New[*warmState]("tier1/checkpoint")
-
-// warmKey deliberately excludes the uop budget and cycle limit: a warm
-// prefix is valid for any budget that clears it (the caller re-checks
-// Committed() against its own budget and falls back when it does not).
-func warmKey(streamKey string, warmCycles uint64, cfg cpu.Config) string {
-	return fmt.Sprintf("%s|w%d|%s", streamKey, warmCycles, structKey(cfg))
-}
-
-// buildWarmState runs mk()'s stream for warmCycles cycles with the
-// interrupt machinery untouched and captures the result. nil (cached
-// too, so the price is paid once) means the run is not checkpointable —
-// program too short, or a fetch state TakeCheckpoint declines.
-func (e *Env) buildWarmState(cfg cpu.Config, mk func() isa.Stream, warmCycles, uops uint64) *warmState {
-	r := e.acquireRig(cfg, mk())
-	defer e.releaseRig(r)
-	if !r.core.RunUntil(warmCycles, uops) {
-		return nil
-	}
-	ck := r.core.TakeCheckpoint()
-	if ck == nil {
-		return nil
-	}
-	return &warmState{ck: ck, ms: r.hier.Snapshot()}
-}
-
-// runReceiverWarm is runReceiver for runs whose interrupts all arrive
-// after warmCycles: it restores a cached warm state and simulates only
-// the remainder. setup runs after the restore, exactly as it would
-// after cycle warmCycles of a cold run; rows are byte-identical either
-// way (TestCheckpointParity, TestFastForwardParity). Falls back to the
-// plain path on the uncached or interpreted reference paths, or when
-// the warm state is unusable.
-func (e *Env) runReceiverWarm(cfg cpu.Config, streamKey string, mk func() isa.Stream, uops, maxCycles, warmCycles uint64, setup func(c *cpu.Core, port *cpu.PrivatePort)) cpu.Result {
-	if e.NoCache || e.Engine == cpu.EngineInterpreted || warmCycles < 2 || warmCycles >= maxCycles {
-		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
-	}
-	ws := checkpointCache.Get(warmKey(streamKey, warmCycles, cfg), func() *warmState {
-		return e.buildWarmState(cfg, mk, warmCycles, uops)
-	})
-	if ws == nil || ws.ck.Committed() >= uops {
-		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
-	}
-	r := e.acquireRig(cfg, mk())
-	if !r.core.RestoreCheckpoint(ws.ck) || !r.hier.RestoreSnapshot(ws.ms) {
-		e.releaseRig(r)
-		return e.runReceiver(cfg, mk(), uops, maxCycles, setup)
-	}
-	cc := e.checkCore(r.core, "tier1")
-	if setup != nil {
-		setup(r.core, r.port)
-	}
-	// Relative limits: the absolute budget and cycle ceiling match the
-	// cold run's exactly.
-	res := r.core.Run(uops-ws.ck.Committed(), maxCycles-warmCycles)
-	finishCore(cc)
-	e.releaseRig(r)
-	return res
 }
 
 // baselineRun memoizes the interrupt-free run of a deterministic

@@ -46,15 +46,10 @@ func (e *Env) S35PointerChase(workingSetsKB []int) []S35ChaseRow {
 }
 
 func (e *Env) s35ChasePoint(s cpu.Strategy, wsKB int) float64 {
-	// First arrival at 45013: flush and drain share one warm checkpoint per
-	// working set up to 45012.
-	key := fmt.Sprintf("chase/21/%d/0", uint64(wsKB)<<10)
-	mk := func() isa.Stream {
-		return e.stream(streamSpec{key: key, mk: func() isa.Stream {
-			return trace.NewPointerChase(21, uint64(wsKB)<<10, 0)
-		}}, 30000)
-	}
-	res := e.runReceiverWarm(receiverCfg(s), key, mk, 30000, 80_000_000, 45012,
+	prog := e.stream(streamSpec{key: fmt.Sprintf("chase/21/%d/0", uint64(wsKB)<<10), mk: func() isa.Stream {
+		return trace.NewPointerChase(21, uint64(wsKB)<<10, 0)
+	}}, 30000)
+	res := e.runReceiver(receiverCfg(s), prog, 30000, 80_000_000,
 		func(c *cpu.Core, port *cpu.PrivatePort) {
 			for i := uint64(1); i <= 10; i++ {
 				port.MarkRemoteWrite(UPIDAddr)
@@ -92,9 +87,8 @@ func (e *Env) S35Linearity(counts []int) S35FlushLinearity {
 	out := S35FlushLinearity{Interrupts: counts}
 	out.Squashed = runGrid(e, "s35linearity", counts, func(_ int, k int) uint64 {
 		uops := uint64(k+2) * 5000 / 2 * 3 // enough uops to span all arrivals
-		res := e.runReceiverWarm(receiverCfg(cpu.Flush), "linpack/4",
-			func() isa.Stream { return e.workloadStream("linpack", 4, uops) },
-			uops, 50_000_000, 4999,
+		res := e.runReceiver(receiverCfg(cpu.Flush), e.workloadStream("linpack", 4, uops),
+			uops, 50_000_000,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				for i := 1; i <= k; i++ {
 					port.MarkRemoteWrite(UPIDAddr)

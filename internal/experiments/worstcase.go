@@ -64,16 +64,11 @@ type wcLatency struct {
 func (e *Env) worstCaseLatency(s cpu.Strategy, chainLen int) wcLatency {
 	// An SP write every chainLen hops ties RSP to a chain of that length.
 	// It is a worst-*case* study: deliver several interrupts at different
-	// chain phases and report the maximum delivery latency observed. The
-	// first arrival is at 40013, so both strategies share one warm
-	// checkpoint per chain length up to 40012.
-	key := fmt.Sprintf("chase/17/%d/%d", uint64(256<<20), chainLen)
-	mk := func() isa.Stream {
-		return e.stream(streamSpec{key: key, mk: func() isa.Stream {
-			return trace.NewPointerChase(17, 256<<20, chainLen)
-		}}, 60000)
-	}
-	res := e.runReceiverWarm(receiverCfg(s), key, mk, 60000, 100_000_000, 40012,
+	// chain phases and report the maximum delivery latency observed.
+	prog := e.stream(streamSpec{key: fmt.Sprintf("chase/17/%d/%d", uint64(256<<20), chainLen), mk: func() isa.Stream {
+		return trace.NewPointerChase(17, 256<<20, chainLen)
+	}}, 60000)
+	res := e.runReceiver(receiverCfg(s), prog, 60000, 100_000_000,
 		func(c *cpu.Core, _ *cpu.PrivatePort) {
 			for i := uint64(1); i <= 12; i++ {
 				// Prime-ish spacing decorrelates arrival phase from chain phase.

@@ -208,96 +208,6 @@ func (h *Hierarchy) Reset() {
 	h.Accesses, h.L1Hits, h.L2Hits, h.LLCHits, h.DRAMFills = 0, 0, 0, 0, 0
 }
 
-// snapSet is one cache set's captured contents: its index and a copy of
-// its resident tags in MRU order.
-type snapSet struct {
-	idx  uint32
-	tags []uint64
-}
-
-// levelSnap captures one cache level: geometry for validation plus the
-// touched sets. Sets that were never filled this epoch are omitted —
-// restore recreates them as empty via the epoch mechanism.
-type levelSnap struct {
-	sets    int
-	ways    int
-	touched []snapSet
-}
-
-func (c *cache) snapshot() levelSnap {
-	s := levelSnap{sets: c.sets, ways: c.ways}
-	for i, ep := range c.setEpoch {
-		if ep != c.epoch || len(c.tags[i]) == 0 {
-			continue
-		}
-		tags := make([]uint64, len(c.tags[i]))
-		copy(tags, c.tags[i])
-		s.touched = append(s.touched, snapSet{idx: uint32(i), tags: tags})
-	}
-	return s
-}
-
-func (c *cache) restore(s levelSnap) bool {
-	if c.sets != s.sets || c.ways != s.ways {
-		return false
-	}
-	c.reset()
-	for _, ss := range s.touched {
-		c.setEpoch[ss.idx] = c.epoch
-		c.tags[ss.idx] = append(c.tags[ss.idx][:0], ss.tags...)
-	}
-	return true
-}
-
-// Snapshot captures the hierarchy's full residency state and stats at a
-// point in time, as a deep copy: later accesses to the hierarchy do not
-// disturb the snapshot, so one snapshot can seed any number of restored
-// runs. The walk is proportional to the touched sets, not the geometry
-// (an LLC has tens of thousands of sets; a warmed run touches few).
-//
-// Snapshots are meaningful for isolated hierarchies (NewHierarchy); on a
-// System-attached hierarchy the shared LLC belongs to the other cores
-// too and is not this hierarchy's to capture or restore.
-func (h *Hierarchy) Snapshot() *Snapshot {
-	s := &Snapshot{
-		accesses: h.Accesses, l1Hits: h.L1Hits, l2Hits: h.L2Hits,
-		llcHits: h.LLCHits, dramFills: h.DRAMFills,
-		l1: h.l1.snapshot(), l2: h.l2.snapshot(),
-	}
-	if h.llc != nil {
-		s.llc = h.llc.snapshot()
-		s.hasLLC = true
-	}
-	return s
-}
-
-// Snapshot is a point-in-time copy of a Hierarchy's residency and stats,
-// taken by Hierarchy.Snapshot and replayed by RestoreSnapshot.
-type Snapshot struct {
-	accesses, l1Hits, l2Hits, llcHits, dramFills uint64
-	l1, l2, llc                                  levelSnap
-	hasLLC                                       bool
-}
-
-// RestoreSnapshot resets h and replays s into it, returning false (with
-// h merely reset) when the geometries do not match — the caller falls
-// back to a cold run. The snapshot itself is never mutated.
-func (h *Hierarchy) RestoreSnapshot(s *Snapshot) bool {
-	h.Reset()
-	if s.hasLLC != (h.llc != nil) {
-		return false
-	}
-	if !h.l1.restore(s.l1) || !h.l2.restore(s.l2) {
-		return false
-	}
-	if h.llc != nil && !h.llc.restore(s.llc) {
-		return false
-	}
-	h.Accesses, h.L1Hits, h.L2Hits = s.accesses, s.l1Hits, s.l2Hits
-	h.LLCHits, h.DRAMFills = s.llcHits, s.dramFills
-	return true
-}
-
 // Load returns the latency in cycles for a load of addr through the private
 // hierarchy, updating residency.
 func (h *Hierarchy) Load(addr uint64) int {
