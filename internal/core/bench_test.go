@@ -80,9 +80,9 @@ func TestUIPIDeliveryAllocFree(t *testing.T) {
 }
 
 // TestMetricsDeliveryAllocs pins that a metrics-only context adds no heap
-// allocation per delivery: metric names are resolved when the registry is
-// attached, so the bare floor (zero, TestUIPIDeliveryAllocFree) is also
-// the ceiling.
+// allocation per delivery: the machine counts in plain per-core state and
+// flushes it to handles resolved when the registry is attached, so the
+// bare floor (zero, TestUIPIDeliveryAllocFree) is also the ceiling.
 func TestMetricsDeliveryAllocs(t *testing.T) {
 	bare := newUIPIRig(t, nil)
 	floor := testing.AllocsPerRun(200, bare.deliver)
@@ -93,18 +93,22 @@ func TestMetricsDeliveryAllocs(t *testing.T) {
 	if got > floor {
 		t.Errorf("metrics-only delivery allocates %.1f/op, bare %.1f/op", got, floor)
 	}
+	observed.m.SnapshotMetrics(ctx.Metrics)
 	if n := ctx.Metrics.Counter("vcore1/delivered/uipi"); n != 201 {
 		t.Errorf("vcore1/delivered/uipi = %d, want 201 (warm-up + 200 runs)", n)
 	}
 }
 
-// TestObserveNilDetachesHandles checks that Observe(nil) drops the
-// resolved metric handles along with the context: deliveries after the
-// detach leave the registry untouched.
+// TestObserveNilDetachesHandles checks that Observe(nil) flushes the
+// machine's counts, then drops the resolved metric handles along with
+// the context: deliveries after the detach leave the registry untouched.
 func TestObserveNilDetachesHandles(t *testing.T) {
 	ctx := metricsOnly()
 	r := newUIPIRig(t, ctx)
 	r.deliver()
+	if n := ctx.Metrics.Counter("vcore1/delivered/uipi"); n != 0 {
+		t.Errorf("vcore1/delivered/uipi = %d before any flush, want 0", n)
+	}
 	r.m.Observe(nil)
 	r.deliver()
 	if n := ctx.Metrics.Counter("vcore1/delivered/uipi"); n != 1 {

@@ -94,10 +94,10 @@ type VCore struct {
 	// the longest-waiting notification.
 	postedAt [64]sim.Time
 
-	// Obs, when non-nil, receives trace spans and live metrics for this
-	// core (set by Machine.Observe, which also resolves met).
+	// Obs, when non-nil, receives trace spans for this core (set by
+	// Machine.Observe, which also resolves met's registry handles).
 	Obs *obs.Context
-	met vcoreMetrics
+	met vcoreMeters
 
 	// Check, when non-nil, receives protocol events for invariant checking
 	// (set by Machine.SetCheck).
@@ -111,9 +111,9 @@ func (v *VCore) RaiseInterrupt(now sim.Time, vector uint8) {
 		// recognition copies PIR into UIRR regardless of UIF; delivery
 		// happens when UIF allows (§3.3).
 		pir := v.UPID.Acknowledge()
+		v.met.n[meterUPIDAcks]++
 		if v.Obs != nil {
 			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "upid.ack", "notify", uint64(now), nil)
-			v.met.upidAcks.Add(1)
 		}
 		if v.Check != nil {
 			v.Check.NotifyAck(now, v.ID, pir)
@@ -139,12 +139,10 @@ func (v *VCore) RaiseInterrupt(now sim.Time, vector uint8) {
 // UIRR bit; if UIF is clear the vector is held until it is set again
 // (§4.5 — the UPID is never touched, no kernel involvement).
 func (v *VCore) RaiseForwarded(now sim.Time, vector uint8) {
-	if v.Obs != nil {
-		if v.Obs.Trace.Enabled() {
-			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.fast", "forward", uint64(now),
-				map[string]any{"vector": vector})
-		}
-		v.met.forwardedFast.Add(1)
+	v.met.n[meterForwardedFast]++
+	if v.Obs != nil && v.Obs.Trace.Enabled() {
+		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.fast", "forward", uint64(now),
+			map[string]any{"vector": vector})
 	}
 	v.post(now, uintr.Vector(vector&63), ForwardedIntr)
 }
@@ -152,12 +150,10 @@ func (v *VCore) RaiseForwarded(now sim.Time, vector uint8) {
 // RaiseForwardedSlow implements apic.Sink: the target thread is off-core;
 // the kernel captures the vector into the DUPID.
 func (v *VCore) RaiseForwardedSlow(now sim.Time, vector uint8) {
-	if v.Obs != nil {
-		if v.Obs.Trace.Enabled() {
-			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.slow", "forward", uint64(now),
-				map[string]any{"vector": vector})
-		}
-		v.met.forwardedSlow.Add(1)
+	v.met.n[meterForwardedSlow]++
+	if v.Obs != nil && v.Obs.Trace.Enabled() {
+		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "forward.slow", "forward", uint64(now),
+			map[string]any{"vector": vector})
 	}
 	if v.Check != nil {
 		v.Check.KernelIntr(now, v.ID, vector)
@@ -172,9 +168,9 @@ func (v *VCore) RaiseForwardedSlow(now sim.Time, vector uint8) {
 // (§4.3).
 func (v *VCore) kbFire(now sim.Time, vector uintr.Vector) {
 	if v.UPID == nil {
+		v.met.n[meterKBTimerTraps]++
 		if v.Obs != nil {
 			v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "kb_timer.trap", "kbtimer", uint64(now), nil)
-			v.met.kbtimerTraps.Add(1)
 		}
 		if v.Check != nil {
 			v.Check.KernelIntr(now, v.ID, uint8(vector))
@@ -184,9 +180,9 @@ func (v *VCore) kbFire(now sim.Time, vector uintr.Vector) {
 		}
 		return
 	}
+	v.met.n[meterKBTimerFires]++
 	if v.Obs != nil {
 		v.Obs.Trace.Instant(obs.Tier2Pid, uint32(v.ID), "kb_timer.fire", "kbtimer", uint64(now), nil)
-		v.met.kbtimerFires.Add(1)
 	}
 	v.post(now, vector, KBTimerIntr)
 }
@@ -220,13 +216,9 @@ func (v *VCore) tryDeliver(now sim.Time) {
 	v.Account.Charge(CatNotify, uint64(cost))
 	v.Delivered[mech]++
 	v.DelivLat.Record(uint64(now + cost - v.postedAt[vec]))
-	if v.Obs != nil {
-		if v.Obs.Trace.Enabled() {
-			v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery", //xui:alloc span name, only with a tracer attached
-				uint64(now), uint64(now+cost), map[string]any{"vector": uint8(vec)})
-		}
-		v.met.delivered[mech].Add(1)
-		v.met.deliveryCost.Record(uint64(cost))
+	if v.Obs != nil && v.Obs.Trace.Enabled() {
+		v.Obs.Trace.Span(obs.Tier2Pid, uint32(v.ID), "deliver:"+mech.String(), "delivery", //xui:alloc span name, only with a tracer attached
+			uint64(now), uint64(now+cost), map[string]any{"vector": uint8(vec)})
 	}
 	if v.Check != nil {
 		v.Check.DeliverStart(now, v.ID, vec, mech, cost)
@@ -258,7 +250,7 @@ func (v *VCore) finishDelivery(t sim.Time) {
 func (v *VCore) Clui() {
 	v.Account.Charge(CatWork, CluiCost)
 	v.UIF = false
-	v.met.clui.Add(1)
+	v.met.n[meterClui]++
 }
 
 // Stui executes the stui instruction: set UIF and deliver anything held in
@@ -266,7 +258,7 @@ func (v *VCore) Clui() {
 func (v *VCore) Stui(now sim.Time) {
 	v.Account.Charge(CatWork, StuiCost)
 	v.UIF = true
-	v.met.stui.Add(1)
+	v.met.n[meterStui]++
 	v.tryDeliver(now)
 }
 
@@ -313,7 +305,7 @@ type Machine struct {
 	parentTrace  *obs.Tracer
 
 	// simProbes are the event-kernel probes Observe attached, one per
-	// simulator; SnapshotMetrics flushes their buffered queue depths.
+	// simulator; SnapshotMetrics flushes their counts.
 	simProbes []*obs.SimProbe
 }
 
@@ -380,9 +372,9 @@ func (m *Machine) addCores(ipiMech Mechanism, perGroup int, kernels []*sim.Simul
 func (m *Machine) SendUIPI(sender int, uitt *uintr.UITT, idx int) error {
 	src := m.Cores[sender]
 	src.Account.Charge(CatSend, uint64(m.Costs.Sender(UIPI)))
+	src.met.n[meterSenduipi]++
 	if src.Obs != nil {
 		src.Obs.Trace.Instant(obs.Tier2Pid, uint32(src.ID), "senduipi", "send", uint64(src.Sim.Now()), nil)
-		src.met.senduipi.Add(1)
 	}
 	if m.Eng != nil {
 		entry, err := uitt.Lookup(idx)
@@ -431,11 +423,13 @@ func (v *VCore) writeICR(_ sim.Time, arg uint64) {
 
 // Quiescent reports whether the machine is at rest and unwatched: no
 // core has UIF clear, is mid-delivery or holds a recognised or posted
-// vector, and no tracer, metrics registry, checker or fault hook is
-// attached. Pending events are the caller's to account for. A model that
-// finds the machine quiescent with only its own events pending may jump
-// over time it knows would repeat: no per-event record is lost, because
-// nothing is recording. Sharded machines are never quiescent.
+// vector, and no tracer, checker or fault hook is attached. Pending
+// events are the caller's to account for. A model that finds the machine
+// quiescent with only its own events pending may jump over time it knows
+// would repeat: no per-event record is lost, because nothing records per
+// event. A metrics registry does not count as watching: the machine's
+// meters are plain state, which the jump repeats through CopyMeters,
+// MetersSameStep and RepeatMeters. Sharded machines are never quiescent.
 //
 //xui:noalloc
 func (m *Machine) Quiescent() bool {
@@ -443,7 +437,7 @@ func (m *Machine) Quiescent() bool {
 		return false
 	}
 	for _, v := range m.Cores {
-		if v.Obs != nil || v.Check != nil || !v.UIF || v.delivering || v.uirr != 0 ||
+		if (v.Obs != nil && v.Obs.Trace.Enabled()) || v.Check != nil || !v.UIF || v.delivering || v.uirr != 0 ||
 			(v.UPID != nil && v.UPID.Pending()) {
 			return false
 		}
@@ -464,12 +458,14 @@ func (m *Machine) DeliveryLatency() *stats.Histogram {
 }
 
 // Observe attaches an observability context to the machine: every core gets
-// a named thread under Tier2Pid, live counters/spans flow into ctx, and the
-// event kernel reports scheduling activity through a sim probe. A nil ctx
-// detaches everything.
+// a named thread under Tier2Pid, spans flow into ctx's tracer, and the
+// event kernel reports scheduling activity through a sim probe. Metrics
+// are counted on the machine and reach ctx's registry when they are
+// flushed: by SnapshotMetrics, or by the next Observe call, which flushes
+// into the registry attached before it. A nil ctx detaches everything.
 func (m *Machine) Observe(ctx *obs.Context) {
+	m.flushMeters()
 	if ctx == nil {
-		m.flushSimProbes()
 		m.simProbes = nil
 		if m.Eng != nil {
 			m.detachSharded()
@@ -490,17 +486,21 @@ func (m *Machine) Observe(ctx *obs.Context) {
 	m.Sim.SetProbe(p)
 }
 
-// flushSimProbes moves every attached probe's buffered queue depths into
-// its registry.
-func (m *Machine) flushSimProbes() {
+// flushMeters moves every sim probe's and every core's unflushed counts
+// into the registry they were attached with (nowhere, for a core
+// attached to none).
+func (m *Machine) flushMeters() {
 	for _, p := range m.simProbes {
 		p.Flush()
+	}
+	for _, v := range m.Cores {
+		v.flushMeters()
 	}
 }
 
 // attachCores points every core at ctx, or at its shard's lane context
 // when lanes is non-nil, and resolves the core's metric handles against
-// ctx's registry once, so no event builds a metric name. Trace threads
+// ctx's registry once, so no flush builds a metric name. Trace threads
 // are named on ctx's tracer. A nil ctx detaches every core, handles
 // included.
 func (m *Machine) attachCores(ctx *obs.Context, lanes []*obs.Context) {
@@ -511,56 +511,155 @@ func (m *Machine) attachCores(ctx *obs.Context, lanes []*obs.Context) {
 		if lanes != nil {
 			v.Obs = lanes[m.ShardOf(v.ID)]
 		}
-		v.met = resolveVCoreMetrics(ctx.RegistryOrNil(), v.ID)
+		v.met.resolve(ctx.RegistryOrNil(), v.ID)
 		if tr.Enabled() {
 			tr.NameThread(obs.Tier2Pid, uint32(v.ID), fmt.Sprintf("vcore%d", v.ID))
 		}
 	}
 }
 
-// vcoreMetrics holds one core's "vcore<ID>/" metric handles. The zero
-// value (every handle nil) records nothing.
-type vcoreMetrics struct {
-	upidAcks, forwardedFast, forwardedSlow *obs.Counter
-	kbtimerTraps, kbtimerFires             *obs.Counter
-	clui, stui, senduipi                   *obs.Counter
-	delivered                              [ForwardedIntr + 1]*obs.Counter // by Mechanism
-	deliveryCost                           *obs.Histogram
+// The events a core meters per event, indices into vcoreMeters.n, and
+// their names under "vcore<ID>/".
+const (
+	meterUPIDAcks = iota
+	meterForwardedFast
+	meterForwardedSlow
+	meterKBTimerTraps
+	meterKBTimerFires
+	meterClui
+	meterStui
+	meterSenduipi
+	numMeters
+)
+
+var meterNames = [numMeters]string{
+	"upid_acks", "forwarded_fast", "forwarded_slow", "kbtimer_traps",
+	"kbtimer_fires", "clui", "stui", "senduipi",
 }
 
-func resolveVCoreMetrics(reg *obs.Registry, id int) vcoreMetrics {
-	if reg == nil {
-		return vcoreMetrics{}
-	}
+// vcoreMeters is one core's metering: plain event counts since the last
+// flush, and the "vcore<ID>/" handles a flush adds them to (all nil while
+// no registry is attached). A core is only ever touched by its own
+// kernel's goroutine, so counting takes no atomic. delivered/<mech> and
+// delivery_cost are not counted at all: a flush derives them from
+// Delivered, which the core keeps anyway, less base, its value at the
+// last flush, each delivery costing its mechanism's fixed receiver cost.
+type vcoreMeters struct {
+	n    [numMeters]uint64
+	base [ForwardedIntr + 1]uint64
+
+	counters     [numMeters]*obs.Counter
+	delivered    [ForwardedIntr + 1]*obs.Counter // by Mechanism
+	deliveryCost *obs.Histogram
+}
+
+// resolve points the meters at reg's "vcore<id>/" names (nil handles for
+// a nil reg).
+func (mt *vcoreMeters) resolve(reg *obs.Registry, id int) {
 	ns := fmt.Sprintf("vcore%d/", id)
-	vm := vcoreMetrics{
-		upidAcks:      reg.CounterHandle(ns + "upid_acks"),
-		forwardedFast: reg.CounterHandle(ns + "forwarded_fast"),
-		forwardedSlow: reg.CounterHandle(ns + "forwarded_slow"),
-		kbtimerTraps:  reg.CounterHandle(ns + "kbtimer_traps"),
-		kbtimerFires:  reg.CounterHandle(ns + "kbtimer_fires"),
-		clui:          reg.CounterHandle(ns + "clui"),
-		stui:          reg.CounterHandle(ns + "stui"),
-		senduipi:      reg.CounterHandle(ns + "senduipi"),
-		deliveryCost:  reg.HistogramHandle(ns + "delivery_cost"),
+	for i, name := range meterNames {
+		mt.counters[i] = reg.CounterHandle(ns + name)
 	}
-	for mech := range vm.delivered {
-		vm.delivered[mech] = reg.CounterHandle(ns + "delivered/" + Mechanism(mech).String())
+	for mech := range mt.delivered {
+		mt.delivered[mech] = reg.CounterHandle(ns + "delivered/" + Mechanism(mech).String())
 	}
-	return vm
+	mt.deliveryCost = reg.HistogramHandle(ns + "delivery_cost")
 }
 
-// SnapshotMetrics writes each core's end-of-run accounting into reg:
-// per-category cycle totals under "vcore<ID>/cycles/", utilization and
-// per-mechanism delivered totals as gauges; the sim probes' buffered queue
-// depths go to their registry. Call once when the run ends —
-// cycle accounts are imported additively, so repeated snapshots of the same
-// account would double-count.
+// flushMeters adds the core's counts since the last flush to its
+// handles and starts the next count from zero. A count of zero writes
+// nothing, so a name the run never touched stays out of the snapshot.
+func (v *VCore) flushMeters() {
+	mt := &v.met
+	for i, n := range mt.n {
+		if n != 0 {
+			mt.counters[i].Add(n)
+		}
+	}
+	for mech, n := range v.Delivered {
+		if d := n - mt.base[mech]; d != 0 {
+			mt.delivered[mech].Add(d)
+			mt.deliveryCost.RecordN(uint64(v.Costs.Receiver(Mechanism(mech))), d)
+		}
+	}
+	mt.n = [numMeters]uint64{}
+	mt.base = v.Delivered
+}
+
+// Meters is a copy of a machine's unflushed meters: each sim probe's
+// counts and queue depths, and each core's per-event counts. Kept copies
+// are the machine's earlier states, the arguments of MetersSameStep and
+// RepeatMeters, for a model that jumps over time it knows would repeat
+// (fig6's period skip). The zero value is ready for CopyMeters.
+type Meters struct {
+	sims  []obs.SimCounts
+	cores [][numMeters]uint64
+}
+
+// CopyMeters copies the machine's unflushed meters into dst, reusing its
+// storage.
+func (m *Machine) CopyMeters(dst *Meters) {
+	if len(dst.sims) != len(m.simProbes) {
+		dst.sims = make([]obs.SimCounts, len(m.simProbes))
+	}
+	for i, p := range m.simProbes {
+		p.CopyCounts(&dst.sims[i])
+	}
+	dst.cores = dst.cores[:0]
+	for _, v := range m.Cores {
+		dst.cores = append(dst.cores, v.met.n)
+	}
+}
+
+// MetersSameStep reports whether the machine's meters gained, since their
+// earlier state mid, exactly what mid had gained since its earlier state
+// old, with no flush in between.
+func (m *Machine) MetersSameStep(old, mid *Meters) bool {
+	if len(old.sims) != len(m.simProbes) || len(mid.sims) != len(m.simProbes) ||
+		len(old.cores) != len(m.Cores) || len(mid.cores) != len(m.Cores) {
+		return false
+	}
+	for i, p := range m.simProbes {
+		if !p.SameStep(&old.sims[i], &mid.sims[i]) {
+			return false
+		}
+	}
+	for i, v := range m.Cores {
+		o, md := &old.cores[i], &mid.cores[i]
+		for j, n := range v.met.n {
+			if n-md[j] != md[j]-o[j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// RepeatMeters adds to the machine's meters k more times everything they
+// gained since their earlier state prev.
+func (m *Machine) RepeatMeters(prev *Meters, k uint64) {
+	for i, p := range m.simProbes {
+		p.Repeat(&prev.sims[i], k)
+	}
+	for i, v := range m.Cores {
+		pc := &prev.cores[i]
+		for j, n := range v.met.n {
+			v.met.n[j] += k * (n - pc[j])
+		}
+	}
+}
+
+// SnapshotMetrics flushes the machine's meters into the registry they
+// were attached with, and writes each core's end-of-run accounting into
+// reg: per-category cycle totals under "vcore<ID>/cycles/", utilization
+// and per-mechanism delivered totals as gauges. Call once when the run
+// ends — cycle accounts are imported additively, so repeated snapshots of
+// the same account would double-count.
 func (m *Machine) SnapshotMetrics(reg *obs.Registry) {
 	// Absorb any trace events recorded after the last epoch barrier (the
 	// post-loop clock-advance tail of a sharded run).
 	m.FlushLanes()
-	m.flushSimProbes()
+	m.flushMeters()
 	now := uint64(m.Sim.Now())
 	for _, v := range m.Cores {
 		ns := fmt.Sprintf("vcore%d/", v.ID)

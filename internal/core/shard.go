@@ -183,8 +183,8 @@ func (m *Machine) observeSharded(ctx *obs.Context) {
 		m.lanes[g] = ctx.Trace.NewLane()
 		laneCtx[g] = &obs.Context{Trace: m.lanes[g], Metrics: ctx.Metrics}
 	}
-	// Shard workers add to the same handle atomics, so metrics need no
-	// per-shard lane.
+	// Each core and each shard's probe count in their own plain state,
+	// flushed once the run is over, so metrics need no per-shard lane.
 	m.attachCores(ctx, laneCtx)
 	m.simProbes = make([]*obs.SimProbe, m.Eng.Shards())
 	for g := range m.simProbes {

@@ -170,11 +170,13 @@ type tickSender struct {
 }
 
 // tickSnap is what a tick changes, copied at a tick start: the clock,
-// the late-tick and expiry counts, and every core's accumulators.
+// the late-tick and expiry counts, every core's accumulators and the
+// machine's meters.
 type tickSnap struct {
 	at                  sim.Time
 	ticksLate, expiries uint64
 	cores               []coreSnap
+	meters              core.Meters
 }
 
 // coreSnap is one core's share of a tickSnap.
@@ -211,17 +213,14 @@ type tickChain struct {
 	next            sim.Handler // c.send, bound once per chain
 }
 
-// sendAll starts a tick that must finish sending by deadline, unless the
-// period skip jumps whole ticks ahead first.
+// sendAll starts a tick that must finish sending by deadline, once the
+// period skip has jumped whole ticks ahead where it can.
 func (ts *tickSender) sendAll(deadline sim.Time) {
-	if ts.until != 0 && ts.skipAhead(deadline) {
-		return
+	if ts.until != 0 {
+		deadline += ts.skipAhead()
 	}
 	ts.start(deadline)
 }
-
-// land is the skip's landing handler: the tick it postponed starts now.
-func (ts *tickSender) land(_ sim.Time, deadline uint64) { ts.start(sim.Time(deadline)) }
 
 // start sends a tick's UIPIs.
 func (ts *tickSender) start(deadline sim.Time) {
@@ -259,17 +258,18 @@ func (c *tickChain) send(now sim.Time) {
 // a tick that starts with the machine quiescent and nothing but the
 // method's own next event pending starts from the same state as every
 // such tick before it, shifted in time, and does the same work. Once
-// two consecutive such ticks have changed every accumulator by the same
-// amount over the same tick length d, skipAhead adds k more of that
-// change at once, moves the pending events k·d later and postpones this
-// tick's start by k·d, reporting true. k leaves at least one whole tick
-// before the horizon, so the run's last ticks, cut by the horizon, are
-// simulated event by event. A watched machine is never quiescent, so
-// traced, metered and checked runs take the full loop.
-func (ts *tickSender) skipAhead(deadline sim.Time) bool {
+// two consecutive such ticks have changed every accumulator and meter by
+// the same amount over the same tick length d, skipAhead adds k more of
+// that change at once and jumps the clock and the pending events k·d
+// later, so this tick starts k ticks on; it returns the jump, 0 for
+// none. k leaves at least one whole tick before the horizon, so the
+// run's last ticks, cut by the horizon, are simulated event by event. A
+// traced or checked machine is never quiescent, so those runs take the
+// full loop; a metered one is, and its meters repeat with the rest.
+func (ts *tickSender) skipAhead() sim.Time {
 	if ts.s.Pending() != ts.between || !ts.m.Quiescent() {
 		ts.seen = 0
-		return false
+		return 0
 	}
 	now := ts.s.Now()
 	if ts.seen == 2 && ts.repeats(now) {
@@ -278,10 +278,9 @@ func (ts *tickSender) skipAhead(deadline sim.Time) bool {
 			k := left - 1 // every whole tick before the horizon but the last
 			ts.repeat(k)
 			shift := sim.Time(k) * d
-			ts.s.ShiftPending(shift)
-			ts.s.ScheduleArg(now+shift, ts.land, uint64(deadline+shift))
+			ts.s.Jump(shift)
 			ts.seen = 0
-			return true
+			return shift
 		}
 	}
 	if ts.old == nil {
@@ -290,7 +289,7 @@ func (ts *tickSender) skipAhead(deadline sim.Time) bool {
 	ts.old, ts.mid = ts.mid, ts.old
 	ts.take(ts.mid, now)
 	ts.seen = min(ts.seen+1, 2)
-	return false
+	return 0
 }
 
 func newTickSnap(cores int) *tickSnap { return &tickSnap{cores: make([]coreSnap, cores)} }
@@ -312,6 +311,7 @@ func (ts *tickSender) take(sn *tickSnap, now sim.Time) {
 		c.delivered = v.Delivered
 		c.lat.CopyFrom(v.DelivLat)
 	}
+	ts.m.CopyMeters(&sn.meters)
 }
 
 // repeats reports whether the tick ending now changed everything by as
@@ -333,7 +333,7 @@ func (ts *tickSender) repeats(now sim.Time) bool {
 			return false
 		}
 	}
-	return true
+	return ts.m.MetersSameStep(&o.meters, &m.meters)
 }
 
 // repeat applies the last tick's change k more times.
@@ -351,4 +351,5 @@ func (ts *tickSender) repeat(k uint64) {
 		v.Account.Repeat(&mc.acct, k)
 		v.DelivLat.Repeat(&mc.lat, k)
 	}
+	ts.m.RepeatMeters(&m.meters, k)
 }

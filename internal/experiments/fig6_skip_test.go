@@ -3,6 +3,8 @@ package experiments
 import (
 	"crypto/sha256"
 	"fmt"
+	"io"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -123,9 +125,10 @@ func TestFig6PeriodSkipEngages(t *testing.T) {
 // metrics registry attached, recorded before the period skip existed.
 const fig6QuickObservedFired = 10507676
 
-// TestFig6ObservedFullLoop checks that an observed run keeps the full
-// loop: a metrics-attached quick fig6 dispatches as many events as
-// before the skip existed.
+// TestFig6ObservedFullLoop checks that a metered run still counts the
+// full loop: a metrics-attached quick fig6 takes the period skip, yet
+// its sim/events_fired holds every event the tick-by-tick loop
+// dispatched before the skip existed, skipped ticks included.
 func TestFig6ObservedFullLoop(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := &Env{Obs: &obs.Context{Metrics: reg}}
@@ -134,5 +137,58 @@ func TestFig6ObservedFullLoop(t *testing.T) {
 	}
 	if got := reg.Snapshot().Counters["sim/events_fired"]; got != fig6QuickObservedFired {
 		t.Errorf("sim/events_fired = %d, want %d", got, fig6QuickObservedFired)
+	}
+}
+
+// TestFig6MeteredSkip checks that a metered run takes the period skip
+// and still meters exactly what the full loop does. Every timer point,
+// run at 100 ms and at 20 ms + 1 cycle with a metrics-only context,
+// must leave the same registry snapshot as with metrics and a tracer,
+// whose tracer keeps the machine from ever being quiescent, and hold no
+// counter written with zero (a flush that adds zero creates a name the
+// run never touched). A direct fig6Point call runs no sweep, so the
+// snapshot holds no wall-clock key to leave out. The skip must also
+// have engaged: on nanosleep at 100 µs with 8 cores the simulator
+// dispatches at most a fifth of the events sim/events_fired counts.
+func TestFig6MeteredSkip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every fig6 timer point twice at two horizons")
+	}
+	if raceBuild {
+		// Like TestFig6PeriodSkipExact: the skip and the meters are
+		// single-threaded, and the traced full loop is slow under -race.
+		t.Skip("too slow under -race")
+	}
+	metered := func(tr *obs.Tracer, method string, p float64, n int, h sim.Time) (obs.Snapshot, uint64) {
+		ctx := &obs.Context{Trace: tr, Metrics: obs.NewRegistry()}
+		_, ts := (&Env{Obs: ctx}).fig6Point(method, p, n, h)
+		return ctx.Metrics.Snapshot(), ts.s.Fired()
+	}
+	for _, h := range []sim.Time{100 * sim.Millisecond, 20*sim.Millisecond + 1} {
+		for _, method := range Fig6Methods[:3] {
+			t.Run(fmt.Sprintf("%d/%s", uint64(h), method), func(t *testing.T) {
+				t.Parallel()
+				for _, p := range fig6Periods {
+					for _, n := range fig6Cores {
+						got, fired := metered(nil, method, p, n, h)
+						want, _ := metered(obs.NewStreamTracer(io.Discard), method, p, n, h)
+						if !reflect.DeepEqual(got, want) {
+							t.Errorf("%gus %d cores: metrics-only snapshot differs from the traced full loop:\n got %+v\nwant %+v",
+								p, n, got, want)
+						}
+						for k, v := range got.Counters {
+							if v == 0 {
+								t.Errorf("%gus %d cores: counter %s written with nothing counted", p, n, k)
+							}
+						}
+						if method == "nanosleep" && p == 100 && n == 8 && h == 100*sim.Millisecond {
+							if total := got.Counters["sim/events_fired"]; fired*5 > total {
+								t.Errorf("100us 8 cores dispatched %d events of the %d metered, want at most a fifth", fired, total)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }

@@ -22,11 +22,14 @@ import (
 // Hot paths do not look names up per event: they resolve a *Counter or
 // *Histogram handle once, when observability is attached (CounterHandle,
 // HistogramHandle), and then record through it with one atomic add or one
-// per-histogram lock, building no strings. The name-keyed methods (Add,
-// Inc, Observe, Counter) are thin wrappers over the same handles for cold
-// callers, so a handle write and a name-keyed write to one name sum into
-// one value. A handle that was resolved but never written stays out of
-// Snapshot and Names.
+// per-histogram lock, building no strings. The Tier-2 instruments
+// (SimProbe and core.Machine's per-core meters) go further: they count in
+// plain per-machine state and flush it through their handles when a run
+// ends, so a live read mid-run lags by what running machines have not
+// flushed yet. The name-keyed methods (Add, Inc, Observe, Counter) are
+// thin wrappers over the same handles for cold callers, so a handle write
+// and a name-keyed write to one name sum into one value. A handle that
+// was resolved but never written stays out of Snapshot and Names.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter   //xui:guardedby mu
@@ -73,15 +76,20 @@ type Histogram struct {
 // Record adds one observation.
 //
 //xui:noalloc
-func (h *Histogram) Record(v uint64) {
-	if h == nil {
+func (h *Histogram) Record(v uint64) { h.RecordN(v, 1) }
+
+// RecordN adds n observations of value v; n = 0 records nothing.
+//
+//xui:noalloc
+func (h *Histogram) RecordN(v, n uint64) {
+	if h == nil || n == 0 {
 		return
 	}
 	h.mu.Lock()
 	if h.h == nil {
 		h.h = stats.NewHistogram() //xui:alloc first observation of a name allocates its histogram
 	}
-	h.h.Record(v)
+	h.h.RecordN(v, n)
 	h.mu.Unlock()
 }
 

@@ -304,6 +304,11 @@ func TestSimProbeSampling(t *testing.T) {
 		p.EventFired(uint64(i+1), 10-i)
 	}
 	p.EventCancelled(11)
+	if snap := reg.Snapshot(); len(snap.Counters) != 0 || len(snap.Histograms) != 0 {
+		t.Errorf("counts reached the registry before Flush: %+v", snap)
+	}
+	p.Flush()
+	p.Flush() // a second Flush adds nothing
 	if reg.Counter("sim/events_fired") != 10 || reg.Counter("sim/events_scheduled") != 10 ||
 		reg.Counter("sim/events_cancelled") != 1 {
 		t.Errorf("probe counters: %v", reg.Snapshot().Counters)
@@ -311,15 +316,10 @@ func TestSimProbeSampling(t *testing.T) {
 	if reg.CounterHandle("sim/events_fired").Value() != 10 || p.evFired != reg.CounterHandle("sim/events_fired") {
 		t.Errorf("probe handle not shared with the registry name")
 	}
-	if _, ok := reg.Snapshot().Histograms["sim/queue_depth"]; ok {
-		t.Errorf("queue depths reached the registry before Flush")
-	}
-	p.Flush()
-	p.Flush() // a second Flush adds nothing
 	if d := reg.Snapshot().Histograms["sim/queue_depth"]; d.Count != 10 || d.Min != 1 || d.Max != 10 {
 		t.Errorf("queue depth histogram: %+v", d)
 	}
-	// A probe with no registry holds nil handles and records nothing.
+	// A probe with no registry holds nil handles and flushes nothing.
 	bare := NewSimProbe(nil, nil, 2)
 	bare.EventScheduled(0, 1)
 	bare.EventFired(1, 0)

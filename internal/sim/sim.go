@@ -364,20 +364,28 @@ func (s *Simulator) Cancel(e *Event) {
 	}
 }
 
-// ShiftPending moves every pending event d cycles later. A uniform shift
-// keeps the queue's order, same-cycle FIFO ties included, and a periodic
-// event keeps its period. A model that jumps over time it knows would
-// repeat (fig6's period skip in internal/experiments) carries its
-// pending events across the jump with it.
+// Jump moves the clock and every pending event d cycles later, as if d
+// cycles had passed in which nothing was due. A uniform shift keeps the
+// queue's order, same-cycle FIFO ties included, and a periodic event
+// keeps its period. A handler calls it to carry the model across time it
+// knows would repeat (fig6's period skip in internal/experiments): the
+// handler goes on at the new Now, and the calling Run* loop continues
+// from there. The caller keeps the jump inside the running Run* call's
+// window (see Horizon); on a shard's kernel it would break the engine's
+// epochs.
 //
 //xui:noalloc
-func (s *Simulator) ShiftPending(d Time) {
+func (s *Simulator) Jump(d Time) {
 	for _, e := range s.queue[s.head:s.tail] {
 		if e.when > Never-d {
 			panic("sim: pending event shifted past Never")
 		}
 		e.when += d
 	}
+	if s.now > Never-d {
+		panic("sim: clock jumped past Never")
+	}
+	s.now += d
 }
 
 // Step dispatches the single earliest event. It reports false when the queue
