@@ -362,6 +362,11 @@ func (c *Core) Reset(cfg Config, prog isa.Stream, mp MemPort) {
 	c.initEngine()
 }
 
+// DropProgram releases the core's references to its program stream and
+// decoded tape, so an idle pooled core keeps no finished run's tape
+// alive. The core must be Reset before it runs again.
+func (c *Core) DropProgram() { c.prog, c.dec = nil, nil }
+
 // Cycle returns the current cycle.
 func (c *Core) Cycle() uint64 { return c.cycle }
 

@@ -21,8 +21,11 @@ import (
 // observability or checking, the redundancy layer on, the fast engine.
 //
 // Set the fields before the first run; an Env must not be copied once
-// used, because it numbers the Tier-1 cores its runs build. Caches stay
-// process-wide (sharing them is their point); only their switch is here.
+// used, because it numbers the Tier-1 cores its runs build and owns
+// their recorded instruction tapes. The tapes last for one job: RunJob
+// and RenderJob drop them when they return. The run caches stay
+// process-wide (sharing results across jobs is their point); only
+// their switch is here.
 type Env struct {
 	// Workers is the grid-sweep worker-pool size; <= 0 means one per
 	// host core. Each grid point builds its own simulator and results
@@ -65,6 +68,10 @@ type Env struct {
 	// build cores concurrently, so numbering follows completion order,
 	// which only affects trace thread labels, never results.
 	tid atomic.Uint32
+	// tapes holds the instruction tapes the current job's streams
+	// record and replay; created by the first stream, dropped by
+	// dropTapes.
+	tapes atomic.Pointer[trace.TapeSet]
 }
 
 // runGrid fans fn over jobs on e's worker pool, attaching e's
@@ -173,25 +180,43 @@ type streamSpec struct {
 }
 
 // stream is the one place a run chooses between a recorded tape and a
-// live generator: a cursor over the process-wide tape (sized for a run
-// of budget ops; for poll streams, budget inner ops), or on the uncached
+// live generator: a cursor over e's tape (sized for a run of budget
+// ops; for poll streams, budget inner ops), or on the uncached
 // reference path the live generator the tape records.
 func (e *Env) stream(s streamSpec, budget uint64) isa.Stream {
 	switch {
 	case s.mk != nil && e.NoCache:
 		return s.mk()
-	case s.mk != nil:
-		return trace.RecordedStream(s.key, budget, s.mk)
 	case s.poll > 0 && e.NoCache:
 		return trace.NewPollInstrumented(trace.ByName(s.workload, s.seed), s.poll, FlagAddr)
-	case s.poll > 0:
-		return trace.RecordedPoll(s.workload, s.seed, budget, s.poll, FlagAddr)
 	case s.safepoint > 0 && e.NoCache:
 		return trace.NewSafepointAnnotated(trace.ByName(s.workload, s.seed), s.safepoint)
-	case s.safepoint > 0:
-		return trace.RecordedSafepoint(s.workload, s.seed, budget, s.safepoint)
 	case e.NoCache:
 		return trace.ByName(s.workload, s.seed)
 	}
-	return trace.Recorded(s.workload, s.seed, budget)
+	tapes := e.tapeSet()
+	switch {
+	case s.mk != nil:
+		return tapes.RecordedStream(s.key, budget, s.mk)
+	case s.poll > 0:
+		return tapes.RecordedPoll(s.workload, s.seed, budget, s.poll, FlagAddr)
+	case s.safepoint > 0:
+		return tapes.RecordedSafepoint(s.workload, s.seed, budget, s.safepoint)
+	}
+	return tapes.Recorded(s.workload, s.seed, budget)
 }
+
+// tapeSet returns e's tape set, creating it on first use. Sweep workers
+// of one job race here, and all of them get the one set.
+func (e *Env) tapeSet() *trace.TapeSet {
+	for {
+		if s := e.tapes.Load(); s != nil {
+			return s
+		}
+		e.tapes.CompareAndSwap(nil, new(trace.TapeSet))
+	}
+}
+
+// dropTapes releases e's tape set once its job is done; the next stream
+// starts a fresh one.
+func (e *Env) dropTapes() { e.tapes.Store(nil) }

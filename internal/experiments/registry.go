@@ -169,12 +169,14 @@ func lookupJob(name string) (jobSpec, bool) {
 
 // RunJob executes the named experiment on e at the given grid scale and
 // returns its machine-readable payload. Everything the run is configured
-// with — widths, sinks, progress — comes from e.
+// with — widths, sinks, progress — comes from e. The instruction tapes
+// the job records are dropped when it returns.
 func (e *Env) RunJob(name string, quick bool) (any, error) {
 	s, ok := lookupJob(name)
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job %q", name)
 	}
+	defer e.dropTapes()
 	payload, _ := s.run(e, quick)
 	return payload, nil
 }
@@ -186,6 +188,7 @@ func (e *Env) RenderJob(w io.Writer, name string, quick bool) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiments: unknown job %q", name)
 	}
+	defer e.dropTapes()
 	payload, text := s.run(e, quick)
 	text(w)
 	return payload, nil

@@ -112,6 +112,6 @@ func TestRunCacheParity(t *testing.T) {
 		t.Error("run cache recorded no hits; warm re-runs did not reuse entries")
 	}
 	if stats.Tapes.Replays == 0 {
-		t.Error("tape registry recorded no replays")
+		t.Error("tapes recorded no replays")
 	}
 }

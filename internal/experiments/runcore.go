@@ -18,8 +18,9 @@ import (
 //     Fig. 4 differencing methodology re-derives the same baseline for
 //     every strategy cell; single-flight dedup makes this safe at any
 //     -j);
-//   - recorded instruction tapes (trace.Recorded) so synthetic streams
-//     are generated once per process and replayed by cursor;
+//   - recorded instruction tapes (trace.TapeSet) so synthetic streams
+//     are generated once per job and replayed by cursor; each Env owns
+//     its job's set and drops it when the job returns;
 //   - a core pool: each grid point takes a receiver rig (core + private
 //     port + hierarchy) from a sync.Pool and resets it instead of
 //     reallocating the ROB and ~35 K cache-set slices.
@@ -29,11 +30,11 @@ import (
 // byte-identical with the machinery on or off, at any worker count
 // (TestRunCacheParity).
 
-// ResetCaches drops every memoized run and recorded tape (tests and
-// A/B timing). Never call with a sweep in flight.
+// ResetCaches drops every memoized run (tests and A/B timing). Tapes
+// need no reset: they live only as long as their job. Never call with a
+// sweep in flight.
 func ResetCaches() {
 	runcache.ResetAll()
-	trace.ResetTapes()
 }
 
 // receiverCfg is the standard receiver-core configuration: Table 3
@@ -79,9 +80,12 @@ func (e *Env) acquireRig(cfg cpu.Config, prog isa.Stream) *rig {
 
 // releaseRig returns a rig to the pool. The caller must be done with
 // the core (its Result may be retained: Core.Reset starts a fresh
-// records slice precisely so released cores never corrupt one).
+// records slice precisely so released cores never corrupt one). The
+// core drops its program first: a pooled rig survives a GC in the
+// pool's victim cache, and must not keep a finished job's tape alive.
 func (e *Env) releaseRig(r *rig) {
 	if !e.NoCache {
+		r.core.DropProgram()
 		rigPool.Put(r)
 	}
 }
@@ -173,27 +177,28 @@ func (e *Env) workloadBaseline(workload string, seed, uops, maxCycles uint64) cp
 }
 
 // CacheStatsSnapshot is the run-report view of the redundancy-
-// elimination layer: per-cache hit/miss/dedup counters plus tape
-// residency.
+// elimination layer: per-cache hit/miss/dedup counters plus the tape
+// totals (trace.TapeTotals: cumulative recordings and replays, and the
+// residency of the largest job's tape set).
 type CacheStatsSnapshot struct {
 	Caches []runcache.Stats `json:"caches"`
 	Tapes  trace.TapeStats  `json:"tapes"`
 }
 
-// CacheStats snapshots every run cache and the tape registry.
+// CacheStats snapshots every run cache and the tape totals.
 func CacheStats() CacheStatsSnapshot {
-	return CacheStatsSnapshot{Caches: runcache.Snapshot(), Tapes: trace.Tapes()}
+	return CacheStatsSnapshot{Caches: runcache.Snapshot(), Tapes: trace.TapeTotals()}
 }
 
 // PublishCacheStats exports the layer's counters into reg under the
 // cache/ namespace (cache/<name>/... for run caches, cache/tapes/...
-// for the tape registry). Call once per run, at export time.
+// for the tape totals). Call once per run, at export time.
 func PublishCacheStats(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
 	runcache.PublishTo(reg)
-	t := trace.Tapes()
+	t := trace.TapeTotals()
 	reg.SetGauge("cache/tapes/resident", float64(t.Tapes))
 	reg.SetGauge("cache/tapes/bytes", float64(t.Bytes))
 	reg.Add("cache/tapes/recordings", t.Recordings)

@@ -9,10 +9,14 @@ import (
 	"xui/internal/isa"
 )
 
-// Recorded tapes: each named (workload, seed) synthetic stream is
-// generated once per process into an immutable isa.Tape and replayed by
+// Recorded tapes: a TapeSet generates each named (workload, seed)
+// synthetic stream once into an immutable isa.Tape and replays it by
 // cursor everywhere else, so the per-op RNG draws and weight
-// comparisons in synth.Next are paid once instead of once per run.
+// comparisons in synth.Next are paid once per set instead of once per
+// run. A set belongs to one run environment (experiments.Env) and is
+// dropped when its job ends: nearly all reuse is inside one
+// experiment, so freeing a job's tapes with it costs little time and
+// keeps a long-lived process from holding every tape it ever recorded.
 // A tape stores only decoded ops (isa.UOp): recording decodes each
 // generated chunk straight into the tape's array. Growth keeps the live
 // generator: when a longer recording is needed, only the new suffix is
@@ -38,7 +42,7 @@ type tapeKey struct {
 // tapeEntry serializes recording per (name, seed) while letting
 // distinct workloads record concurrently. The generator is retained so
 // growth generates only the missing suffix. tape is written only with
-// mu held but published atomically, so Tapes can read it without
+// mu held but published atomically, so Stats can read it without
 // waiting on a recording in progress.
 type tapeEntry struct {
 	mu   sync.Mutex
@@ -46,7 +50,11 @@ type tapeEntry struct {
 	gen  isa.Stream
 }
 
-var tapeReg struct {
+// TapeSet is a set of recorded tapes keyed by (name, seed). Recording
+// is single-flight per key, so concurrent sweep workers share one
+// recording, its growth and its derivations. The zero TapeSet is empty
+// and ready to use; it must not be copied once used.
+type TapeSet struct {
 	mu sync.Mutex
 	m  map[tapeKey]*tapeEntry
 
@@ -54,7 +62,7 @@ var tapeReg struct {
 	replays    atomic.Uint64 // streams served from an existing tape
 }
 
-// TapeStats summarizes the registry for run reports and the obs
+// TapeStats summarizes recorded tapes for run reports and the obs
 // cache/ namespace.
 type TapeStats struct {
 	Tapes      int    `json:"tapes"`      // distinct (workload, seed) tapes resident
@@ -64,48 +72,58 @@ type TapeStats struct {
 	Replays    uint64 `json:"replays"`    // streams served by cursor replay
 }
 
-// Tapes snapshots the registry. It never waits on a recording: it
-// reads each entry's published tape, so a tape being recorded or grown
-// counts at its previous length.
-func Tapes() TapeStats {
-	tapeReg.mu.Lock()
-	entries := make([]*tapeEntry, 0, len(tapeReg.m))
-	for _, e := range tapeReg.m {
+// tapeTotals accumulates over every TapeSet of the process.
+var tapeTotals struct {
+	recordings, replays atomic.Uint64
+
+	mu   sync.Mutex
+	peak TapeStats //xui:guardedby mu
+}
+
+// Stats snapshots the set. It never waits on a recording: it reads
+// each entry's published tape, so a tape being recorded or grown counts
+// at its previous length.
+func (s *TapeSet) Stats() TapeStats {
+	s.mu.Lock()
+	entries := make([]*tapeEntry, 0, len(s.m))
+	for _, e := range s.m {
 		entries = append(entries, e)
 	}
-	tapeReg.mu.Unlock()
-	s := TapeStats{
+	s.mu.Unlock()
+	st := TapeStats{
 		Tapes:      len(entries),
-		Recordings: tapeReg.recordings.Load(),
-		Replays:    tapeReg.replays.Load(),
+		Recordings: s.recordings.Load(),
+		Replays:    s.replays.Load(),
 	}
 	for _, e := range entries {
 		if t := e.tape.Load(); t != nil {
 			d := t.Decoded()
-			s.Ops += uint64(len(d.Ops))
-			s.Bytes += uint64(len(d.Ops))*uint64(unsafe.Sizeof(isa.UOp{})) +
+			st.Ops += uint64(len(d.Ops))
+			st.Bytes += uint64(len(d.Ops))*uint64(unsafe.Sizeof(isa.UOp{})) +
 				uint64(len(d.Blocks))*uint64(unsafe.Sizeof(isa.Block{}))
 		}
 	}
-	return s
+	return st
 }
 
-// ResetTapes drops every recorded tape and zeroes the counters (tests
-// and A/B timing). Live TapeStreams keep their backing arrays.
-func ResetTapes() {
-	tapeReg.mu.Lock()
-	tapeReg.m = nil
-	tapeReg.recordings.Store(0)
-	tapeReg.replays.Store(0)
-	tapeReg.mu.Unlock()
+// TapeTotals summarizes every TapeSet the process has used: Recordings
+// and Replays are cumulative, and Tapes, Ops and Bytes describe the
+// largest set (by bytes) any one of them has held.
+func TapeTotals() TapeStats {
+	tapeTotals.mu.Lock()
+	st := tapeTotals.peak
+	tapeTotals.mu.Unlock()
+	st.Recordings = tapeTotals.recordings.Load()
+	st.Replays = tapeTotals.replays.Load()
+	return st
 }
 
 // Recorded returns a stream of the named microbenchmark (the ByName
 // set) that will deliver at least budget+TapeSlack micro-ops before
-// ending: a cursor replayer over the process-wide tape. It returns nil
-// for unknown names, like ByName.
-func Recorded(name string, seed, budget uint64) isa.Stream {
-	return recordedStream(tapeKey{name, seed}, int(budget+TapeSlack),
+// ending: a cursor replayer over the set's tape. It returns nil for
+// unknown names, like ByName.
+func (s *TapeSet) Recorded(name string, seed, budget uint64) isa.Stream {
+	return s.recordedStream(tapeKey{name, seed}, int(budget+TapeSlack),
 		func() isa.Stream { return ByName(name, seed) })
 }
 
@@ -119,7 +137,7 @@ func Recorded(name string, seed, budget uint64) isa.Stream {
 // fixed check ops with the unmodified inner stream, so the derived
 // array is element-identical to recording the instrumented generator
 // while a density sweep pays the synth generator exactly once.
-func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uint64) isa.Stream {
+func (s *TapeSet) RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uint64) isa.Stream {
 	if every < 1 {
 		every = 1
 	}
@@ -133,7 +151,7 @@ func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uin
 	if innerNeed > need {
 		innerNeed = need
 	}
-	baseT := recordedTape(tapeKey{name, seed}, innerNeed,
+	baseT := s.recordedTape(tapeKey{name, seed}, innerNeed,
 		func() isa.Stream { return ByName(name, seed) })
 	if baseT == nil {
 		return nil
@@ -141,7 +159,7 @@ func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uin
 	base := baseT.Decoded().Ops
 	checkLoad := isa.Decode(isa.MicroOp{Class: isa.Load, Addr: flagAddr, Shared: true, BoundaryStart: true})
 	checkBr := isa.Decode(isa.MicroOp{Class: isa.Branch, Dep1: 1, BoundaryStart: true})
-	return derivedStream(tapeKey{fmt.Sprintf("%s+poll%d", name, every), seed}, need,
+	return s.derivedStream(tapeKey{fmt.Sprintf("%s+poll%d", name, every), seed}, need,
 		func(n int) []isa.UOp {
 			out := make([]isa.UOp, 0, n)
 			since, i := 0, 0
@@ -172,18 +190,18 @@ func RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uin
 // the run's op budget directly. Like RecordedPoll it derives from the
 // shared base recording — the annotation sets a flag on every
 // markEvery-th op and changes nothing else.
-func RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
+func (s *TapeSet) RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
 	if every < 1 {
 		every = 1
 	}
 	need := quantizeTapeLen(int(budget + TapeSlack))
-	baseT := recordedTape(tapeKey{name, seed}, need,
+	baseT := s.recordedTape(tapeKey{name, seed}, need,
 		func() isa.Stream { return ByName(name, seed) })
 	if baseT == nil {
 		return nil
 	}
 	base := baseT.Decoded().Ops
-	return derivedStream(tapeKey{fmt.Sprintf("%s+sp%d", name, every), seed}, need,
+	return s.derivedStream(tapeKey{fmt.Sprintf("%s+sp%d", name, every), seed}, need,
 		func(n int) []isa.UOp {
 			out := append([]isa.UOp(nil), base[:n]...)
 			for i := every - 1; i < n; i += every {
@@ -194,11 +212,11 @@ func RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
 }
 
 // RecordedStream tape-backs an arbitrary deterministic generator under
-// an explicit registry key. key must uniquely identify mk()'s output
+// an explicit key. key must uniquely identify mk()'s output
 // (embed every generator parameter); mk is only called to record or
 // grow the tape.
-func RecordedStream(key string, budget uint64, mk func() isa.Stream) isa.Stream {
-	return recordedStream(tapeKey{key, 0}, int(budget+TapeSlack), mk)
+func (s *TapeSet) RecordedStream(key string, budget uint64, mk func() isa.Stream) isa.Stream {
+	return s.recordedStream(tapeKey{key, 0}, int(budget+TapeSlack), mk)
 }
 
 // batchFiller is an optional Stream extension: fill dst completely, in
@@ -226,19 +244,39 @@ func quantizeTapeLen(need int) int {
 	return (need + tapeQuantum - 1) / tapeQuantum * tapeQuantum
 }
 
-// tapeEntryFor interns the registry entry for key.
-func tapeEntryFor(key tapeKey) *tapeEntry {
-	tapeReg.mu.Lock()
-	defer tapeReg.mu.Unlock()
-	if tapeReg.m == nil {
-		tapeReg.m = make(map[tapeKey]*tapeEntry)
+// entry interns the set's entry for key.
+func (s *TapeSet) entry(key tapeKey) *tapeEntry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.m == nil {
+		s.m = make(map[tapeKey]*tapeEntry)
 	}
-	e, ok := tapeReg.m[key]
+	e, ok := s.m[key]
 	if !ok {
 		e = &tapeEntry{}
-		tapeReg.m[key] = e
+		s.m[key] = e
 	}
 	return e
+}
+
+// publish installs t as e's tape (e.mu held), counts the recording and
+// folds the set's new size into the process peak.
+func (s *TapeSet) publish(e *tapeEntry, t *isa.Tape) {
+	e.tape.Store(t)
+	s.recordings.Add(1)
+	tapeTotals.recordings.Add(1)
+	st := s.Stats()
+	tapeTotals.mu.Lock()
+	if st.Bytes > tapeTotals.peak.Bytes {
+		tapeTotals.peak = TapeStats{Tapes: st.Tapes, Ops: st.Ops, Bytes: st.Bytes}
+	}
+	tapeTotals.mu.Unlock()
+}
+
+// replayed counts a stream served from an existing tape.
+func (s *TapeSet) replayed() {
+	s.replays.Add(1)
+	tapeTotals.replays.Add(1)
 }
 
 // growLocked records or grows the entry (e.mu held) so it holds at least
@@ -246,7 +284,7 @@ func tapeEntryFor(key tapeKey) *tapeEntry {
 // already-decoded prefix is copied into a fresh array (the old tape and
 // any live replayers keep the old one) and only the suffix is generated
 // from the retained generator, decoding as it goes.
-func (e *tapeEntry) growLocked(key tapeKey, need int, mkGen func() isa.Stream) bool {
+func (s *TapeSet) growLocked(e *tapeEntry, key tapeKey, need int, mkGen func() isa.Stream) bool {
 	if e.gen == nil {
 		e.gen = mkGen()
 		if e.gen == nil {
@@ -273,40 +311,39 @@ func (e *tapeEntry) growLocked(key tapeKey, need int, mkGen func() isa.Stream) b
 			grown[i] = isa.Decode(m)
 		}
 	}
-	e.tape.Store(isa.NewDecodedTape(key.name, grown))
-	tapeReg.recordings.Add(1)
+	s.publish(e, isa.NewDecodedTape(key.name, grown))
 	return true
 }
 
-// recordedStream returns a replayer over the registry tape for key,
+// recordedStream returns a replayer over the set's tape for key,
 // recording or growing it first (from mkGen's stream) so it holds at
 // least need ops.
-func recordedStream(key tapeKey, need int, mkGen func() isa.Stream) isa.Stream {
+func (s *TapeSet) recordedStream(key tapeKey, need int, mkGen func() isa.Stream) isa.Stream {
 	need = quantizeTapeLen(need)
-	e := tapeEntryFor(key)
+	e := s.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t := e.tape.Load(); t == nil || t.Len() < need {
-		if !e.growLocked(key, need, mkGen) {
+		if !s.growLocked(e, key, need, mkGen) {
 			return nil
 		}
 	} else {
-		tapeReg.replays.Add(1)
+		s.replayed()
 	}
 	return e.tape.Load().Stream()
 }
 
-// recordedTape ensures the registry entry for key holds at least need
+// recordedTape ensures the set's entry for key holds at least need
 // recorded ops and returns its tape (immutable once returned: growth
 // publishes a fresh Tape). Derivations read its decoded ops directly,
 // so the base decode is shared with every plain run.
-func recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *isa.Tape {
+func (s *TapeSet) recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *isa.Tape {
 	need = quantizeTapeLen(need)
-	e := tapeEntryFor(key)
+	e := s.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t := e.tape.Load(); t == nil || t.Len() < need {
-		if !e.growLocked(key, need, mkGen) {
+		if !s.growLocked(e, key, need, mkGen) {
 			return nil
 		}
 	}
@@ -318,16 +355,15 @@ func recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *isa.Tape {
 // prefix of build(m) for n < m, which any deterministic derivation
 // satisfies). Derived entries keep no generator: growth rebuilds from
 // scratch, since derivation runs at memcpy speed.
-func derivedStream(key tapeKey, need int, build func(n int) []isa.UOp) isa.Stream {
+func (s *TapeSet) derivedStream(key tapeKey, need int, build func(n int) []isa.UOp) isa.Stream {
 	need = quantizeTapeLen(need)
-	e := tapeEntryFor(key)
+	e := s.entry(key)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if t := e.tape.Load(); t == nil || t.Len() < need {
-		e.tape.Store(isa.NewDecodedTape(key.name, build(need)))
-		tapeReg.recordings.Add(1)
+		s.publish(e, isa.NewDecodedTape(key.name, build(need)))
 	} else {
-		tapeReg.replays.Add(1)
+		s.replayed()
 	}
 	return e.tape.Load().Stream()
 }

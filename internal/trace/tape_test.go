@@ -43,11 +43,10 @@ func matchLive(t *testing.T, label string, stream, live isa.Stream, n int) {
 // ops the live generator produces — the property that lets every
 // experiment switch to tapes without changing a single result.
 func TestTapeMatchesGenerator(t *testing.T) {
-	defer ResetTapes()
 	for _, name := range []string{"fib", "linpack", "memops", "matmul", "base64"} {
-		ResetTapes()
+		ts := new(TapeSet)
 		const budget = 5000
-		matchLive(t, name, Recorded(name, 1, budget), ByName(name, 1), budget+TapeSlack)
+		matchLive(t, name, ts.Recorded(name, 1, budget), ByName(name, 1), budget+TapeSlack)
 	}
 }
 
@@ -55,22 +54,21 @@ func TestTapeMatchesGenerator(t *testing.T) {
 // the old contents stay an exact prefix, and that a sufficient tape is
 // replayed, not re-recorded.
 func TestRecordedGrowth(t *testing.T) {
-	defer ResetTapes()
-	ResetTapes()
-	short := Recorded("fib", 1, 1000)
-	if got := Tapes(); got.Recordings != 1 {
+	ts := new(TapeSet)
+	short := ts.Recorded("fib", 1, 1000)
+	if got := ts.Stats(); got.Recordings != 1 {
 		t.Fatalf("after first Recorded: %d recordings, want 1", got.Recordings)
 	}
-	long := Recorded("fib", 1, 20000)
-	if got := Tapes(); got.Recordings != 2 {
+	long := ts.Recorded("fib", 1, 20000)
+	if got := ts.Stats(); got.Recordings != 2 {
 		t.Fatalf("after growth: %d recordings, want 2", got.Recordings)
 	}
 	// The grown tape must replay the live generator across the old end,
 	// and the old tape must be unchanged by the growth.
 	matchLive(t, "grown", long, ByName("fib", 1), 20000+TapeSlack)
 	matchLive(t, "short", short, ByName("fib", 1), 1000+TapeSlack)
-	Recorded("fib", 1, 15000) // fits: replay, no re-record
-	s := Tapes()
+	ts.Recorded("fib", 1, 15000) // fits: replay, no re-record
+	s := ts.Stats()
 	if s.Recordings != 2 || s.Replays != 1 {
 		t.Errorf("stats = %+v, want 2 recordings / 1 replay", s)
 	}
@@ -85,18 +83,17 @@ func TestRecordedGrowth(t *testing.T) {
 // generator — replay exactly what the live instrumented generator
 // produces, across a density sweep and through growth.
 func TestDerivedTapesMatchGenerators(t *testing.T) {
-	defer ResetTapes()
 	for _, every := range []int{1, 2, 7, 25, 100} {
-		ResetTapes()
+		ts := new(TapeSet)
 		const inner = 3000
 		label := fmt.Sprintf("poll every=%d", every)
-		matchLive(t, label, RecordedPoll("matmul", 3, inner, every, 0xF0),
+		matchLive(t, label, ts.RecordedPoll("matmul", 3, inner, every, 0xF0),
 			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), inner+inner/every*2+TapeSlack)
 		// Growth must keep the shorter derivation as an exact prefix.
-		matchLive(t, label+" grown", RecordedPoll("matmul", 3, 2*inner, every, 0xF0),
+		matchLive(t, label+" grown", ts.RecordedPoll("matmul", 3, 2*inner, every, 0xF0),
 			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), 2*inner)
 
-		matchLive(t, fmt.Sprintf("safepoint every=%d", every), RecordedSafepoint("fib", 5, inner, every),
+		matchLive(t, fmt.Sprintf("safepoint every=%d", every), ts.RecordedSafepoint("fib", 5, inner, every),
 			NewSafepointAnnotated(ByName("fib", 5), every), inner+TapeSlack)
 	}
 }
@@ -105,8 +102,7 @@ func TestDerivedTapesMatchGenerators(t *testing.T) {
 // each resident tape is charged 24 bytes per decoded op plus 12 per
 // basic block, and nothing else — derived tapes included.
 func TestTapeStatsBytes(t *testing.T) {
-	defer ResetTapes()
-	ResetTapes()
+	ts := new(TapeSet)
 	const uopBytes, blockBytes = 24, 12
 	if unsafe.Sizeof(isa.UOp{}) != uopBytes || unsafe.Sizeof(isa.Block{}) != blockBytes {
 		t.Fatalf("sizeof(UOp, Block) = %d, %d; want %d, %d",
@@ -114,9 +110,9 @@ func TestTapeStatsBytes(t *testing.T) {
 	}
 	var wantOps, wantBytes uint64
 	for _, s := range []isa.Stream{
-		Recorded("fib", 1, 1000),
-		RecordedSafepoint("fib", 1, 1000, 4),
-		RecordedPoll("linpack", 2, 1000, 10, 0xF0),
+		ts.Recorded("fib", 1, 1000),
+		ts.RecordedSafepoint("fib", 1, 1000, 4),
+		ts.RecordedPoll("linpack", 2, 1000, 10, 0xF0),
 	} {
 		d := s.(*isa.TapeStream).Tape().Decoded()
 		if cap(d.Ops) != len(d.Ops) || cap(d.Blocks) != len(d.Blocks) {
@@ -127,11 +123,11 @@ func TestTapeStatsBytes(t *testing.T) {
 		wantBytes += uint64(len(d.Ops))*uopBytes + uint64(len(d.Blocks))*blockBytes
 	}
 	// RecordedPoll also recorded linpack's base tape.
-	base := Recorded("linpack", 2, 0).(*isa.TapeStream).Tape().Decoded()
+	base := ts.Recorded("linpack", 2, 0).(*isa.TapeStream).Tape().Decoded()
 	wantOps += uint64(len(base.Ops))
 	wantBytes += uint64(len(base.Ops))*uopBytes + uint64(len(base.Blocks))*blockBytes
 
-	got := Tapes()
+	got := ts.Stats()
 	if got.Tapes != 4 || got.Ops != wantOps || got.Bytes != wantBytes {
 		t.Fatalf("stats = %+v, want 4 tapes, %d ops, %d bytes", got, wantOps, wantBytes)
 	}
@@ -142,17 +138,16 @@ func TestTapeStatsBytes(t *testing.T) {
 // of the ops in MicroOp form. fib is the block-densest workload (about
 // one block per four ops, ~3 bytes per op).
 func TestTapeRetainedBytesPerOp(t *testing.T) {
-	defer ResetTapes()
-	ResetTapes()
+	ts := new(TapeSet)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	s := Recorded("fib", 1, 1<<20).(*isa.TapeStream)
+	s := ts.Recorded("fib", 1, 1<<20).(*isa.TapeStream)
 	n := s.Tape().Decoded() // the engine's view of the tape
 	runtime.GC()
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(n)
-	const slack = 4 // bytes per op: blocks, registry and generator state
+	const slack = 4 // bytes per op: blocks, set and generator state
 	perOp := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(len(n.Ops))
 	if max := float64(unsafe.Sizeof(isa.UOp{}) + slack); perOp > max {
 		t.Fatalf("a %d-op tape retains %.1f bytes per op, want at most %.0f", len(n.Ops), perOp, max)
@@ -160,23 +155,22 @@ func TestTapeRetainedBytesPerOp(t *testing.T) {
 }
 
 // TestTapesDoesNotWaitOnRecording checks a recording in progress blocks
-// neither the stats snapshot nor recordings of other keys: Tapes and
+// neither the stats snapshot nor recordings of other keys: Stats and
 // Recorded on another key must return while a generator is stuck
 // mid-Fill.
 func TestTapesDoesNotWaitOnRecording(t *testing.T) {
-	defer ResetTapes()
-	ResetTapes()
+	ts := new(TapeSet)
 	g := &stuckGen{entered: make(chan struct{}), release: make(chan struct{})}
 	recorded := make(chan struct{})
 	go func() {
-		RecordedStream("stuck", 100, func() isa.Stream { return g })
+		ts.RecordedStream("stuck", 100, func() isa.Stream { return g })
 		close(recorded)
 	}()
 	<-g.entered
 	done := make(chan TapeStats)
 	go func() {
-		s := Tapes()
-		Recorded("fib", 1, 100)
+		s := ts.Stats()
+		ts.Recorded("fib", 1, 100)
 		done <- s
 	}()
 	select {
@@ -185,13 +179,34 @@ func TestTapesDoesNotWaitOnRecording(t *testing.T) {
 			t.Errorf("stats during recording = %+v, want 1 entry and no published ops", s)
 		}
 	case <-time.After(10 * time.Second):
-		close(g.release) // unwind, so the deferred ResetTapes can lock
-		t.Fatal("Tapes or Recorded blocked behind another key's recording")
+		close(g.release) // unwind the stuck recording
+		t.Fatal("Stats or Recorded blocked behind another key's recording")
 	}
 	close(g.release)
 	<-recorded
-	if s := Tapes(); s.Tapes != 2 || s.Recordings != 2 {
+	if s := ts.Stats(); s.Tapes != 2 || s.Recordings != 2 {
 		t.Errorf("stats after recording = %+v, want 2 tapes / 2 recordings", s)
+	}
+}
+
+// TestTapeTotals checks the process view over sets: recordings and
+// replays accumulate across sets, and the resident figures cover at
+// least the largest set seen.
+func TestTapeTotals(t *testing.T) {
+	before := TapeTotals()
+	small, large := new(TapeSet), new(TapeSet)
+	small.Recorded("fib", 1, 1000)
+	small.Recorded("fib", 1, 1000)
+	large.Recorded("linpack", 1, 1<<18)
+	after := TapeTotals()
+	if d := after.Recordings - before.Recordings; d != 2 {
+		t.Errorf("recordings grew by %d over two sets, want 2", d)
+	}
+	if d := after.Replays - before.Replays; d != 1 {
+		t.Errorf("replays grew by %d, want 1", d)
+	}
+	if l := large.Stats(); after.Bytes < l.Bytes {
+		t.Errorf("totals = %+v, want at least the largest set's %d bytes", after, l.Bytes)
 	}
 }
 
@@ -213,8 +228,8 @@ func (g *stuckGen) Fill(dst []isa.MicroOp) {
 }
 
 func TestRecordedUnknownName(t *testing.T) {
-	defer ResetTapes()
-	if s := Recorded("no-such-workload", 1, 100); s != nil {
+	ts := new(TapeSet)
+	if s := ts.Recorded("no-such-workload", 1, 100); s != nil {
 		t.Fatalf("Recorded(unknown) = %v, want nil", s)
 	}
 }
@@ -223,9 +238,8 @@ func TestRecordedUnknownName(t *testing.T) {
 // per op (mirroring TestScheduleSteadyStateAllocFree in internal/sim):
 // once a tape exists, feeding the pipeline costs a cursor walk only.
 func TestTapeStreamAllocFree(t *testing.T) {
-	defer ResetTapes()
-	ResetTapes()
-	stream, ok := Recorded("linpack", 1, 100000).(*isa.TapeStream)
+	ts := new(TapeSet)
+	stream, ok := ts.Recorded("linpack", 1, 100000).(*isa.TapeStream)
 	if !ok {
 		t.Fatal("Recorded did not return a TapeStream")
 	}
@@ -249,9 +263,8 @@ func TestTapeStreamAllocFree(t *testing.T) {
 // BenchmarkTapeStream measures cursor replay against the live linpack
 // generator it replaces; ReportAllocs must show 0 allocs/op.
 func BenchmarkTapeStream(b *testing.B) {
-	defer ResetTapes()
-	ResetTapes()
-	stream := Recorded("linpack", 1, 100000).(*isa.TapeStream)
+	ts := new(TapeSet)
+	stream := ts.Recorded("linpack", 1, 100000).(*isa.TapeStream)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink isa.MicroOp
