@@ -63,13 +63,13 @@ fuzz:
 	go test -run '^$$' -fuzz FuzzEventQueue -fuzztime 10s ./internal/sim
 
 # Profile what the benchmark measures: the tier1-grid and tier2-grid
-# experiment sets (bench/workloads.go) at full scale, -j 1 -shards 1.
+# experiment sets (bench/workloads.go) at full scale, -j 1.
 # Writes tier1.cpu.pprof, tier2.cpu.pprof and tier2.mem.pprof.
 TIER1_EXPS = table2,fig2,fig4,fig5,worstcase,section2,section35,ablations,duet
 TIER2_EXPS = fig6,fig7,fig8,fig9,multiworker,scale
 sweep-profile:
-	go run ./cmd/xuibench -exp $(TIER1_EXPS) -j 1 -shards 1 -json -cpuprofile tier1.cpu.pprof > /dev/null
-	go run ./cmd/xuibench -exp $(TIER2_EXPS) -j 1 -shards 1 -json -cpuprofile tier2.cpu.pprof -memprofile tier2.mem.pprof > /dev/null
+	go run ./cmd/xuibench -exp $(TIER1_EXPS) -j 1 -json -cpuprofile tier1.cpu.pprof > /dev/null
+	go run ./cmd/xuibench -exp $(TIER2_EXPS) -j 1 -json -cpuprofile tier2.cpu.pprof -memprofile tier2.mem.pprof > /dev/null
 	@echo "wrote tier1.cpu.pprof tier2.cpu.pprof tier2.mem.pprof; inspect with: go tool pprof -top tier2.cpu.pprof"
 
 # Regenerate every table and figure from the paper.

@@ -81,7 +81,7 @@ func main() {
 			PerGroupRPS:   *load,
 			Horizon:       horizon,
 		}
-		r := env.ScalePoint(cfg, env.EngineWidth())
+		r := env.ScalePoint(cfg)
 		fmt.Printf("%d groups × %d cores: spawned=%d completed=%d GET p99=%.1fµs crossMsgs=%d epochs=%d agg=%d rebalances=%d\n",
 			r.Groups, r.CoresPerGroup, r.Spawned, r.Completed, r.GetP99Us, r.CrossMsgs, r.Epochs, r.AggRecv, r.Rebalances)
 		payload = r

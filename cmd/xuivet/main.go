@@ -272,10 +272,6 @@ func printAnnotations(suite *lint.Suite, root string) {
 		}
 		fmt.Printf("  %s:%d: %s guarded by %s\n", rel(gb.Pos.Filename), gb.Pos.Line, name, gb.Mu)
 	}
-	fmt.Printf("//xui:producer fields (%d):\n", len(a.Producer))
-	for _, pr := range a.Producer {
-		fmt.Printf("  %s:%d: %s.%s writers=%s\n", rel(pr.Pos.Filename), pr.Pos.Line, pr.Struct, pr.Field, strings.Join(pr.Writers, ","))
-	}
 	fmt.Printf("//xui:crosssend functions (%d):\n", len(a.CrossSend))
 	for _, cs := range a.CrossSend {
 		fmt.Printf("  %s:%d: %s\n", rel(cs.Pos.Filename), cs.Pos.Line, cs.Name)

@@ -294,15 +294,13 @@ type Machine struct {
 
 	// Sharded-machine state (see shard.go; all nil/zero on machines built
 	// with NewMachine): the epoch-synchronizing engine, one bus and IOAPIC
-	// per core group, the group width, the modelled inter-group
-	// interconnect latency, and the per-shard tracer lanes Observe wires.
+	// per core group, the group width, and the modelled inter-group
+	// interconnect latency.
 	Eng          *shard.Engine
 	Buses        []*apic.Bus
 	IOAPICs      []*apic.IOAPIC
 	groupSize    int
 	crossLatency sim.Time
-	lanes        []*obs.Tracer
-	parentTrace  *obs.Tracer
 
 	// simProbes are the event-kernel probes Observe attached, one per
 	// simulator; SnapshotMetrics flushes their counts.
@@ -458,32 +456,29 @@ func (m *Machine) DeliveryLatency() *stats.Histogram {
 }
 
 // Observe attaches an observability context to the machine: every core gets
-// a named thread under Tier2Pid, spans flow into ctx's tracer, and the
-// event kernel reports scheduling activity through a sim probe. Metrics
-// are counted on the machine and reach ctx's registry when they are
-// flushed: by SnapshotMetrics, or by the next Observe call, which flushes
-// into the registry attached before it. A nil ctx detaches everything.
+// a named thread under Tier2Pid, spans flow into ctx's tracer, and each
+// event kernel (one per shard) reports scheduling activity through its
+// own sim probe. Metrics are counted on the machine and reach ctx's
+// registry when they are flushed: by SnapshotMetrics, or by the next
+// Observe call, which flushes into the registry attached before it. A nil
+// ctx detaches everything.
 func (m *Machine) Observe(ctx *obs.Context) {
 	m.flushMeters()
-	if ctx == nil {
-		m.simProbes = nil
+	m.attachCores(ctx)
+	m.simProbes = nil
+	for g := 0; g < m.Groups(); g++ {
+		k := m.Sim
 		if m.Eng != nil {
-			m.detachSharded()
+			k = m.Eng.Shard(g)
 		}
-		m.attachCores(nil, nil)
-		m.Sim.SetProbe(nil)
-		return
+		if ctx == nil {
+			k.SetProbe(nil)
+			continue
+		}
+		p := obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid)
+		m.simProbes = append(m.simProbes, p)
+		k.SetProbe(p)
 	}
-	if m.Eng != nil && m.Eng.Shards() > 1 {
-		// Sharded machines record through per-shard lanes merged at epoch
-		// barriers so the trace order is deterministic at any worker count.
-		m.observeSharded(ctx)
-		return
-	}
-	m.attachCores(ctx, nil)
-	p := obs.NewSimProbe(ctx.Trace, ctx.Metrics, obs.Tier2Pid)
-	m.simProbes = []*obs.SimProbe{p}
-	m.Sim.SetProbe(p)
 }
 
 // flushMeters moves every sim probe's and every core's unflushed counts
@@ -498,19 +493,15 @@ func (m *Machine) flushMeters() {
 	}
 }
 
-// attachCores points every core at ctx, or at its shard's lane context
-// when lanes is non-nil, and resolves the core's metric handles against
-// ctx's registry once, so no flush builds a metric name. Trace threads
-// are named on ctx's tracer. A nil ctx detaches every core, handles
-// included.
-func (m *Machine) attachCores(ctx *obs.Context, lanes []*obs.Context) {
+// attachCores points every core at ctx and resolves the core's metric
+// handles against ctx's registry once, so no flush builds a metric name.
+// Trace threads are named on ctx's tracer. A nil ctx detaches every core,
+// handles included.
+func (m *Machine) attachCores(ctx *obs.Context) {
 	tr := ctx.TracerOrNil()
 	tr.NameProcess(obs.Tier2Pid, "tier2-machine")
 	for _, v := range m.Cores {
 		v.Obs = ctx
-		if lanes != nil {
-			v.Obs = lanes[m.ShardOf(v.ID)]
-		}
 		v.met.resolve(ctx.RegistryOrNil(), v.ID)
 		if tr.Enabled() {
 			tr.NameThread(obs.Tier2Pid, uint32(v.ID), fmt.Sprintf("vcore%d", v.ID))
@@ -656,9 +647,6 @@ func (m *Machine) RepeatMeters(prev *Meters, k uint64) {
 // ends — cycle accounts are imported additively, so repeated snapshots of
 // the same account would double-count.
 func (m *Machine) SnapshotMetrics(reg *obs.Registry) {
-	// Absorb any trace events recorded after the last epoch barrier (the
-	// post-loop clock-advance tail of a sharded run).
-	m.FlushLanes()
 	m.flushMeters()
 	now := uint64(m.Sim.Now())
 	for _, v := range m.Cores {

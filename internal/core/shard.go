@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"xui/internal/apic"
-	"xui/internal/obs"
 	"xui/internal/shard"
 	"xui/internal/sim"
 	"xui/internal/uintr"
@@ -12,14 +11,12 @@ import (
 
 // Sharded Tier-2 machines (DESIGN.md §13). A sharded machine partitions
 // its cores into equal groups, one per shard of a shard.Engine: each group
-// gets its own event kernel, interrupt bus and IOAPIC, all owned by one
-// goroutine per epoch. Cross-group traffic — senduipi to a thread homed on
-// another shard, IPIs, IOAPIC asserts and extended device messages for
-// remote cores — crosses through the engine's epoch-synchronized
-// outboxes with an interconnect latency of CrossLatency cycles on top of
-// the bus hop, so the engine's lookahead (≤ BusLatency + CrossLatency)
-// bounds every cross-shard dependency and results are byte-identical at
-// any worker count.
+// gets its own event kernel, interrupt bus and IOAPIC. Cross-group
+// traffic — senduipi to a thread homed on another shard, IPIs, IOAPIC
+// asserts and extended device messages for remote cores — crosses through
+// the engine's epoch-synchronized outboxes with an interconnect latency of
+// CrossLatency cycles on top of the bus hop, so the engine's lookahead
+// (≤ BusLatency + CrossLatency) bounds every cross-shard dependency.
 
 // NewSharded builds a machine of eng.Shards()×coresPerGroup cores over a
 // sharded engine. Core IDs are global and contiguous; core id belongs to
@@ -161,45 +158,4 @@ func (m *Machine) crossSendUIPI(sender int, uitt *uintr.UITT, idx, dst int) {
 			panic(fmt.Sprintf("core: cross-shard UIPI for shard %d landed on a foreign core %d: %v (threads are pinned shard-local)", dst, ndst, err))
 		}
 	})
-}
-
-// FlushLanes absorbs every per-shard tracer lane into the parent trace,
-// in shard order — the deterministic merge the epoch barrier hook runs.
-// A no-op without sharded observability.
-func (m *Machine) FlushLanes() {
-	for _, lane := range m.lanes {
-		m.parentTrace.AbsorbFrom(lane)
-	}
-}
-
-// observeSharded wires per-shard tracer lanes: every core records into its
-// group's lane, per-shard sim probes feed the lanes, and the engine's
-// barrier hook merges them into ctx.Trace in shard order at every epoch.
-func (m *Machine) observeSharded(ctx *obs.Context) {
-	m.parentTrace = ctx.Trace
-	m.lanes = make([]*obs.Tracer, m.Eng.Shards())
-	laneCtx := make([]*obs.Context, m.Eng.Shards())
-	for g := range m.lanes {
-		m.lanes[g] = ctx.Trace.NewLane()
-		laneCtx[g] = &obs.Context{Trace: m.lanes[g], Metrics: ctx.Metrics}
-	}
-	// Each core and each shard's probe count in their own plain state,
-	// flushed once the run is over, so metrics need no per-shard lane.
-	m.attachCores(ctx, laneCtx)
-	m.simProbes = make([]*obs.SimProbe, m.Eng.Shards())
-	for g := range m.simProbes {
-		m.simProbes[g] = obs.NewSimProbe(m.lanes[g], ctx.Metrics, obs.Tier2Pid)
-		m.Eng.Shard(g).SetProbe(m.simProbes[g])
-	}
-	m.Eng.SetBarrierHook(m.FlushLanes)
-}
-
-// detachSharded undoes observeSharded after a final lane flush.
-func (m *Machine) detachSharded() {
-	m.FlushLanes()
-	for g := 0; g < m.Eng.Shards(); g++ {
-		m.Eng.Shard(g).SetProbe(nil)
-	}
-	m.Eng.SetBarrierHook(nil)
-	m.lanes, m.parentTrace = nil, nil
 }

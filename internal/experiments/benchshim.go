@@ -22,12 +22,10 @@ func SetWorkers(n int) {
 	shim.env.Workers = n
 }
 
-// SetShards sets the bench shim's sharded-engine worker width.
-func SetShards(n int) {
-	shim.mu.Lock()
-	defer shim.mu.Unlock()
-	shim.env.Shards = n
-}
+// SetShards does nothing. It set the sharded engine's worker width,
+// which is gone: one goroutine drives every shard kernel. It stays until
+// bench/ stops calling it.
+func SetShards(int) {}
 
 // SetObservability sets the bench shim's observability context.
 func SetObservability(ctx *obs.Context) {
@@ -43,5 +41,5 @@ func RunJob(name string, quick bool) (any, error) { return shimEnv().RunJob(name
 func shimEnv() *Env {
 	shim.mu.Lock()
 	defer shim.mu.Unlock()
-	return &Env{Workers: shim.env.Workers, Shards: shim.env.Shards, Obs: shim.env.Obs}
+	return &Env{Workers: shim.env.Workers, Obs: shim.env.Obs}
 }

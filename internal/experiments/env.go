@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"runtime"
 	"sync/atomic"
 
 	"xui/internal/check"
@@ -17,8 +16,8 @@ import (
 // Env is the run environment: everything one experiment run is
 // configured with. Every experiment entry point is a method on *Env, so
 // runs on two Envs never see each other's settings. The zero Env is the
-// default run: one sweep worker and one engine worker per host core, no
-// observability or checking, the redundancy layer on, the fast engine.
+// default run: one sweep worker per host core, no observability or
+// checking, the redundancy layer on, the fast engine.
 //
 // Set the fields before the first run; an Env must not be copied once
 // used, because it numbers the Tier-1 cores its runs build and owns
@@ -32,11 +31,6 @@ type Env struct {
 	// land by job index (internal/sweep), so rows are byte-identical at
 	// any value.
 	Workers int
-	// Shards is the sharded Tier-2 engine's worker width (the scale
-	// experiments); <= 0 means one per host core. The logical shard
-	// topology is fixed by each experiment, so rows are byte-identical
-	// at any value (TestShardParity).
-	Shards int
 	// Obs receives the trace and metrics of every receiver core, Tier-2
 	// machine and sweep the run builds; nil disables observability at
 	// the cost of one pointer test per construction.
@@ -92,15 +86,6 @@ func runGrid[J, R any](e *Env, name string, jobs []J, fn func(i int, job J) R) [
 	//xui:nondet sweep wall-clock feeds only metrics, trace timestamps and ETA, never simulated state; results stay in job order
 	out, _ := sweep.RunOpts(jobs, opts, fn)
 	return out
-}
-
-// EngineWidth resolves the effective sharded-engine worker width: Shards,
-// or one per host core when unset.
-func (e *Env) EngineWidth() int {
-	if e.Shards > 0 {
-		return e.Shards
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // newCore builds a Tier-1 core on e's engine and attaches e's pipeline

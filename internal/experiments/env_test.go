@@ -135,15 +135,14 @@ func TestEnvIsolation(t *testing.T) {
 func TestBenchShim(t *testing.T) {
 	defer func() {
 		SetWorkers(0)
-		SetShards(0)
 		SetObservability(nil)
 	}()
 	ctx := &obs.Context{Metrics: obs.NewRegistry()}
 	SetWorkers(2)
-	SetShards(3)
+	SetShards(3) // a no-op, kept for bench/
 	SetObservability(ctx)
-	if e := shimEnv(); e.Workers != 2 || e.Shards != 3 || e.Obs != ctx {
-		t.Fatalf("shim Env = {Workers: %d, Shards: %d, Obs: %p}, want {2, 3, %p}", e.Workers, e.Shards, e.Obs, ctx)
+	if e := shimEnv(); e.Workers != 2 || e.Obs != ctx {
+		t.Fatalf("shim Env = {Workers: %d, Obs: %p}, want {2, %p}", e.Workers, e.Obs, ctx)
 	}
 	if _, err := RunJob("worstcase", true); err != nil {
 		t.Fatal(err)

@@ -29,7 +29,7 @@ func PaperFig2() Fig2Result {
 // hit would skip the simulation whose lifecycle this exists to record,
 // so the run is on an uncached copy of e.
 func (e *Env) TracedFig2() Fig2Result {
-	traced := &Env{Workers: e.Workers, Shards: e.Shards, Obs: e.Obs, Check: e.Check,
+	traced := &Env{Workers: e.Workers, Obs: e.Obs, Check: e.Check,
 		Progress: e.Progress, Engine: e.Engine, NoCache: true}
 	return traced.Fig2()
 }

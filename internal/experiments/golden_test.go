@@ -27,12 +27,13 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/quick.gol
 const goldenPath = "testdata/quick.golden"
 
 // goldenTraceKey names the digest of the Tier-2 (pid 2) trace events of a
-// quick scale run at engine width 4: the shard lanes' merged stream.
+// quick scale run: every shard kernel's events, epoch by epoch in shard
+// order.
 const goldenTraceKey = "scale.trace.pid2"
 
 // quickDigests runs every registry entry at quick scale and returns the
-// sha256 of each payload's JSON, plus the digest of the pid-2 lane of a
-// traced, sharded quick scale run.
+// sha256 of each payload's JSON, plus the digest of the pid-2 events of
+// a traced, sharded quick scale run.
 func quickDigests(t *testing.T) map[string]string {
 	t.Helper()
 	out := map[string]string{}
@@ -51,7 +52,7 @@ func quickDigests(t *testing.T) map[string]string {
 
 	var buf bytes.Buffer
 	ctx := &obs.Context{Trace: obs.NewStreamTracer(&buf)}
-	(&Env{Shards: 4, Obs: ctx}).Scale(true)
+	(&Env{Obs: ctx}).Scale(true)
 	if err := ctx.Trace.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func quickDigests(t *testing.T) map[string]string {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("scale trace is not valid JSON: %v", err)
 	}
-	var lane bytes.Buffer
+	var pid2 bytes.Buffer
 	for _, raw := range doc.TraceEvents {
 		var ev struct {
 			Pid uint32 `json:"pid"`
@@ -70,14 +71,14 @@ func quickDigests(t *testing.T) map[string]string {
 			t.Fatal(err)
 		}
 		if ev.Pid == obs.Tier2Pid {
-			lane.Write(raw)
-			lane.WriteByte('\n')
+			pid2.Write(raw)
+			pid2.WriteByte('\n')
 		}
 	}
-	if lane.Len() == 0 {
+	if pid2.Len() == 0 {
 		t.Fatal("traced scale run recorded no Tier-2 events")
 	}
-	out[goldenTraceKey] = digest(lane.Bytes())
+	out[goldenTraceKey] = digest(pid2.Bytes())
 	return out
 }
 
@@ -161,7 +162,7 @@ func writeGolden(t *testing.T, digests map[string]string) {
 	t.Helper()
 	var b strings.Builder
 	b.WriteString("# sha256 of each registry entry's quick payload JSON, and of the pid-2\n")
-	b.WriteString("# trace lane of a quick scale run at -shards 4. Regenerate with\n")
+	b.WriteString("# trace events of a quick scale run. Regenerate with\n")
 	b.WriteString("#   go test ./internal/experiments -run TestQuickGolden -update-golden\n")
 	fmt.Fprintf(&b, "arch %s\n", runtime.GOARCH)
 	for _, name := range append(JobNames(), goldenTraceKey) {

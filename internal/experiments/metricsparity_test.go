@@ -21,13 +21,12 @@ import (
 var hostKeys = regexp.MustCompile(`^sweep/.*/(wall_ms|eta_ms|job_us|workers|worker\d+/jobs)$|^cpu\d+/|^vcore\d+/(utilization|delivered_total/)`)
 
 // observedSnapshot runs each job (quick) from cold caches at the given
-// sweep and engine widths with a metrics-only context, as the daemon
-// does, and returns the registry snapshot without the host-dependent
-// keys.
-func observedSnapshot(t *testing.T, workers, shards int, jobs []string) map[string]any {
+// sweep width with a metrics-only context, as the daemon does, and
+// returns the registry snapshot without the host-dependent keys.
+func observedSnapshot(t *testing.T, workers int, jobs []string) map[string]any {
 	t.Helper()
 	ctx := &obs.Context{Metrics: obs.NewRegistry()}
-	e := &Env{Workers: workers, Shards: shards, Obs: ctx, Check: suiteCheck}
+	e := &Env{Workers: workers, Obs: ctx, Check: suiteCheck}
 	for _, name := range jobs {
 		ResetCaches()
 		if _, err := e.RunJob(name, true); err != nil {
@@ -55,24 +54,19 @@ func observedSnapshot(t *testing.T, workers, shards int, jobs []string) map[stri
 }
 
 // TestObservedMetricsParity checks that the metrics snapshot, not just the
-// rows, is independent of sweep width and engine shard width: handles
-// resolved at attach time must sum the same values whether one goroutine
-// or many record into them. Under -race it is also the data-race check
-// for concurrent handle adds from sweep and shard workers.
+// rows, is independent of sweep width: handles resolved at attach time
+// must sum the same values whether one goroutine or many record into
+// them. Under -race it is also the data-race check for concurrent handle
+// adds from sweep workers.
 func TestObservedMetricsParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the observed Tier-2 quick grids four times")
+		t.Skip("runs the observed Tier-2 quick grids twice")
 	}
 	t.Run("workers", func(t *testing.T) {
 		jobs := []string{"fig6", "fig9", "multiworker", "duet"}
-		serial := observedSnapshot(t, 1, 0, jobs)
-		parallel := observedSnapshot(t, 8, 0, jobs)
+		serial := observedSnapshot(t, 1, jobs)
+		parallel := observedSnapshot(t, 8, jobs)
 		diffSnapshots(t, "-j 1", serial, "-j 8", parallel)
-	})
-	t.Run("shards", func(t *testing.T) {
-		narrow := observedSnapshot(t, 1, 1, []string{"scale"})
-		wide := observedSnapshot(t, 1, 4, []string{"scale"})
-		diffSnapshots(t, "-shards 1", narrow, "-shards 4", wide)
 	})
 }
 

@@ -169,7 +169,7 @@ func lookupJob(name string) (jobSpec, bool) {
 
 // RunJob executes the named experiment on e at the given grid scale and
 // returns its machine-readable payload. Everything the run is configured
-// with — widths, sinks, progress — comes from e. The instruction tapes
+// with — sweep width, sinks, progress — comes from e. The instruction tapes
 // the job records are dropped when it returns.
 func (e *Env) RunJob(name string, quick bool) (any, error) {
 	s, ok := lookupJob(name)

@@ -204,5 +204,5 @@ func textScale(w io.Writer, rows []ScaleRow) {
 			r.Mode, r.Groups, r.CoresPerGroup, r.Cores, r.Spawned, r.Completed, r.GetP99Us,
 			r.CrossMsgs, r.Epochs, r.AggRecv, r.Rebalances)
 	}
-	fmt.Fprintln(w, "\nrows are byte-identical at any -shards width; -report records the wall time")
+	fmt.Fprintln(w, "\none goroutine drives every shard kernel; -report records the wall time")
 }

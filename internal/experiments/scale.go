@@ -21,9 +21,8 @@ import (
 // (internal/shard), with cross-shard senduipi aggregation and conventional
 // cross-shard IPI broadcasts crossing the epoch-synchronized mailboxes.
 // The logical topology — group count, cores per group, seeds, interconnect
-// latency — is fixed per configuration; the -shards flag only sets how many
-// host goroutines drive the shard kernels, so every row is byte-identical
-// at any width (TestShardParity).
+// latency — is fixed per configuration, and one goroutine drives every
+// shard kernel of a run, epoch by epoch.
 
 // ScaleCrossLatency is the modelled inter-group interconnect latency
 // (cycles, ≈1 µs at 2 GHz) on top of the APIC bus hop. It bounds the
@@ -62,9 +61,9 @@ func ScaleConfigs(quick bool) []ScaleConfig {
 }
 
 // ScaleRow is one configuration's deterministic results. Wall time is
-// deliberately absent: rows are compared byte-for-byte across engine
-// widths, so only simulated quantities belong here (a -report document's
-// wallMs carries the wall time).
+// deliberately absent: rows are compared byte-for-byte across runs, so
+// only simulated quantities belong here (a -report document's wallMs
+// carries the wall time).
 type ScaleRow struct {
 	Mode          string
 	Groups        int
@@ -80,28 +79,23 @@ type ScaleRow struct {
 	Rebalances    uint64  // conventional IPI broadcasts the aggregator sent back
 }
 
-// Scale runs the family at e's engine width (Env.Shards).
+// Scale runs the family's configurations one after another.
 func (e *Env) Scale(quick bool) []ScaleRow {
 	cfgs := ScaleConfigs(quick)
 	rows := make([]ScaleRow, len(cfgs))
-	width := e.EngineWidth()
-	// Serial loop, not runGrid: the parallelism under measurement is the
-	// engine's own worker pool, and stacking the sweep pool on top would
-	// only let runs contend for the same host cores.
 	for i, c := range cfgs {
-		rows[i] = e.ScalePoint(c, width)
+		rows[i] = e.ScalePoint(c)
 	}
 	return rows
 }
 
-// ScalePoint runs one configuration on a sharded engine with the given
-// worker width. The row depends only on the configuration, never the width.
-func (e *Env) ScalePoint(cfg ScaleConfig, width int) ScaleRow {
+// ScalePoint runs one configuration on a sharded engine.
+func (e *Env) ScalePoint(cfg ScaleConfig) ScaleRow {
 	switch cfg.Mode {
 	case "cluster":
-		return e.scaleCluster(cfg, width)
+		return e.scaleCluster(cfg)
 	case "edge":
-		return e.scaleEdge(cfg, width)
+		return e.scaleEdge(cfg)
 	}
 	panic("experiments: unknown scale mode " + cfg.Mode)
 }
@@ -113,9 +107,9 @@ func (e *Env) ScalePoint(cfg ScaleConfig, width int) ScaleRow {
 // and the aggregator answers every 256th report with a conventional
 // "rebalance" IPI broadcast to every other group, exercising the
 // cross-shard bus router in the opposite direction.
-func (e *Env) scaleCluster(cfg ScaleConfig, width int) ScaleRow {
+func (e *Env) scaleCluster(cfg ScaleConfig) ScaleRow {
 	g, cpg := cfg.Groups, cfg.CoresPerGroup
-	eng := shard.New(0xA11CE, g, scaleLookahead, width)
+	eng := shard.New(0xA11CE, g, scaleLookahead)
 	m, err := core.NewSharded(eng, cpg, core.TrackedIPI, ScaleCrossLatency)
 	if err != nil {
 		panic(err)
@@ -240,9 +234,9 @@ func (e *Env) scaleCluster(cfg ScaleConfig, width int) ScaleRow {
 // own NICs on a shard-local l3fwd core under xUI device interrupts, and
 // reports forwarding statistics to the group-0 aggregator with a periodic
 // cross-shard senduipi.
-func (e *Env) scaleEdge(cfg ScaleConfig, width int) ScaleRow {
+func (e *Env) scaleEdge(cfg ScaleConfig) ScaleRow {
 	g, cpg, nq := cfg.Groups, cfg.CoresPerGroup, cfg.NICsPerGroup
-	eng := shard.New(0xED6E, g, scaleLookahead, width)
+	eng := shard.New(0xED6E, g, scaleLookahead)
 	m, err := core.NewSharded(eng, cpg, core.TrackedIPI, ScaleCrossLatency)
 	if err != nil {
 		panic(err)

@@ -61,9 +61,7 @@ var Directives = []Directive{
 	{"noalloc", "noalloc", OnFunc, "", "(function doc) function and its direct-call tree must not heap-allocate per -gcflags=-m"},
 	{"alloc", "noalloc", OnLine, "<reason>", "waive an allocation on this or the next line; on a call line, vouches for the callee subtree"},
 	{"aliased", "alias", OnField, "", "(struct slice field) reslicing/truncating in place is forbidden"},
-	{"parallel", "sgoroutine", OnLine, "<reason>", "waive an sgoroutine diagnostic (only honored in parallel-waiver packages)"},
 	{"guardedby", "lockcheck", OnFieldOrLocal, "<mu>", "(struct field or var-block local) field may only be accessed holding the sibling mutex <mu>"},
-	{"producer", "shardsafe", OnField, "<f,...>", "(struct field) only the named methods may write the field"},
 	{"crosssend", "shardsafe", OnFunc, "", "(func doc) the 'when' parameter must derive from an epoch source"},
 	{"lockok", "lockcheck", OnLine, "<reason>", "waive a lockcheck diagnostic on this or the next line"},
 	{"shardok", "shardsafe", OnLine, "<reason>", "waive a shardsafe diagnostic on this or the next line"},
@@ -89,8 +87,6 @@ type Waiver struct {
 	Line   int
 	Reason string
 	Used   bool
-	pkg    string    // import path of the package holding the comment
-	pos    token.Pos // the comment itself, for findings about the waiver
 }
 
 func (w *Waiver) covers(p token.Position) bool {
@@ -130,17 +126,6 @@ type GuardAnno struct {
 	Pos   token.Position
 }
 
-// ProducerAnno is a //xui:producer <f,g> annotation on a struct field: the
-// field may only be written (or have its address taken) inside the named
-// methods — the single-producer discipline of the shard mailboxes.
-type ProducerAnno struct {
-	Obj     types.Object
-	Struct  string
-	Field   string
-	Writers []string
-	Pos     token.Position
-}
-
 // CrossSendAnno is a //xui:crosssend annotation on a function: at every
 // call site, the argument bound to the parameter named "when" must be
 // derived from an epoch-boundary time source.
@@ -157,7 +142,6 @@ type Annotations struct {
 	Noalloc   []*FuncAnno
 	Aliased   []*FieldAnno
 	GuardedBy []*GuardAnno
-	Producer  []*ProducerAnno
 	CrossSend []*CrossSendAnno
 	Malformed []Diagnostic
 }
@@ -283,7 +267,6 @@ func (a *Annotations) collectFile(p *Package, f *ast.File) {
 			case d.Place == OnLine:
 				a.Waivers = append(a.Waivers, &Waiver{
 					Verb: verb, File: pos.Filename, Line: pos.Line, Reason: rest,
-					pkg: p.Path, pos: c.Pos(),
 				})
 			case !attached[c]:
 				a.malformed(d.Analyzer, pos, "misplaced //xui:%s: %s", verb, d.Place.rule())
@@ -342,7 +325,7 @@ func (a *Annotations) addNoalloc(p *Package, d *ast.FuncDecl, c *ast.Comment) {
 }
 
 // collectStructFields dispatches the field-level annotations (aliased,
-// guardedby, producer) over one struct type's fields. owner is the struct
+// guardedby) over one struct type's fields. owner is the struct
 // or variable name, for display.
 func (a *Annotations) collectStructFields(p *Package, owner string, st *ast.StructType, attached map[*ast.Comment]bool) {
 	for _, fld := range st.Fields.List {
@@ -358,9 +341,6 @@ func (a *Annotations) collectStructFields(p *Package, owner string, st *ast.Stru
 			case "guardedby":
 				attached[c] = true
 				a.addGuardedBy(p, owner, st, fld, rest, c)
-			case "producer":
-				attached[c] = true
-				a.addProducer(p, owner, fld, rest, c)
 			}
 		}
 	}
@@ -436,36 +416,6 @@ func (a *Annotations) addGuardedBy(p *Package, owner string, st *ast.StructType,
 func isMutexType(t types.Type) bool {
 	s := t.String()
 	return s == "sync.Mutex" || s == "sync.RWMutex"
-}
-
-// addProducer records a //xui:producer <f,g> field annotation: only the
-// named functions may write the field or take its address.
-func (a *Annotations) addProducer(p *Package, owner string, fld *ast.Field, rest string, c *ast.Comment) {
-	pos := p.Fset.Position(c.Pos())
-	var writers []string
-	for _, w := range strings.Split(rest, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			writers = append(writers, w)
-		}
-	}
-	if len(writers) == 0 {
-		a.malformed("shardsafe", pos, "//xui:producer needs the writer list: //xui:producer <func,...>")
-		return
-	}
-	if len(fld.Names) == 0 {
-		a.malformed("shardsafe", pos, "//xui:producer on an embedded field; name the field")
-		return
-	}
-	for _, name := range fld.Names {
-		obj := p.Info.Defs[name]
-		if obj == nil {
-			a.malformed("shardsafe", pos, "//xui:producer field %s.%s did not resolve", owner, name.Name)
-			continue
-		}
-		a.Producer = append(a.Producer, &ProducerAnno{
-			Obj: obj, Struct: owner, Field: name.Name, Writers: writers, Pos: pos,
-		})
-	}
 }
 
 // addCrossSend records a //xui:crosssend function annotation. The function

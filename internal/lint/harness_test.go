@@ -20,7 +20,6 @@ func fixtureConfig(path string) *Config {
 	return &Config{
 		DeterminismPkgs:     []string{path},
 		SingleGoroutinePkgs: []string{path},
-		ParallelWaiverPkgs:  []string{path},
 		LockCheckPkgs:       []string{path},
 		RecoverSafePkgs:     []string{path},
 		ProbeTypes:          []string{"Probe", "IntrObserver", "CheckProbe"},

@@ -39,19 +39,11 @@
 //	//xui:aliased            (struct field) the slice field's backing array
 //	                         is aliased by published results; reslicing or
 //	                         truncating it in place is forbidden
-//	//xui:parallel <reason>  waive a single-goroutine (sgoroutine) diagnostic
-//	                         on this or the next line; legitimate only in
-//	                         the sharded engine's epoch machinery
-//	                         (Config.ParallelWaiverPkgs); anywhere else
-//	                         it waives nothing and is an sgoroutine finding
 //	//xui:guardedby <mu>     (struct field, or local var in a parenthesized
 //	                         var block) the field may only be accessed while
 //	                         the named sibling mutex is held (lockcheck)
 //	//xui:lockok <reason>    waive a lockcheck diagnostic on this or the
 //	                         next line
-//	//xui:producer <f,...>   (struct field) only the named functions may
-//	                         write the field or take its address — the
-//	                         single-producer mailbox discipline (shardsafe)
 //	//xui:crosssend          (function doc comment) every call site's
 //	                         "when" argument must derive from an
 //	                         epoch-boundary time source (shardsafe)
@@ -132,12 +124,6 @@ type Config struct {
 	// RecoverSafePkgs lists import-path prefixes where every go statement's
 	// body must be dominated by a recover wrapper.
 	RecoverSafePkgs []string
-	// ParallelWaiverPkgs lists the only import-path prefixes where
-	// //xui:parallel waivers are legitimate — the sharded engine's epoch
-	// machinery. A parallel waiver anywhere else in a single-goroutine
-	// package suppresses nothing and is itself an sgoroutine finding: it
-	// would silently punch a hole in the kernel's single-goroutine contract.
-	ParallelWaiverPkgs []string
 }
 
 // DefaultConfig returns the analyzer configuration for this module.
@@ -153,18 +139,14 @@ func DefaultConfig(modulePath string) *Config {
 	for _, p := range det {
 		cfg.DeterminismPkgs = append(cfg.DeterminismPkgs, modulePath+"/"+p)
 	}
-	// The Tier-2 event kernel and the Tier-1 cycle loop: one goroutine per
-	// simulator, concurrency is modelled with events, never spawned. The
-	// sharded engine (internal/shard) keeps the same contract per shard
-	// kernel; its epoch-synchronization machinery is the one place real
-	// goroutines and channels are allowed, each site carrying a
-	// //xui:parallel waiver that is audited for staleness like any other.
+	// The Tier-2 event kernel, the sharded engine that couples several of
+	// them, and the Tier-1 cycle loop: one goroutine per run, concurrency
+	// is modelled with events, never spawned.
 	cfg.SingleGoroutinePkgs = []string{
 		modulePath + "/internal/sim",
 		modulePath + "/internal/cpu",
 		modulePath + "/internal/shard",
 	}
-	cfg.ParallelWaiverPkgs = []string{modulePath + "/internal/shard"}
 	// The concurrent host-side packages: the daemon, the sweep pool, the
 	// run cache, the metrics/trace registries and the invariant checker.
 	for _, p := range []string{
@@ -174,7 +156,7 @@ func DefaultConfig(modulePath string) *Config {
 		cfg.LockCheckPkgs = append(cfg.LockCheckPkgs, modulePath+"/"+p)
 	}
 	for _, p := range []string{
-		"internal/server", "internal/sweep", "internal/shard",
+		"internal/server", "internal/sweep",
 	} {
 		cfg.RecoverSafePkgs = append(cfg.RecoverSafePkgs, modulePath+"/"+p)
 	}
@@ -286,11 +268,10 @@ func (s *Suite) Run(enabled map[string]bool) []Diagnostic {
 }
 
 // waive reports whether a diagnostic analyzer raised at pos is covered by
-// one of that analyzer's waivers, marking the waiver used. A misplaced
-// //xui:parallel waiver covers nothing: sgoroutine reports it instead.
+// one of that analyzer's waivers, marking the waiver used.
 func (s *Suite) waive(analyzer string, pos token.Position) bool {
 	for _, w := range s.Annos.Waivers {
-		if directive(w.Verb).Analyzer == analyzer && w.covers(pos) && !s.misplacedParallel(w) {
+		if directive(w.Verb).Analyzer == analyzer && w.covers(pos) {
 			w.Used = true
 			return true
 		}

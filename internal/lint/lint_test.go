@@ -27,16 +27,7 @@ func TestNilProbeFixture(t *testing.T) {
 }
 
 func TestSingleGoroutineFixture(t *testing.T) {
-	s := runFixture(t, "sg", "sgoroutine")
-	// The fixture contains exactly one stale //xui:parallel waiver
-	// (StaleWaiverHere); the two legal waivers must have been consumed.
-	stale := s.StaleWaivers()
-	if len(stale) != 1 {
-		t.Fatalf("want exactly 1 stale waiver, got %d: %v", len(stale), stale)
-	}
-	if !strings.Contains(stale[0].Message, "stale //xui:parallel waiver") {
-		t.Errorf("stale waiver reason not surfaced: %s", stale[0])
-	}
+	runFixture(t, "sg", "sgoroutine")
 }
 
 func TestAliasFixture(t *testing.T) {
@@ -77,10 +68,10 @@ func TestShardSafeFixture(t *testing.T) {
 }
 
 // TestStaleWaiversOnlyForAnalyzersThatRan proves the stale audit judges a
-// waiver only against its owning analyzer: the sg fixture's //xui:parallel
-// waivers are not stale after a determinism-only run.
+// waiver only against its owning analyzer: the lockcheck fixture's
+// //xui:lockok waivers are not stale after a determinism-only run.
 func TestStaleWaiversOnlyForAnalyzersThatRan(t *testing.T) {
-	s, _ := loadFixture(t, "sg")
+	s, _ := loadFixture(t, "lockcheck")
 	s.Run(map[string]bool{"determinism": true})
 	if stale := s.StaleWaivers(); len(stale) != 0 {
 		t.Errorf("want no stale waivers after a determinism-only run, got %d: %v", len(stale), stale)
@@ -115,26 +106,6 @@ func TestDirectiveTable(t *testing.T) {
 		if !regexp.MustCompile(`(?m)^\s*//xui:` + regexp.QuoteMeta(d.Verb) + `(\s|$)`).MatchString(grammar) {
 			t.Errorf("//xui:%s is missing from the package doc's annotation grammar", d.Verb)
 		}
-	}
-}
-
-// TestParallelWaiverScope proves a //xui:parallel waiver in a
-// single-goroutine package OUTSIDE ParallelWaiverPkgs is reported even
-// though it suppresses nothing.
-func TestParallelWaiverScope(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "parscope")
-	p, err := loadPackageDir(dir, "fixture/parscope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := &Config{SingleGoroutinePkgs: []string{"fixture/parscope"}}
-	s := NewSuite(cfg, []*Package{p})
-	diags := s.Run(map[string]bool{"sgoroutine": true})
-	if len(diags) != 1 {
-		t.Fatalf("want exactly 1 scope diagnostic, got %d: %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, "outside the sharded engine") {
-		t.Errorf("unexpected message: %s", diags[0])
 	}
 }
 
@@ -192,7 +163,6 @@ func TestAnnotationValidation(t *testing.T) {
 		"//xui:lockok needs a reason",
 		"Locked has no field named missing",
 		"field Locked.notMu is not a sync.Mutex or sync.RWMutex",
-		"//xui:producer needs the writer list",
 		"//xui:crosssend function NoWhen has no parameter named \"when\"",
 	}
 	if len(diags) != len(expected) {
@@ -222,9 +192,6 @@ func TestAnnotationValidation(t *testing.T) {
 	}
 	if len(s.Annos.GuardedBy) != 1 || s.Annos.GuardedBy[0].Field != "ok" {
 		t.Errorf("valid //xui:guardedby not collected: %+v", s.Annos.GuardedBy)
-	}
-	if len(s.Annos.Producer) != 1 || s.Annos.Producer[0].Field != "rows" {
-		t.Errorf("valid //xui:producer not collected: %+v", s.Annos.Producer)
 	}
 	if len(s.Annos.CrossSend) != 1 {
 		t.Errorf("valid //xui:crosssend not collected: %+v", s.Annos.CrossSend)

@@ -7,7 +7,7 @@ import (
 )
 
 // analyzerRecoverSafe enforces panic containment on spawned goroutines in
-// Config.RecoverSafePkgs (the daemon, the sweep pool, the shard workers):
+// Config.RecoverSafePkgs (the daemon and the sweep pool):
 // a panic on a bare goroutine kills the whole process — the crash class a
 // previous release fixed by hand in the sweep OnProgress path. Every go
 // statement's body must therefore be *dominated* by a recover wrapper: a

@@ -1,7 +1,6 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,17 +8,11 @@ import (
 )
 
 // analyzerSingleGoroutine enforces the event kernel's concurrency
-// contract: inside internal/sim and the Tier-1 cycle loop (internal/cpu),
-// concurrency is modelled with events, never spawned. The sharded Tier-2
-// engine (internal/shard) carries the same contract per shard: one
-// goroutine owns each shard's kernel, and only the epoch-synchronization
-// machinery that couples shards may touch goroutines, channels or sync —
-// each such site waived with `//xui:parallel <reason>` and audited for
-// staleness like every other waiver. Outside those waived sites, any `go`
-// statement, channel machinery, or sync primitive either breaks
-// determinism or hides a data race from the model, so the analyzer
-// forbids it. A //xui:parallel waiver outside Config.ParallelWaiverPkgs
-// is itself a finding and waives nothing.
+// contract: inside internal/sim, the Tier-1 cycle loop (internal/cpu) and
+// the sharded Tier-2 engine (internal/shard), concurrency is modelled with
+// events, never spawned. Any `go` statement, channel machinery, or sync
+// primitive there either breaks determinism or hides a data race from the
+// model, so the analyzer forbids it.
 func analyzerSingleGoroutine() *Analyzer {
 	return &Analyzer{
 		Name: "sgoroutine",
@@ -31,13 +24,6 @@ func analyzerSingleGoroutine() *Analyzer {
 func runSingleGoroutine(s *Suite, p *Package, report func(pos token.Pos, msg string, path ...Frame)) {
 	if !matchPkg(p.Path, s.Cfg.SingleGoroutinePkgs) {
 		return
-	}
-	for _, w := range s.Annos.Waivers {
-		if w.pkg == p.Path && s.misplacedParallel(w) {
-			report(w.pos, fmt.Sprintf(
-				"//xui:parallel waiver (%q) outside the sharded engine: the single-goroutine contract of %s cannot be waived here",
-				w.Reason, p.Path))
-		}
 	}
 	const contract = "the single-goroutine simulation contract: model concurrency with events, run cross-run parallelism through internal/sweep"
 	for _, f := range p.Files {
@@ -77,10 +63,4 @@ func runSingleGoroutine(s *Suite, p *Package, report func(pos token.Pos, msg str
 			return true
 		})
 	}
-}
-
-// misplacedParallel reports whether w is a //xui:parallel waiver outside
-// the packages where the sharded engine may legitimately use one.
-func (s *Suite) misplacedParallel(w *Waiver) bool {
-	return w.Verb == "parallel" && !matchPkg(w.pkg, s.Cfg.ParallelWaiverPkgs)
 }

@@ -56,13 +56,6 @@ type Locked struct {
 	ok int
 }
 
-type Mailboxes struct {
-	//xui:producer
-	boxes []int
-	//xui:producer fill
-	rows []int
-}
-
 //xui:crosssend
 func NoWhen(x int) { _ = x }
 

@@ -43,18 +43,3 @@ func (k *Kernel) Lock() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 }
-
-// SpawnWaived models the sharded engine's epoch machinery: the go
-// statement and channel send carry //xui:parallel waivers, so the
-// analyzer stays silent on them.
-func (k *Kernel) SpawnWaived() {
-	go k.loop() //xui:parallel shard worker owns a disjoint kernel; epochs join it
-	//xui:parallel epoch mailbox handoff, drained at the barrier
-	k.ch <- 1
-}
-
-// StaleWaiverHere sits on a clean line: nothing to suppress, so the
-// waiver must be reported as stale.
-func (k *Kernel) StaleWaiverHere() {
-	_ = 0 //xui:parallel nothing here violates the contract
-}

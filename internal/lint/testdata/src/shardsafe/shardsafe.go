@@ -1,7 +1,6 @@
-// Package shardsafe exercises the shardsafe analyzer: single-producer
-// mailbox fields (//xui:producer) may only be written by their annotated
-// writers, and every //xui:crosssend call site must pass a "when" derived
-// from an epoch-boundary source.
+// Package shardsafe exercises the shardsafe analyzer: every
+// //xui:crosssend call site must pass a "when" derived from an
+// epoch-boundary source.
 package shardsafe
 
 // Clock provides the epoch time sources.
@@ -10,16 +9,14 @@ type Clock struct{ now int64 }
 func (c *Clock) Now() int64       { return c.now }
 func (c *Clock) Lookahead() int64 { return 10 }
 
-// Engine mimics the sharded engine's mailbox layout.
+// Engine mimics the sharded engine's outbox layout.
 type Engine struct {
 	clock    Clock
 	epochEnd int64
-	out      [][]int  //xui:producer push
-	seqs     []uint64 //xui:producer push
+	out      [][]int
+	seqs     []uint64
 }
 
-// push is the annotated single producer: writes and address-takes of the
-// mailbox fields are legal here and nowhere else.
 func (e *Engine) push(src, v int) {
 	box := &e.out[src]
 	*box = append(*box, v)
@@ -32,19 +29,6 @@ func (e *Engine) push(src, v int) {
 func (e *Engine) Send(dst int, when int64, v int) {
 	_ = when
 	e.push(dst, v)
-}
-
-func (e *Engine) RogueWrite() {
-	e.seqs[0]++ // want `write of single-producer field Engine\.seqs \(//xui:producer push\) in \(\*Engine\)\.RogueWrite`
-}
-
-func (e *Engine) RogueAddr() *[]int {
-	return &e.out[0] // want `address-take of single-producer field Engine\.out`
-}
-
-func (e *Engine) WaivedWrite() {
-	//xui:shardok reset path; runs before any worker exists
-	e.seqs[0] = 0
 }
 
 func (e *Engine) GoodSendNow() {

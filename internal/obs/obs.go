@@ -63,17 +63,16 @@ type event struct {
 // (internal/sweep) fans independent runs across worker goroutines that all
 // record into the one tracer the CLI installed.
 //
-// A root tracer (NewStreamTracer/StreamFile) serialises events to its
-// writer in bounded-memory chunks as they are recorded; Close seals the
-// document. A per-shard lane (NewLane) only buffers: the sharded engine's
-// epoch barrier absorbs it into its root.
+// A tracer (NewStreamTracer/StreamFile) serialises events to its writer
+// in bounded-memory chunks as they are recorded; Close seals the
+// document.
 type Tracer struct {
 	mu     sync.Mutex
 	events []event //xui:guardedby mu
 	n      uint64  //xui:guardedby mu
 
-	stream *streamState // nil on a lane
-	closed bool         //xui:guardedby mu
+	stream *streamState
+	closed bool //xui:guardedby mu
 }
 
 // Enabled reports whether events will be recorded.
@@ -98,7 +97,7 @@ func (t *Tracer) add(e event) {
 	}
 	t.events = append(t.events, e)
 	t.n++
-	if t.stream != nil && len(t.events) >= t.stream.chunk {
+	if len(t.events) >= t.stream.chunk {
 		t.flushLocked() // cold path: serialisation lives off the recording path
 	}
 }

@@ -91,10 +91,6 @@ func TestTracerNilSafe(t *testing.T) {
 	if tr.Enabled() || tr.Events() != 0 || tr.Close() != nil || tr.flush() != nil {
 		t.Fatal("nil tracer should be inert")
 	}
-	if tr.NewLane() != nil {
-		t.Fatal("nil tracer handed out a live lane")
-	}
-	tr.AbsorbFrom(nil)
 }
 
 func TestRegistryBasics(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 // is bounded by this count regardless of how many events a run records.
 const DefaultStreamChunk = 4096
 
-// streamState is a root tracer's chunked Chrome-trace JSON writer. The
+// streamState is a tracer's chunked Chrome-trace JSON writer. The
 // document is {"displayTimeUnit":"ns","traceEvents":[ e, e, ... ]} with
 // the prologue written on the first flush and the trailer written by
 // Close — so a capture terminated early by Close is still a complete,
@@ -54,14 +54,14 @@ func StreamFile(path string) (*Tracer, error) {
 }
 
 // flush serialises any buffered events to the stream. It is a no-op on
-// nil, lane or already-closed tracers.
+// nil or already-closed tracers.
 func (t *Tracer) flush() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stream == nil || t.closed {
+	if t.closed {
 		return nil
 	}
 	t.flushLocked()
@@ -72,14 +72,14 @@ func (t *Tracer) flush() error {
 // the writer if the tracer owns it. The resulting output is a complete,
 // valid Chrome-trace JSON document even when the capture is terminated
 // before the run finished. Close is idempotent; events recorded after
-// Close are discarded. On a nil tracer or a lane Close is a no-op.
+// Close are discarded. On a nil tracer Close is a no-op.
 func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.stream == nil || t.closed {
+	if t.closed {
 		return nil
 	}
 	t.flushLocked()

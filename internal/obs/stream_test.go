@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -179,44 +178,6 @@ func TestStreamEscapedNames(t *testing.T) {
 	if len(events) != 1 || events[0]["name"] != `quote"back\slash` || events[0]["cat"] != "π-cat" {
 		t.Errorf("escaped round-trip failed: %+v", events)
 	}
-}
-
-// TestLaneAbsorb: a lane buffers without a writer, AbsorbFrom appends its
-// events to the root's stream in recording order and empties the lane for
-// the next epoch, and a streaming child is refused.
-func TestLaneAbsorb(t *testing.T) {
-	var buf bytes.Buffer
-	root := NewStreamTracer(&buf)
-	lane := root.NewLane()
-	root.Instant(2, 0, "root", "", 0, nil)
-	lane.Instant(2, 1, "a", "", 2000, nil)
-	lane.Span(2, 1, "b", "", 4000, 6000, nil)
-	if lane.Close() != nil || buf.Len() != 0 {
-		t.Fatal("a lane wrote or closed something")
-	}
-	root.AbsorbFrom(lane)
-	lane.Instant(2, 1, "c", "", 8000, nil)
-	root.AbsorbFrom(lane)
-	root.AbsorbFrom(lane) // empty: absorbs nothing
-	if err := root.Close(); err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range decodeTrace(t, buf.Bytes()) {
-		names = append(names, e["name"].(string))
-	}
-	if want := []string{"root", "a", "b", "c"}; !reflect.DeepEqual(names, want) {
-		t.Errorf("absorbed order = %v, want %v", names, want)
-	}
-	if root.Events() != 4 {
-		t.Errorf("root Events() = %d, want 4", root.Events())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("absorbing a streaming tracer did not panic")
-		}
-	}()
-	root.AbsorbFrom(NewStreamTracer(io.Discard))
 }
 
 // BenchmarkStreamInstant guards the allocation budget of the streaming

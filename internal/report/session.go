@@ -14,8 +14,8 @@ import (
 )
 
 // Session is the run lifecycle every command-line front end shares: one
-// flag set for the trace, metrics, report, profiles, sweep and engine
-// widths and invariant checking. Start builds the run's experiments.Env
+// flag set for the trace, metrics, report, profiles, sweep width and
+// invariant checking. Start builds the run's experiments.Env
 // from them, Finish writes the run's outputs. A front end's main keeps
 // only its own flags and its run body:
 //
@@ -28,7 +28,7 @@ type Session struct {
 	cmd                                string
 	tracePath, metricsPath, reportPath string
 	cpuProfile, memProfile             string
-	workers, shards                    int
+	workers                            int
 	checkOn                            bool
 
 	env      *experiments.Env
@@ -48,13 +48,12 @@ func Flags(fs *flag.FlagSet, cmd string) *Session {
 	fs.StringVar(&s.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&s.memProfile, "memprofile", "", "write a pprof heap profile to this file")
 	fs.IntVar(&s.workers, "j", runtime.GOMAXPROCS(0), "worker goroutines for the grid-experiment sweeps; results are identical at any value")
-	fs.IntVar(&s.shards, "shards", runtime.GOMAXPROCS(0), "worker goroutines driving the sharded Tier-2 engine; results are identical at any value")
 	fs.BoolVar(&s.checkOn, "check", false, "run with invariant checking: assert the protocol conservation laws on every delivery, print the check report, fail on violations")
 	return s
 }
 
-// Start builds the run's Env from the flags — the sweep and engine
-// widths, the invariant collector with -check, and the observability
+// Start builds the run's Env from the flags — the sweep width, the
+// invariant collector with -check, and the observability
 // context: a streaming tracer with -trace, and a metrics registry with
 // -metrics or -report (reports read their latency histograms out of
 // it) — and starts the profiles.
@@ -80,7 +79,7 @@ func (s *Session) Start() error {
 			s.ctx.Metrics = obs.NewRegistry()
 		}
 	}
-	s.env = &experiments.Env{Workers: s.workers, Shards: s.shards, Obs: s.ctx, Check: s.checks}
+	s.env = &experiments.Env{Workers: s.workers, Obs: s.ctx, Check: s.checks}
 	s.start = time.Now()
 	return nil
 }

@@ -38,15 +38,15 @@ func TestSession(t *testing.T) {
 			reportPath := filepath.Join(dir, "report.json")
 			fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
 			sess := Flags(fs, cmd)
-			if err := fs.Parse([]string{"-trace", tracePath, "-metrics", metricsPath, "-report", reportPath, "-j", "3", "-shards", "2", "-check"}); err != nil {
+			if err := fs.Parse([]string{"-trace", tracePath, "-metrics", metricsPath, "-report", reportPath, "-j", "3", "-check"}); err != nil {
 				t.Fatal(err)
 			}
 			if err := sess.Start(); err != nil {
 				t.Fatal(err)
 			}
 			e := sess.Env()
-			if e.Workers != 3 || e.Shards != 2 {
-				t.Errorf("Start built an Env with %d sweep workers and %d shards, want 3 and 2", e.Workers, e.Shards)
+			if e.Workers != 3 {
+				t.Errorf("Start built an Env with %d sweep workers, want 3", e.Workers)
 			}
 			if e.Obs == nil || e.Check == nil {
 				t.Fatal("Start did not put the observability context and check collector in the Env")

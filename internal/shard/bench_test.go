@@ -12,7 +12,7 @@ import (
 // the fixed overhead every epoch pays.
 func BenchmarkEpochBarrier(b *testing.B) {
 	const n = 4
-	e := New(1, n, 100, 1)
+	e := New(1, n, 100)
 	for i := 0; i < n; i++ {
 		i := i
 		var tick func(now sim.Time)
@@ -32,7 +32,7 @@ func BenchmarkEpochBarrier(b *testing.B) {
 // BenchmarkCrossShardSend measures the mailbox push + barrier merge +
 // destination-schedule path for one cross-shard message per epoch.
 func BenchmarkCrossShardSend(b *testing.B) {
-	e := New(1, 2, 100, 1)
+	e := New(1, 2, 100)
 	hops := uint64(0)
 	// Prebuilt ping-pong handlers so the steady state schedules no new
 	// closures — what the allocs/op column pins is the mailbox path.

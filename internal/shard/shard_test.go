@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -19,11 +21,11 @@ type logEntry struct {
 // local event chain off its own RNG stream and periodically sends to its
 // ring neighbor at exactly the lookahead latency (the tightest legal
 // cross-shard send). Returns per-shard event logs plus engine counters.
-func runMesh(t *testing.T, workers int, horizon sim.Time) ([][]logEntry, uint64, uint64, uint64) {
+func runMesh(t *testing.T, horizon sim.Time) ([][]logEntry, uint64, uint64, uint64) {
 	t.Helper()
 	const n = 4
 	const lookahead = 100
-	e := New(42, n, lookahead, workers)
+	e := New(42, n, lookahead)
 	logs := make([][]logEntry, n)
 
 	var local func(i int) sim.Handler
@@ -55,24 +57,24 @@ func runMesh(t *testing.T, workers int, horizon sim.Time) ([][]logEntry, uint64,
 	return logs, e.Fired(), e.Sent(), e.Epochs()
 }
 
-// TestEpochParity is the package-level determinism contract: the same
-// model produces byte-identical event logs and counters at any worker
-// count.
+// TestEpochParity pins the mesh's event logs and engine counters to the
+// values recorded when epochs could also run on a pool of worker
+// goroutines (they were identical at every pool width), so the epoch
+// schedule and the (when, src, seq) merge order cannot drift.
 func TestEpochParity(t *testing.T) {
-	const horizon = 50_000
-	baseLogs, baseFired, baseSent, baseEpochs := runMesh(t, 1, horizon)
-	if baseSent == 0 {
-		t.Fatal("mesh workload produced no cross-shard messages; test is vacuous")
+	logs, fired, sent, epochs := runMesh(t, 50_000)
+	if fired != 12700 || sent != 2122 || epochs != 488 {
+		t.Fatalf("counters fired=%d sent=%d epochs=%d, want 12700, 2122, 488", fired, sent, epochs)
 	}
-	for _, workers := range []int{2, 4, 16} {
-		logs, fired, sent, epochs := runMesh(t, workers, horizon)
-		if fired != baseFired || sent != baseSent || epochs != baseEpochs {
-			t.Fatalf("workers=%d counters (fired=%d sent=%d epochs=%d) != workers=1 (%d, %d, %d)",
-				workers, fired, sent, epochs, baseFired, baseSent, baseEpochs)
+	h := sha256.New()
+	for _, l := range logs {
+		for _, e := range l {
+			fmt.Fprintf(h, "%d %d %d\n", e.Shard, e.When, e.Tag)
 		}
-		if !reflect.DeepEqual(logs, baseLogs) {
-			t.Fatalf("workers=%d event log diverges from workers=1", workers)
-		}
+	}
+	const want = "42c8f0a17951470d03dbb2dd5d61d6c9e4d529b6bda22c9889711d7a7373e1ce"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("mesh event log digest %s, want %s", got, want)
 	}
 }
 
@@ -80,7 +82,7 @@ func TestEpochParity(t *testing.T) {
 // current epoch means the model's latency undercuts the lookahead — the
 // engine must refuse rather than silently reorder.
 func TestConservativeViolationPanics(t *testing.T) {
-	e := New(1, 2, 100, 1)
+	e := New(1, 2, 100)
 	e.Shard(0).Schedule(10, func(now sim.Time) {
 		e.Send(0, 1, now+1, func(sim.Time) {})
 	})
@@ -95,7 +97,7 @@ func TestConservativeViolationPanics(t *testing.T) {
 // TestSetupSend: sends before the run starts are scheduled directly
 // (setup is single-goroutine) and still fire.
 func TestSetupSend(t *testing.T) {
-	e := New(1, 2, 50, 4)
+	e := New(1, 2, 50)
 	var got sim.Time
 	e.Send(0, 1, 7, func(now sim.Time) { got = now })
 	e.RunUntil(100)
@@ -107,7 +109,7 @@ func TestSetupSend(t *testing.T) {
 // TestRunQuiescent: Run drains chains that terminate, including the
 // cross-shard tail.
 func TestRunQuiescent(t *testing.T) {
-	e := New(9, 3, 10, 3)
+	e := New(9, 3, 10)
 	hops := 0
 	var hop func(i int) sim.Handler
 	hop = func(i int) sim.Handler {
@@ -132,7 +134,7 @@ func TestRunQuiescent(t *testing.T) {
 // TestSingleShard: one shard degenerates to the plain kernel — no epochs,
 // direct sends, same clock semantics.
 func TestSingleShard(t *testing.T) {
-	e := New(3, 1, 1, 8)
+	e := New(3, 1, 1)
 	fired := 0
 	e.Shard(0).Schedule(5, func(sim.Time) { fired++ })
 	e.Send(0, 0, 9, func(sim.Time) { fired++ })
@@ -145,31 +147,10 @@ func TestSingleShard(t *testing.T) {
 	}
 }
 
-// TestBarrierHook: the hook runs once per epoch, on the coordinator.
-func TestBarrierHook(t *testing.T) {
-	e := New(5, 2, 20, 2)
-	calls := uint64(0)
-	e.SetBarrierHook(func() { calls++ })
-	var tick func(i int) sim.Handler
-	tick = func(i int) sim.Handler {
-		return func(now sim.Time) {
-			if now < 500 {
-				e.Shard(i).After(15, tick(i))
-			}
-		}
-	}
-	e.Shard(0).Schedule(1, tick(0))
-	e.Shard(1).Schedule(2, tick(1))
-	e.RunUntil(600)
-	if calls == 0 || calls != e.Epochs() {
-		t.Fatalf("barrier hook ran %d times over %d epochs", calls, e.Epochs())
-	}
-}
-
 // TestMergeOrder: same-cycle arrivals from different source shards are
 // delivered in (when, src, seq) order regardless of mailbox drain order.
 func TestMergeOrder(t *testing.T) {
-	e := New(7, 3, 100, 1)
+	e := New(7, 3, 100)
 	var order []int
 	// Shards 2 and 1 both send to shard 0, landing at the same cycle; the
 	// lower source shard must deliver first, then sends from one shard in
