@@ -76,7 +76,7 @@ sweep-profile:
 run-all:
 	go run ./cmd/xuibench
 
-# Boot the experiment daemon with a persistent run cache: submissions
+# Boot the experiment daemon with a persistent result store: submissions
 # are content-addressed (code version + canonical spec + seed), so
 # repeated jobs — including across daemon restarts — are answered from
 # disk, byte-identical to the run that produced them (DESIGN.md §14).

@@ -1,7 +1,7 @@
 // Command xuiserve is the long-running experiment daemon: it accepts
 // job submissions over HTTP, executes them through the shared
 // experiment registry, and answers repeated submissions — including
-// after a restart — from a persistent content-addressed run cache.
+// after a restart — from its persistent content-addressed result store.
 //
 //	xuiserve -addr :8378 -cachedir /var/cache/xui
 //
@@ -36,7 +36,7 @@ const shutdownGrace = 10 * time.Second
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8378", "listen address")
-	cacheDir := flag.String("cachedir", "", "root of the persistent run cache; empty keeps results in memory only")
+	cacheDir := flag.String("cachedir", "", "root of the persistent result store; empty keeps results in memory only")
 	queueDepth := flag.Int("queue", 64, "admission high-water mark: queued jobs beyond this are shed with 429")
 	jobWorkers := flag.Int("jobworkers", 0, "per-job sweep worker budget cap; 0 means GOMAXPROCS")
 	traceDir := flag.String("tracedir", "", "directory for per-job streaming trace files; defaults under -cachedir")

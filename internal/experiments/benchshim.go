@@ -9,7 +9,7 @@ import (
 // The bench shim: bench/ configures its runs through three package-level
 // setters and a package-level RunJob, and may not change until the
 // benchmark itself does. The setters write one mutex-guarded Env; RunJob
-// runs a copy of it. ROADMAP item 8 deletes this file with bench/'s calls.
+// runs a copy of it. ROADMAP item 6 deletes this file with bench/'s calls.
 var shim struct {
 	mu  sync.Mutex
 	env Env //xui:guardedby mu

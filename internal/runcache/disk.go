@@ -9,9 +9,10 @@ import (
 	"sync"
 )
 
-// Disk is the standard persistent Backend: one file per entry under a
-// root directory, content-addressed by SHA-256 of (code version, cache
-// name, key). Because every Tier-1/Tier-2 run is byte-deterministic in
+// Disk is a persistent byte store: one file per entry under a root
+// directory, content-addressed by SHA-256 of (code version, cache name,
+// key). Safe for concurrent use, by several values and processes over
+// one directory. Because every Tier-1/Tier-2 run is byte-deterministic in
 // its key (TestDeterministicFingerprint, TestReportFingerprint), an
 // entry written by one process is a valid answer in every later process
 // built from the same code — the version component retires the whole
@@ -42,9 +43,6 @@ func NewDisk(dir, version string) (*Disk, error) {
 	}
 	return &Disk{root: dir, version: version}, nil
 }
-
-// Version returns the code-version component of the tier's addressing.
-func (d *Disk) Version() string { return d.version }
 
 // addr derives the entry file path: root/<cache>/<hh>/<hash>, where
 // hash = SHA-256(version ‖ cache ‖ key) with NUL separators (so no

@@ -2,8 +2,18 @@
 // service that accepts sweep/experiment jobs, executes them through the
 // shared job registry (internal/experiments), streams progress and
 // Perfetto trace chunks while they run, and answers repeated
-// submissions from a persistent content-addressed run cache
-// (internal/runcache + Disk) so results survive restarts.
+// submissions from its result store so results survive restarts.
+//
+// # Result store
+//
+// A finished job's result lives in Server.jobs, and nowhere else in
+// memory. With Config.CacheDir set, the server also owns a disk tier (a
+// runcache.Disk, content-addressed by code version and job id): a
+// submission that misses Server.jobs probes the disk, the executor
+// probes it again before it runs a job, and every finished job is
+// written behind to it. Close drains those writes. Servers share
+// nothing in memory, so several may run in one process, and several
+// processes may share one CacheDir.
 //
 // # Concurrency model
 //
@@ -17,10 +27,6 @@
 // progress sinks. The bounded queue is the admission valve: past the
 // high-water mark the server sheds load with 429 + Retry-After instead
 // of queueing without bound (and eventually OOMing) under overload.
-//
-// A Server installs the persistent run-cache tier process-wide
-// (runcache.SetBackend) for its lifetime: run exactly one live Server
-// per process.
 package server
 
 import (
@@ -47,8 +53,8 @@ import (
 
 // Config parameterises a Server.
 type Config struct {
-	// CacheDir roots the persistent run-cache tier; "" keeps results
-	// in memory only (they die with the process).
+	// CacheDir roots the disk tier of job results; "" keeps results in
+	// memory only (they die with the process).
 	CacheDir string
 	// Version overrides the code-version component of cache addresses;
 	// "" uses runcache.CodeVersion().
@@ -69,7 +75,7 @@ type Config struct {
 type Server struct {
 	cfg     Config
 	version string
-	cache   *runcache.Cache[[]byte]
+	disk    *runcache.Disk // nil without Config.CacheDir
 	metrics *obs.Registry
 
 	mu   sync.Mutex
@@ -84,15 +90,20 @@ type Server struct {
 	runCtx    context.Context
 	cancelRun context.CancelFunc
 
+	// stores tracks write-behind disk stores in flight; Close waits.
+	stores     sync.WaitGroup
+	diskHits   atomic.Uint64
+	diskStores atomic.Uint64
+	diskErrors atomic.Uint64
+
 	shed      atomic.Uint64
 	runMsSum  atomic.Uint64
 	runMsN    atomic.Uint64
 	startedAt time.Time
 }
 
-// identity is the []byte codec: job results are stored exactly as
-// served, so a disk hit is byte-identical to the run that produced it.
-func identity(b []byte) ([]byte, error) { return b, nil }
+// diskCache is the cache name job results are addressed under on disk.
+const diskCache = "server/jobs"
 
 // closeGrace bounds how long Close waits for the running job before
 // cancelling it. A cancelled job stops at its next grid point, so Close
@@ -103,8 +114,8 @@ const closeGrace = 2 * time.Second
 // or panicking jobs without a real grid.
 var runExperiment = (*experiments.Env).RunJob
 
-// New builds a Server, installing the persistent tier when
-// cfg.CacheDir is set. The returned server's executor is running.
+// New builds a Server, opening the disk tier when cfg.CacheDir is set.
+// The returned server's executor is running.
 func New(cfg Config) (*Server, error) {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -126,17 +137,17 @@ func New(cfg Config) (*Server, error) {
 	if err := os.MkdirAll(cfg.TraceDir, 0o755); err != nil {
 		return nil, err
 	}
+	var disk *runcache.Disk
 	if cfg.CacheDir != "" {
-		disk, err := runcache.NewDisk(cfg.CacheDir, version)
-		if err != nil {
+		var err error
+		if disk, err = runcache.NewDisk(cfg.CacheDir, version); err != nil {
 			return nil, err
 		}
-		runcache.SetBackend(disk)
 	}
 	s := &Server{
 		cfg:       cfg,
 		version:   version,
-		cache:     runcache.New[[]byte]("server/jobs").Persist(identity, identity),
+		disk:      disk,
 		metrics:   obs.NewRegistry(),
 		jobs:      map[string]*job{},
 		queue:     make(chan *job, cfg.QueueDepth),
@@ -150,10 +161,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Close stops the executor (jobs already queued are abandoned in the
-// queued state), drains write-behind cache stores, and uninstalls the
-// persistent tier. A running job gets closeGrace to finish; then it is
-// cancelled and fails, and nothing of it is cached. Safe to call more
-// than once.
+// queued state) and drains the write-behind disk stores. A running job
+// gets closeGrace to finish; then it is cancelled and fails, and nothing
+// of it is stored. Safe to call more than once.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
@@ -172,10 +182,41 @@ func (s *Server) Close() error {
 		}
 		grace.Stop()
 		s.cancelRun()
-		runcache.WaitPersist()
-		runcache.SetBackend(nil)
+		// Only the executor issues stores, and it has exited.
+		s.stores.Wait()
 	})
 	return nil
+}
+
+// load probes the disk tier for a finished job's result.
+func (s *Server) load(id string) ([]byte, bool) {
+	if s.disk == nil {
+		return nil, false
+	}
+	data, ok := s.disk.Load(diskCache, id)
+	if ok {
+		s.diskHits.Add(1)
+	}
+	return data, ok
+}
+
+// store writes a finished job's result behind to the disk tier, so the
+// executor never waits on the fsync. Stores are issued by the one
+// executor, one per job it finishes, so few are ever in flight.
+func (s *Server) store(id string, data []byte) {
+	if s.disk == nil {
+		return
+	}
+	s.stores.Add(1)
+	//xui:norecover Disk.Store reports every failure as an error and the body does nothing else
+	go func() {
+		defer s.stores.Done()
+		if err := s.disk.Store(diskCache, id, data); err != nil {
+			s.diskErrors.Add(1)
+			return
+		}
+		s.diskStores.Add(1)
+	}()
 }
 
 // executor drains the job queue, one job at a time.
@@ -208,9 +249,9 @@ func (s *Server) executor() {
 // (panic-isolated), result canonicalisation, and the write-behind store.
 func (s *Server) runJob(j *job) {
 	j.setRunning()
-	// The entry may have appeared (another process sharing the disk
-	// tier, or a Put racing the queue) while this job waited.
-	if data, ok := s.cache.GetCached(j.id); ok {
+	// Another server or process sharing the disk tier may have stored
+	// the result while this job waited.
+	if data, ok := s.load(j.id); ok {
 		j.setDone(data, true)
 		j.finishTrace("") // nothing ran, so no trace was written
 		s.metrics.Inc("server/jobs_done")
@@ -284,8 +325,8 @@ func (s *Server) runJob(j *job) {
 		s.metrics.Inc("server/jobs_failed")
 		return
 	}
-	s.cache.Put(j.id, data)
 	j.setDone(data, false)
+	s.store(j.id, data)
 	s.metrics.Inc("server/jobs_done")
 }
 
@@ -378,10 +419,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Failed: fall through and retry with a fresh record.
 	}
 
-	// Cache first — memory, then the disk tier. A hit is a completed
-	// job that never queues, which is how a restarted daemon answers
-	// repeat submissions instantly.
-	if data, ok := s.cache.GetCached(id); ok {
+	// Then the disk tier. A hit is a completed job that never queues,
+	// which is how a restarted daemon answers repeat submissions
+	// instantly.
+	if data, ok := s.load(id); ok {
 		j := &job{id: id, spec: spec, status: statusQueued, queuedAt: time.Now()}
 		j.setDone(data, true)
 		s.jobs[id] = j
@@ -542,7 +583,7 @@ type statsResponse struct {
 	QueueCap   int                            `json:"queueCap"`
 	Shed       uint64                         `json:"shed"`
 	Jobs       map[string]int                 `json:"jobs"`
-	JobsCache  runcache.Stats                 `json:"jobsCache"`
+	JobsCache  runcache.Stats                 `json:"jobsCache"` // the disk tier's counters
 	Cache      experiments.CacheStatsSnapshot `json:"cache"`
 	PersistDir string                         `json:"persistDir,omitempty"`
 }
@@ -562,7 +603,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		QueueCap:   s.cfg.QueueDepth,
 		Shed:       s.shed.Load(),
 		Jobs:       byStatus,
-		JobsCache:  s.cache.Stats(),
+		JobsCache: runcache.Stats{
+			Name:       diskCache,
+			DiskHits:   s.diskHits.Load(),
+			DiskStores: s.diskStores.Load(),
+			DiskErrors: s.diskErrors.Load(),
+		},
 		Cache:      experiments.CacheStats(),
 		PersistDir: s.cfg.CacheDir,
 	})

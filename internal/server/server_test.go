@@ -3,13 +3,16 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,9 +21,8 @@ import (
 	"xui/internal/runcache"
 )
 
-// newTestServer builds a Server plus an httptest front end. A Server
-// installs the process-wide persistent cache tier, so tests must run one
-// at a time and Close it.
+// newTestServer builds a Server plus an httptest front end, both closed
+// when the test ends.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
@@ -31,7 +33,6 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Cleanup(func() {
 		ts.Close()
 		s.Close()
-		runcache.ResetAll()
 	})
 	return s, ts
 }
@@ -152,9 +153,9 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
-// TestRestartServedFromDisk is the tentpole acceptance check: a job
-// computed by one daemon process is answered by the next one — same
-// cache dir, fresh memory — from the persistent tier, byte-identical.
+// TestRestartServedFromDisk: a job computed by one daemon process is
+// answered by the next one — same cache dir, fresh memory — from the
+// disk tier, byte-identical, without recomputing.
 func TestRestartServedFromDisk(t *testing.T) {
 	dir := t.TempDir()
 	spec := Spec{Experiment: "table2", Quick: true, Seed: 7}
@@ -172,7 +173,9 @@ func TestRestartServedFromDisk(t *testing.T) {
 	_, firstBody := getResult(t, ts1, v.ID)
 	ts1.Close()
 	s1.Close() // drains write-behind stores
-	runcache.ResetAll()
+	if n := s1.diskStores.Load(); n != 1 {
+		t.Fatalf("writer diskStores = %d, want 1", n)
+	}
 
 	// "Restart": a new server process image — empty memory tier —
 	// pointed at the same cache directory and code version.
@@ -191,14 +194,20 @@ func TestRestartServedFromDisk(t *testing.T) {
 	if !bytes.Equal(firstBody, secondBody) {
 		t.Fatalf("disk-served result is not byte-identical:\n%s\nvs\n%s", firstBody, secondBody)
 	}
-	if st := s2.cache.Stats(); st.DiskHits == 0 {
-		t.Fatalf("DiskHits = 0 after restart hit; stats %+v", st)
+	// A second read is answered from memory, not from disk again.
+	if code, _, _ := submit(t, ts2, spec); code != http.StatusOK {
+		t.Fatalf("second post-restart submit = %d, want 200", code)
+	}
+	if n := s2.diskHits.Load(); n != 1 {
+		t.Errorf("reader diskHits = %d, want 1", n)
+	}
+	if n := s2.runMsN.Load(); n != 0 {
+		t.Errorf("reader ran %d jobs, want 0: the result comes from disk", n)
 	}
 
 	// A different code version must NOT see rev-1's entry.
 	s2.Close()
 	ts2.Close()
-	runcache.ResetAll()
 	s3, ts3 := newTestServer(t, Config{CacheDir: dir, Version: "rev-2"})
 	code, v3, _ := submit(t, ts3, spec)
 	if code != http.StatusAccepted || v3.Cached {
@@ -206,6 +215,100 @@ func TestRestartServedFromDisk(t *testing.T) {
 	}
 	waitDone(t, ts3, v3.ID)
 	_ = s3
+}
+
+// TestTwoServersShareCacheDir: two Servers live at once over one cache
+// directory are independent values that meet only on disk. s2 answers a
+// job s1 computed, byte-identical; an entry s1 stores while the same job
+// waits in s2's queue is answered by s2's recheck; s2 keeps storing
+// after s1 closes; and neither leaves a cache in runcache's registry.
+func TestTwoServersShareCacheDir(t *testing.T) {
+	// Restore the seam only after both servers' cleanups have stopped
+	// their executors (see TestAdmissionControl).
+	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
+	release := make(chan struct{})
+	var unblock sync.Once
+	var runs atomic.Int64
+	runExperiment = func(_ *experiments.Env, name string, quick bool) (any, error) {
+		if name == "fig2" {
+			<-release // the busy job
+		}
+		// Every run yields different bytes, so equal bytes prove a job
+		// was not recomputed.
+		return map[string]any{"run": runs.Add(1)}, nil
+	}
+	dir := t.TempDir()
+	s1, ts1 := newTestServer(t, Config{Version: "test-two", CacheDir: dir})
+	s2, ts2 := newTestServer(t, Config{Version: "test-two", CacheDir: dir})
+	t.Cleanup(func() { unblock.Do(func() { close(release) }) })
+	waitStores := func(s *Server, n uint64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); s.diskStores.Load() < n; time.Sleep(5 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("diskStores = %d, want %d", s.diskStores.Load(), n)
+			}
+		}
+	}
+
+	// s1 computes; s2 answers from disk at submission.
+	computed := Spec{Experiment: "table2", Quick: true, Seed: 1}
+	_, v, _ := submit(t, ts1, computed)
+	waitDone(t, ts1, v.ID)
+	_, first := getResult(t, ts1, v.ID)
+	waitStores(s1, 1)
+	code, v2, _ := submit(t, ts2, computed)
+	if code != http.StatusOK || !v2.Cached {
+		t.Fatalf("s2 submit of s1's job = %d %+v, want 200 cached", code, v2)
+	}
+	if _, second := getResult(t, ts2, v.ID); !bytes.Equal(first, second) {
+		t.Fatalf("s2 served different bytes:\n%s\nvs\n%s", first, second)
+	}
+
+	// A job waits in s2's queue behind a busy one while s1 computes and
+	// stores it; s2's executor finds it on disk instead of running it.
+	_, busy, _ := submit(t, ts2, Spec{Experiment: "fig2", Quick: true})
+	for deadline := time.Now().Add(5 * time.Second); jobStatus(t, ts2, busy.ID) != statusRunning; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("busy job never started")
+		}
+	}
+	raced := Spec{Experiment: "table2", Quick: true, Seed: 2}
+	_, queued, _ := submit(t, ts2, raced)
+	submit(t, ts1, raced)
+	waitDone(t, ts1, queued.ID)
+	_, fromS1 := getResult(t, ts1, queued.ID)
+	waitStores(s1, 2)
+	unblock.Do(func() { close(release) })
+	if v := waitDone(t, ts2, queued.ID); v.Status != statusDone || !v.Cached {
+		t.Fatalf("queued job = %+v, want done from the recheck", v)
+	}
+	if _, got := getResult(t, ts2, queued.ID); !bytes.Equal(got, fromS1) {
+		t.Fatalf("recheck served different bytes:\n%s\nvs\n%s", got, fromS1)
+	}
+	if n := s2.diskHits.Load(); n != 2 {
+		t.Errorf("s2 diskHits = %d, want 2", n)
+	}
+
+	// Closing s1 leaves s2's disk tier working.
+	s1.Close()
+	fresh := Spec{Experiment: "table2", Quick: true, Seed: 3}
+	_, v3, _ := submit(t, ts2, fresh)
+	waitDone(t, ts2, v3.ID)
+	_, third := getResult(t, ts2, v3.ID)
+	s2.Close()
+	disk, err := runcache.NewDisk(dir, "test-two")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := disk.Load(diskCache, v3.ID); !ok || !bytes.Equal(got, third) {
+		t.Errorf("s2's store after s1 closed: ok=%v, bytes equal=%v", ok, bytes.Equal(got, third))
+	}
+
+	for _, c := range experiments.CacheStats().Caches {
+		if c.Name == diskCache {
+			t.Errorf("runcache registry lists %q: %+v", c.Name, c)
+		}
+	}
 }
 
 // TestAdmissionControl fills the bounded queue with blocked jobs and
@@ -359,7 +462,8 @@ func TestJobPanicFailsJobOnly(t *testing.T) {
 		return map[string]any{"ok": calls}, nil
 	}
 
-	_, ts := newTestServer(t, Config{Version: "test-d"})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Version: "test-d", CacheDir: dir})
 	spec := Spec{Experiment: "fig2", Quick: true}
 
 	_, v, _ := submit(t, ts, spec)
@@ -371,6 +475,9 @@ func TestJobPanicFailsJobOnly(t *testing.T) {
 	if code != http.StatusInternalServerError {
 		t.Fatalf("result of failed job = %d, want 500", code)
 	}
+	if n := diskEntries(t, dir); n != 0 {
+		t.Fatalf("panicked job left %d file(s) on disk, want 0", n)
+	}
 
 	// Failures are never cached, so the retry actually runs.
 	code, v2, _ := submit(t, ts, spec)
@@ -381,6 +488,30 @@ func TestJobPanicFailsJobOnly(t *testing.T) {
 	if done.Status != statusDone || done.Cached {
 		t.Fatalf("retry view = %+v, want freshly computed done", done)
 	}
+	s.Close()
+	if n := diskEntries(t, dir); n != 1 {
+		t.Errorf("after the retry the disk holds %d file(s), want 1", n)
+	}
+}
+
+// diskEntries counts the committed files of the disk tier under dir,
+// leaving out the trace directory.
+func diskEntries(t *testing.T, dir string) int {
+	t.Helper()
+	n := 0
+	err := filepath.WalkDir(filepath.Join(dir, diskCache), func(_ string, e os.DirEntry, err error) error {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		if err == nil && !e.IsDir() {
+			n++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // TestTraceStreaming: a traced job serves its Perfetto document in
@@ -496,8 +627,10 @@ func TestTraceWriteFailure(t *testing.T) {
 	}
 }
 
-// TestTraceCacheRecheck: a traced job answered from the cache after it
-// queued never ran, so its trace answers 404 rather than polling forever.
+// TestTraceCacheRecheck: a traced job whose result another writer stores
+// into the disk tier while it queues is answered by the executor's
+// recheck. It never ran, so its trace answers 404 rather than polling
+// forever.
 func TestTraceCacheRecheck(t *testing.T) {
 	t.Cleanup(func() { runExperiment = (*experiments.Env).RunJob })
 	release := make(chan struct{})
@@ -508,7 +641,8 @@ func TestTraceCacheRecheck(t *testing.T) {
 		}
 		return map[string]any{"ok": true}, nil
 	}
-	s, ts := newTestServer(t, Config{Version: "test-i", TraceDir: t.TempDir()})
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Config{Version: "test-i", CacheDir: dir, TraceDir: t.TempDir()})
 	t.Cleanup(func() { unblock.Do(func() { close(release) }) })
 
 	_, busy, _ := submit(t, ts, Spec{Experiment: "fig2", Quick: true})
@@ -518,11 +652,24 @@ func TestTraceCacheRecheck(t *testing.T) {
 		}
 	}
 	_, queued, _ := submit(t, ts, Spec{Experiment: "table2", Quick: true, Trace: true})
-	s.cache.Put(queued.ID, []byte(`{"ok":true}`))
+	other, err := runcache.NewDisk(dir, "test-i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte(`{"ok":"stored by another writer"}`)
+	if err := other.Store(diskCache, queued.ID, want); err != nil {
+		t.Fatal(err)
+	}
 	unblock.Do(func() { close(release) })
 
 	if v := waitDone(t, ts, queued.ID); v.Status != statusDone || !v.Cached || v.TraceError != "" {
 		t.Fatalf("view = %+v, want done from the cache with no traceError", v)
+	}
+	if _, got := getResult(t, ts, queued.ID); !bytes.Equal(got, want) {
+		t.Errorf("result = %s, want the other writer's %s", got, want)
+	}
+	if n := s.diskHits.Load(); n != 1 {
+		t.Errorf("diskHits = %d, want 1", n)
 	}
 	if code, _, body := getTrace(t, ts, queued.ID); code != http.StatusNotFound {
 		t.Errorf("trace of a cache-answered job = %d %s, want 404", code, body)
@@ -613,19 +760,19 @@ func TestCloseCancelsRunningJob(t *testing.T) {
 		t.Errorf("Close took %v, want between the grace (%v) and the grace plus 2s", took, closeGrace)
 	}
 	s.mu.Lock()
-	st, _, msg := s.jobs[v.ID].snapshot()
+	st, result, msg := s.jobs[v.ID].snapshot()
 	s.mu.Unlock()
 	if st != statusFailed || !strings.Contains(msg, "cancelled") {
 		t.Errorf("cancelled job: status %q error %q, want failed and cancelled", st, msg)
 	}
-	if _, ok := s.cache.GetCached(v.ID); ok {
-		t.Error("memory tier holds the cancelled job's result")
+	if result != nil {
+		t.Errorf("the server holds the cancelled job's result: %s", result)
 	}
 	disk, err := runcache.NewDisk(dir, "test-close")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := disk.Load("server/jobs", v.ID); ok {
+	if _, ok := disk.Load(diskCache, v.ID); ok {
 		t.Error("disk tier holds the cancelled job's result")
 	}
 }
