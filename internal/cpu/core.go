@@ -1241,7 +1241,13 @@ func (c *Core) nextFetchOp() (isa.UOp, fetchSrc, bool) {
 	if st := c.cur; st != nil && st.waitBoundary {
 		atBoundary := op.Is(isa.FBoundary)
 		if c.cfg.SafepointMode {
-			atBoundary = atBoundary && op.Is(isa.FSafepoint)
+			// A decoded tape may be a safepoint view, whose prefix is
+			// derived from the position rather than stored in the op.
+			sp := op.Is(isa.FSafepoint)
+			if c.dec != nil {
+				sp = c.dec.SafepointAt(c.fetchPos)
+			}
+			atBoundary = atBoundary && sp
 		}
 		if atBoundary {
 			st.waitBoundary = false

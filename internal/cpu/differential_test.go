@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"xui/internal/isa"
+	"xui/internal/trace"
 )
 
 // Differential tests for the decoded fast engine: the interpreted per-op
@@ -97,5 +98,53 @@ func TestEngineDifferentialProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSafepointViewDifferential checks the safepoint prefix a view
+// derives from the fetch position against the stored-flag reference:
+// a safepoint view of a tape on the fast engine (and, through
+// TapeStream.Next, on the interpreted engine) must run exactly like
+// trace.NewSafepointAnnotated over the plain tape on the interpreted
+// engine. Tracked delivery in safepoint mode waits at each pending
+// interrupt for the next prefixed op, so periodic interrupts expose a
+// prefix placed one op off.
+func TestSafepointViewDifferential(t *testing.T) {
+	const nProg = 20000
+	run := func(engine Engine, prog isa.Stream) (Result, []commitRec) {
+		cfg := DefaultConfig()
+		cfg.Strategy = Tracked
+		cfg.SafepointMode = true
+		cfg.Ucode = testUcode()
+		cfg.Engine = engine
+		c := New(cfg, prog, newPort())
+		var log []commitRec
+		c.OnProgramCommit = func(pos, cycle uint64) {
+			log = append(log, commitRec{pos, cycle})
+		}
+		c.PeriodicInterrupts(700, 1900, func() Interrupt {
+			return Interrupt{Vector: 1, SkipNotification: true, Handler: smallHandler()}
+		})
+		return c.Run(nProg, 50_000_000), log
+	}
+	tapes := map[string]*isa.Tape{
+		"mixed":  mixedTape(7, nProg+4096),
+		"matmul": new(trace.TapeSet).Recorded("matmul", 1, nProg).(*isa.TapeStream).Tape(),
+	}
+	for name, tape := range tapes {
+		for _, every := range []int{1, 7, 25, 100} {
+			ref, refLog := run(EngineInterpreted, trace.NewSafepointAnnotated(tape.Stream(), every))
+			if len(ref.Interrupts) < 5 {
+				t.Fatalf("%s every=%d: only %d interrupts delivered", name, every, len(ref.Interrupts))
+			}
+			view := tape.SafepointView(name+"+sp", every)
+			for _, engine := range []Engine{EngineFast, EngineInterpreted} {
+				got, gotLog := run(engine, view.Stream())
+				if !reflect.DeepEqual(ref, got) || !reflect.DeepEqual(refLog, gotLog) {
+					t.Errorf("%s every=%d engine=%v: view differs from the annotated stream: %d vs %d cycles, %d vs %d interrupts",
+						name, every, engine, ref.Cycles, got.Cycles, len(ref.Interrupts), len(got.Interrupts))
+				}
+			}
+		}
 	}
 }

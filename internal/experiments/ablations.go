@@ -1,11 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"xui/internal/core"
-	"xui/internal/cpu"
-	"xui/internal/isa"
 	"xui/internal/kernel"
 	"xui/internal/kvstore"
 	"xui/internal/loadgen"
@@ -97,15 +93,7 @@ func (e *Env) SafepointDensity(spacings []int, uops uint64) []SafepointDensityRo
 	base := e.workloadBaseline("matmul", 1, uops, uops*400)
 
 	return runGrid(e, "safepoint-density", spacings, func(_ int, every int) SafepointDensityRow {
-		cfg := receiverCfg(cpu.Tracked)
-		cfg.SafepointMode = true
-		res := e.runReceiver(cfg, e.stream(streamSpec{workload: "matmul", seed: 1, safepoint: every}, uops),
-			uops, uops*400,
-			func(c *cpu.Core, _ *cpu.PrivatePort) {
-				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
-					return cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: CtxSwitchHandler()}
-				})
-			})
+		res := e.safepointRun("matmul", every, period, uops)
 		var delay float64
 		n := 0
 		for _, r := range res.Interrupts {
@@ -139,11 +127,7 @@ type PollDensityRow struct {
 func (e *Env) PollDensity(spacings []int, uops uint64) []PollDensityRow {
 	base := e.workloadBaseline("matmul", 1, uops, uops*400)
 	return runGrid(e, "poll-density", spacings, func(_ int, every int) PollDensityRow {
-		total := uops + uops/uint64(every)*2
-		res := e.baselineRun(fmt.Sprintf("matmul/1+poll%d", every),
-			func() isa.Stream {
-				return e.stream(streamSpec{workload: "matmul", seed: 1, poll: every}, uops)
-			}, total, total*400)
+		res := e.pollBaseline("matmul", 1, every, uops)
 		return PollDensityRow{
 			Every:       every,
 			OverheadPct: 100 * (float64(res.Cycles) - float64(base.Cycles)) / float64(base.Cycles),

@@ -190,10 +190,8 @@ func (e *Env) PollingCosts() (negative float64, positive float64) {
 	rPlain := e.workloadBaseline("base64", 3, n, n*400)
 	// The instrumented stream interleaves 2 extra ops per 10; run the same
 	// count of *inner* ops: total = n * 12/10. Interrupt-free, so it
-	// memoizes like any baseline (fed from its own recorded tape).
-	rInstr := e.baselineRun("base64/3+poll10",
-		func() isa.Stream { return e.stream(streamSpec{workload: "base64", seed: 3, poll: 10}, n) },
-		n*12/10, n*400)
+	// memoizes like any baseline.
+	rInstr := e.pollBaseline("base64", 3, 10, n)
 	checks := float64(n) / 10
 	negative = (float64(rInstr.Cycles) - float64(rPlain.Cycles)) / checks
 	if negative < 0 {

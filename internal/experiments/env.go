@@ -153,27 +153,25 @@ func (e *Env) snapshotMachine(m *core.Machine) {
 }
 
 // streamSpec names a deterministic instruction stream: a ByName
-// microbenchmark, optionally poll-instrumented (poll) or
-// safepoint-annotated (safepoint) every N ops, or — with mk set — an
-// arbitrary generator recorded under key.
+// microbenchmark, optionally safepoint-annotated every N ops, or — with
+// mk set — an arbitrary generator recorded under key. Poll-instrumented
+// streams need a release and come from pollBaseline instead.
 type streamSpec struct {
-	workload        string
-	seed            uint64
-	poll, safepoint int
-	key             string
-	mk              func() isa.Stream
+	workload  string
+	seed      uint64
+	safepoint int
+	key       string
+	mk        func() isa.Stream
 }
 
 // stream is the one place a run chooses between a recorded tape and a
 // live generator: a cursor over e's tape (sized for a run of budget
-// ops; for poll streams, budget inner ops), or on the uncached
-// reference path the live generator the tape records.
+// ops), or on the uncached reference path the live generator the tape
+// records.
 func (e *Env) stream(s streamSpec, budget uint64) isa.Stream {
 	switch {
 	case s.mk != nil && e.NoCache:
 		return s.mk()
-	case s.poll > 0 && e.NoCache:
-		return trace.NewPollInstrumented(trace.ByName(s.workload, s.seed), s.poll, FlagAddr)
 	case s.safepoint > 0 && e.NoCache:
 		return trace.NewSafepointAnnotated(trace.ByName(s.workload, s.seed), s.safepoint)
 	case e.NoCache:
@@ -183,8 +181,6 @@ func (e *Env) stream(s streamSpec, budget uint64) isa.Stream {
 	switch {
 	case s.mk != nil:
 		return tapes.RecordedStream(s.key, budget, s.mk)
-	case s.poll > 0:
-		return tapes.RecordedPoll(s.workload, s.seed, budget, s.poll, FlagAddr)
 	case s.safepoint > 0:
 		return tapes.RecordedSafepoint(s.workload, s.seed, budget, s.safepoint)
 	}

@@ -71,26 +71,32 @@ func (e *Env) Fig5(quantaUs []float64, uopsPerRun uint64) []Fig5Row {
 	}
 	return runGrid(e, "fig5", jobs, func(_ int, j job) Fig5Row {
 		period := uint64(j.q * 2000)
-		cycles := e.fig5Run(j.w, j.method, period, uopsPerRun)
+		cycles := e.fig5Run(j.w, j.method, period, j.base, uopsPerRun)
 		over := 100 * (cycles - float64(j.base)) / float64(j.base)
 		return Fig5Row{Workload: j.w, Method: j.method, QuantumUs: j.q, OverheadPct: over}
 	})
 }
 
-func (e *Env) fig5Run(workload, method string, period, uops uint64) float64 {
+// fig5Run returns the cycles of one method's run; base is the
+// workload's uninstrumented baseline at the same budget.
+func (e *Env) fig5Run(workload, method string, period, base, uops uint64) float64 {
+	if method != "polling" && period > base && !e.NoCache {
+		// The first preemption would arrive after the uninstrumented run
+		// has ended, so none lands and the run is that baseline cycle for
+		// cycle: an interrupt-free run ignores the strategy, safepoint
+		// mode and prefix (TestBaselineStrategyInvariance). The uncached
+		// path simulates it, and TestRunCacheParity compares the two.
+		return float64(base)
+	}
 	switch method {
 	case "polling":
 		// Concord instrumentation: the poll checks execute regardless of
 		// preemption rate; each positive check (one per quantum) costs a
 		// cross-core line transfer, a mispredicted branch, and the user
 		// context switch. The simulated run is interrupt-free and therefore
-		// quantum-independent — baselineRun memoizes it, so all quanta of a
-		// workload share one simulation.
-		total := uops + uops/pollCheckEvery*2
-		res := e.baselineRun(workload+"/1+poll25",
-			func() isa.Stream {
-				return e.stream(streamSpec{workload: workload, seed: 1, poll: pollCheckEvery}, uops)
-			}, total, total*400)
+		// quantum-independent — pollBaseline memoizes it, so all quanta of
+		// a workload share one simulation.
+		res := e.pollBaseline(workload, 1, pollCheckEvery, uops)
 		positives := float64(res.Cycles) / float64(period)
 		posCost := float64(core.PollingNotifyCost+core.UserContextSwitch) + float64(cpu.DefaultConfig().FrontEndDepth)
 		return float64(res.Cycles) + positives*posCost
@@ -105,16 +111,7 @@ func (e *Env) fig5Run(workload, method string, period, uops uint64) float64 {
 			})
 		return float64(res.Cycles)
 	case "xui-safepoint":
-		cfg := receiverCfg(cpu.Tracked)
-		cfg.SafepointMode = true
-		res := e.runReceiver(cfg, e.stream(streamSpec{workload: workload, seed: 1, safepoint: safepointEvery}, uops),
-			uops, uops*400,
-			func(c *cpu.Core, _ *cpu.PrivatePort) {
-				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
-					return cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: CtxSwitchHandler()}
-				})
-			})
-		return float64(res.Cycles)
+		return float64(e.safepointRun(workload, safepointEvery, period, uops).Cycles)
 	}
 	panic("experiments: unknown fig5 method " + method)
 }

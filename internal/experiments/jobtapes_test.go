@@ -19,7 +19,8 @@ import (
 // cache) may still hold them. A second run of the job on the same Env
 // records a fresh set and must return the same payload. Eight sweep
 // workers share the set, so under -race this is also its concurrency
-// check.
+// check. The poll buffer fig5's polling runs used must die with its
+// job the same way.
 func TestJobTapesReleased(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick fig4 grid twice")
@@ -70,5 +71,29 @@ func TestJobTapesReleased(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("second fig4 run on the same Env differs:\n first:  %s\n second: %s", a, b)
+	}
+
+	// fig5's polling runs derive their streams into the set's poll
+	// buffers (its baselines must not be memoized yet). With every run
+	// done, a zero-budget poll stream takes back one of those buffers.
+	ResetCaches()
+	var buf weak.Pointer[isa.UOp]
+	e.Progress = func(sweep string, done, total int) {
+		if sweep != "fig5" || done < total {
+			return
+		}
+		s, release := e.tapes.Load().RecordedPoll("matmul", 1, 0, pollCheckEvery, FlagAddr)
+		buf = weak.Make(&s.(*isa.TapeStream).Tape().Decoded().Ops[0])
+		release()
+	}
+	if _, err := e.RunJob("fig5", true); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Value() == nil {
+		t.Fatal("fig5 left no poll buffer to take")
+	}
+	runtime.GC()
+	if buf.Value() != nil {
+		t.Error("poll buffer still reachable after RunJob returned and a GC")
 	}
 }

@@ -60,11 +60,19 @@ func TestRunCacheParity(t *testing.T) {
 	}{
 		{"fig4", func(e *Env) any { return e.Fig4(40000) }},
 		{"fig5", func(e *Env) any { return e.Fig5([]float64{5}, 40000) }},
+		// At 40,000 uops matmul's baseline ends after 12,013 cycles and
+		// base64's after 9,479, so these quanta's first preemptions land
+		// before both ends (2 µs), between them (5 µs) and after both
+		// (10 µs): the cached path answers the late ones from the baseline.
+		{"fig5-quanta", func(e *Env) any { return e.Fig5([]float64{2, 5, 10}, 40000) }},
 		{"table2", func(e *Env) any { return e.Table2() }},
 		{"worstcase", func(e *Env) any { return e.WorstCase([]int{5, 10}) }},
 		{"s35linearity", func(e *Env) any { return e.S35Linearity([]int{5, 10}) }},
 		{"safepoint-density", func(e *Env) any { return e.SafepointDensity([]int{25, 100}, 40000) }},
 		{"poll-density", func(e *Env) any { return e.PollDensity([]int{25}, 40000) }},
+		// Several spacings, so the j8 config derives poll streams into
+		// concurrently lent buffers.
+		{"poll-density-sweep", func(e *Env) any { return e.PollDensity([]int{4, 10, 25}, 40000) }},
 	}
 	configs := []struct {
 		name    string
@@ -113,5 +121,38 @@ func TestRunCacheParity(t *testing.T) {
 	}
 	if stats.Tapes.Replays == 0 {
 		t.Error("tapes recorded no replays")
+	}
+}
+
+// TestJobTapesBaseOnly checks a job's tape set holds generator
+// recordings only: as the last grid of quick fig5 and of quick
+// ablations finishes, each set counts one tape per base workload (fig5
+// two, ablations matmul alone), however many safepoint and poll
+// spacings ran over them.
+func TestJobTapesBaseOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick fig5 and ablations grids")
+	}
+	ResetCaches()
+	for _, tc := range []struct {
+		job, lastSweep string
+		bases          int
+	}{
+		{"fig5", "fig5", len(Fig5Workloads)},
+		{"ablations", "poll-density", 1},
+	} {
+		e := &Env{Workers: 2}
+		var st trace.TapeStats
+		e.Progress = func(sweep string, done, total int) {
+			if sweep == tc.lastSweep && done == total {
+				st = e.tapes.Load().Stats()
+			}
+		}
+		if _, err := e.RunJob(tc.job, true); err != nil {
+			t.Fatal(err)
+		}
+		if st.Tapes != tc.bases {
+			t.Errorf("%s: set holds %d tapes (%d ops), want its %d base recordings", tc.job, st.Tapes, st.Ops, tc.bases)
+		}
 	}
 }

@@ -176,6 +176,50 @@ func (e *Env) workloadBaseline(workload string, seed, uops, maxCycles uint64) cp
 		uops, maxCycles)
 }
 
+// pollBaseline is the memoized interrupt-free run of a workload with a
+// Concord-style poll check (a shared-flag load and a branch) after
+// every every of its ops, to a budget of uops workload ops: the
+// instrumented stream commits two more ops per check. The stream is
+// interleaved into a buffer of e's tape set for this run only and
+// handed back when the run ends; the uncached path runs the live
+// instrumented generator.
+func (e *Env) pollBaseline(workload string, seed uint64, every int, uops uint64) cpu.Result {
+	total := uops + uops/uint64(every)*2
+	cfg := receiverCfg(cpu.Flush)
+	key := baselineKey(fmt.Sprintf("%s/%d+poll%d", workload, seed, every), total, total*400, cfg)
+	return cached(e, baselineCache, key, func() cpu.Result {
+		var prog isa.Stream
+		if e.NoCache {
+			prog = trace.NewPollInstrumented(trace.ByName(workload, seed), every, FlagAddr)
+		} else {
+			var release func()
+			prog, release = e.tapeSet().RecordedPoll(workload, seed, uops, every, FlagAddr)
+			defer release()
+		}
+		return e.runReceiver(cfg, prog, total, total*400, nil)
+	})
+}
+
+// safepointRun is the tracked, safepoint-gated receiver run of a
+// workload (seed 1) annotated every every ops and preempted every
+// period cycles by the user-level scheduler's context switch: fig5's
+// xui-safepoint method, and the safepoint-density ablation, whose
+// spacing-25 point at 10,000 cycles is fig5's 5 µs run. Memoized in
+// receiverCache under everything the run depends on.
+func (e *Env) safepointRun(workload string, every int, period, uops uint64) cpu.Result {
+	key := fmt.Sprintf("safepoint/%s/1/e%d/p%d/u%d", workload, every, period, uops)
+	return cached(e, receiverCache, key, func() cpu.Result {
+		cfg := receiverCfg(cpu.Tracked)
+		cfg.SafepointMode = true
+		prog := e.stream(streamSpec{workload: workload, seed: 1, safepoint: every}, uops)
+		return e.runReceiver(cfg, prog, uops, uops*400, func(c *cpu.Core, _ *cpu.PrivatePort) {
+			c.PeriodicInterrupts(period, period, func() cpu.Interrupt {
+				return cpu.Interrupt{Vector: 1, SkipNotification: true, Handler: CtxSwitchHandler()}
+			})
+		})
+	})
+}
+
 // CacheStatsSnapshot is the run-report view of the redundancy-
 // elimination layer: per-cache hit/miss/dedup counters plus the tape
 // totals (trace.TapeTotals: cumulative recordings and replays, and the

@@ -1,11 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math"
 
 	"xui/internal/core"
-	"xui/internal/isa"
 )
 
 // Section2Result collects the §2 motivation measurements: the costs of the
@@ -54,10 +52,6 @@ func (e *Env) Section2() Section2Result {
 
 func (e *Env) pollSlowdown(workload string, checkEvery int, uops uint64) float64 {
 	rb := e.workloadBaseline(workload, 1, uops, uops*400)
-	total := uops + uops/uint64(checkEvery)*2
-	ri := e.baselineRun(fmt.Sprintf("%s/1+poll%d", workload, checkEvery),
-		func() isa.Stream {
-			return e.stream(streamSpec{workload: workload, seed: 1, poll: checkEvery}, uops)
-		}, total, total*400)
+	ri := e.pollBaseline(workload, 1, checkEvery, uops)
 	return 100 * (float64(ri.Cycles) - float64(rb.Cycles)) / float64(rb.Cycles)
 }

@@ -31,7 +31,31 @@ func NewTape(name string, ops []MicroOp) *Tape {
 // name, taking ownership of the slice; callers must not retain or
 // mutate it afterwards. Every element must be Decode of some MicroOp.
 func NewDecodedTape(name string, ops []UOp) *Tape {
-	return &Tape{dec: DecodedTape{Name: name, Ops: ops, Blocks: buildBlocks(ops)}}
+	return &Tape{dec: DecodedTape{Name: name, Ops: ops, Blocks: buildBlocks(ops, nil)}}
+}
+
+// NewScratchTape is NewDecodedTape for a caller that recycles its
+// arrays from run to run: the block partition is built into blocks'
+// backing array when it fits. The caller keeps ownership of ops and of
+// the returned tape's Blocks, and may rewrite them only once no stream
+// or core reads the tape any more.
+func NewScratchTape(name string, ops []UOp, blocks []Block) *Tape {
+	return &Tape{dec: DecodedTape{Name: name, Ops: ops, Blocks: buildBlocks(ops, blocks)}}
+}
+
+// SafepointView returns a tape named name that replays t with every
+// every-th op carrying the safepoint prefix, as NewSafepointAnnotated
+// marks a live stream. It shares t's op and block arrays and copies
+// nothing: the prefix is computed where it is read (SafepointAt, and
+// TapeStream.Next for per-op consumers).
+func (t *Tape) SafepointView(name string, every int) *Tape {
+	if every < 1 {
+		every = 1
+	}
+	v := &Tape{dec: t.dec}
+	v.dec.Name = name
+	v.dec.SafepointEvery = every
+	return v
 }
 
 // Name identifies the recorded workload.
@@ -47,16 +71,17 @@ func (t *Tape) Decoded() *DecodedTape { return &t.dec }
 // Stream returns a fresh replayer positioned at the start of the tape.
 // Streams are independent cursors; any number may be live at once.
 func (t *Tape) Stream() *TapeStream {
-	return &TapeStream{ops: t.dec.Ops, tape: t}
+	return &TapeStream{ops: t.dec.Ops, every: t.dec.SafepointEvery, tape: t}
 }
 
 // TapeStream replays a Tape through the Stream interface. Next is a
 // bounds check, a lift and an increment — zero allocations in steady
 // state, which BenchmarkTapeStream pins.
 type TapeStream struct {
-	ops  []UOp
-	pos  int
-	tape *Tape
+	ops   []UOp
+	pos   int
+	every int // the tape's SafepointEvery
+	tape  *Tape
 }
 
 // Name implements Stream.
@@ -69,18 +94,22 @@ func (s *TapeStream) Tape() *Tape { return s.tape }
 // Pos returns the cursor position (ops already consumed).
 func (s *TapeStream) Pos() int { return s.pos }
 
-// Next implements Stream, returning Lift of the next recorded op. It
-// returns ok=false past the end of the tape; callers size tapes so a
-// budgeted pipeline run never gets there (see trace.Recorded's slack).
+// Next implements Stream, returning Lift of the next recorded op, with
+// Safepoint set where a safepoint view places the prefix. It returns
+// ok=false past the end of the tape; callers size tapes so a budgeted
+// pipeline run never gets there (see trace.Recorded's slack).
 //
 //xui:noalloc
 func (s *TapeStream) Next() (MicroOp, bool) {
 	if s.pos >= len(s.ops) {
 		return MicroOp{}, false
 	}
-	u := s.ops[s.pos]
+	m := Lift(s.ops[s.pos])
 	s.pos++
-	return Lift(u), true
+	if s.every > 0 && s.pos%s.every == 0 {
+		m.Safepoint = true
+	}
+	return m, true
 }
 
 // Reset rewinds the stream to the start of the tape.

@@ -171,10 +171,25 @@ type Block struct {
 // basic-block partition. Immutable after construction, shared by every
 // stream over the tape — growth builds a new DecodedTape, it never
 // mutates one.
+//
+// SafepointEvery, when nonzero, marks every SafepointEvery-th op with
+// the safepoint prefix without storing the flag: a safepoint view
+// (Tape.SafepointView) shares its base tape's Ops and Blocks and
+// differs only here. FSafepoint is not a block-splitting flag, so the
+// base partition holds for the view. Read the prefix with SafepointAt.
 type DecodedTape struct {
-	Name   string
-	Ops    []UOp
-	Blocks []Block
+	Name           string
+	Ops            []UOp
+	Blocks         []Block
+	SafepointEvery int
+}
+
+// SafepointAt reports whether the op at pos carries the safepoint
+// prefix: its own FSafepoint flag, or every SafepointEvery-th op of a
+// view (pos+1 a multiple of it, as NewSafepointAnnotated numbers ops).
+func (d *DecodedTape) SafepointAt(pos uint64) bool {
+	return d.Ops[pos].Flags&FSafepoint != 0 ||
+		d.SafepointEvery > 0 && (pos+1)%uint64(d.SafepointEvery) == 0
 }
 
 // clean reports whether u may live inside a clean block.
@@ -185,15 +200,19 @@ func clean(u UOp) bool {
 // buildBlocks computes the basic-block partition of a decoded op
 // array: maximal clean runs, with each special op a singleton block.
 // A first pass counts block starts to size the result exactly, so a
-// resident tape holds no append slack.
-func buildBlocks(ops []UOp) []Block {
+// resident tape holds no append slack; the partition reuses dst's
+// backing array when it fits.
+func buildBlocks(ops []UOp, dst []Block) []Block {
 	n := 0
 	for i, u := range ops {
 		if !clean(u) || i == 0 || !clean(ops[i-1]) {
 			n++
 		}
 	}
-	blocks := make([]Block, 0, n)
+	blocks := dst[:0]
+	if cap(blocks) < n {
+		blocks = make([]Block, 0, n)
+	}
 	start := 0
 	for i, u := range ops {
 		if clean(u) {

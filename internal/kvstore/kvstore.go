@@ -27,6 +27,7 @@ type skiplist struct {
 	level int
 	size  int
 	rng   *sim.RNG
+	max   []byte // largest key, nil while empty
 }
 
 func newSkiplist(rng *sim.RNG) *skiplist {
@@ -67,11 +68,18 @@ func (s *skiplist) put(key, val []byte) {
 		n.next[i] = update[i].next[i]
 		update[i].next[i] = n
 	}
+	if n.next[0] == nil {
+		s.max = n.key
+	}
 	s.size++
 }
 
-// get returns the value for key.
+// get returns the value for key. A key above the largest one misses
+// without a descent.
 func (s *skiplist) get(key []byte) ([]byte, bool) {
+	if s.max == nil || bytes.Compare(key, s.max) > 0 {
+		return nil, false
+	}
 	x := s.head
 	for i := s.level - 1; i >= 0; i-- {
 		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
@@ -110,7 +118,13 @@ type run struct {
 	vals [][]byte
 }
 
+// get returns the value for key. Like an SST file's smallest/largest
+// key fence in RocksDB, a key outside the run's range misses without a
+// search.
 func (r *run) get(key []byte) ([]byte, bool) {
+	if len(r.keys) == 0 || bytes.Compare(key, r.keys[0]) < 0 || bytes.Compare(key, r.keys[len(r.keys)-1]) > 0 {
+		return nil, false
+	}
 	i := sort.Search(len(r.keys), func(i int) bool {
 		return bytes.Compare(r.keys[i], key) >= 0
 	})

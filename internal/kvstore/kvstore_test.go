@@ -158,6 +158,56 @@ func TestStoreAgainstMapProperty(t *testing.T) {
 	}
 }
 
+// TestGetFencedByKeyRange checks Get against a brute-force reference
+// for keys below, at the ends of, inside and above every run and the
+// memtable, after out-of-order puts, overwrites and flushes: the key
+// range fences may skip a source only when it cannot hold the key.
+func TestGetFencedByKeyRange(t *testing.T) {
+	st := Open(5)
+	st.FlushThreshold = 7
+	model := map[string]string{}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("k%04d", i)) }
+	rng := sim.NewRNG(11)
+	check := func(step int) {
+		var probes []int
+		// Even slots hold keys; every odd neighbour is absent.
+		ends := func(lo, hi []byte) {
+			var a, b int
+			fmt.Sscanf(string(lo), "k%d", &a)
+			fmt.Sscanf(string(hi), "k%d", &b)
+			probes = append(probes, a-1, a, a+1, (a+b)/2, b-1, b, b+1)
+		}
+		for _, r := range st.runs {
+			ends(r.keys[0], r.keys[len(r.keys)-1])
+		}
+		if first := st.mem.head.next[0]; first != nil {
+			ends(first.key, st.mem.max)
+		}
+		probes = append(probes, -1, 0, 2000, 2001)
+		for _, i := range probes {
+			k := key(i)
+			got, ok := st.Get(k)
+			want, wok := model[string(k)]
+			if ok != wok || string(got) != want {
+				t.Fatalf("step %d: Get(%s) = %q,%v, want %q,%v", step, k, got, ok, want, wok)
+			}
+		}
+	}
+	for step := 0; step < 400; step++ {
+		k := key(2 * int(rng.Uint64()%1000))
+		v := fmt.Sprintf("v%d", step)
+		st.Put(k, []byte(v))
+		model[string(k)] = v
+		if step%53 == 0 {
+			st.Flush()
+		}
+		check(step)
+	}
+	if len(st.runs) < 3 {
+		t.Fatalf("only %d runs; the fences were not exercised across runs", len(st.runs))
+	}
+}
+
 func TestSkiplistScanFromNil(t *testing.T) {
 	st := Open(3)
 	st.Put([]byte("b"), []byte("2"))

@@ -118,12 +118,17 @@ func (p *SimProbe) EventScheduled(now, when uint64) {
 func (p *SimProbe) EventFired(when uint64, pending int) {
 	p.n.fired++
 	p.n.depths.Record(uint64(pending))
+	// Without a tracer (every metered-only run) there is nothing to
+	// sample, so skip the counter and its division.
+	if !p.Trace.Enabled() {
+		return
+	}
 	p.sampled++
 	every := p.SampleEvery
 	if every == 0 {
 		every = 1024
 	}
-	if p.sampled%every == 0 && p.Trace.Enabled() {
+	if p.sampled%every == 0 {
 		p.Trace.Counter(p.Pid, "sim.pendingEvents", when, float64(pending)) //xui:alloc sampled trace record, only with a tracer attached
 	}
 }

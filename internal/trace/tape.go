@@ -17,6 +17,11 @@ import (
 // dropped when its job ends: nearly all reuse is inside one
 // experiment, so freeing a job's tapes with it costs little time and
 // keeps a long-lived process from holding every tape it ever recorded.
+// Instrumented variants of a recording are not tapes of their own: a
+// safepoint-annotated stream is a view that shares the base tape's
+// arrays and derives the prefix from the op's position, and a
+// poll-instrumented stream is interleaved per run into a buffer the
+// set reuses (RecordedSafepoint, RecordedPoll).
 // A tape stores only decoded ops (isa.UOp): recording decodes each
 // generated chunk straight into the tape's array. Growth keeps the live
 // generator: when a longer recording is needed, only the new suffix is
@@ -52,11 +57,16 @@ type tapeEntry struct {
 
 // TapeSet is a set of recorded tapes keyed by (name, seed). Recording
 // is single-flight per key, so concurrent sweep workers share one
-// recording, its growth and its derivations. The zero TapeSet is empty
-// and ready to use; it must not be copied once used.
+// recording and its growth. It holds generator recordings only: a
+// safepoint stream is a view of its base tape, and a poll stream lives
+// in a buffer the set lends one run at a time (RecordedPoll). The zero
+// TapeSet is empty and ready to use; it must not be copied once used.
 type TapeSet struct {
 	mu sync.Mutex
 	m  map[tapeKey]*tapeEntry
+
+	pollMu   sync.Mutex
+	pollFree []*pollBuf //xui:guardedby pollMu
 
 	recordings atomic.Uint64 // generator passes paid (incl. re-records for growth)
 	replays    atomic.Uint64 // streams served from an existing tape
@@ -128,87 +138,107 @@ func (s *TapeSet) Recorded(name string, seed, budget uint64) isa.Stream {
 }
 
 // RecordedPoll returns a stream of the named microbenchmark wrapped
-// with Concord-style poll instrumentation (NewPollInstrumented),
-// tape-backed like Recorded. innerBudget is the budget of *inner*
-// workload ops the run will commit; the tape is sized for the combined
-// stream (two instrumentation ops per check). Distinct check spacings
-// record distinct tapes — but all of them derive from the one shared
-// base recording of (name, seed): the instrumentation only interleaves
-// fixed check ops with the unmodified inner stream, so the derived
-// array is element-identical to recording the instrumented generator
-// while a density sweep pays the synth generator exactly once.
-func (s *TapeSet) RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uint64) isa.Stream {
+// with Concord-style poll instrumentation (NewPollInstrumented), and
+// the release func its caller must call once, when no core reads the
+// stream any more. innerBudget is the budget of *inner* workload ops
+// the run will commit; the stream holds exactly that many ops' worth
+// of the combined stream (two instrumentation ops per check) plus
+// TapeSlack, so the base recording is read only as far as a run can
+// fetch. The interleave copies the set's shared base recording of
+// (name, seed) — the instrumentation only inserts fixed check ops, so
+// the result is element-identical to recording the instrumented
+// generator while a density sweep pays the synth generator once — into
+// one of the set's poll buffers: a run takes a free buffer, or makes
+// one when every buffer is in use, and release hands it back. So a job
+// holds one buffer per concurrently running sweep worker, and no poll
+// stream is ever registered as a tape. An unknown name returns a nil
+// stream and a no-op release.
+func (s *TapeSet) RecordedPoll(name string, seed, innerBudget uint64, every int, flagAddr uint64) (isa.Stream, func()) {
 	if every < 1 {
 		every = 1
 	}
-	total := innerBudget + innerBudget/uint64(every)*2
-	// Quantize upfront: innerNeed must cover the quantized output
-	// length derivedStream will actually build.
-	need := quantizeTapeLen(int(total + TapeSlack))
-	// need output ops consume ~every/(every+2) of them as inner ops;
-	// round up with a trailing-partial-group margin.
-	innerNeed := need/(every+2)*every + 2*every + 8
-	if innerNeed > need {
-		innerNeed = need
-	}
-	baseT := s.recordedTape(tapeKey{name, seed}, innerNeed,
+	n := int(innerBudget + innerBudget/uint64(every)*2 + TapeSlack)
+	// The output repeats every inner ops then two checks; count the
+	// inner ops among its first n.
+	inner := n/(every+2)*every + min(n%(every+2), every)
+	baseT := s.recordedTape(tapeKey{name, seed}, inner,
 		func() isa.Stream { return ByName(name, seed) })
 	if baseT == nil {
-		return nil
+		return nil, func() {}
 	}
 	base := baseT.Decoded().Ops
 	checkLoad := isa.Decode(isa.MicroOp{Class: isa.Load, Addr: flagAddr, Shared: true, BoundaryStart: true})
 	checkBr := isa.Decode(isa.MicroOp{Class: isa.Branch, Dep1: 1, BoundaryStart: true})
-	return s.derivedStream(tapeKey{fmt.Sprintf("%s+poll%d", name, every), seed}, need,
-		func(n int) []isa.UOp {
-			out := make([]isa.UOp, 0, n)
-			since, i := 0, 0
-			for len(out) < n {
-				// Mirrors PollInstrumented.Next exactly: after every inner
-				// ops, a shared-flag load then a dependent branch.
-				if since >= every {
-					since = 0
-					out = append(out, checkLoad)
-					if len(out) < n {
-						out = append(out, checkBr)
-					}
-					continue
-				}
-				if i >= len(base) {
-					panic("trace: derived poll tape exhausted its base recording")
-				}
-				out = append(out, base[i])
-				i++
-				since++
-			}
-			return out
-		})
+	b := s.takePollBuf(n)
+	// Mirrors PollInstrumented.Next exactly: after every inner ops, a
+	// shared-flag load then a dependent branch.
+	for k, i := 0, 0; k < n; {
+		want := min(every, n-k)
+		if copy(b.ops[k:k+want], base[i:]) < want {
+			panic("trace: poll stream exhausted its base recording")
+		}
+		k, i = k+want, i+want
+		if k < n {
+			b.ops[k] = checkLoad
+			k++
+		}
+		if k < n {
+			b.ops[k] = checkBr
+			k++
+		}
+	}
+	t := isa.NewScratchTape(fmt.Sprintf("%s+poll%d", name, every), b.ops, b.blocks)
+	b.blocks = t.Decoded().Blocks
+	return t.Stream(), func() { s.releasePollBuf(b) }
+}
+
+// pollBuf is the op and block arrays of one run's poll stream, reused
+// by the set's later poll streams once that run releases it.
+type pollBuf struct {
+	ops    []isa.UOp
+	blocks []isa.Block
+}
+
+// takePollBuf returns a free poll buffer resliced to n ops, growing it
+// if it is too short, or a new one when none is free.
+func (s *TapeSet) takePollBuf(n int) *pollBuf {
+	s.pollMu.Lock()
+	var b *pollBuf
+	if k := len(s.pollFree); k > 0 {
+		b = s.pollFree[k-1]
+		s.pollFree = s.pollFree[:k-1]
+	}
+	s.pollMu.Unlock()
+	if b == nil {
+		b = new(pollBuf)
+	}
+	if cap(b.ops) < n {
+		b.ops = make([]isa.UOp, n)
+	}
+	b.ops = b.ops[:n]
+	return b
+}
+
+// releasePollBuf hands b back for the set's next poll stream.
+func (s *TapeSet) releasePollBuf(b *pollBuf) {
+	s.pollMu.Lock()
+	s.pollFree = append(s.pollFree, b)
+	s.pollMu.Unlock()
 }
 
 // RecordedSafepoint is RecordedPoll's analogue for hardware-safepoint
 // annotation (NewSafepointAnnotated): one op per inner op, so budget is
-// the run's op budget directly. Like RecordedPoll it derives from the
-// shared base recording — the annotation sets a flag on every
-// markEvery-th op and changes nothing else.
+// the run's op budget directly. The annotation only sets the prefix on
+// every every-th op, so the stream is a view of the shared base
+// recording (isa.Tape.SafepointView): it copies nothing, registers
+// nothing, and needs no release.
 func (s *TapeSet) RecordedSafepoint(name string, seed, budget uint64, every int) isa.Stream {
-	if every < 1 {
-		every = 1
-	}
-	need := quantizeTapeLen(int(budget + TapeSlack))
-	baseT := s.recordedTape(tapeKey{name, seed}, need,
+	baseT := s.recordedTape(tapeKey{name, seed}, int(budget+TapeSlack),
 		func() isa.Stream { return ByName(name, seed) })
 	if baseT == nil {
 		return nil
 	}
-	base := baseT.Decoded().Ops
-	return s.derivedStream(tapeKey{fmt.Sprintf("%s+sp%d", name, every), seed}, need,
-		func(n int) []isa.UOp {
-			out := append([]isa.UOp(nil), base[:n]...)
-			for i := every - 1; i < n; i += every {
-				out[i].Flags |= isa.FSafepoint
-			}
-			return out
-		})
+	return baseT.SafepointView(fmt.Sprintf("%s+sp%d", name, every), every).Stream()
 }
 
 // RecordedStream tape-backs an arbitrary deterministic generator under
@@ -232,9 +262,9 @@ type batchFiller interface {
 const fillChunk = 4096
 
 // tapeQuantum rounds recording sizes up so repeated requests for
-// slightly different lengths — a density sweep's varying combined
-// budgets, the shared base under different derivations — hit one
-// recording instead of growing over and over. Growth is not just the
+// slightly different lengths — the base a poll sweep's spacings read
+// to different depths, plain and annotated runs of one budget — hit
+// one recording instead of growing over and over. Growth is not just the
 // suffix generation: it copies the whole decoded prefix into a fresh
 // array and repartitions it into blocks, which dwarfs the cost of
 // recording a few thousand ops nobody replays.
@@ -319,24 +349,18 @@ func (s *TapeSet) growLocked(e *tapeEntry, key tapeKey, need int, mkGen func() i
 // recording or growing it first (from mkGen's stream) so it holds at
 // least need ops.
 func (s *TapeSet) recordedStream(key tapeKey, need int, mkGen func() isa.Stream) isa.Stream {
-	need = quantizeTapeLen(need)
-	e := s.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t := e.tape.Load(); t == nil || t.Len() < need {
-		if !s.growLocked(e, key, need, mkGen) {
-			return nil
-		}
-	} else {
-		s.replayed()
+	t := s.recordedTape(key, need, mkGen)
+	if t == nil {
+		return nil
 	}
-	return e.tape.Load().Stream()
+	return t.Stream()
 }
 
 // recordedTape ensures the set's entry for key holds at least need
 // recorded ops and returns its tape (immutable once returned: growth
-// publishes a fresh Tape). Derivations read its decoded ops directly,
-// so the base decode is shared with every plain run.
+// publishes a fresh Tape), counting a replay when the tape already
+// sufficed. Poll streams and safepoint views read its decoded ops
+// directly, so the base decode is shared with every plain run.
 func (s *TapeSet) recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *isa.Tape {
 	need = quantizeTapeLen(need)
 	e := s.entry(key)
@@ -346,24 +370,8 @@ func (s *TapeSet) recordedTape(key tapeKey, need int, mkGen func() isa.Stream) *
 		if !s.growLocked(e, key, need, mkGen) {
 			return nil
 		}
-	}
-	return e.tape.Load()
-}
-
-// derivedStream returns a replayer over a tape computed by build — a
-// pure function of already-recorded decoded ops (build(n) must be a
-// prefix of build(m) for n < m, which any deterministic derivation
-// satisfies). Derived entries keep no generator: growth rebuilds from
-// scratch, since derivation runs at memcpy speed.
-func (s *TapeSet) derivedStream(key tapeKey, need int, build func(n int) []isa.UOp) isa.Stream {
-	need = quantizeTapeLen(need)
-	e := s.entry(key)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if t := e.tape.Load(); t == nil || t.Len() < need {
-		s.publish(e, isa.NewDecodedTape(key.name, build(need)))
 	} else {
 		s.replayed()
 	}
-	return e.tape.Load().Stream()
+	return e.tape.Load()
 }

@@ -12,17 +12,19 @@ import (
 )
 
 // matchLive checks the tape behind stream against a live generator for
-// n ops: the tape's decoded op i must equal Decode of the generator's
-// op i, and the stream's Next must return Lift of that decoded op.
+// n ops: the tape's decoded op i, as the engine reads it (with the
+// safepoint prefix a view derives, see isa.DecodedTape.SafepointAt),
+// must equal Decode of the generator's op i, and the stream's Next must
+// return Lift of that decoded op.
 func matchLive(t *testing.T, label string, stream, live isa.Stream, n int) {
 	t.Helper()
 	ts, ok := stream.(*isa.TapeStream)
 	if !ok {
 		t.Fatalf("%s: got %T, want a tape stream", label, stream)
 	}
-	dec := ts.Tape().Decoded().Ops
-	if len(dec) < n {
-		t.Fatalf("%s: tape holds %d ops, want at least %d", label, len(dec), n)
+	d := ts.Tape().Decoded()
+	if len(d.Ops) < n {
+		t.Fatalf("%s: tape holds %d ops, want at least %d", label, len(d.Ops), n)
 	}
 	for i := 0; i < n; i++ {
 		m, okL := live.Next()
@@ -30,10 +32,14 @@ func matchLive(t *testing.T, label string, stream, live isa.Stream, n int) {
 		if !okT || !okL {
 			t.Fatalf("%s: stream ended at op %d (tape ok=%v, live ok=%v)", label, i, okT, okL)
 		}
-		if want := isa.Decode(m); dec[i] != want {
-			t.Fatalf("%s: op %d differs: tape %+v, live %+v", label, i, dec[i], want)
+		u := d.Ops[i]
+		if d.SafepointAt(uint64(i)) {
+			u.Flags |= isa.FSafepoint
 		}
-		if want := isa.Lift(dec[i]); got != want {
+		if want := isa.Decode(m); u != want {
+			t.Fatalf("%s: op %d differs: tape %+v, live %+v", label, i, u, want)
+		}
+		if want := isa.Lift(u); got != want {
 			t.Fatalf("%s: Next at op %d = %+v, want Lift %+v", label, i, got, want)
 		}
 	}
@@ -78,29 +84,76 @@ func TestRecordedGrowth(t *testing.T) {
 }
 
 // TestDerivedTapesMatchGenerators checks the poll- and safepoint-
-// instrumented tapes — which derive from the shared base recording by
+// instrumented streams — which derive from the shared base recording by
 // interleave/annotation instead of re-running the instrumented
 // generator — replay exactly what the live instrumented generator
-// produces, across a density sweep and through growth.
+// produces, across a density sweep and through a longer poll run that
+// reuses (and grows) the released buffer of a shorter one.
 func TestDerivedTapesMatchGenerators(t *testing.T) {
 	for _, every := range []int{1, 2, 7, 25, 100} {
 		ts := new(TapeSet)
 		const inner = 3000
 		label := fmt.Sprintf("poll every=%d", every)
-		matchLive(t, label, ts.RecordedPoll("matmul", 3, inner, every, 0xF0),
+		poll, release := ts.RecordedPoll("matmul", 3, inner, every, 0xF0)
+		matchLive(t, label, poll,
 			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), inner+inner/every*2+TapeSlack)
-		// Growth must keep the shorter derivation as an exact prefix.
-		matchLive(t, label+" grown", ts.RecordedPoll("matmul", 3, 2*inner, every, 0xF0),
+		release()
+		poll, release = ts.RecordedPoll("matmul", 3, 2*inner, every, 0xF0)
+		matchLive(t, label+" grown", poll,
 			NewPollInstrumented(ByName("matmul", 3), every, 0xF0), 2*inner)
+		release()
 
 		matchLive(t, fmt.Sprintf("safepoint every=%d", every), ts.RecordedSafepoint("fib", 5, inner, every),
 			NewSafepointAnnotated(ByName("fib", 5), every), inner+TapeSlack)
 	}
 }
 
+// TestDerivedStreamsNotRegistered checks the set holds generator
+// recordings only: a safepoint stream shares its base tape's arrays, a
+// poll stream is exactly the run's length in a buffer the set lends to
+// one run at a time (two live poll streams never share one) and takes
+// back on release, and neither adds an entry to the set.
+func TestDerivedStreamsNotRegistered(t *testing.T) {
+	ts := new(TapeSet)
+	const inner = 20000
+	base := ts.Recorded("matmul", 1, inner).(*isa.TapeStream).Tape().Decoded()
+	for _, every := range []int{5, 25, 100} {
+		sp := ts.RecordedSafepoint("matmul", 1, inner, every).(*isa.TapeStream).Tape().Decoded()
+		if &sp.Ops[0] != &base.Ops[0] || &sp.Blocks[0] != &base.Blocks[0] || sp.SafepointEvery != every {
+			t.Errorf("safepoint every=%d: not a view of the base tape (every %d)", every, sp.SafepointEvery)
+		}
+	}
+	a, releaseA := ts.RecordedPoll("matmul", 1, inner, 4, 0xF0)
+	b, releaseB := ts.RecordedPoll("matmul", 1, inner, 25, 0xF0)
+	da, db := a.(*isa.TapeStream).Tape().Decoded(), b.(*isa.TapeStream).Tape().Decoded()
+	if want := inner + inner/4*2 + TapeSlack; len(da.Ops) != want {
+		t.Errorf("poll every=4 holds %d ops, want exactly %d", len(da.Ops), want)
+	}
+	if &da.Ops[0] == &db.Ops[0] {
+		t.Error("two live poll streams share one buffer")
+	}
+	releaseA()
+	c, releaseC := ts.RecordedPoll("matmul", 1, inner, 10, 0xF0)
+	if dc := c.(*isa.TapeStream).Tape().Decoded(); &dc.Ops[0] != &da.Ops[0] {
+		t.Error("a poll stream did not reuse the released buffer")
+	}
+	releaseB()
+	releaseC()
+	if s := ts.Stats(); s.Tapes != 1 || s.Ops != uint64(len(base.Ops)) {
+		t.Errorf("stats = %+v, want only the base recording of %d ops", s, len(base.Ops))
+	}
+	for k := range ts.m {
+		if k != (tapeKey{"matmul", 1}) {
+			t.Errorf("set holds a derived entry %v", k)
+		}
+	}
+}
+
 // TestTapeStatsBytes checks TapeStats.Bytes against known recordings:
 // each resident tape is charged 24 bytes per decoded op plus 12 per
-// basic block, and nothing else — derived tapes included.
+// basic block, and nothing else. Safepoint views and poll streams are
+// not tapes of the set: a view is charged nothing (its arrays are the
+// base tape's), and RecordedPoll only adds its base recording.
 func TestTapeStatsBytes(t *testing.T) {
 	ts := new(TapeSet)
 	const uopBytes, blockBytes = 24, 12
@@ -108,11 +161,15 @@ func TestTapeStatsBytes(t *testing.T) {
 		t.Fatalf("sizeof(UOp, Block) = %d, %d; want %d, %d",
 			unsafe.Sizeof(isa.UOp{}), unsafe.Sizeof(isa.Block{}), uopBytes, blockBytes)
 	}
+	ts.RecordedSafepoint("fib", 1, 1000, 4)
+	_, release := ts.RecordedPoll("linpack", 2, 1000, 10, 0xF0)
+	release()
 	var wantOps, wantBytes uint64
+	// RecordedSafepoint recorded fib's base tape and RecordedPoll
+	// linpack's; a zero budget replays each.
 	for _, s := range []isa.Stream{
-		ts.Recorded("fib", 1, 1000),
-		ts.RecordedSafepoint("fib", 1, 1000, 4),
-		ts.RecordedPoll("linpack", 2, 1000, 10, 0xF0),
+		ts.Recorded("fib", 1, 0),
+		ts.Recorded("linpack", 2, 0),
 	} {
 		d := s.(*isa.TapeStream).Tape().Decoded()
 		if cap(d.Ops) != len(d.Ops) || cap(d.Blocks) != len(d.Blocks) {
@@ -122,14 +179,10 @@ func TestTapeStatsBytes(t *testing.T) {
 		wantOps += uint64(len(d.Ops))
 		wantBytes += uint64(len(d.Ops))*uopBytes + uint64(len(d.Blocks))*blockBytes
 	}
-	// RecordedPoll also recorded linpack's base tape.
-	base := ts.Recorded("linpack", 2, 0).(*isa.TapeStream).Tape().Decoded()
-	wantOps += uint64(len(base.Ops))
-	wantBytes += uint64(len(base.Ops))*uopBytes + uint64(len(base.Blocks))*blockBytes
 
 	got := ts.Stats()
-	if got.Tapes != 4 || got.Ops != wantOps || got.Bytes != wantBytes {
-		t.Fatalf("stats = %+v, want 4 tapes, %d ops, %d bytes", got, wantOps, wantBytes)
+	if got.Tapes != 2 || got.Ops != wantOps || got.Bytes != wantBytes {
+		t.Fatalf("stats = %+v, want 2 tapes, %d ops, %d bytes", got, wantOps, wantBytes)
 	}
 }
 
