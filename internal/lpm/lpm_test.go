@@ -11,14 +11,41 @@ func ip4(a, b, c, d byte) uint32 {
 	return uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d)
 }
 
+// Reference is a naive longest-prefix match that Table is checked
+// against: a scan of its routes in list order.
+type Reference []Route
+
+// Lookup returns the next hop of the longest prefix covering ip.
+func (r Reference) Lookup(ip uint32) (uint16, bool) {
+	best := -1
+	var nh uint16
+	for _, p := range r {
+		// >= so the later route wins among equal-length prefixes,
+		// matching Build's rule.
+		if m := prefixMask(p.Length); ip&m == p.IP&m && p.Length >= best {
+			best = p.Length
+			nh = p.NextHop
+		}
+	}
+	return nh, best >= 0
+}
+
+// mustBuild builds routes into a table, failing t on a build error.
+func mustBuild(t testing.TB, routes []Route) *Table {
+	t.Helper()
+	tb, err := Build(routes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
 func TestBasicLookup(t *testing.T) {
-	tb := New()
+	tb := mustBuild(t, nil)
 	if _, ok := tb.Lookup(ip4(10, 0, 0, 1)); ok {
 		t.Fatalf("empty table matched")
 	}
-	if err := tb.Add(ip4(10, 0, 0, 0), 8, 1); err != nil {
-		t.Fatal(err)
-	}
+	tb = mustBuild(t, []Route{{ip4(10, 0, 0, 0), 8, 1}})
 	if nh, ok := tb.Lookup(ip4(10, 200, 3, 4)); !ok || nh != 1 {
 		t.Errorf("10/8 lookup = %d,%v", nh, ok)
 	}
@@ -28,12 +55,13 @@ func TestBasicLookup(t *testing.T) {
 }
 
 func TestLongestMatchWins(t *testing.T) {
-	tb := New()
-	_ = tb.Add(ip4(10, 0, 0, 0), 8, 1)
-	_ = tb.Add(ip4(10, 1, 0, 0), 16, 2)
-	_ = tb.Add(ip4(10, 1, 2, 0), 24, 3)
-	_ = tb.Add(ip4(10, 1, 2, 128), 25, 4)
-	_ = tb.Add(ip4(10, 1, 2, 130), 32, 5)
+	tb := mustBuild(t, []Route{
+		{ip4(10, 0, 0, 0), 8, 1},
+		{ip4(10, 1, 0, 0), 16, 2},
+		{ip4(10, 1, 2, 0), 24, 3},
+		{ip4(10, 1, 2, 128), 25, 4},
+		{ip4(10, 1, 2, 130), 32, 5},
+	})
 	cases := []struct {
 		ip   uint32
 		want uint16
@@ -53,26 +81,13 @@ func TestLongestMatchWins(t *testing.T) {
 
 func TestInsertionOrderIndependence(t *testing.T) {
 	// Longer-first and shorter-first must give identical results.
-	build := func(order [][3]uint32) *Table {
-		tb := New()
-		for _, r := range order {
-			if err := tb.Add(r[0], int(r[1]), uint16(r[2])); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb
-	}
-	routes := [][3]uint32{
+	routes := []Route{
 		{ip4(20, 0, 0, 0), 8, 1},
 		{ip4(20, 5, 0, 0), 16, 2},
 		{ip4(20, 5, 5, 0), 26, 3},
 		{ip4(20, 5, 5, 77), 32, 4},
 	}
-	rev := make([][3]uint32, len(routes))
-	for i := range routes {
-		rev[i] = routes[len(routes)-1-i]
-	}
-	a, b := build(routes), build(rev)
+	a, b := mustBuild(t, routes), mustBuild(t, reversed(routes))
 	probes := []uint32{
 		ip4(20, 9, 9, 9), ip4(20, 5, 9, 9), ip4(20, 5, 5, 3),
 		ip4(20, 5, 5, 77), ip4(20, 5, 5, 120), ip4(20, 5, 5, 200),
@@ -86,40 +101,48 @@ func TestInsertionOrderIndependence(t *testing.T) {
 	}
 }
 
+func reversed(routes []Route) []Route {
+	rev := make([]Route, len(routes))
+	for i := range routes {
+		rev[i] = routes[len(routes)-1-i]
+	}
+	return rev
+}
+
 func TestValidation(t *testing.T) {
-	tb := New()
-	if err := tb.Add(0, 0, 1); err == nil {
+	if _, err := Build([]Route{{0, 0, 1}}); err == nil {
 		t.Errorf("length 0 accepted")
 	}
-	if err := tb.Add(0, 33, 1); err == nil {
+	if _, err := Build([]Route{{0, 33, 1}}); err == nil {
 		t.Errorf("length 33 accepted")
 	}
-	if err := tb.Add(0, 8, MaxNextHop+1); err == nil {
+	if _, err := Build([]Route{{0, 8, MaxNextHop + 1}}); err == nil {
 		t.Errorf("oversized next hop accepted")
 	}
 }
 
-// Property: DIR-24-8 agrees with the naive reference on random route sets.
+// Property: the table agrees with the naive reference on random route sets.
 func TestAgainstReferenceProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := sim.NewRNG(seed)
-		tb := New()
-		var ref Reference
 		nRoutes := 1 + rng.Intn(40)
-		for i := 0; i < nRoutes; i++ {
+		ref := make(Reference, nRoutes)
+		for i := range ref {
 			ip := uint32(rng.Uint64())
 			length := 1 + rng.Intn(32)
 			nh := uint16(rng.Intn(MaxNextHop))
-			if err := tb.Add(ip, length, nh); err != nil {
-				return false
-			}
-			ref.Add(ip, length, nh)
+			ref[i] = Route{ip, length, nh}
+		}
+		tb, err := Build(ref)
+		if err != nil {
+			return false
 		}
 		for i := 0; i < 300; i++ {
 			var probe uint32
 			if rng.Bool(0.5) && nRoutes > 0 {
 				// Probe near an installed prefix to stress boundaries.
-				probe = ref.prefixes[rng.Intn(len(ref.prefixes))].ip | uint32(rng.Intn(256))
+				r := ref[rng.Intn(len(ref))]
+				probe = r.IP&prefixMask(r.Length) | uint32(rng.Intn(256))
 			} else {
 				probe = uint32(rng.Uint64())
 			}
@@ -130,7 +153,7 @@ func TestAgainstReferenceProperty(t *testing.T) {
 			}
 			if ok && nh != rnh {
 				// Ambiguity: two same-length prefixes covering the probe —
-				// both implementations pick "latest added"; mismatch means
+				// both implementations pick the later route; mismatch means
 				// a real bug.
 				return false
 			}
