@@ -55,11 +55,8 @@ func (s Spec) validate() error {
 // the same work, which is exactly what makes the disk tier's answer
 // valid across restarts.
 func jobID(version string, s Spec) string {
-	h := sha256.New()
-	h.Write([]byte(version))
-	h.Write([]byte{0})
-	h.Write([]byte(s.canonical()))
-	return hex.EncodeToString(h.Sum(nil))[:32]
+	sum := sha256.Sum256([]byte(version + "\x00" + s.canonical()))
+	return hex.EncodeToString(sum[:16])
 }
 
 // Job states.
@@ -188,8 +185,9 @@ func (j *job) finishTrace(msg string) {
 	j.mu.Unlock()
 }
 
-func (j *job) snapshot() (status string, result []byte, errMsg string) {
+// snapshot reads the job's outcome under one lock.
+func (j *job) snapshot() (status string, result []byte, errMsg string, cached bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.status, j.result, j.err
+	return j.status, j.result, j.err, j.cached
 }

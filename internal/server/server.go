@@ -155,6 +155,7 @@ func New(cfg Config) (*Server, error) {
 		startedAt: time.Now(),
 	}
 	s.runCtx, s.cancelRun = context.WithCancel(context.Background())
+	installFloor()
 	s.wg.Add(1)
 	go s.executor()
 	return s, nil
@@ -355,7 +356,7 @@ func (s *Server) retryAfterSec() int {
 //	GET  /api/v1/jobs/{id}        job status + progress
 //	GET  /api/v1/jobs/{id}/result canonical result document (200 | 202 not ready | 500 failed)
 //	GET  /api/v1/jobs/{id}/trace  trace chunk from ?offset=N
-//	GET  /api/v1/stats            queue, job and cache counters
+//	GET  /api/v1/stats            queue, job, cache and GC counters
 //	GET  /api/v1/metrics          metrics-registry snapshot
 //	GET  /healthz                 liveness
 func (s *Server) Handler() http.Handler {
@@ -373,12 +374,13 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
+// writeJSON writes v indented, with a trailing newline. Every v here is
+// a struct or map of plain fields, which always marshals.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, _ := json.MarshalIndent(v, "", "  ")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 func writeErr(w http.ResponseWriter, code int, format string, args ...any) {
@@ -406,7 +408,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if j, ok := s.jobs[id]; ok {
-		status, _, _ := j.snapshot()
+		status, _, _, _ := j.snapshot()
 		if status != statusFailed {
 			s.mu.Unlock()
 			code := http.StatusOK
@@ -489,11 +491,13 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown job %q", r.PathValue("id"))
 		return
 	}
-	status, result, errMsg := j.snapshot()
+	status, result, errMsg, cached := j.snapshot()
 	switch status {
 	case statusDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Job-Cached", strconv.FormatBool(j.view().Cached))
+		h := w.Header()
+		h.Set("Content-Type", "application/json")
+		h.Set("Content-Length", strconv.Itoa(len(result)))
+		h.Set("X-Job-Cached", strconv.FormatBool(cached))
 		w.WriteHeader(http.StatusOK)
 		w.Write(result)
 	case statusFailed:
@@ -586,13 +590,14 @@ type statsResponse struct {
 	JobsCache  runcache.Stats                 `json:"jobsCache"` // the disk tier's counters
 	Cache      experiments.CacheStatsSnapshot `json:"cache"`
 	PersistDir string                         `json:"persistDir,omitempty"`
+	GC         gcStats                        `json:"gc"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	byStatus := map[string]int{}
 	for _, j := range s.jobs {
-		st, _, _ := j.snapshot()
+		st, _, _, _ := j.snapshot()
 		byStatus[st]++
 	}
 	s.mu.Unlock()
@@ -611,6 +616,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		Cache:      experiments.CacheStats(),
 		PersistDir: s.cfg.CacheDir,
+		GC:         readGCStats(),
 	})
 }
 

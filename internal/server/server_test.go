@@ -84,6 +84,64 @@ func getResult(t *testing.T, ts *httptest.Server, id string) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
+// primeWarm publishes a finished job for spec holding result, as the
+// executor does, and returns its id.
+func primeWarm(s *Server, spec Spec, result []byte, cached bool) string {
+	id := jobID(s.version, spec)
+	j := &job{id: id, spec: spec, status: statusQueued, queuedAt: time.Now()}
+	j.setDone(result, cached)
+	s.mu.Lock()
+	s.jobs[id] = j
+	s.mu.Unlock()
+	return id
+}
+
+// warmHit is one cache-hit round trip through h, as a warm client makes
+// it: submit the spec, then fetch the result.
+func warmHit(h http.Handler, spec []byte, id string) (submit, result *httptest.ResponseRecorder) {
+	submit = httptest.NewRecorder()
+	h.ServeHTTP(submit, httptest.NewRequest(http.MethodPost, "/api/v1/jobs", bytes.NewReader(spec)))
+	result = httptest.NewRecorder()
+	h.ServeHTTP(result, httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+id+"/result", nil))
+	return submit, result
+}
+
+// TestWarmHitResponse: a cache hit answers the submission 200 with the
+// done view, and the result fetch serves the stored bytes as they are,
+// with their length and whether they came from the disk tier.
+func TestWarmHitResponse(t *testing.T) {
+	s, _ := newTestServer(t, Config{Version: "test-warm"})
+	h := s.Handler()
+	for i, cached := range []bool{false, true} {
+		spec := Spec{Experiment: "worstcase", Quick: true, Seed: uint64(i)}
+		doc := []byte(fmt.Sprintf(`{"schema":"test","cached":%t}`, cached))
+		id := primeWarm(s, spec, doc, cached)
+		body, _ := json.Marshal(spec)
+		sub, res := warmHit(h, body, id)
+
+		var v view
+		if err := json.Unmarshal(sub.Body.Bytes(), &v); err != nil || sub.Code != http.StatusOK {
+			t.Fatalf("submit = %d %q (%v), want 200 and a view", sub.Code, sub.Body, err)
+		}
+		if v.ID != id || v.Status != statusDone || v.Cached != cached {
+			t.Fatalf("submit view = %+v, want done %s cached=%t", v, id, cached)
+		}
+		if res.Code != http.StatusOK || !bytes.Equal(res.Body.Bytes(), doc) {
+			t.Fatalf("result = %d %q, want 200 %q", res.Code, res.Body, doc)
+		}
+		hdr := res.Header()
+		if got, want := hdr.Get("Content-Length"), fmt.Sprint(len(doc)); got != want {
+			t.Errorf("Content-Length = %q, want %q", got, want)
+		}
+		if got, want := hdr.Get("X-Job-Cached"), fmt.Sprint(cached); got != want {
+			t.Errorf("X-Job-Cached = %q, want %q", got, want)
+		}
+		if got := hdr.Get("Content-Type"); got != "application/json" {
+			t.Errorf("Content-Type = %q, want application/json", got)
+		}
+	}
+}
+
 // TestSubmitLifecycle drives the happy path over real HTTP: submit,
 // status, result, and the canonical-document shape of the body.
 func TestSubmitLifecycle(t *testing.T) {
@@ -712,6 +770,13 @@ func TestMetricsAndStats(t *testing.T) {
 	if st.Version != "test-f" || st.Jobs[statusDone] == 0 || st.QueueCap == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
+	// The job ran GC cycles; the floor never sets GOGC below 100.
+	if st.GC.Cycles == 0 || st.GC.LiveBytes == 0 {
+		t.Errorf("stats gc = %+v, want cycles and a live heap", st.GC)
+	}
+	if floorEnabled(os.Getenv("GOGC")) && st.GC.Percent < 100 {
+		t.Errorf("stats gc percent = %d, want >= 100 under the floor", st.GC.Percent)
+	}
 
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
@@ -743,7 +808,7 @@ func TestCloseCancelsRunningJob(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		s.mu.Lock()
-		st, _, _ := s.jobs[v.ID].snapshot()
+		st, _, _, _ := s.jobs[v.ID].snapshot()
 		s.mu.Unlock()
 		if st == statusRunning {
 			break
@@ -760,7 +825,7 @@ func TestCloseCancelsRunningJob(t *testing.T) {
 		t.Errorf("Close took %v, want between the grace (%v) and the grace plus 2s", took, closeGrace)
 	}
 	s.mu.Lock()
-	st, result, msg := s.jobs[v.ID].snapshot()
+	st, result, msg, _ := s.jobs[v.ID].snapshot()
 	s.mu.Unlock()
 	if st != statusFailed || !strings.Contains(msg, "cancelled") {
 		t.Errorf("cancelled job: status %q error %q, want failed and cancelled", st, msg)
