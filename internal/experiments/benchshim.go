@@ -8,18 +8,22 @@ import (
 
 // The bench shim: bench/ configures its runs through three package-level
 // setters and a package-level RunJob, and may not change until the
-// benchmark itself does. The setters write one mutex-guarded Env; RunJob
-// runs a copy of it. ROADMAP item 6 deletes this file with bench/'s calls.
+// benchmark itself does. RunJob runs every job on one Env, so the jobs
+// share its run memo as a session's jobs do; a setter drops that Env,
+// and the next RunJob builds a fresh one with the new settings.
+// ROADMAP item 6 deletes this file with bench/'s calls.
 var shim struct {
-	mu  sync.Mutex
-	env Env //xui:guardedby mu
+	mu      sync.Mutex
+	workers int          //xui:guardedby mu
+	obs     *obs.Context //xui:guardedby mu
+	env     *Env         //xui:guardedby mu
 }
 
 // SetWorkers sets the bench shim's sweep worker-pool size.
 func SetWorkers(n int) {
 	shim.mu.Lock()
 	defer shim.mu.Unlock()
-	shim.env.Workers = n
+	shim.workers, shim.env = n, nil
 }
 
 // SetShards does nothing. It set the sharded engine's worker width,
@@ -31,15 +35,18 @@ func SetShards(int) {}
 func SetObservability(ctx *obs.Context) {
 	shim.mu.Lock()
 	defer shim.mu.Unlock()
-	shim.env.Obs = ctx
+	shim.obs, shim.env = ctx, nil
 }
 
-// RunJob runs the named experiment on a copy of the bench shim's Env.
+// RunJob runs the named experiment on the bench shim's Env.
 func RunJob(name string, quick bool) (any, error) { return shimEnv().RunJob(name, quick) }
 
-// shimEnv copies the bench shim's settings into a fresh Env.
+// shimEnv returns the bench shim's Env, building it after a setter.
 func shimEnv() *Env {
 	shim.mu.Lock()
 	defer shim.mu.Unlock()
-	return &Env{Workers: shim.env.Workers, Obs: shim.env.Obs}
+	if shim.env == nil {
+		shim.env = &Env{Workers: shim.workers, Obs: shim.obs}
+	}
+	return shim.env
 }

@@ -123,7 +123,7 @@ func (e *Env) ReceiverEventCost(strategy cpu.Strategy, workload string, skipNoti
 // IPI departure point).
 func (e *Env) SenduipiLoopCost(iters int) (perSend float64, icrOffset float64) {
 	// Memoized: Table 2 and Fig. 2 both run this exact study.
-	c := cached(e, senduipiCache, fmt.Sprintf("iters=%d", iters), func() senduipiCost {
+	c := cached(e, e.memo().senduipi, fmt.Sprintf("iters=%d", iters), func() senduipiCost {
 		per, icr := e.senduipiLoopCost(iters)
 		return senduipiCost{per: per, icr: icr}
 	})

@@ -9,6 +9,7 @@ import (
 	"xui/internal/cpu"
 	"xui/internal/isa"
 	"xui/internal/obs"
+	"xui/internal/runcache"
 	"xui/internal/sweep"
 	"xui/internal/trace"
 )
@@ -21,10 +22,10 @@ import (
 //
 // Set the fields before the first run; an Env must not be copied once
 // used, because it numbers the Tier-1 cores its runs build and owns
-// their recorded instruction tapes. The tapes last for one job: RunJob
-// and RenderJob drop them when they return. The run caches stay
-// process-wide (sharing results across jobs is their point); only
-// their switch is here.
+// their recorded instruction tapes and its run memo. The tapes last for
+// one job: RunJob and RenderJob drop them when they return. The memo
+// lasts as long as the Env, so every job run on one Env shares it and
+// no two Envs do.
 type Env struct {
 	// Workers is the grid-sweep worker-pool size; <= 0 means one per
 	// host core. Each grid point builds its own simulator and results
@@ -66,6 +67,9 @@ type Env struct {
 	// record and replay; created by the first stream, dropped by
 	// dropTapes.
 	tapes atomic.Pointer[trace.TapeSet]
+	// memos holds the Tier-1 run memo; created by the first memoized
+	// run and kept for the Env's lifetime.
+	memos atomic.Pointer[runMemo]
 }
 
 // runGrid fans fn over jobs on e's worker pool, attaching e's
@@ -201,3 +205,18 @@ func (e *Env) tapeSet() *trace.TapeSet {
 // dropTapes releases e's tape set once its job is done; the next stream
 // starts a fresh one.
 func (e *Env) dropTapes() { e.tapes.Store(nil) }
+
+// memo returns e's run memo, creating it on first use. Sweep workers
+// race here as in tapeSet, and all of them get the one memo.
+func (e *Env) memo() *runMemo {
+	for {
+		if m := e.memos.Load(); m != nil {
+			return m
+		}
+		e.memos.CompareAndSwap(nil, &runMemo{
+			baseline: runcache.New[cpu.Result](baselineCounts),
+			receiver: runcache.New[cpu.Result](receiverCounts),
+			senduipi: runcache.New[senduipiCost](senduipiCounts),
+		})
+	}
+}

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"regexp"
+	"sort"
 	"sync"
 	"testing"
 
 	"xui/internal/check"
 	"xui/internal/obs"
+	"xui/internal/runcache"
 )
 
 // isoRun is one job of TestEnvIsolation on an Env of its own: a stream
@@ -43,8 +45,9 @@ func newIsoRun(job string) *isoRun {
 // concurrently on two Envs. Each run must return the payload a serial
 // run returns, and everything it observes — metrics, trace events,
 // invariant checks and progress — must land in its own Env's sinks and
-// nowhere else. Under -race it is also the data-race check for two runs
-// sharing the process-wide caches and rig pool.
+// nowhere else. Each Env memoizes its own runs, from cold. Under -race
+// it is also the data-race check for two runs sharing the rig pool and
+// the memo counters.
 func TestEnvIsolation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two quick grids twice")
@@ -52,8 +55,7 @@ func TestEnvIsolation(t *testing.T) {
 	jobs := []string{"fig7", "fig4"}
 	want := map[string][]byte{}
 	for _, job := range jobs {
-		ResetCaches()
-		p, err := suite.RunJob(job, true)
+		p, err := (&Env{Check: suiteCheck}).RunJob(job, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +64,6 @@ func TestEnvIsolation(t *testing.T) {
 		}
 	}
 
-	ResetCaches()
 	var wg sync.WaitGroup
 	runs := make([]*isoRun, len(jobs))
 	for i, job := range jobs {
@@ -131,7 +132,10 @@ func TestEnvIsolation(t *testing.T) {
 }
 
 // TestBenchShim checks that the package-level setters bench/ uses reach
-// the Env the package-level RunJob runs on.
+// the Env the package-level RunJob runs on, and that successive jobs
+// run on that one Env: quick fig2 after quick table2 is answered by the
+// sender study and receiver run table2 memoized, the cross-job reuse
+// bench's tier1 grid relies on.
 func TestBenchShim(t *testing.T) {
 	defer func() {
 		SetWorkers(0)
@@ -150,4 +154,35 @@ func TestBenchShim(t *testing.T) {
 	if w := ctx.Metrics.Snapshot().Gauges["sweep/worstcase/workers"]; w != 2 {
 		t.Errorf("worstcase sweep ran %g workers, want the shim's 2", w)
 	}
+
+	if _, err := RunJob("table2", true); err != nil {
+		t.Fatal(err)
+	}
+	before := CacheStats()
+	if _, err := RunJob("fig2", true); err != nil {
+		t.Fatal(err)
+	}
+	gained := memoSince(t, before)
+	for _, name := range []string{"tier1/senduipi", "tier1/receiver"} {
+		if s := gained[name]; s.Misses != 0 || s.Hits == 0 {
+			t.Errorf("fig2 after table2 on the shim: %s gained %d misses and %d hits, want 0 and some", name, s.Misses, s.Hits)
+		}
+	}
+}
+
+// memoSince returns the hits and misses each run memo table gained
+// since before; the counters are process-wide and never reset. It also
+// checks CacheStats lists the tables sorted by name.
+func memoSince(t *testing.T, before CacheStatsSnapshot) map[string]runcache.Stats {
+	t.Helper()
+	now := CacheStats().Caches
+	if !sort.SliceIsSorted(now, func(i, j int) bool { return now[i].Name < now[j].Name }) {
+		t.Errorf("CacheStats().Caches not sorted by name: %+v", now)
+	}
+	out := map[string]runcache.Stats{}
+	for i, s := range now {
+		b := before.Caches[i]
+		out[s.Name] = runcache.Stats{Name: s.Name, Hits: s.Hits - b.Hits, Misses: s.Misses - b.Misses}
+	}
+	return out
 }

@@ -6,15 +6,14 @@ import (
 	"testing"
 
 	"xui/internal/cpu"
-	"xui/internal/runcache"
 )
 
 // TestFastForwardParity extends the fingerprint contract to the engine
 // switch: every Tier-1 experiment's rows must be byte-identical with
 // basic-block fast-forward on (decoded fast engine, block-granular
 // fetch) and off (the interpreted per-op reference path), serial or
-// parallel. The run cache is dropped between
-// configurations so each one genuinely re-simulates.
+// parallel. Each configuration runs on a fresh Env, whose run memo
+// starts empty, so each one genuinely re-simulates.
 func TestFastForwardParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every Tier-1 grid experiment four times")
@@ -42,13 +41,11 @@ func TestFastForwardParity(t *testing.T) {
 		{"noff/j1", cpu.EngineInterpreted, 1},
 		{"noff/j8", cpu.EngineInterpreted, 8},
 	}
-	defer runcache.ResetAll()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var want []byte
 			for i, cf := range configs {
 				e := &Env{Workers: cf.workers, Engine: cf.engine, Check: suiteCheck}
-				runcache.ResetAll()
 				got, err := json.Marshal(tc.run(e))
 				if err != nil {
 					t.Fatal(err)

@@ -25,7 +25,6 @@ func TestJobTapesReleased(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick fig4 grid twice")
 	}
-	ResetCaches()
 	e := &Env{Workers: 8}
 	var held []weak.Pointer[isa.Tape]
 	e.Progress = func(_ string, done, total int) {
@@ -74,9 +73,10 @@ func TestJobTapesReleased(t *testing.T) {
 	}
 
 	// fig5's polling runs derive their streams into the set's poll
-	// buffers (its baselines must not be memoized yet). With every run
-	// done, a zero-budget poll stream takes back one of those buffers.
-	ResetCaches()
+	// buffers (a fresh Env, so its baselines are not memoized yet). With
+	// every run done, a zero-budget poll stream takes back one of those
+	// buffers.
+	e = &Env{Workers: 8}
 	var buf weak.Pointer[isa.UOp]
 	e.Progress = func(sweep string, done, total int) {
 		if sweep != "fig5" || done < total {
@@ -95,5 +95,30 @@ func TestJobTapesReleased(t *testing.T) {
 	runtime.GC()
 	if buf.Value() != nil {
 		t.Error("poll buffer still reachable after RunJob returned and a GC")
+	}
+}
+
+// TestJobMemoReleased checks a run memo lives no longer than its Env,
+// which is what bounds xuiserve's memo: the daemon builds one Env per
+// job. A weak pointer to the memo of an Env that ran quick table2 must
+// be nil once the Env is dropped and one GC has run.
+func TestJobMemoReleased(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the quick table2 job")
+	}
+	memo := func() weak.Pointer[runMemo] {
+		e := &Env{}
+		if _, err := e.RunJob("table2", true); err != nil {
+			t.Fatal(err)
+		}
+		m := e.memos.Load()
+		if m == nil {
+			t.Fatal("table2 ran without a run memo")
+		}
+		return weak.Make(m)
+	}()
+	runtime.GC()
+	if memo.Value() != nil {
+		t.Error("run memo still reachable after its Env was dropped and a GC")
 	}
 }

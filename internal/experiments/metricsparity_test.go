@@ -20,15 +20,15 @@ import (
 //     finished last.
 var hostKeys = regexp.MustCompile(`^sweep/.*/(wall_ms|eta_ms|job_us|workers|worker\d+/jobs)$|^cpu\d+/|^vcore\d+/(utilization|delivered_total/)`)
 
-// observedSnapshot runs each job (quick) from cold caches at the given
-// sweep width with a metrics-only context, as the daemon does, and
-// returns the registry snapshot without the host-dependent keys.
+// observedSnapshot runs each job (quick) on a fresh Env, so from a cold
+// run memo, at the given sweep width with a metrics-only context, as
+// the daemon does, and returns the registry snapshot without the
+// host-dependent keys.
 func observedSnapshot(t *testing.T, workers int, jobs []string) map[string]any {
 	t.Helper()
 	ctx := &obs.Context{Metrics: obs.NewRegistry()}
-	e := &Env{Workers: workers, Obs: ctx, Check: suiteCheck}
 	for _, name := range jobs {
-		ResetCaches()
+		e := &Env{Workers: workers, Obs: ctx, Check: suiteCheck}
 		if _, err := e.RunJob(name, true); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -16,8 +16,8 @@ const maxQueueDepth = 64
 // raceBuild is set in -race builds (race_test.go).
 var raceBuild bool
 
-// TestRegistryQueueDepth runs every registry entry at quick scale from cold
-// caches with the sim probe attached and checks the deepest queue any
+// TestRegistryQueueDepth runs every registry entry at quick scale, each on
+// a fresh Env so from a cold run memo, with the sim probe attached and checks the deepest queue any
 // dispatch left behind.
 func TestRegistryQueueDepth(t *testing.T) {
 	if testing.Short() {
@@ -33,7 +33,6 @@ func TestRegistryQueueDepth(t *testing.T) {
 	for _, name := range JobNames() {
 		ctx := &obs.Context{Metrics: obs.NewRegistry()}
 		e := &Env{Workers: 1, Obs: ctx}
-		ResetCaches()
 		if _, err := e.RunJob(name, true); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

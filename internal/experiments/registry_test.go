@@ -35,7 +35,6 @@ func TestJobRegistryNames(t *testing.T) {
 // that makes daemon-cached results interchangeable with local runs. It
 // also exercises the Env's Progress hook end to end through a real grid.
 func TestRunJobMatchesDirectCall(t *testing.T) {
-	ResetCaches()
 	var mu sync.Mutex
 	progress := map[string][2]int{}
 	e := &Env{Check: suiteCheck, Progress: func(sweep string, done, total int) {

@@ -46,10 +46,11 @@ func TestBaselineStrategyInvariance(t *testing.T) {
 }
 
 // TestRunCacheParity is the determinism contract for the whole redundancy
-// layer: experiment rows must be byte-identical with the run cache, tapes
-// and core pool on or off, serial or parallel. The cached configurations
-// also revisit warm entries (the same grid runs twice with caching on),
-// so single-flight hits are compared against true recomputation.
+// layer: experiment rows must be byte-identical with the run memo, tapes
+// and core pool on or off, serial or parallel. Each configuration runs
+// on a fresh Env, whose memo starts empty, except cache/j1/warm, which
+// re-runs the cache/j1 Env: its memo's hits are compared against true
+// recomputation.
 func TestRunCacheParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every Tier-1 grid experiment four times")
@@ -78,19 +79,27 @@ func TestRunCacheParity(t *testing.T) {
 		name    string
 		noCache bool
 		workers int
+		warm    bool // re-run the first config's Env
 	}{
-		{"cache/j1", false, 1},
-		{"cache/j8", false, 8},
-		{"nocache/j1", true, 1},
-		{"nocache/j8", true, 8},
+		{"cache/j1", false, 1, false},
+		{"cache/j1/warm", false, 1, true},
+		{"cache/j8", false, 8, false},
+		{"nocache/j1", true, 1, false},
+		{"nocache/j8", true, 8, false},
 	}
-	defer ResetCaches()
-	ResetCaches()
+	before := CacheStats()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var ref []byte
+			var first *Env
 			for _, cf := range configs {
-				e := &Env{Workers: cf.workers, NoCache: cf.noCache, Check: suiteCheck}
+				e := first
+				if !cf.warm {
+					e = &Env{Workers: cf.workers, NoCache: cf.noCache, Check: suiteCheck}
+				}
+				if first == nil {
+					first = e
+				}
 				got, err := json.Marshal(tc.run(e))
 				if err != nil {
 					t.Fatal(err)
@@ -106,20 +115,19 @@ func TestRunCacheParity(t *testing.T) {
 			}
 		})
 	}
-	// The cached configurations must actually have exercised the cache.
-	stats := CacheStats()
+	// The cached configurations must actually have exercised the memo.
 	var hits, misses uint64
-	for _, s := range stats.Caches {
+	for _, s := range memoSince(t, before) {
 		hits += s.Hits
 		misses += s.Misses
 	}
 	if misses == 0 {
-		t.Error("run cache recorded no misses; cached configs did not go through it")
+		t.Error("run memo recorded no misses; cached configs did not go through it")
 	}
 	if hits == 0 {
-		t.Error("run cache recorded no hits; warm re-runs did not reuse entries")
+		t.Error("run memo recorded no hits; warm re-runs did not reuse entries")
 	}
-	if stats.Tapes.Replays == 0 {
+	if CacheStats().Tapes.Replays == before.Tapes.Replays {
 		t.Error("tapes recorded no replays")
 	}
 }
@@ -133,7 +141,6 @@ func TestJobTapesBaseOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick fig5 and ablations grids")
 	}
-	ResetCaches()
 	for _, tc := range []struct {
 		job, lastSweep string
 		bases          int

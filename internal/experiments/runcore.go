@@ -14,10 +14,12 @@ import (
 
 // Redundancy elimination for the Tier-1 grids. Three coupled pieces:
 //
-//   - runcache-backed memoization of interrupt-free baseline runs (the
-//     Fig. 4 differencing methodology re-derives the same baseline for
-//     every strategy cell; single-flight dedup makes this safe at any
-//     -j);
+//   - a single-flight run memo (runcache) of interrupt-free baseline
+//     runs and of the receiver and sender runs that recur across
+//     experiments (the Fig. 4 differencing methodology re-derives the
+//     same baseline for every strategy cell; single-flight dedup makes
+//     this safe at any -j); each Env owns its memo, so it lasts as long
+//     as the Env and is shared by every job run on it;
 //   - recorded instruction tapes (trace.TapeSet) so synthetic streams
 //     are generated once per job and replayed by cursor; each Env owns
 //     its job's set and drops it when the job returns;
@@ -29,13 +31,6 @@ import (
 // uncached reference path, under one contract: experiment rows are
 // byte-identical with the machinery on or off, at any worker count
 // (TestRunCacheParity).
-
-// ResetCaches drops every memoized run (tests and A/B timing). Tapes
-// need no reset: they live only as long as their job. Never call with a
-// sweep in flight.
-func ResetCaches() {
-	runcache.ResetAll()
-}
 
 // receiverCfg is the standard receiver-core configuration: Table 3
 // baseline, the given delivery strategy, calibrated microcode. The
@@ -119,22 +114,31 @@ func (e *Env) workloadStream(workload string, seed, uops uint64) isa.Stream {
 	return e.stream(streamSpec{workload: workload, seed: seed}, uops)
 }
 
-// baselineCache memoizes interrupt-free receiver runs; single-flight,
-// so concurrent sweep workers needing the same baseline block on one
-// computation instead of each paying it.
-var baselineCache = runcache.New[cpu.Result]("tier1/baseline")
-
-// senduipiCache memoizes the §3.5 sender-loop study, shared between
-// Table 2 and Fig. 2.
-var senduipiCache = runcache.New[senduipiCost]("tier1/senduipi")
+// runMemo is one Env's Tier-1 run memo.
+type runMemo struct {
+	// baseline memoizes interrupt-free receiver runs; single-flight,
+	// so concurrent sweep workers needing the same baseline block on
+	// one computation instead of each paying it.
+	baseline *runcache.Cache[cpu.Result]
+	// receiver memoizes deterministic *interrupted* receiver runs that
+	// recur across experiments (Table 2's receiver-cost run is also
+	// Fig. 2's timeline run, and §2 re-derives Table 2). Cached Results
+	// share their Interrupts slice — consumers read it, never mutate.
+	receiver *runcache.Cache[cpu.Result]
+	// senduipi memoizes the §3.5 sender-loop study, shared between
+	// Table 2 and Fig. 2.
+	senduipi *runcache.Cache[senduipiCost]
+}
 
 type senduipiCost struct{ per, icr float64 }
 
-// receiverCache memoizes deterministic *interrupted* receiver runs that
-// recur across experiments (Table 2's receiver-cost run is also Fig. 2's
-// timeline run, and §2 re-derives Table 2). Cached Results share their
-// Interrupts slice — consumers read it, never mutate.
-var receiverCache = runcache.New[cpu.Result]("tier1/receiver")
+// The memo counters, one set per table, accumulate over every Env of
+// the process, as trace.TapeTotals does over tape sets.
+var (
+	baselineCounts = runcache.NewCounters("tier1/baseline")
+	receiverCounts = runcache.NewCounters("tier1/receiver")
+	senduipiCounts = runcache.NewCounters("tier1/senduipi")
+)
 
 // structKey fingerprints the core's structural parameters — the subset
 // of Config that shapes cycle-by-cycle behaviour outside the interrupt
@@ -163,7 +167,7 @@ func baselineKey(stream string, uops, maxCycles uint64, cfg cpu.Config) string {
 // and any generator parameters); mk is only called on a miss.
 func (e *Env) baselineRun(streamKey string, mk func() isa.Stream, uops, maxCycles uint64) cpu.Result {
 	cfg := receiverCfg(cpu.Flush) // strategy is not part of what a baseline depends on
-	return cached(e, baselineCache, baselineKey(streamKey, uops, maxCycles, cfg), func() cpu.Result {
+	return cached(e, e.memo().baseline, baselineKey(streamKey, uops, maxCycles, cfg), func() cpu.Result {
 		return e.runReceiver(cfg, mk(), uops, maxCycles, nil)
 	})
 }
@@ -187,7 +191,7 @@ func (e *Env) pollBaseline(workload string, seed uint64, every int, uops uint64)
 	total := uops + uops/uint64(every)*2
 	cfg := receiverCfg(cpu.Flush)
 	key := baselineKey(fmt.Sprintf("%s/%d+poll%d", workload, seed, every), total, total*400, cfg)
-	return cached(e, baselineCache, key, func() cpu.Result {
+	return cached(e, e.memo().baseline, key, func() cpu.Result {
 		var prog isa.Stream
 		if e.NoCache {
 			prog = trace.NewPollInstrumented(trace.ByName(workload, seed), every, FlagAddr)
@@ -205,10 +209,10 @@ func (e *Env) pollBaseline(workload string, seed uint64, every int, uops uint64)
 // period cycles by the user-level scheduler's context switch: fig5's
 // xui-safepoint method, and the safepoint-density ablation, whose
 // spacing-25 point at 10,000 cycles is fig5's 5 µs run. Memoized in
-// receiverCache under everything the run depends on.
+// the receiver memo under everything the run depends on.
 func (e *Env) safepointRun(workload string, every int, period, uops uint64) cpu.Result {
 	key := fmt.Sprintf("safepoint/%s/1/e%d/p%d/u%d", workload, every, period, uops)
-	return cached(e, receiverCache, key, func() cpu.Result {
+	return cached(e, e.memo().receiver, key, func() cpu.Result {
 		cfg := receiverCfg(cpu.Tracked)
 		cfg.SafepointMode = true
 		prog := e.stream(streamSpec{workload: workload, seed: 1, safepoint: every}, uops)
@@ -229,20 +233,29 @@ type CacheStatsSnapshot struct {
 	Tapes  trace.TapeStats  `json:"tapes"`
 }
 
-// CacheStats snapshots every run cache and the tape totals.
+// CacheStats snapshots the run memo counters and the tape totals.
 func CacheStats() CacheStatsSnapshot {
-	return CacheStatsSnapshot{Caches: runcache.Snapshot(), Tapes: trace.TapeTotals()}
+	memo := []runcache.Stats{baselineCounts.Stats(), receiverCounts.Stats(), senduipiCounts.Stats()} // sorted by name
+	return CacheStatsSnapshot{Caches: memo, Tapes: trace.TapeTotals()}
 }
 
 // PublishCacheStats exports the layer's counters into reg under the
-// cache/ namespace (cache/<name>/... for run caches, cache/tapes/...
-// for the tape totals). Call once per run, at export time.
+// cache/ namespace: cache/<name>/{hits,misses,dedup_waits,poisoned,
+// entries} for the run memo, cache/tapes/... for the tape totals. Call
+// once per run, at export time (counters add).
 func PublishCacheStats(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	runcache.PublishTo(reg)
-	t := trace.TapeTotals()
+	cs := CacheStats()
+	for _, s := range cs.Caches {
+		reg.Add("cache/"+s.Name+"/hits", s.Hits)
+		reg.Add("cache/"+s.Name+"/misses", s.Misses)
+		reg.Add("cache/"+s.Name+"/dedup_waits", s.DedupWaits)
+		reg.Add("cache/"+s.Name+"/poisoned", s.Poisoned)
+		reg.SetGauge("cache/"+s.Name+"/entries", float64(s.Entries))
+	}
+	t := cs.Tapes
 	reg.SetGauge("cache/tapes/resident", float64(t.Tapes))
 	reg.SetGauge("cache/tapes/bytes", float64(t.Bytes))
 	reg.Add("cache/tapes/recordings", t.Recordings)

@@ -37,7 +37,7 @@ func PaperTable2() Table2Result {
 func (e *Env) measuredUIPIRun() cpu.Result {
 	const period = 20000
 	const uops = 300000
-	return cached(e, receiverCache, "rdtscloop/flush/measure/p20000/u300000", func() cpu.Result {
+	return cached(e, e.memo().receiver, "rdtscloop/flush/measure/p20000/u300000", func() cpu.Result {
 		return e.runReceiver(receiverCfg(cpu.Flush), trace.NewRdtscLoop(), uops, uops*400,
 			func(c *cpu.Core, port *cpu.PrivatePort) {
 				c.PeriodicInterrupts(period, period, func() cpu.Interrupt {

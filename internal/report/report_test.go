@@ -23,7 +23,6 @@ func TestReportFingerprint(t *testing.T) {
 	horizon := 2 * sim.Millisecond
 	build := func(workers int, caching bool) []byte {
 		e := &experiments.Env{Workers: workers, NoCache: !caching}
-		experiments.ResetCaches()
 
 		d := New("report-test")
 		d.Experiment = "fingerprint"

@@ -184,9 +184,9 @@ func TestDiskWriteBehindAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ResetAll)
 	var wg sync.WaitGroup
-	c1 := New[int]("test-disk-a")
+	ctr1 := NewCounters("test-disk-a")
+	c1 := New[int](ctr1)
 	calls := 0
 	compute := func() int { calls++; return 41 }
 	if got := c1.Get("k", loadOr(d1, "test-disk-a", "k", compute)); got != 41 {
@@ -194,7 +194,7 @@ func TestDiskWriteBehindAndReload(t *testing.T) {
 	}
 	storeBehind(d1, &wg, "test-disk-a", "k", 41)
 	wg.Wait()
-	if s := c1.Stats(); s.Misses != 1 || calls != 1 {
+	if s := ctr1.Stats(); s.Misses != 1 || calls != 1 {
 		t.Fatalf("writer stats = %+v, calls = %d; want 1 miss, 1 compute", s, calls)
 	}
 
@@ -203,7 +203,8 @@ func TestDiskWriteBehindAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := New[int]("test-disk-a")
+	ctr2 := NewCounters("test-disk-a")
+	c2 := New[int](ctr2)
 	recompute := func() int { calls++; return -1 }
 	if got := c2.Get("k", loadOr(d2, "test-disk-a", "k", recompute)); got != 41 {
 		t.Fatalf("reloaded Get = %d, want 41", got)
@@ -213,7 +214,7 @@ func TestDiskWriteBehindAndReload(t *testing.T) {
 	}
 	// And the memory promotion holds: a second read is a plain hit.
 	c2.Get("k", recompute)
-	if s := c2.Stats(); s.Hits != 1 || s.Misses != 1 {
+	if s := ctr2.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("post-promotion stats = %+v, want 1 hit / 1 miss", s)
 	}
 }
@@ -227,9 +228,8 @@ func TestDiskPoisonedNeverPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(ResetAll)
 	var wg sync.WaitGroup
-	c := New[int]("test-disk-poison")
+	c := New[int](NewCounters("test-disk-poison"))
 	func() {
 		defer func() { recover() }()
 		v := c.Get("k", func() int { panic("boom") })
@@ -240,7 +240,7 @@ func TestDiskPoisonedNeverPersisted(t *testing.T) {
 		t.Errorf("poisoned computation left %d file(s) on disk, want 0", n)
 	}
 	// A restarted process retries: the poison lived in memory only.
-	retry := New[int]("test-disk-poison")
+	retry := New[int](NewCounters("test-disk-poison"))
 	if got := retry.Get("k", loadOr(d, "test-disk-poison", "k", func() int { return 7 })); got != 7 {
 		t.Fatalf("retry after restart = %d, want a fresh compute 7", got)
 	}

@@ -6,7 +6,7 @@
 // density ablations recompute the very matmul baseline fig5 already
 // has. Because every Tier-1 run is a pure function of its inputs
 // (workload name + seed, uop budget, core configuration), such runs can
-// be computed once per process and shared.
+// be computed once and shared.
 //
 // A Cache is single-flight: when several sweep workers request the same
 // key concurrently, exactly one computes while the rest block on the
@@ -21,29 +21,27 @@
 // *nothing* it does not (a baseline key must exclude the delivery
 // strategy, for example — see experiments.baselineKey). Invalidation is
 // by fingerprint: change an input, and the key changes with it, so
-// stale entries are never read; they are only dropped wholesale by
-// ResetAll or process exit. A caller that wants the uncached reference
-// path (experiments.Env.NoCache) calls its computation directly instead
-// of Get.
+// stale entries are never read. A Cache never evicts; its owner bounds
+// it by dropping it (each experiments.Env owns its caches). A caller
+// that wants the uncached reference path (experiments.Env.NoCache)
+// calls its computation directly instead of Get.
 //
-// Hits, misses, dedup-waits and poisoned reads are exported through
-// internal/obs under the cache/ namespace (PublishTo), and surfaced by
-// `xuibench -report` and xuiserve's /api/v1/stats.
+// Hits, misses, dedup-waits and poisoned reads add into the Counters a
+// Cache is built on, which outlive the Cache: experiments keeps one
+// process-wide set per memo table and exports them under the cache/
+// namespace, in `xuibench -report` and in xuiserve's /api/v1/stats.
 //
-// Caches live in memory only and die with the process. The disk tier
-// (Disk) is a separate store: xuiserve's Server owns one and keeps its
-// job results there; no Cache reads or writes it.
+// Caches live in memory only. The disk tier (Disk) is a separate store:
+// xuiserve's Server owns one and keeps its job results there; no Cache
+// reads or writes it.
 package runcache
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
-
-	"xui/internal/obs"
 )
 
-// Stats is a point-in-time snapshot of one cache's counters.
+// Stats is a point-in-time snapshot of one set of cache counters.
 type Stats struct {
 	Name       string `json:"name"`
 	Hits       uint64 `json:"hits"`       // key present and computed successfully
@@ -55,19 +53,44 @@ type Stats struct {
 	DiskHits   uint64 `json:"diskHits"`   // lookups answered by the disk tier
 	DiskStores uint64 `json:"diskStores"` // entries written behind to the disk tier
 	DiskErrors uint64 `json:"diskErrors"` // failed disk writes (the tier is best-effort)
-	Entries    int    `json:"entries"`
+	Entries    int    `json:"entries"`    // the most entries any one Cache on these counters has held
 }
 
-// registry tracks every cache built with New so stats can be snapshot
-// and published without threading cache handles around.
-var registry struct {
-	mu     sync.Mutex
-	caches []statser //xui:guardedby mu
+// Counters is a named set of cumulative cache counters. Every Cache
+// built on it adds into it, so its totals cover all of them, those
+// already dropped included.
+type Counters struct {
+	name string
+
+	hits     atomic.Uint64
+	misses   atomic.Uint64
+	waits    atomic.Uint64
+	poisoned atomic.Uint64
+	entries  atomic.Int64 // peak entries of one Cache
 }
 
-type statser interface {
-	Stats() Stats
-	reset()
+// NewCounters builds an empty named counter set.
+func NewCounters(name string) *Counters { return &Counters{name: name} }
+
+// Stats snapshots the counters.
+func (t *Counters) Stats() Stats {
+	return Stats{
+		Name:       t.name,
+		Hits:       t.hits.Load(),
+		Misses:     t.misses.Load(),
+		DedupWaits: t.waits.Load(),
+		Poisoned:   t.poisoned.Load(),
+		Entries:    int(t.entries.Load()),
+	}
+}
+
+// notePeak raises the peak entry count to n.
+func (t *Counters) notePeak(n int64) {
+	for p := t.entries.Load(); n > p; p = t.entries.Load() {
+		if t.entries.CompareAndSwap(p, n) {
+			return
+		}
+	}
 }
 
 // entry is one single-flight slot. done is closed when val is ready;
@@ -82,24 +105,15 @@ type entry[V any] struct {
 // Cache memoizes values of type V under string fingerprints. The zero
 // Cache is not usable; build with New.
 type Cache[V any] struct {
-	name string
+	ctr *Counters
 
 	mu      sync.Mutex
 	entries map[string]*entry[V] //xui:guardedby mu
-
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	waits    atomic.Uint64
-	poisoned atomic.Uint64
 }
 
-// New builds a named cache and registers it for Snapshot/PublishTo.
-func New[V any](name string) *Cache[V] {
-	c := &Cache[V]{name: name, entries: make(map[string]*entry[V])}
-	registry.mu.Lock()
-	registry.caches = append(registry.caches, c)
-	registry.mu.Unlock()
-	return c
+// New builds an empty cache that counts into ctr.
+func New[V any](ctr *Counters) *Cache[V] {
+	return &Cache[V]{ctr: ctr, entries: make(map[string]*entry[V])}
 }
 
 // Get returns the value for key, computing it with compute on first
@@ -115,20 +129,22 @@ func (c *Cache[V]) Get(key string, compute func() V) V {
 		select {
 		case <-e.done:
 		default:
-			c.waits.Add(1)
+			c.ctr.waits.Add(1)
 			<-e.done
 		}
 		if e.panicked {
-			c.poisoned.Add(1)
-			panic("runcache: " + c.name + ": shared computation for key " + key + " panicked")
+			c.ctr.poisoned.Add(1)
+			panic("runcache: " + c.ctr.name + ": shared computation for key " + key + " panicked")
 		}
-		c.hits.Add(1)
+		c.ctr.hits.Add(1)
 		return e.val
 	}
 	e := &entry[V]{done: make(chan struct{})}
 	c.entries[key] = e
+	n := int64(len(c.entries))
 	c.mu.Unlock()
-	c.misses.Add(1)
+	c.ctr.misses.Add(1)
+	c.ctr.notePeak(n)
 
 	completed := false
 	defer func() {
@@ -138,75 +154,4 @@ func (c *Cache[V]) Get(key string, compute func() V) V {
 	e.val = compute()
 	completed = true
 	return e.val
-}
-
-// Stats snapshots the cache's counters.
-func (c *Cache[V]) Stats() Stats {
-	c.mu.Lock()
-	n := len(c.entries)
-	c.mu.Unlock()
-	return Stats{
-		Name:       c.name,
-		Hits:       c.hits.Load(),
-		Misses:     c.misses.Load(),
-		DedupWaits: c.waits.Load(),
-		Poisoned:   c.poisoned.Load(),
-		Entries:    n,
-	}
-}
-
-// reset drops all entries and zeroes the counters. Safe with Gets in
-// flight: the map swap happens under the lock, waiters already holding
-// an entry drain against it unchanged, and an in-flight computation
-// completes against its orphaned entry (a concurrent Get for the same
-// key may then recompute — duplicated work, never a wrong answer).
-func (c *Cache[V]) reset() {
-	c.mu.Lock()
-	c.entries = make(map[string]*entry[V])
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.waits.Store(0)
-	c.poisoned.Store(0)
-}
-
-// Snapshot returns stats for every registered cache, sorted by name.
-func Snapshot() []Stats {
-	registry.mu.Lock()
-	out := make([]Stats, 0, len(registry.caches))
-	for _, c := range registry.caches {
-		out = append(out, c.Stats())
-	}
-	registry.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ResetAll drops every registered cache's entries and counters. Used by
-// tests and A/B timing; safe with computations in flight (see
-// Cache.reset), though concurrent Gets may then recompute.
-func ResetAll() {
-	registry.mu.Lock()
-	caches := append([]statser(nil), registry.caches...)
-	registry.mu.Unlock()
-	for _, c := range caches {
-		c.reset()
-	}
-}
-
-// PublishTo writes current totals into reg under the cache/ namespace:
-// cache/<name>/{hits,misses,dedup_waits,poisoned,entries}. Call once
-// per run (counters add), typically when a cmd binary exports its
-// registry.
-func PublishTo(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	for _, s := range Snapshot() {
-		reg.Add("cache/"+s.Name+"/hits", s.Hits)
-		reg.Add("cache/"+s.Name+"/misses", s.Misses)
-		reg.Add("cache/"+s.Name+"/dedup_waits", s.DedupWaits)
-		reg.Add("cache/"+s.Name+"/poisoned", s.Poisoned)
-		reg.SetGauge("cache/"+s.Name+"/entries", float64(s.Entries))
-	}
 }

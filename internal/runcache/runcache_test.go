@@ -7,8 +7,8 @@ import (
 )
 
 func TestGetMemoizes(t *testing.T) {
-	defer ResetAll()
-	c := New[int]("test-memo")
+	ctr := NewCounters("test-memo")
+	c := New[int](ctr)
 	calls := 0
 	f := func() int { calls++; return 42 }
 	if got := c.Get("k", f); got != 42 {
@@ -20,17 +20,29 @@ func TestGetMemoizes(t *testing.T) {
 	if calls != 1 {
 		t.Errorf("compute ran %d times, want 1", calls)
 	}
-	s := c.Stats()
+	s := ctr.Stats()
 	if s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 miss / 1 hit / 1 entry", s)
+	}
+
+	// A second cache on the same counters shares no entries but adds
+	// into the totals; Entries is the larger cache's size.
+	d := New[int](ctr)
+	d.Get("k", f)
+	d.Get("j", f)
+	if calls != 3 {
+		t.Errorf("compute ran %d times over two caches, want 3", calls)
+	}
+	if s := ctr.Stats(); s.Misses != 3 || s.Hits != 1 || s.Entries != 2 {
+		t.Errorf("stats = %+v, want 3 misses / 1 hit / 2 entries", s)
 	}
 }
 
 // TestSingleFlight checks concurrent Gets for one key run the compute
 // exactly once, with every caller seeing the same value.
 func TestSingleFlight(t *testing.T) {
-	defer ResetAll()
-	c := New[int]("test-singleflight")
+	ctr := NewCounters("test-singleflight")
+	c := New[int](ctr)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	const workers = 16
@@ -57,7 +69,7 @@ func TestSingleFlight(t *testing.T) {
 			t.Errorf("worker %d got %d, want 7", i, r)
 		}
 	}
-	s := c.Stats()
+	s := ctr.Stats()
 	if s.Misses != 1 {
 		t.Errorf("misses = %d, want 1", s.Misses)
 	}
@@ -72,8 +84,7 @@ func TestSingleFlight(t *testing.T) {
 // both the owner and later callers panic rather than observe a zero
 // value.
 func TestPanicPoisonsEntry(t *testing.T) {
-	defer ResetAll()
-	c := New[int]("test-panic")
+	c := New[int](NewCounters("test-panic"))
 	mustPanic := func(name string, f func()) {
 		defer func() {
 			if recover() == nil {
@@ -90,15 +101,15 @@ func TestPanicPoisonsEntry(t *testing.T) {
 // entry land in Poisoned, never Hits (the daemon's cache/…/hits metric
 // must not overcount panicked keys).
 func TestPoisonedReadsAreNotHits(t *testing.T) {
-	defer ResetAll()
-	c := New[int]("test-poison-stats")
+	ctr := NewCounters("test-poison-stats")
+	c := New[int](ctr)
 	for i := 0; i < 3; i++ {
 		func() {
 			defer func() { recover() }()
 			c.Get("k", func() int { panic("boom") })
 		}()
 	}
-	s := c.Stats()
+	s := ctr.Stats()
 	if s.Hits != 0 {
 		t.Errorf("hits = %d after poisoned reads, want 0", s.Hits)
 	}
@@ -107,53 +118,5 @@ func TestPoisonedReadsAreNotHits(t *testing.T) {
 	}
 	if s.Misses != 1 {
 		t.Errorf("misses = %d, want 1", s.Misses)
-	}
-}
-
-// TestResetDuringGets hammers one cache with concurrent Gets and resets; under -race this is the proof that eviction no longer
-// requires "no computations in flight". Values are keyed so a recompute
-// after eviction still returns the right answer.
-func TestResetDuringGets(t *testing.T) {
-	defer ResetAll()
-	c := New[int]("test-reset-race")
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := string(rune('a' + i%7))
-				want := i % 7
-				if got := c.Get(key, func() int { return want }); got != want {
-					t.Errorf("worker %d: Get(%q) = %d, want %d", w, key, got, want)
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 200; i++ {
-		c.reset()
-		ResetAll()
-		c.Stats()
-	}
-	close(stop)
-	wg.Wait()
-}
-
-func TestSnapshotSorted(t *testing.T) {
-	defer ResetAll()
-	New[int]("zz-test-b")
-	New[int]("aa-test-a")
-	snap := Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i-1].Name > snap[i].Name {
-			t.Fatalf("snapshot not sorted: %q before %q", snap[i-1].Name, snap[i].Name)
-		}
 	}
 }

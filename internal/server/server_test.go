@@ -364,7 +364,7 @@ func TestTwoServersShareCacheDir(t *testing.T) {
 
 	for _, c := range experiments.CacheStats().Caches {
 		if c.Name == diskCache {
-			t.Errorf("runcache registry lists %q: %+v", c.Name, c)
+			t.Errorf("experiments.CacheStats lists %q: %+v", c.Name, c)
 		}
 	}
 }
